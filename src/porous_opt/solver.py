@@ -397,7 +397,7 @@ def run_forward(problem: Problem, q) -> Trajectory:
         traj.saddles[m - 1] = saddle
 
         for n in range(n_prev, m * K):
-            uvals = _state_velocity(coarse, traj.U, fine[n], m)
+            uvals = interpolate_velocity(coarse, traj.U, fine[n], "state")
             c_field = P1DGField(mesh, traj.C[n])
             u_field = RT0Field(mesh, uvals)
             D, E, H, G = assemble_saturation_state(
@@ -424,18 +424,6 @@ def run_forward(problem: Problem, q) -> Trajectory:
     traj.darcy_reports.append(rep)
     traj.saddles[rc.m_steps] = saddle
     return traj
-
-
-def _state_velocity(coarse, U, t, m):
-    """Causal state-velocity value at t inside sweep interval m."""
-    tol = 1e-12 * max(coarse[-1], 1.0)
-    if abs(t - coarse[m - 1]) <= tol:
-        return U[m - 1].copy()
-    if m == 1:
-        return U[0].copy()
-    dt_prev = coarse[m - 1] - coarse[m - 2]
-    s = (t - coarse[m - 1]) / dt_prev
-    return (1.0 + s) * U[m - 1] - s * U[m - 2]
 
 
 def run_adjoint(problem: Problem, traj: Trajectory) -> Trajectory:
@@ -490,7 +478,7 @@ def run_adjoint(problem: Problem, traj: Trajectory) -> Trajectory:
         for n in range(m * K - 1, (m - 1) * K - 1, -1):
             t_dep = fine[n + 1]
             uvals = interpolate_velocity(coarse, traj.U, t_dep, "state")
-            usvals = _costate_velocity(coarse, traj.Ustar, t_dep, m)
+            usvals = interpolate_velocity(coarse, traj.Ustar, t_dep, "costate")
             c_field = P1DGField(mesh, traj.C[n + 1])
             u_field = RT0Field(mesh, uvals)
             us_field = RT0Field(mesh, usvals)
@@ -522,15 +510,3 @@ def run_adjoint(problem: Problem, traj: Trajectory) -> Trajectory:
     traj.costate_div_max = div_max
     return traj
 
-
-def _costate_velocity(coarse, Ustar, t, m):
-    """Causal costate-velocity value at t inside backward-sweep interval m."""
-    tol = 1e-12 * max(coarse[-1], 1.0)
-    M = coarse.size - 1
-    if abs(t - coarse[m]) <= tol:
-        return Ustar[m].copy()
-    if m == M:
-        return Ustar[M].copy()
-    dt_next = coarse[m + 1] - coarse[m]
-    s = (coarse[m] - t) / dt_next
-    return (1.0 + s) * Ustar[m] - s * Ustar[m + 1]
