@@ -239,6 +239,9 @@ class AssemblyWorkspace:
             * _D_LOCAL_UNIT
         )
         self.d_local_unit_area = self.mesh.tri_area[:, None, None] * _D_LOCAL_UNIT
+        # porosity-weighted eta mass matrix D (field independent; shared by
+        # every saturation step, so callers must not modify it in place)
+        self.D = self.element_matrix(self.d_local)
 
     def _kappa_at(self, pts):
         flat = pts.reshape(-1, 2)
@@ -368,8 +371,11 @@ def assemble_darcy_costate_rhs(c_field: P1DGField, cstar_field: P1DGField,
 # ---------------------------------------------------------------------------
 
 def eta_mass_matrix(ws: AssemblyWorkspace, with_porosity=True):
-    """The (test, eta_h trial) mass matrix; porosity-weighted by default."""
-    return ws.element_matrix(ws.d_local if with_porosity else ws.d_local_unit_area)
+    """The (test, eta_h trial) mass matrix; porosity-weighted by default.
+
+    The porosity-weighted one is the workspace's cached ``D``.
+    """
+    return ws.D if with_porosity else ws.element_matrix(ws.d_local_unit_area)
 
 
 def assemble_saturation_state(c_field: P1DGField, u_field: RT0Field,
@@ -377,7 +383,8 @@ def assemble_saturation_state(c_field: P1DGField, u_field: RT0Field,
                               q: float, ws: AssemblyWorkspace, xi: float):
     """Matrices of one saturation step: (D, E, H, G).
 
-    D is the porosity-weighted eta mass matrix; E the convection matrix with
+    D is the porosity-weighted eta mass matrix (the workspace's cached
+    ``ws.D``, not a copy); E the convection matrix with
     coefficient b(C) U; H the diffusion matrix T1+T2+T3+T4 with coefficient
     kappa D(C) and penalty xi; G the injection source with f(C) r0 q.
     """
@@ -386,7 +393,7 @@ def assemble_saturation_state(c_field: P1DGField, u_field: RT0Field,
     _require_finite(c_field.values, "saturation coefficient")
     _require_finite(u_field.values, "velocity coefficient")
 
-    D = eta_mass_matrix(ws)
+    D = ws.D
     csub = ws.p1_at_sub(c_field)                      # (n_t, 3, nq)
     uvals = ws.rt0_at_sub(u_field)                    # (n_t, 3, nq, 2)
     bc = model.b(csub)

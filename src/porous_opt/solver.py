@@ -1,13 +1,15 @@
 """Linear solves and the two-grid time-splitting sweeps.
 
 The Darcy saddle systems (state and costate share the velocity matrix at a
-given coarse time) are solved by sparse LU with the zero-mean pressure
-constraint appended as a Lagrange multiplier row/column; factorizations are
-cached per coarse step and reused by the costate solve.  The saturation
-equation is advanced by backward Euler on the fine grid with coefficients
-lagged to the previous fine level, and the costate saturation is marched
-backward with the eta mass matrix as the system matrix, everything else
-lagged to the departure level.
+given coarse time) are solved by sparse LU with the first pressure pinned;
+the pressure is then shifted to zero area-weighted mean, and the residual
+is checked on the full unpinned system.  Factorizations are cached per
+coarse step and reused by the costate solve.  The saturation equation is
+advanced by backward Euler on the fine grid with coefficients lagged to the
+previous fine level, and the costate saturation is marched backward with
+the operator implicit on the earlier level and its coefficients lagged to
+the departure level.  Both saturation step matrices have a symmetric
+sparsity pattern and are factored with a minimum-degree ordering on A+A^T.
 
 Velocities are interpolated in time between the two grids: at coarse nodes
 the node value is used; inside a coarse interval the state velocity is the
@@ -33,7 +35,6 @@ from .assembly import (
     assemble_dual_scalar_load,
     assemble_saturation_costate,
     assemble_saturation_state,
-    eta_mass_matrix,
     well_source_vector,
 )
 from .errors import CompatibilityError, PorousOptError, SolverError
@@ -54,44 +55,62 @@ class SaddleSolveReport:
 
 
 class DarcySaddle:
-    """Factorized saddle system [[A, -B^T, 0], [B, 0, a], [0, a^T, 0]].
+    """Factorized Darcy saddle system [[A, -B^T], [B, 0]], one pressure pinned.
 
-    The trailing row/column carries the element-area vector enforcing the
-    zero-mean pressure; the multiplier also absorbs (and reports) any
-    right-hand-side incompatibility.
+    The pressure is fixed only up to a constant (the rows of B sum to zero),
+    so the factored matrix drops the first pressure unknown and the mass
+    equation of the first triangle, which the others imply for a compatible
+    load.  Each solve shifts the pressure to zero area-weighted mean.  The
+    residual check and iterative refinement run on the full unpinned system,
+    so the dropped mass equation is still verified: an incompatible pressure
+    load raises :class:`SolverError`.
     """
 
     def __init__(self, A, B, mesh: PrimalMesh, tol=1e-10):
         self.mesh = mesh
         self.tol = tol
-        n_int = A.shape[0]
-        n_t = B.shape[0]
-        a = sp.csr_matrix(mesh.tri_area.reshape(n_t, 1))
-        K = sp.bmat([[A, -B.T, None], [B, None, a], [None, a.T, None]], format="csc")
-        self.n_int = n_int
-        self.n_t = n_t
-        self.K = K
+        self.A = A
+        self.B = B
+        self.n_int = A.shape[0]
+        self.n_t = B.shape[0]
+        B_pin = B[1:]
+        K = sp.bmat([[A, -B_pin.T], [B_pin, None]], format="csc")
         try:
             self.lu = spla.splu(K)
         except RuntimeError as exc:  # pragma: no cover - singular input
             raise SolverError(f"Darcy saddle factorization failed: {exc}") from exc
 
+    def _correction(self, r):
+        """Pinned solve for the full residual ``r``, pressure at zero mean."""
+        n = self.n_int
+        x = np.insert(self.lu.solve(np.delete(r, n)), n, 0.0)
+        area = self.mesh.tri_area
+        x[n:] -= (area @ x[n:]) / area.sum()
+        return x
+
+    def _residual(self, x, rhs):
+        u, p = x[: self.n_int], x[self.n_int :]
+        return rhs - np.concatenate([self.A @ u - self.B.T @ p, self.B @ u])
+
     def solve(self, rhs_u, rhs_p, reused=False):
         t0 = _time.perf_counter()
-        rhs = np.concatenate([rhs_u, rhs_p, [0.0]])
-        x = self.lu.solve(rhs)
+        rhs = np.concatenate([rhs_u, rhs_p])
         norm = np.linalg.norm(rhs)
-        res = np.linalg.norm(self.K @ x - rhs) / (norm if norm > 0 else 1.0)
+        norm = norm if norm > 0 else 1.0
+        x = self._correction(rhs)
+        r = self._residual(x, rhs)
+        res = np.linalg.norm(r) / norm
         for _ in range(2):
             if np.isfinite(res) and res <= self.tol:
                 break
-            x = x + self.lu.solve(rhs - self.K @ x)
-            res = np.linalg.norm(self.K @ x - rhs) / (norm if norm > 0 else 1.0)
+            x = x + self._correction(r)
+            r = self._residual(x, rhs)
+            res = np.linalg.norm(r) / norm
         if not np.isfinite(res) or res > self.tol:
             raise SolverError(f"Darcy solve residual {res:.3e} exceeds {self.tol:.1e}")
         u_int = x[: self.n_int]
-        p = x[self.n_int : self.n_int + self.n_t]
-        mass_res = np.linalg.norm(rhs_p - np.asarray(self.K[self.n_int:-1, : self.n_int] @ u_int).ravel())
+        p = x[self.n_int :]
+        mass_res = np.linalg.norm(rhs_p - self.B @ u_int)
         mass_res /= max(np.linalg.norm(rhs_p), 1.0)
         return u_int, p, SaddleSolveReport(
             residual=float(res),
@@ -175,8 +194,14 @@ def interpolate_velocity(times, fields, t, direction="state"):
 
 
 def _solve_sparse(Amat, rhs, tol, what):
+    # Both step matrices are built from element and interior-edge blocks, so
+    # their pattern is symmetric: minimum degree on A+A^T with diagonal
+    # pivots preferred gives less fill than COLAMD at every mesh size.
     try:
-        lu = spla.splu(Amat.tocsc())
+        lu = spla.splu(
+            Amat.tocsc(), permc_spec="MMD_AT_PLUS_A",
+            options=dict(SymmetricMode=True),
+        )
     except RuntimeError as exc:
         raise SolverError(f"{what}: factorization failed: {exc}") from exc
     x = lu.solve(rhs)
@@ -284,8 +309,6 @@ class Problem:
     xi: float
     c0_values: np.ndarray
     sources: Optional[MMSSources] = None
-    _mass_lu: object = field(default=None, repr=False)
-    _mass: object = field(default=None, repr=False)
 
     @classmethod
     def build(cls, mesh, model, wells, rc: RunConfig, sources=None, c0=None):
@@ -299,7 +322,7 @@ class Problem:
             c0_values = P1DGField.interpolate(mesh, c0).values
         else:
             c0_values = np.full((mesh.num_triangles, 3), float(c0))
-        prob = cls(
+        return cls(
             mesh=mesh,
             diamond=dd,
             bary=bd,
@@ -312,17 +335,6 @@ class Problem:
             c0_values=c0_values,
             sources=sources,
         )
-        prob._mass = eta_mass_matrix(ws)
-        prob._mass_lu = spla.splu(prob._mass.tocsc())
-        return prob
-
-    @property
-    def mass_matrix(self):
-        return self._mass
-
-    @property
-    def mass_lu(self):
-        return self._mass_lu
 
     def q_initial(self):
         q0 = self.rc.q_init if self.rc.q_init is not None else 0.5 * self.wells.qhat

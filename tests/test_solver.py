@@ -6,7 +6,7 @@ import pytest
 from porous_opt import assembly as asm
 from porous_opt import fespaces as fes
 from porous_opt import solver as sol
-from porous_opt.errors import CompatibilityError, PorousOptError
+from porous_opt.errors import CompatibilityError, PorousOptError, SolverError
 from porous_opt.mesh import build_barycentric_dual, build_diamond_dual, square_mesh
 from porous_opt.model import RunConfig, default_model, wells_from_tris
 from porous_opt.quadrature import QuadratureRule
@@ -105,6 +105,61 @@ def test_factorization_reuse_identical_and_faster(setup):
     assert np.array_equal(P1.values, P2.values)
     assert rep2.reused_factorization and not rep1.reused_factorization
     assert t_reuse < t_build
+
+
+def test_incompatible_pressure_load_rejected_by_saddle(setup):
+    # the pinned factor drops the first mass equation; the residual check on
+    # the full system must still see a load that violates it
+    mesh, model, ws, wells = setup
+    A, B, F = assemble(setup, 0.8)
+    saddle = sol.DarcySaddle(A, B, mesh)
+    with pytest.raises(SolverError):
+        saddle.solve(np.zeros(A.shape[0]), F + mesh.tri_area)
+
+
+def test_pinned_solve_matches_dense_multiplier_system():
+    mesh = square_mesh(4)
+    model = default_model()
+    ws = asm.AssemblyWorkspace(mesh, build_diamond_dual(mesh),
+                               build_barycentric_dual(mesh), model, QuadratureRule())
+    wells = wells_from_tris(mesh, [0, 1], [30, 31], T=1.0)
+    c = fes.P1DGField.interpolate(mesh, lambda p: 0.2 + 0.6 * p[:, 0] * p[:, 1])
+    A, B, F = asm.assemble_darcy(c, model, wells, 0.8, ws)
+    rhs_u = RNG.normal(size=A.shape[0])
+    u, p, _ = sol.DarcySaddle(A, B, mesh).solve(rhs_u, F)
+
+    n_int, n_t = A.shape[0], B.shape[0]
+    a = mesh.tri_area[:, None]
+    K = np.block([
+        [A.toarray(), -B.T.toarray(), np.zeros((n_int, 1))],
+        [B.toarray(), np.zeros((n_t, n_t)), a],
+        [np.zeros((1, n_int)), a.T, np.zeros((1, 1))],
+    ])
+    x = np.linalg.solve(K, np.concatenate([rhs_u, F, [0.0]]))
+    u_ref, p_ref = x[:n_int], x[n_int:n_int + n_t]
+    assert np.abs(u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
+    assert np.abs(p - p_ref).max() <= 1e-10 * np.abs(p_ref).max()
+
+
+def test_saddle_factor_has_no_dense_row_or_column(setup, monkeypatch):
+    # guards against a bordered zero-mean row/column coming back: on this
+    # mesh A couples an edge with at most 13 others and -B^T adds two
+    # pressures, while a multiplier row would hold all 128 pressures
+    mesh, model, ws, wells = setup
+    A, B, _ = assemble(setup, 0.8)
+    factored = []
+    splu = sol.spla.splu
+
+    def capture(K, *args, **kwargs):
+        factored.append(K)
+        return splu(K, *args, **kwargs)
+
+    monkeypatch.setattr(sol.spla, "splu", capture)
+    sol.DarcySaddle(A, B, mesh)
+    (K,) = factored
+    K = K.tocsc()
+    assert np.diff(K.indptr).max() <= 15
+    assert np.diff(K.tocsr().indptr).max() <= 15
 
 
 # ---------------------------------------------------------------------------
@@ -310,3 +365,36 @@ def test_backward_step_trivial_zero():
     out = sol.step_saturation_backward(np.zeros(3 * mesh.num_triangles),
                                        D, E, H, S, R, W, Z, prob.rc.dt)
     assert np.abs(out).max() < 1e-14
+
+
+def _saturation_step_data():
+    prob = make_problem(n=4, m_steps=2, n_steps=4, wtilde=2.0)
+    q = np.full(prob.rc.n_steps + 1, 0.6)
+    traj = sol.run_forward(prob, q)
+    sol.run_adjoint(prob, traj)
+    mesh, ws = prob.mesh, prob.ws
+    c = fes.P1DGField(mesh, traj.C[2])
+    u = fes.RT0Field(mesh, traj.U[1])
+    us = fes.RT0Field(mesh, traj.Ustar[1])
+    D, E, H, G = asm.assemble_saturation_state(c, u, prob.model, prob.wells,
+                                               q[2], ws, prob.xi)
+    R, S, W, Z = asm.assemble_saturation_costate(c, u, us, prob.model,
+                                                 prob.wells, q[2], 0.5, ws)
+    return prob, traj, (D, E, H, G, R, S, W, Z)
+
+
+def test_saturation_steps_match_dense_solve():
+    prob, traj, (D, E, H, G, R, S, W, Z) = _saturation_step_data()
+    dt = prob.rc.dt
+    c_prev = traj.C[1].ravel()
+    cstar_next = traj.Cstar[3].ravel()
+    assert np.abs(cstar_next).max() > 0.0
+
+    fwd = sol.step_saturation_forward(c_prev, D, E, H, G, dt)
+    ref = np.linalg.solve((D + dt * (E + H)).toarray(), D @ c_prev + dt * G)
+    assert np.abs(fwd - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    bwd = sol.step_saturation_backward(cstar_next, D, E, H, S, R, W, Z, dt)
+    ref = np.linalg.solve((D + dt * (-E + H + S + R)).toarray(),
+                          D @ cstar_next + dt * (W - Z))
+    assert np.abs(bwd - ref).max() <= 1e-12 * np.abs(ref).max()
