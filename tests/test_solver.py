@@ -367,12 +367,12 @@ def test_backward_step_trivial_zero():
     assert np.abs(out).max() < 1e-14
 
 
-def _saturation_step_data():
+def test_saturation_steps_match_dense_solve():
     prob = make_problem(n=4, m_steps=2, n_steps=4, wtilde=2.0)
     q = np.full(prob.rc.n_steps + 1, 0.6)
     traj = sol.run_forward(prob, q)
     sol.run_adjoint(prob, traj)
-    mesh, ws = prob.mesh, prob.ws
+    mesh, ws, dt = prob.mesh, prob.ws, prob.rc.dt
     c = fes.P1DGField(mesh, traj.C[2])
     u = fes.RT0Field(mesh, traj.U[1])
     us = fes.RT0Field(mesh, traj.Ustar[1])
@@ -380,12 +380,6 @@ def _saturation_step_data():
                                                q[2], ws, prob.xi)
     R, S, W, Z = asm.assemble_saturation_costate(c, u, us, prob.model,
                                                  prob.wells, q[2], 0.5, ws)
-    return prob, traj, (D, E, H, G, R, S, W, Z)
-
-
-def test_saturation_steps_match_dense_solve():
-    prob, traj, (D, E, H, G, R, S, W, Z) = _saturation_step_data()
-    dt = prob.rc.dt
     c_prev = traj.C[1].ravel()
     cstar_next = traj.Cstar[3].ravel()
     assert np.abs(cstar_next).max() > 0.0
