@@ -154,15 +154,10 @@ class AssemblyWorkspace:
         self.int_of_edge = int_of_edge
         self.n_int = ie.size
 
-        pr_edge, pr_tri = [], []
-        for e in range(mesh.num_edges):
-            pr_edge.append(e)
-            pr_tri.append(mesh.edge_tris[e, 0])
-            if mesh.edge_tris[e, 1] >= 0:
-                pr_edge.append(e)
-                pr_tri.append(mesh.edge_tris[e, 1])
-        self.pr_edge = np.asarray(pr_edge, dtype=np.int64)
-        self.pr_tri = np.asarray(pr_tri, dtype=np.int64)
+        pair_tri = mesh.edge_tris.ravel()
+        has_pair = pair_tri >= 0
+        self.pr_edge = np.repeat(np.arange(mesh.num_edges), 2)[has_pair]
+        self.pr_tri = pair_tri[has_pair]
         a = mesh.vertices[mesh.edges[self.pr_edge, 0]]
         b = mesh.vertices[mesh.edges[self.pr_edge, 1]]
         g = bc[self.pr_tri]
@@ -189,26 +184,16 @@ class AssemblyWorkspace:
         wsum = np.zeros(mesh.num_edges)
         np.add.at(wsum, mesh.tri_edges.ravel(),
                   np.repeat(mesh.tri_area[:, None], 3, axis=1).ravel())
-        rows, cols, vals = [], [], []
-        mids = mesh.edge_midpoint
-        for k in range(mesh.num_edges):
-            for tri in mesh.edge_tris[k]:
-                if tri < 0:
-                    continue
-                w = mesh.tri_area[tri] / wsum[k]
-                for jloc in range(3):
-                    i_edge = mesh.tri_edges[tri, jloc]
-                    col = int_of_edge[i_edge]
-                    if col < 0:
-                        continue
-                    val = w * coef[tri, jloc] * (
-                        mids[k] - verts[tri, (jloc + 2) % 3]
-                    )
-                    rows.extend((2 * k, 2 * k + 1))
-                    cols.extend((col, col))
-                    vals.extend(val)
+        w = mesh.tri_area[self.pr_tri] / wsum[self.pr_edge]
+        vals = (w[:, None] * pair_coef)[:, :, None] * (
+            mesh.edge_midpoint[self.pr_edge][:, None, :] - opp
+        )  # (npair, 3, 2): entries (row 2k + comp, column of local edge j)
+        rows = np.broadcast_to(2 * self.pr_edge[:, None, None] + np.arange(2), vals.shape)
+        cols = np.broadcast_to(self.pr_cols[:, :, None], vals.shape)
+        keep = cols >= 0
         self.gamma_mat = sp.coo_matrix(
-            (vals, (rows, cols)), shape=(2 * mesh.num_edges, self.n_int)
+            (vals[keep], (rows[keep], cols[keep])),
+            shape=(2 * mesh.num_edges, self.n_int),
         ).tocsr()
 
         # divergence coupling matrix B (geometry only)

@@ -152,10 +152,6 @@ class RT0Field:
         )
         return P0Field(mesh, flux.sum(axis=1) / mesh.tri_area)
 
-    def is_in_velocity_space(self, tol=0.0):
-        """True when all boundary-edge coefficients vanish (slip condition)."""
-        return bool(np.all(np.abs(self.values[self.mesh.boundary_edge]) <= tol))
-
 
 @dataclass
 class P0Field:
@@ -172,9 +168,6 @@ class P0Field:
 
     def mean(self):
         return float(self.values @ self.mesh.tri_area) / self.mesh.domain_area
-
-    def shifted_to_zero_mean(self):
-        return P0Field(self.mesh, self.values - self.mean(), zero_mean=True)
 
 
 @dataclass
@@ -257,10 +250,6 @@ def eta_h(z: P1DGField, dual: BarycentricDualMesh) -> DualPWConstantField:
     if dual.mesh is not z.mesh:
         raise PorousOptError("field and barycentric dual live on different meshes")
     return DualPWConstantField(dual, z.edge_averages())
-
-
-def rt0_divergence(v: RT0Field) -> P0Field:
-    return v.divergence()
 
 
 def b_form(gv: DiamondPWConstantField, w: P0Field) -> float:

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from . import __version__
-from .fespaces import DiamondPWConstantField, P0Field, P1DGField, RT0Field
+from .fespaces import P0Field, P1DGField, RT0Field
 
 
 def sha256_of_text(text: str) -> str:
@@ -47,13 +47,6 @@ def write_csv(path, columns, rows, provenance=None):
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
-
-
-def write_field_csv(path, field, provenance=None):
-    """Serialize any discrete field as (dof index, value) rows."""
-    vals = np.asarray(field.values).ravel()
-    rows = [(i, v) for i, v in enumerate(vals)]
-    write_csv(path, ("dof", "value"), rows, provenance)
 
 
 def write_status(path, status, exit_code, error=None, extra=None):
@@ -120,32 +113,3 @@ def write_vtk(path, mesh, fields=None, provenance=None):
                 fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
                 for v in vals:
                     fh.write(_fmt(v) + "\n")
-
-
-def write_dual_vtk(path, diamond, field: DiamondPWConstantField, name="value",
-                   provenance=None):
-    """Legacy ASCII VTK of the diamond dual cells with per-cell vector data."""
-    polys = diamond.cell_polygons
-    n_pts = sum(p.shape[0] for p in polys)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        head = "; ".join(line.lstrip("# ") for line in provenance_lines(provenance or {}))
-        fh.write(head[:255] + "\n")
-        fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {n_pts} double\n")
-        for poly in polys:
-            for x, y in poly:
-                fh.write(f"{_fmt(x)} {_fmt(y)} 0\n")
-        total = sum(p.shape[0] + 1 for p in polys)
-        fh.write(f"CELLS {len(polys)} {total}\n")
-        offset = 0
-        for poly in polys:
-            k = poly.shape[0]
-            fh.write(str(k) + " " + " ".join(str(offset + i) for i in range(k)) + "\n")
-            offset += k
-        fh.write(f"CELL_TYPES {len(polys)}\n")
-        fh.write("7\n" * len(polys))  # VTK_POLYGON
-        fh.write(f"CELL_DATA {len(polys)}\n")
-        fh.write(f"VECTORS {name} double\n")
-        for v in np.asarray(field.values):
-            fh.write(f"{_fmt(v[0])} {_fmt(v[1])} 0\n")

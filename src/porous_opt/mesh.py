@@ -151,32 +151,30 @@ def build_primal(vertex_list, triangle_list) -> PrimalMesh:
     if (counts > 1).any():
         raise MeshStructureError("duplicate triangle(s) in input")
 
-    # edge extraction in deterministic first-appearance order
-    edge_index = {}
-    edges = []
-    edge_tris_list = []
+    # edge extraction in deterministic first-appearance order: position
+    # 3k + j of the scan holds local edge j of triangle k
     n_t = triangles.shape[0]
-    tri_edges = np.empty((n_t, 3), dtype=np.int64)
-    for k in range(n_t):
-        for j in range(3):
-            a = int(triangles[k, j])
-            b = int(triangles[k, (j + 1) % 3])
-            key = (a, b) if a < b else (b, a)
-            e = edge_index.get(key)
-            if e is None:
-                e = len(edges)
-                edge_index[key] = e
-                edges.append(key)
-                edge_tris_list.append([k, -1])
-            else:
-                if edge_tris_list[e][1] != -1:
-                    raise MeshConformityError(
-                        f"edge {key} shared by more than two triangles"
-                    )
-                edge_tris_list[e][1] = k
-            tri_edges[k, j] = e
-    edges = np.asarray(edges, dtype=np.int64)
-    edge_tris = np.asarray(edge_tris_list, dtype=np.int64)
+    ends = np.stack([triangles, triangles[:, [1, 2, 0]]], axis=-1).reshape(-1, 2)
+    ends.sort(axis=1)
+    _, first, inverse, counts = np.unique(
+        ends[:, 0] * n_v + ends[:, 1],
+        return_index=True, return_inverse=True, return_counts=True,
+    )
+    order = np.argsort(first)
+    if (counts > 2).any():
+        bad = order[np.argmax(counts[order] > 2)]
+        key = tuple(int(v) for v in ends[first[bad]])
+        raise MeshConformityError(f"edge {key} shared by more than two triangles")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    scan_edge = rank[inverse]
+    tri_edges = scan_edge.reshape(n_t, 3)
+    edges = ends[first[order]]
+    edge_tris = np.full((order.size, 2), -1, dtype=np.int64)
+    edge_tris[:, 0] = first[order] // 3
+    repeat = np.ones(scan_edge.size, dtype=bool)
+    repeat[first] = False
+    edge_tris[scan_edge[repeat], 1] = np.flatnonzero(repeat) // 3
     boundary_edge = edge_tris[:, 1] == -1
 
     area = np.abs(signed)
@@ -227,21 +225,17 @@ def square_mesh(n, diagonal="right") -> PrimalMesh:
     gx, gy = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([gx.ravel(), gy.ravel()])
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            if diagonal == "right":
-                tris.append([v00, v10, v11])
-                tris.append([v00, v11, v01])
-            else:
-                tris.append([v00, v10, v01])
-                tris.append([v10, v11, v01])
-    return build_primal(vertices, np.asarray(tris))
+    j, i = np.divmod(np.arange(n * n), n)
+    v00 = j * (n + 1) + i
+    v10, v01 = v00 + 1, v00 + n + 1
+    v11 = v01 + 1
+    if diagonal == "right":
+        pair = [[v00, v10, v11], [v00, v11, v01]]
+    else:
+        pair = [[v00, v10, v01], [v10, v11, v01]]
+    # (2, 3, n*n) -> cell-major, lower triangle of each cell first
+    tris = np.transpose(pair, (2, 0, 1)).reshape(-1, 3)
+    return build_primal(vertices, tris)
 
 
 @dataclass(frozen=True)
@@ -269,88 +263,77 @@ class DiamondDualMesh:
 
 
 def build_diamond_dual(mesh: PrimalMesh) -> DiamondDualMesh:
-    """Construct the diamond dual tessellation of ``mesh``."""
+    """Construct the diamond dual tessellation of ``mesh``.
+
+    Edge e with endpoints (a, b) and adjacent triangles k0, k1 gives the
+    cell (a, b_k0, b, b_k1), or (a, b, b_k0) on the boundary, where b_k is
+    the barycentre of triangle k.  Each cell is reversed where needed to be
+    counterclockwise.  A segment is owned by the triangle whose barycentre
+    is one of its endpoints: every segment of an interior cell has exactly
+    one, and every segment of a boundary cell belongs to k0.  Segment
+    normals are unit vectors pointing away from the cell's vertex mean.
+    All cells are built at once as a padded (n_e, 4, 2) array.
+    """
     n_e = mesh.num_edges
-    areas = np.empty(n_e)
-    polygons = []
-    ptr = [0]
-    owners, normals, lengths = [], [], []
+    k0, k1 = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
+    interior = k1 >= 0
+    a = mesh.vertices[mesh.edges[:, 0]]
+    b = mesh.vertices[mesh.edges[:, 1]]
+    g0 = mesh.barycentre[k0]
+    g1 = mesh.barycentre[k1]
+    n_vert = np.where(interior, 4, 3)
 
-    bary = mesh.barycentre
-    verts = mesh.vertices
+    # vertex slots and, per slot, the triangle whose barycentre sits there
+    # (-1 at an edge endpoint); slot 3 of a boundary cell is padding at the
+    # origin, which adds nothing to the vertex sum
+    i4 = interior[:, None]
+    poly = np.where(
+        i4[:, :, None],
+        np.stack([a, g0, b, g1], axis=1),
+        np.stack([a, b, g0, np.zeros_like(a)], axis=1),
+    )
+    none = -np.ones_like(k0)
+    tag = np.where(
+        i4,
+        np.stack([none, k0, none, k1], axis=1),
+        np.stack([none, none, k0, none], axis=1),
+    )
+    slot = np.arange(4)
+    nxt = np.where(slot + 1 < n_vert[:, None], slot + 1, 0)
+    valid = slot < n_vert[:, None]
 
-    for e in range(n_e):
-        a = verts[mesh.edges[e, 0]]
-        b = verts[mesh.edges[e, 1]]
-        k0, k1 = mesh.edge_tris[e]
-        if k1 == -1:
-            poly = np.array([a, b, bary[k0]])
-            own = [k0, k0, k0]
-        else:
-            poly = np.array([a, bary[k0], b, bary[k1]])
-            own = [k0, k0, k1, k1]
-        # normalize to CCW
-        x, y = poly[:, 0], poly[:, 1]
-        twice_area = np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))
-        if twice_area < 0.0:
-            poly = poly[::-1]
-            own = own[::-1]
-            twice_area = -twice_area
-        areas[e] = 0.5 * twice_area
-        polygons.append(poly)
-        centroid = poly.mean(axis=0)
-        m = poly.shape[0]
-        for s in range(m):
-            p, q = poly[s], poly[(s + 1) % m]
-            t = q - p
-            ln = np.linalg.norm(t)
-            nrm = _perp(t) / ln
-            if np.dot(nrm, 0.5 * (p + q) - centroid) < 0.0:
-                nrm = -nrm
-            owners.append(own[s] if twice_area >= 0 else own[s])
-            normals.append(nrm)
-            lengths.append(ln)
-        ptr.append(len(owners))
+    # shoelace about the first vertex, which keeps the products small; a
+    # clockwise cell has its vertex slots reversed
+    rows = np.arange(n_e)[:, None]
+    x = np.where(valid, poly[..., 0] - poly[:, :1, 0], 0.0)
+    y = np.where(valid, poly[..., 1] - poly[:, :1, 1], 0.0)
+    twice_area = (x * y[rows, nxt]).sum(axis=1) - (y * x[rows, nxt]).sum(axis=1)
+    rev = np.where(i4, [3, 2, 1, 0], [2, 1, 0, 3])
+    perm = np.where((twice_area < 0.0)[:, None], rev, slot)
+    poly, tag = poly[rows, perm], tag[rows, perm]
+    cell_area = 0.5 * np.abs(twice_area)
 
-    # fix segment ownership after possible reversal: recompute by matching
-    # segment midpoints to the two adjacent triangles
-    seg_owner = np.asarray(owners, dtype=np.int64)
-    seg_normal = np.asarray(normals)
-    seg_length = np.asarray(lengths)
-    seg_ptr = np.asarray(ptr, dtype=np.int64)
+    p, q = poly, poly[rows, nxt]
+    t = q - p
+    length = np.linalg.norm(t, axis=-1)
+    normal = _perp(t) / np.where(valid, length, 1.0)[..., None]
+    centroid = poly.sum(axis=1) / n_vert[:, None]
+    inward = np.einsum("esi,esi->es", normal, 0.5 * (p + q) - centroid[:, None, :]) < 0.0
+    normal[inward] *= -1.0
+    owner = np.maximum(tag, tag[rows, nxt])
+    owner = np.where(owner < 0, k0[:, None], owner)
 
-    # ownership from geometry: a segment belongs to the triangle whose
-    # barycentric coordinates contain its midpoint
-    for e in range(n_e):
-        k0, k1 = mesh.edge_tris[e]
-        if k1 == -1:
-            seg_owner[seg_ptr[e]:seg_ptr[e + 1]] = k0
-            continue
-        poly = polygons[e]
-        m = poly.shape[0]
-        for s in range(m):
-            mid = 0.5 * (poly[s] + poly[(s + 1) % m])
-            seg_owner[seg_ptr[e] + s] = k0 if _contains(mesh, k0, mid) else k1
-
+    seg_ptr = np.zeros(n_e + 1, dtype=np.int64)
+    np.cumsum(n_vert, out=seg_ptr[1:])
     return DiamondDualMesh(
         mesh=mesh,
-        cell_area=areas,
-        cell_polygons=polygons,
+        cell_area=cell_area,
+        cell_polygons=np.split(poly[valid], seg_ptr[1:-1]),
         seg_ptr=seg_ptr,
-        seg_owner=seg_owner,
-        seg_normal=seg_normal,
-        seg_length=seg_length,
+        seg_owner=owner[valid],
+        seg_normal=normal[valid],
+        seg_length=length[valid],
     )
-
-
-def _contains(mesh, k, point, tol=1e-12):
-    p = mesh.tri_vertices(k)
-    v0, v1, v2 = p[0], p[1], p[2]
-    d = _cross2(v1 - v0, v2 - v0)
-    l1 = _cross2(v1 - point, v2 - point) / d
-    l2 = _cross2(v2 - point, v0 - point) / d
-    l3 = 1.0 - l1 - l2
-    return min(l1, l2, l3) >= -tol
 
 
 @dataclass(frozen=True)

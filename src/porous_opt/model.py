@@ -23,13 +23,13 @@ w(t) = wtilde/epsilon for t in the final window of width epsilon, whose
 time integral is exactly wtilde.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .mesh import PrimalMesh
+from .mesh import PrimalMesh, _cross2
 
 _GRID = np.linspace(0.0, 1.0, 1001)
 
@@ -56,7 +56,6 @@ class CoefficientModel:
     d_high: float
     phi_low: float
     phi_high: float
-    lipschitz: dict = field(default_factory=dict)
 
     def validate(self, fd_step=1e-5, fd_tol=1e-6):
         """Check positivity bounds and derivative consistency on a 1001-grid.
@@ -137,10 +136,6 @@ def default_model(delta_floor=0.05, peclet=1.0, kappa=None, phi=None) -> Coeffic
     probe = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
     phivals = phi(probe)
 
-    def max_abs_slope(fun):
-        vals = fun(_GRID)
-        return float(np.max(np.abs(np.diff(vals) / np.diff(_GRID))))
-
     return CoefficientModel(
         alpha=alpha,
         alpha_prime=alpha_prime,
@@ -156,12 +151,6 @@ def default_model(delta_floor=0.05, peclet=1.0, kappa=None, phi=None) -> Coeffic
         d_high=float(dvals.max()),
         phi_low=float(np.min(phivals)),
         phi_high=float(np.max(phivals)),
-        lipschitz={
-            "alpha": max_abs_slope(alpha),
-            "b": 2.0,
-            "D": max_abs_slope(diffusion),
-            "f": max_abs_slope(f),
-        },
     )
 
 
@@ -334,12 +323,6 @@ def wells_from_tris(mesh, injection_tris, production_tris, *, T, wtilde=1.0,
         qhat=qhat,
         T=float(T),
     )
-
-
-def _cross2(a, b):
-    a = np.asarray(a)
-    b = np.asarray(b)
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
 def _point_in_mesh(mesh, x, tol=1e-12):

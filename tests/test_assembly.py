@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from porous_opt import assembly as asm
 from porous_opt import fespaces as fes
 from porous_opt.errors import AssemblyError, ConfigError
-from porous_opt.mesh import build_barycentric_dual, build_diamond_dual, square_mesh
+from porous_opt.mesh import build_barycentric_dual, build_diamond_dual, read_mesh, square_mesh
 from porous_opt.model import default_model, unit_model, wells_from_tris
 from porous_opt.quadrature import QuadratureRule
 
@@ -131,6 +132,40 @@ def test_velocity_matrix_is_gamma_pairing(setup):
             pj = np.einsum("nqje,nj->nqe", ws.pr_rt0, phi_j.values[mesh.tri_edges[ws.pr_tri]])
             ref = float(np.einsum("nq,nq,nqe,ne->", ws.pr_w, avals, pj, gv[ws.pr_edge]))
             assert A[test, trial] == pytest.approx(ref, abs=1e-13)
+
+
+@pytest.mark.parametrize("mesh", [
+    square_mesh(4),
+    read_mesh("data/unstructured_square.node", "data/unstructured_square.ele"),
+], ids=["n4", "unstructured"])
+def test_gamma_mat_matches_entry_loop(mesh):
+    ws = asm.AssemblyWorkspace(mesh, build_diamond_dual(mesh), build_barycentric_dual(mesh),
+                               unit_model(), QuadratureRule())
+    verts = mesh.tri_vertices()
+    coef = mesh.tri_edge_sign * mesh.edge_length[mesh.tri_edges] / (
+        2.0 * mesh.tri_area[:, None])
+    wsum = np.zeros(mesh.num_edges)
+    np.add.at(wsum, mesh.tri_edges.ravel(),
+              np.repeat(mesh.tri_area[:, None], 3, axis=1).ravel())
+    rows, cols, vals = [], [], []
+    for k in range(mesh.num_edges):
+        for tri in mesh.edge_tris[k]:
+            if tri < 0:
+                continue
+            w = mesh.tri_area[tri] / wsum[k]
+            for jloc in range(3):
+                col = ws.int_of_edge[mesh.tri_edges[tri, jloc]]
+                if col < 0:
+                    continue
+                val = w * coef[tri, jloc] * (
+                    mesh.edge_midpoint[k] - verts[tri, (jloc + 2) % 3])
+                rows.extend((2 * k, 2 * k + 1))
+                cols.extend((col, col))
+                vals.extend(val)
+    ref = sp.coo_matrix((vals, (rows, cols)), shape=ws.gamma_mat.shape).tocsr()
+    assert np.array_equal(ws.gamma_mat.indptr, ref.indptr)
+    assert np.array_equal(ws.gamma_mat.indices, ref.indices)
+    assert np.array_equal(ws.gamma_mat.data, ref.data)
 
 
 def test_velocity_matrix_positive_definite_symmetric_part(setup):

@@ -73,8 +73,50 @@ def test_duplicate_triangle_rejected():
 def test_nonconforming_rejected():
     verts = SQUARE_VERTS + [[2.0, 0.5]]
     tris = [[0, 1, 2], [0, 2, 3], [0, 2, 4]]  # edge (0,2) used three times
-    with pytest.raises(MeshConformityError):
+    with pytest.raises(MeshConformityError, match=r"edge \(0, 2\) shared"):
         build_primal(verts, tris)
+
+
+def _oracle_meshes():
+    return [
+        read_mesh("data/unstructured_square.node", "data/unstructured_square.ele"),
+        square_mesh(5),
+    ]
+
+
+@pytest.mark.parametrize("diagonal", ["right", "left"])
+def test_square_mesh_triangle_order(diagonal):
+    n = 5
+    tris = []
+    for j in range(n):
+        for i in range(n):
+            v00, v10 = j * (n + 1) + i, j * (n + 1) + i + 1
+            v01, v11 = v00 + n + 1, v10 + n + 1
+            if diagonal == "right":
+                tris += [[v00, v10, v11], [v00, v11, v01]]
+            else:
+                tris += [[v00, v10, v01], [v10, v11, v01]]
+    assert np.array_equal(square_mesh(n, diagonal).triangles, tris)
+
+
+@pytest.mark.parametrize("mesh", _oracle_meshes(), ids=["unstructured", "n5"])
+def test_edge_extraction_matches_first_appearance_loop(mesh):
+    index, edges, edge_tris = {}, [], []
+    tri_edges = np.empty_like(mesh.triangles)
+    for k, tri in enumerate(mesh.triangles.tolist()):
+        for j in range(3):
+            key = tuple(sorted((tri[j], tri[(j + 1) % 3])))
+            if key not in index:
+                index[key] = len(edges)
+                edges.append(key)
+                edge_tris.append([k, -1])
+            else:
+                edge_tris[index[key]][1] = k
+            tri_edges[k, j] = index[key]
+    assert mesh.edges.dtype == mesh.edge_tris.dtype == mesh.tri_edges.dtype == np.int64
+    assert np.array_equal(mesh.edges, edges)
+    assert np.array_equal(mesh.edge_tris, edge_tris)
+    assert np.array_equal(mesh.tri_edges, tri_edges)
 
 
 def test_normal_orientation_convention(two_tri):
@@ -129,6 +171,30 @@ def test_diamond_interior_area_identity():
         k0, k1 = m.edge_tris[e]
         expect = (m.tri_area[k0] + m.tri_area[k1]) / 3.0
         assert dd.cell_area[e] == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("mesh", _oracle_meshes(), ids=["unstructured", "n5"])
+def test_diamond_cells_against_geometry(mesh):
+    dd = build_diamond_dual(mesh)
+    assert len(dd.cell_polygons) == mesh.num_edges
+    for e, poly in enumerate(dd.cell_polygons):
+        lo, hi = dd.seg_ptr[e], dd.seg_ptr[e + 1]
+        assert poly.shape == (hi - lo, 2)
+        nxt = np.roll(poly, -1, axis=0)
+        twice = np.sum(poly[:, 0] * nxt[:, 1] - poly[:, 1] * nxt[:, 0])
+        assert twice > 0.0  # counterclockwise
+        assert abs(0.5 * twice - dd.cell_area[e]) <= 1e-14
+        mid = 0.5 * (poly + nxt)
+        normal = dd.seg_normal[lo:hi]
+        assert np.allclose(np.linalg.norm(normal, axis=1), 1.0, rtol=0, atol=1e-14)
+        assert (np.einsum("si,si->s", normal, mid - poly.mean(axis=0)) > 0.0).all()
+        assert np.allclose(dd.seg_length[lo:hi], np.linalg.norm(nxt - poly, axis=1),
+                           rtol=0, atol=1e-15)
+        # each segment's midpoint lies in its owning triangle
+        for s, k in enumerate(dd.seg_owner[lo:hi]):
+            v = mesh.tri_vertices(k) - mid[s]
+            cross = v[:, 0] * np.roll(v[:, 1], -1) - v[:, 1] * np.roll(v[:, 0], -1)
+            assert (cross >= -1e-12 * cross.sum()).all()
 
 
 def test_partition_of_unity_all_grids():
