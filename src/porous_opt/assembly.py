@@ -115,7 +115,6 @@ class AssemblyWorkspace:
 
         # interior edge data
         ie = mesh.interior_edges
-        self.ie = ie
         self.ie_normal = mesh.edge_normal[ie]
         self.ie_h = mesh.edge_length[ie]
         self.kL = mesh.edge_tris[ie, 0]
@@ -387,13 +386,9 @@ def assemble_saturation_state(c_field: P1DGField, u_field: RT0Field,
 
     H = _diffusion_matrix(c_field, model, ws, xi)
 
-    r0 = np.zeros(ws.mesh.num_triangles)
-    r0[wells.injection_tris] = 1.0 / wells.sigma0
     fsub = model.f(csub)
-    gcell = np.einsum("t,tcq,tcq->tc", r0 * q, ws.sub_w, fsub)
-    G = np.zeros(3 * ws.mesh.num_triangles)
-    np.add.at(G, ws.el_rows[:, :, 0].ravel(),
-              np.einsum("cv,tc->tv", SEL, gcell).ravel())
+    gcell = np.einsum("t,tcq,tcq->tc", wells.r0_values() * q, ws.sub_w, fsub)
+    G = np.einsum("cv,tc->tv", SEL, gcell).ravel()
     return D, E, H, G
 
 
@@ -443,10 +438,9 @@ def assemble_saturation_costate(c_field: P1DGField, u_field: RT0Field,
 
     csub = ws.p1_at_sub(c_field)
 
-    r1 = np.zeros(ws.mesh.num_triangles)
-    r1[wells.production_tris] = 1.0 / wells.sigma1
     react = np.einsum(
-        "t,tcq,tcq,tcqj->tcj", r1 * q, ws.sub_w, model.b(csub), ws.sub_lam
+        "t,tcq,tcq,tcqj->tcj", wells.r1_values() * q, ws.sub_w, model.b(csub),
+        ws.sub_lam,
     )
     R = ws.element_matrix(np.einsum("cv,tcl->tvl", SEL, react))
 
@@ -458,17 +452,13 @@ def assemble_saturation_costate(c_field: P1DGField, u_field: RT0Field,
 
     wval = wells.w(t)
     wcell = wval * np.einsum("tcq,tcq->tc", ws.sub_w, csub)
-    W = np.zeros(3 * ws.mesh.num_triangles)
-    np.add.at(W, ws.el_rows[:, :, 0].ravel(),
-              np.einsum("cv,tc->tv", SEL, wcell).ravel())
+    W = np.einsum("cv,tc->tv", SEL, wcell).ravel()
 
     uvals = ws.rt0_at_sub(u_field)
     usvals = ws.rt0_at_sub(ustar_field)
     ap = model.alpha_prime(csub) / ws.kappa_sub
     zcell = np.einsum("tcq,tcq,tcqe,tcqe->tc", ws.sub_w, ap, uvals, usvals)
-    Z = np.zeros(3 * ws.mesh.num_triangles)
-    np.add.at(Z, ws.el_rows[:, :, 0].ravel(),
-              np.einsum("cv,tc->tv", SEL, zcell).ravel())
+    Z = np.einsum("cv,tc->tv", SEL, zcell).ravel()
     return R, S, W, Z
 
 
@@ -477,10 +467,7 @@ def assemble_dual_scalar_load(sfun, ws: AssemblyWorkspace):
     flat = ws.sub_pts.reshape(-1, 2)
     svals = np.asarray(sfun(flat), dtype=float).reshape(ws.sub_w.shape)
     cell = np.einsum("tcq,tcq->tc", ws.sub_w, svals)
-    out = np.zeros(3 * ws.mesh.num_triangles)
-    np.add.at(out, ws.el_rows[:, :, 0].ravel(),
-              np.einsum("cv,tc->tv", SEL, cell).ravel())
-    return out
+    return np.einsum("cv,tc->tv", SEL, cell).ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,8 @@ Key reference (defaults in parentheses):
     qhat          control bound             (1.0)
 """
 
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
 from typing import Optional
-
-import numpy as np
 
 from .errors import ConfigError
 from .mesh import PrimalMesh, read_mesh, square_mesh
@@ -131,8 +129,7 @@ class RunSpec:
         )
         rc = RunConfig(
             T=spec.T, m_steps=spec.m_steps, n_steps=spec.n_steps, xi=spec.xi,
-            delta_floor=spec.delta_floor, peclet=spec.peclet, c0=spec.c0,
-            q_init=spec.q_init, kmax=spec.kmax, q_tol=spec.q_tol,
+            c0=spec.c0, q_init=spec.q_init, kmax=spec.kmax, q_tol=spec.q_tol,
             solver_tol=spec.solver_tol, tri_quad_degree=spec.tri_quad_degree,
             edge_quad_degree=spec.edge_quad_degree,
         )

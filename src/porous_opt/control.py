@@ -15,12 +15,11 @@ control has stopped moving (tolerance ``q_tol``), or at ``kmax`` sweeps;
 hitting the cap returns a flagged result rather than raising.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import SEL, AssemblyWorkspace
+from .assembly import AssemblyWorkspace
 from .errors import ConfigError
 from .fespaces import P1_MASS
 from .solver import Problem, Trajectory, run_adjoint, run_forward
@@ -106,7 +105,6 @@ class ActiveSetState:
 
     lower: np.ndarray   # bool, unconstrained value < 0
     upper: np.ndarray   # bool, unconstrained value > qhat
-    k: int = 0
 
     @property
     def inactive(self):
@@ -122,10 +120,10 @@ class ActiveSetState:
         )
 
 
-def classify_active_sets(values, qhat, k=0) -> ActiveSetState:
+def classify_active_sets(values, qhat) -> ActiveSetState:
     """Classify nodes by the unconstrained activity values (ties inactive)."""
     v = np.asarray(values, dtype=float)
-    return ActiveSetState(lower=v < 0.0, upper=v > qhat, k=k)
+    return ActiveSetState(lower=v < 0.0, upper=v > qhat)
 
 
 def update_control(state: ActiveSetState, values, qhat) -> np.ndarray:
@@ -142,10 +140,6 @@ class OptimizeResult:
     converged: bool
     iterations: int
     projected_gradient_residual: float
-    active_sets: Optional[ActiveSetState] = None
-    history_columns: tuple = (
-        "k", "J", "n_lower", "n_upper", "dq_norm"
-    )
 
 
 def optimize(problem: Problem, q0=None) -> OptimizeResult:
@@ -170,7 +164,7 @@ def optimize(problem: Problem, q0=None) -> OptimizeResult:
         J, _, _ = objective(traj, wells, problem.mesh)
         gwo = gradient_without_penalty(traj, wells, problem.model, problem.ws)
         values = -gwo / wells.alpha0
-        state_k = classify_active_sets(values, wells.qhat, k=k)
+        state_k = classify_active_sets(values, wells.qhat)
         q_new = update_control(state_k, values, wells.qhat)
         dq = float(np.max(np.abs(q_new - q)))
         nl, nu, _ = state_k.counts()
@@ -195,5 +189,4 @@ def optimize(problem: Problem, q0=None) -> OptimizeResult:
         converged=converged,
         iterations=iterations,
         projected_gradient_residual=residual,
-        active_sets=prev_state if prev_state is not None else None,
     )

@@ -5,8 +5,7 @@ Fields
 * :class:`RT0Field` -- lowest-order Raviart-Thomas velocity; one coefficient
   per edge equal to the normal component at the edge midpoint with respect
   to the stored global normal.
-* :class:`P0Field` -- piecewise-constant pressure, one value per triangle,
-  optionally flagged zero-mean.
+* :class:`P0Field` -- piecewise-constant pressure, one value per triangle.
 * :class:`P1DGField` -- discontinuous piecewise-linear saturation, three
   nodal values per triangle.
 * :class:`DiamondPWConstantField` / :class:`DualPWConstantField` -- constant
@@ -28,7 +27,7 @@ affine functions this is the trace at the edge midpoint, and the L2 norm is
 preserved exactly.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,15 +158,11 @@ class P0Field:
 
     mesh: PrimalMesh
     values: np.ndarray  # (n_t,)
-    zero_mean: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.mesh.num_triangles,):
             raise PorousOptError("P0Field needs one value per triangle")
-
-    def mean(self):
-        return float(self.values @ self.mesh.tri_area) / self.mesh.domain_area
 
 
 @dataclass
@@ -338,54 +333,16 @@ def broken_h1_norm(z: P1DGField) -> float:
     boundary treatment the boundary terms are absent, so globally affine
     continuous functions have zero jump part.
     """
-    mesh = z.mesh
     grads = z.gradients()
-    semi = float(np.einsum("t,te,te->", mesh.tri_area, grads, grads))
+    semi = float(np.einsum("t,te,te->", z.mesh.tri_area, grads, grads))
+    return float(np.sqrt(semi + _interior_jump_sq(z)))
+
+
+def _interior_jump_sq(z: P1DGField) -> float:
+    """Jump part of the broken H1 norm squared: over the interior edges, the
+    integral of the squared jump of z along the edge divided by h_e."""
     traces = edge_trace_values(z)
-    interior = mesh.interior_edges
+    interior = z.mesh.interior_edges
     d = traces[interior, 0, :] - traces[interior, 1, :]
-    # integral of the squared linear jump over the edge, divided by h_e
-    jump = float(
-        np.sum((d[:, 0] ** 2 + d[:, 0] * d[:, 1] + d[:, 1] ** 2) / 3.0)
-    )
-    return float(np.sqrt(semi + jump))
+    return float(np.sum((d[:, 0] ** 2 + d[:, 0] * d[:, 1] + d[:, 1] ** 2) / 3.0))
 
-
-# ---------------------------------------------------------------------------
-# jump / average conventions on a single edge
-# ---------------------------------------------------------------------------
-
-def scalar_jump(normal, q_minus, q_plus=None):
-    """Jump of a scalar across an edge: vector valued.
-
-    ``normal`` points from the minus side to the plus side.  Interior edges
-    give (q_minus - q_plus) * normal; on a boundary edge (``q_plus`` omitted)
-    the convention is q * normal.
-    """
-    normal = np.asarray(normal, dtype=float)
-    if q_plus is None:
-        return q_minus * normal
-    return (q_minus - q_plus) * normal
-
-
-def scalar_average(q_minus, q_plus=None):
-    """Average of a scalar across an edge; single-valued on the boundary."""
-    if q_plus is None:
-        return q_minus
-    return 0.5 * (q_minus + q_plus)
-
-
-def vector_jump(normal, r_minus, r_plus=None):
-    """Jump of a vector across an edge: scalar valued (normal components)."""
-    normal = np.asarray(normal, dtype=float)
-    if r_plus is None:
-        return float(np.dot(r_minus, normal))
-    return float(np.dot(r_minus, normal) - np.dot(r_plus, normal))
-
-
-def vector_average(r_minus, r_plus=None):
-    """Average of a vector across an edge; single-valued on the boundary."""
-    r_minus = np.asarray(r_minus, dtype=float)
-    if r_plus is None:
-        return r_minus
-    return 0.5 * (r_minus + np.asarray(r_plus, dtype=float))

@@ -13,7 +13,7 @@ default coefficient model provides.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 

@@ -23,7 +23,7 @@ w(t) = wtilde/epsilon for t in the final window of width epsilon, whose
 time integral is exactly wtilde.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -212,11 +212,6 @@ class WellModel:
         if np.intersect1d(self.injection_tris, self.production_tris).size:
             raise DomainError("well patches overlap")
 
-    @property
-    def sigma(self):
-        """Patch area (the two patches match in area on symmetric setups)."""
-        return self.sigma0
-
     def r0_values(self):
         """Element-wise density of the injection source, integrates to 1."""
         r = np.zeros(self.mesh.num_triangles)
@@ -348,8 +343,6 @@ class RunConfig:
     m_steps: int = 4
     n_steps: int = 16
     xi: Optional[float] = None
-    delta_floor: float = 0.05
-    peclet: float = 1.0
     c0: float = 0.5
     q_init: Optional[float] = None
     kmax: int = 50
@@ -377,10 +370,6 @@ class RunConfig:
         return self.T / self.n_steps
 
     @property
-    def dt_coarse(self):
-        return self.T / self.m_steps
-
-    @property
     def substeps(self):
         return self.n_steps // self.m_steps
 
@@ -389,6 +378,3 @@ class RunConfig:
 
     def coarse_times(self):
         return np.linspace(0.0, self.T, self.m_steps + 1)
-
-    def with_(self, **kwargs):
-        return replace(self, **kwargs)

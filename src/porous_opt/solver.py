@@ -3,8 +3,11 @@
 The Darcy saddle systems (state and costate share the velocity matrix at a
 given coarse time) are solved by sparse LU with the first pressure pinned;
 the pressure is then shifted to zero area-weighted mean, and the residual
-is checked on the full unpinned system.  Factorizations are cached per
-coarse step and reused by the costate solve.  The saturation equation is
+is checked on the full unpinned system.  :meth:`DarcySaddle.solve` returns
+the velocity on every edge (zero on the boundary edges, the slip
+condition).  The forward sweep caches one factorization per coarse time in
+``Trajectory.saddles``; the adjoint sweep solves the costate Darcy systems
+with them, so it needs the forward's trajectory.  The saturation equation is
 advanced by backward Euler on the fine grid with coefficients lagged to the
 previous fine level, and the costate saturation is marched backward with
 the operator implicit on the earlier level and its coefficients lagged to
@@ -19,7 +22,6 @@ coarse values (each sweep only ever consumes values it has already
 computed).
 """
 
-import time as _time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -35,10 +37,9 @@ from .assembly import (
     assemble_dual_scalar_load,
     assemble_saturation_costate,
     assemble_saturation_state,
-    well_source_vector,
 )
 from .errors import CompatibilityError, PorousOptError, SolverError
-from .fespaces import P0Field, P1DGField, RT0Field
+from .fespaces import P1DGField, RT0Field
 from .mesh import PrimalMesh, build_barycentric_dual, build_diamond_dual
 from .model import CoefficientModel, RunConfig, WellModel
 from .quadrature import QuadratureRule
@@ -50,8 +51,6 @@ class SaddleSolveReport:
 
     residual: float
     mass_residual: float
-    reused_factorization: bool
-    wall_time: float
 
 
 class DarcySaddle:
@@ -72,7 +71,6 @@ class DarcySaddle:
         self.A = A
         self.B = B
         self.n_int = A.shape[0]
-        self.n_t = B.shape[0]
         B_pin = B[1:]
         K = sp.bmat([[A, -B_pin.T], [B_pin, None]], format="csc")
         try:
@@ -92,8 +90,13 @@ class DarcySaddle:
         u, p = x[: self.n_int], x[self.n_int :]
         return rhs - np.concatenate([self.A @ u - self.B.T @ p, self.B @ u])
 
-    def solve(self, rhs_u, rhs_p, reused=False):
-        t0 = _time.perf_counter()
+    def solve(self, rhs_u, rhs_p):
+        """Solve for ``(u, p, report)``.
+
+        ``rhs_u`` is the load on the interior edges and ``rhs_p`` the one on
+        the triangles.  ``u`` holds one coefficient per edge, zero on the
+        boundary edges; ``p`` has zero area-weighted mean.
+        """
         rhs = np.concatenate([rhs_u, rhs_p])
         norm = np.linalg.norm(rhs)
         norm = norm if norm > 0 else 1.0
@@ -109,53 +112,13 @@ class DarcySaddle:
         if not np.isfinite(res) or res > self.tol:
             raise SolverError(f"Darcy solve residual {res:.3e} exceeds {self.tol:.1e}")
         u_int = x[: self.n_int]
-        p = x[self.n_int :]
         mass_res = np.linalg.norm(rhs_p - self.B @ u_int)
         mass_res /= max(np.linalg.norm(rhs_p), 1.0)
-        return u_int, p, SaddleSolveReport(
-            residual=float(res),
-            mass_residual=float(mass_res),
-            reused_factorization=reused,
-            wall_time=_time.perf_counter() - t0,
+        u = np.zeros(self.mesh.num_edges)
+        u[~self.mesh.boundary_edge] = u_int
+        return u, x[self.n_int :], SaddleSolveReport(
+            residual=float(res), mass_residual=float(mass_res)
         )
-
-
-def _expand_velocity(mesh, ws, u_int):
-    vals = np.zeros(mesh.num_edges)
-    vals[ws.ie] = u_int
-    return vals
-
-
-def solve_darcy_state(A, B, F, mesh, ws, *, tol=1e-10, saddle=None, rhs_u=None):
-    """Solve the state Darcy saddle system for (velocity, pressure).
-
-    ``F`` must satisfy the zero-sum compatibility of the pure-Neumann
-    problem.  Pass a prebuilt :class:`DarcySaddle` to reuse a factorization.
-    """
-    scale = max(float(np.abs(F).max(initial=0.0)), 1.0)
-    if abs(F.sum()) > 1e-10 * scale:
-        raise CompatibilityError(
-            f"incompatible Darcy source: sum(F) = {F.sum():.3e}"
-        )
-    reused = saddle is not None
-    if saddle is None:
-        saddle = DarcySaddle(A, B, mesh, tol)
-    ru = np.zeros(A.shape[0]) if rhs_u is None else rhs_u
-    u_int, p, report = saddle.solve(ru, F, reused=reused)
-    U = RT0Field(mesh, _expand_velocity(mesh, ws, u_int))
-    P = P0Field(mesh, p, zero_mean=True)
-    return U, P, report, saddle
-
-
-def solve_darcy_costate(A, B, Fstar, mesh, ws, *, tol=1e-10, saddle=None):
-    """Solve the costate Darcy system: velocity load, divergence-free."""
-    reused = saddle is not None
-    if saddle is None:
-        saddle = DarcySaddle(A, B, mesh, tol)
-    u_int, p, report = saddle.solve(Fstar, np.zeros(saddle.n_t), reused=reused)
-    U = RT0Field(mesh, _expand_velocity(mesh, ws, u_int))
-    P = P0Field(mesh, p, zero_mean=True)
-    return U, P, report, saddle
 
 
 def interpolate_velocity(times, fields, t, direction="state"):
@@ -273,21 +236,8 @@ class Trajectory:
     Ustar: Optional[np.ndarray] = None
     Pstar: Optional[np.ndarray] = None
     darcy_reports: list = field(default_factory=list)
-    costate_reports: list = field(default_factory=list)
     costate_div_max: float = np.nan
     saddles: dict = field(default_factory=dict, repr=False)
-
-    def saturation(self, mesh, n) -> P1DGField:
-        return P1DGField(mesh, self.C[n])
-
-    def costate_saturation(self, mesh, n) -> P1DGField:
-        return P1DGField(mesh, self.Cstar[n])
-
-    def velocity(self, mesh, m) -> RT0Field:
-        return RT0Field(mesh, self.U[m])
-
-    def pressure(self, mesh, m) -> P0Field:
-        return P0Field(mesh, self.P[m], zero_mean=True)
 
     @property
     def has_costate(self):
@@ -347,21 +297,30 @@ def _assemble_p0_load(sfun, ws):
     return np.einsum("tcq,tcq->t", ws.sub_w, svals)
 
 
-def _darcy_at(problem, c_values, q_node, t, want_state=True, f_extra=True):
-    """Assemble and solve the state Darcy system at one coarse time."""
+def _darcy_at(problem, c_values, q_node, t):
+    """Assemble, factor and solve the state Darcy system at one coarse time.
+
+    Returns ``(u, p, report, saddle)``.  The pressure load (wells plus any
+    manufactured mass source) must satisfy the zero-sum compatibility of
+    the pure-Neumann problem.
+    """
     ws = problem.ws
     c_field = P1DGField(problem.mesh, c_values)
     A, B, F = assemble_darcy(c_field, problem.model, problem.wells, q_node, ws)
     src = problem.sources
-    rhs_u = None
-    if src is not None and src.s_div is not None and f_extra:
+    rhs_u = np.zeros(A.shape[0])
+    if src is not None and src.s_div is not None:
         F = F + _assemble_p0_load(lambda p: src.s_div(p, t), ws)
     if src is not None and src.s_u is not None:
         rhs_u = assemble_diamond_vector_load(lambda p: src.s_u(p, t), ws)
-    U, P, report, saddle = solve_darcy_state(
-        A, B, F, problem.mesh, ws, tol=problem.rc.solver_tol, rhs_u=rhs_u
-    )
-    return U, P, report, saddle
+    scale = max(float(np.abs(F).max(initial=0.0)), 1.0)
+    if abs(F.sum()) > 1e-10 * scale:
+        raise CompatibilityError(
+            f"incompatible Darcy source: sum(F) = {F.sum():.3e}"
+        )
+    saddle = DarcySaddle(A, B, problem.mesh, problem.rc.solver_tol)
+    u, p, report = saddle.solve(rhs_u, F)
+    return u, p, report, saddle
 
 
 def run_forward(problem: Problem, q) -> Trajectory:
@@ -398,13 +357,11 @@ def run_forward(problem: Problem, q) -> Trajectory:
     for m in range(1, rc.m_steps + 1):
         n_prev = (m - 1) * K
         try:
-            U, P, rep, saddle = _darcy_at(
+            traj.U[m - 1], traj.P[m - 1], rep, saddle = _darcy_at(
                 problem, traj.C[n_prev], q[n_prev], coarse[m - 1]
             )
         except SolverError as exc:
             raise SolverError(f"Darcy solve at coarse step {m - 1}: {exc}") from exc
-        traj.U[m - 1] = U.values
-        traj.P[m - 1] = P.values
         traj.darcy_reports.append(rep)
         traj.saddles[m - 1] = saddle
 
@@ -428,11 +385,9 @@ def run_forward(problem: Problem, q) -> Trajectory:
                 raise SolverError(f"saturation step (m={m}, n={n}): {exc}") from exc
             traj.C[n + 1] = cnew.reshape(n_t, 3)
 
-    U, P, rep, saddle = _darcy_at(
+    traj.U[rc.m_steps], traj.P[rc.m_steps], rep, saddle = _darcy_at(
         problem, traj.C[rc.n_steps], q[rc.n_steps], coarse[rc.m_steps]
     )
-    traj.U[rc.m_steps] = U.values
-    traj.P[rc.m_steps] = P.values
     traj.darcy_reports.append(rep)
     traj.saddles[rc.m_steps] = saddle
     return traj
@@ -441,9 +396,9 @@ def run_forward(problem: Problem, q) -> Trajectory:
 def run_adjoint(problem: Problem, traj: Trajectory) -> Trajectory:
     """Backward sweep filling the costate part of ``traj``.
 
-    Requires a completed forward trajectory; reuses its cached Darcy
-    factorizations (the costate velocity matrix at each coarse time is the
-    state one).
+    Requires a completed forward trajectory: the costate Darcy solves use
+    its cached factorizations ``traj.saddles`` (the costate velocity matrix
+    at each coarse time is the state one).
     """
     rc = problem.rc
     mesh = problem.mesh
@@ -459,7 +414,6 @@ def run_adjoint(problem: Problem, traj: Trajectory) -> Trajectory:
     traj.Ustar = np.zeros_like(traj.U)
     traj.Pstar = np.zeros_like(traj.P)
     traj.Cstar[rc.n_steps] = 0.0
-    traj.costate_reports = []
     div_max = 0.0
 
     def costate_darcy(m_idx, n_idx, t):
@@ -470,19 +424,10 @@ def run_adjoint(problem: Problem, traj: Trajectory) -> Trajectory:
             Fstar = Fstar + assemble_diamond_vector_load(
                 lambda p: src.s_u_star(p, t), ws
             )
-        saddle = traj.saddles.get(m_idx)
-        if saddle is None:
-            c_f = P1DGField(mesh, traj.C[n_idx])
-            A, B, _ = assemble_darcy(c_f, problem.model, problem.wells, q[n_idx], ws)
-            saddle = DarcySaddle(A, B, mesh, rc.solver_tol)
-            traj.saddles[m_idx] = saddle
-        Ustar, Pstar, rep, _ = solve_darcy_costate(
-            None, None, Fstar, mesh, ws, tol=rc.solver_tol, saddle=saddle
+        traj.Ustar[m_idx], traj.Pstar[m_idx], _ = traj.saddles[m_idx].solve(
+            Fstar, np.zeros(n_t)
         )
-        traj.Ustar[m_idx] = Ustar.values
-        traj.Pstar[m_idx] = Pstar.values
-        traj.costate_reports.append(rep)
-        return float(np.abs(Ustar.divergence().values).max())
+        return float(np.abs(RT0Field(mesh, traj.Ustar[m_idx]).divergence().values).max())
 
     div_max = max(div_max, costate_darcy(rc.m_steps, rc.n_steps, coarse[-1]))
 

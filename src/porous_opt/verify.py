@@ -18,17 +18,17 @@ from .errors import ConfigError
 from .fespaces import (
     P1DGField,
     RT0Field,
+    _interior_jump_sq,
     b_form,
     eta_h,
     gamma_h,
     l2_inner,
     l2_norm,
-    edge_trace_values,
 )
 from .mesh import PrimalMesh, square_mesh
 from .model import RunConfig, default_model, wells_from_tris
 from .quadrature import QuadratureRule
-from .solver import Problem, run_adjoint, run_forward, solve_darcy_costate
+from .solver import DarcySaddle, Problem, run_adjoint, run_forward
 
 
 # ---------------------------------------------------------------------------
@@ -75,11 +75,7 @@ def broken_h1_error_p1dg(mesh, values, exact_grad_fun, quad=None):
     gh = f.gradients()  # (n_t, 2), constant per element
     ge = np.asarray(exact_grad_fun(pts.reshape(-1, 2))).reshape(pts.shape)
     semi = float(np.einsum("tq,tqe->", w, (gh[:, None, :] - ge) ** 2))
-    traces = edge_trace_values(f)
-    interior = mesh.interior_edges
-    d = traces[interior, 0, :] - traces[interior, 1, :]
-    jump = float(np.sum((d[:, 0] ** 2 + d[:, 0] * d[:, 1] + d[:, 1] ** 2) / 3.0))
-    return float(np.sqrt(semi + jump))
+    return float(np.sqrt(semi + _interior_jump_sq(f)))
 
 
 def fit_rate(hs, errors):
@@ -161,8 +157,8 @@ def operator_identity_suite(mesh: PrimalMesh, n_samples=100, seed=0,
     wells = wells_from_tris(mesh, [0], [mesh.num_triangles - 1], T=1.0)
     A, B, _ = assemble_darcy(cf, model, wells, 0.0, ws)
     Fstar = assemble_darcy_costate_rhs(cf, csf, model, ws)
-    Ustar, _, _, _ = solve_darcy_costate(A, B, Fstar, mesh, ws)
-    div_max = float(np.abs(Ustar.divergence().values).max())
+    ustar, _, _ = DarcySaddle(A, B, mesh).solve(Fstar, np.zeros(mesh.num_triangles))
+    div_max = float(np.abs(RT0Field(mesh, ustar).divergence().values).max())
 
     # penalty part of the diffusion matrix: difference of two xi values
     psi = P1DGField(mesh, rng.uniform(0.0, 1.0, (mesh.num_triangles, 3)))

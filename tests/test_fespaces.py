@@ -253,16 +253,3 @@ def test_l2_inner_rt0_matches_quadrature(grids):
     ref = float(np.einsum("tq,tqe->", wq, v.eval_at(pts) * w.eval_at(pts)))
     assert fes.l2_inner(v, w) == pytest.approx(ref, rel=1e-12)
 
-
-def test_jump_average_conventions():
-    n = np.array([0.0, 1.0])
-    # interior edge
-    assert np.allclose(fes.scalar_jump(n, 3.0, 1.0), [0.0, 2.0])
-    assert fes.scalar_average(3.0, 1.0) == 2.0
-    assert fes.vector_jump(n, np.array([1.0, 2.0]), np.array([0.5, -1.0])) == pytest.approx(3.0)
-    assert np.allclose(fes.vector_average(np.array([1.0, 2.0]), np.array([3.0, 0.0])), [2.0, 1.0])
-    # boundary conventions: single-valued average, jump carries the normal
-    assert np.allclose(fes.scalar_jump(n, 3.0), [0.0, 3.0])
-    assert fes.scalar_average(3.0) == 3.0
-    assert fes.vector_jump(n, np.array([1.0, 2.0])) == pytest.approx(2.0)
-    assert np.allclose(fes.vector_average(np.array([1.0, 2.0])), [1.0, 2.0])

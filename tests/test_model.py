@@ -134,7 +134,6 @@ def test_well_model_validation():
 def test_run_config_grids():
     rc = RunConfig(T=2.0, m_steps=4, n_steps=12)
     assert rc.dt == pytest.approx(2.0 / 12.0)
-    assert rc.dt_coarse == pytest.approx(0.5)
     assert rc.substeps == 3
     assert rc.fine_times().size == 13
     assert rc.coarse_times().size == 5

@@ -38,17 +38,17 @@ def assemble(setup_tuple, q):
 def test_zero_source_gives_zero_solution(setup):
     mesh, model, ws, wells = setup
     A, B, F = assemble(setup, 0.0)
-    U, P, rep, _ = sol.solve_darcy_state(A, B, F, mesh, ws)
-    assert np.abs(U.values).max() < 1e-12
-    assert np.abs(P.values).max() < 1e-12
+    u, p, _ = sol.DarcySaddle(A, B, mesh).solve(np.zeros(A.shape[0]), F)
+    assert np.abs(u).max() < 1e-12
+    assert np.abs(p).max() < 1e-12
 
 
 def test_mass_equation_projection(setup):
     mesh, model, ws, wells = setup
     A, B, F = assemble(setup, 0.8)
-    U, P, rep, _ = sol.solve_darcy_state(A, B, F, mesh, ws)
+    u, p, rep = sol.DarcySaddle(A, B, mesh).solve(np.zeros(A.shape[0]), F)
     # elementwise divergence equals the L2 projection of (r0 - r1) q
-    div = U.divergence().values
+    div = fes.RT0Field(mesh, u).divergence().values
     target = F / mesh.tri_area
     assert np.abs(div - target).max() < 1e-10
     assert rep.mass_residual <= 1e-10
@@ -58,52 +58,54 @@ def test_mass_equation_projection(setup):
 def test_pressure_zero_mean(setup):
     mesh, model, ws, wells = setup
     A, B, F = assemble(setup, 0.8)
-    _, P, _, _ = sol.solve_darcy_state(A, B, F, mesh, ws)
-    assert abs(P.values @ mesh.tri_area) <= 1e-10 * np.linalg.norm(P.values)
+    _, p, _ = sol.DarcySaddle(A, B, mesh).solve(np.zeros(A.shape[0]), F)
+    assert abs(p @ mesh.tri_area) <= 1e-10 * np.linalg.norm(p)
 
 
-def test_incompatible_source_rejected(setup):
-    mesh, model, ws, wells = setup
-    A, B, F = assemble(setup, 0.8)
-    F = F + mesh.tri_area  # breaks the zero-sum compatibility
-    with pytest.raises(CompatibilityError):
-        sol.solve_darcy_state(A, B, F, mesh, ws)
+def test_incompatible_source_rejected():
+    # a manufactured mass source that breaks the zero-sum compatibility of
+    # the pure-Neumann Darcy problem is rejected before any factorization
+    prob = make_problem()
+    prob.sources = sol.MMSSources(s_div=lambda p, t: np.ones(len(p)))
+    with pytest.raises(CompatibilityError, match="incompatible Darcy source"):
+        sol.run_forward(prob, np.full(prob.rc.n_steps + 1, 0.5))
 
 
 def test_costate_zero_load(setup):
     mesh, model, ws, wells = setup
     A, B, _ = assemble(setup, 0.0)
-    Ustar, Pstar, _, _ = sol.solve_darcy_costate(
-        A, B, np.zeros(len(mesh.interior_edges)), mesh, ws
+    ustar, pstar, _ = sol.DarcySaddle(A, B, mesh).solve(
+        np.zeros(len(mesh.interior_edges)), np.zeros(mesh.num_triangles)
     )
-    assert np.abs(Ustar.values).max() < 1e-12
-    assert np.abs(Pstar.values).max() < 1e-12
+    assert np.abs(ustar).max() < 1e-12
+    assert np.abs(pstar).max() < 1e-12
 
 
 def test_costate_divergence_free(setup):
     mesh, model, ws, wells = setup
     A, B, _ = assemble(setup, 0.0)
     Fstar = RNG.normal(size=len(mesh.interior_edges))
-    Ustar, _, _, _ = sol.solve_darcy_costate(A, B, Fstar, mesh, ws)
-    assert np.abs(Ustar.divergence().values).max() <= 1e-10
+    ustar, _, _ = sol.DarcySaddle(A, B, mesh).solve(Fstar, np.zeros(mesh.num_triangles))
+    assert np.abs(fes.RT0Field(mesh, ustar).divergence().values).max() <= 1e-10
 
 
 def test_factorization_reuse_identical_and_faster(setup):
     mesh, model, ws, wells = setup
     A, B, _ = assemble(setup, 0.0)
     Fstar = RNG.normal(size=len(mesh.interior_edges))
+    zeros = np.zeros(mesh.num_triangles)
 
     t0 = time.perf_counter()
-    U1, P1, rep1, saddle = sol.solve_darcy_costate(A, B, Fstar, mesh, ws)
+    saddle = sol.DarcySaddle(A, B, mesh)
+    u1, p1, _ = saddle.solve(Fstar, zeros)
     t_build = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    U2, P2, rep2, _ = sol.solve_darcy_costate(A, B, Fstar, mesh, ws, saddle=saddle)
+    u2, p2, _ = saddle.solve(Fstar, zeros)
     t_reuse = time.perf_counter() - t0
 
-    assert np.array_equal(U1.values, U2.values)
-    assert np.array_equal(P1.values, P2.values)
-    assert rep2.reused_factorization and not rep1.reused_factorization
+    assert np.array_equal(u1, u2)
+    assert np.array_equal(p1, p2)
     assert t_reuse < t_build
 
 
@@ -117,6 +119,20 @@ def test_incompatible_pressure_load_rejected_by_saddle(setup):
         saddle.solve(np.zeros(A.shape[0]), F + mesh.tri_area)
 
 
+def dense_multiplier_solve(A, B, mesh, rhs_u, rhs_p):
+    """Reference (u on interior edges, p): the saddle system bordered by the
+    zero-mean multiplier row and column, solved densely."""
+    n_int, n_t = A.shape[0], B.shape[0]
+    a = mesh.tri_area[:, None]
+    K = np.block([
+        [A.toarray(), -B.T.toarray(), np.zeros((n_int, 1))],
+        [B.toarray(), np.zeros((n_t, n_t)), a],
+        [np.zeros((1, n_int)), a.T, np.zeros((1, 1))],
+    ])
+    x = np.linalg.solve(K, np.concatenate([rhs_u, rhs_p, [0.0]]))
+    return x[:n_int], x[n_int:n_int + n_t]
+
+
 def test_pinned_solve_matches_dense_multiplier_system():
     mesh = square_mesh(4)
     model = default_model()
@@ -128,17 +144,23 @@ def test_pinned_solve_matches_dense_multiplier_system():
     rhs_u = RNG.normal(size=A.shape[0])
     u, p, _ = sol.DarcySaddle(A, B, mesh).solve(rhs_u, F)
 
-    n_int, n_t = A.shape[0], B.shape[0]
-    a = mesh.tri_area[:, None]
-    K = np.block([
-        [A.toarray(), -B.T.toarray(), np.zeros((n_int, 1))],
-        [B.toarray(), np.zeros((n_t, n_t)), a],
-        [np.zeros((1, n_int)), a.T, np.zeros((1, 1))],
-    ])
-    x = np.linalg.solve(K, np.concatenate([rhs_u, F, [0.0]]))
-    u_ref, p_ref = x[:n_int], x[n_int:n_int + n_t]
-    assert np.abs(u - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
+    u_ref, p_ref = dense_multiplier_solve(A, B, mesh, rhs_u, F)
+    assert np.abs(u[mesh.interior_edges] - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
     assert np.abs(p - p_ref).max() <= 1e-10 * np.abs(p_ref).max()
+
+
+def test_saddle_velocity_is_zero_on_boundary_edges(setup):
+    # the solve returns one coefficient per edge: the slip condition on the
+    # boundary edges, the solved unknowns in mesh order on the others
+    mesh, model, ws, wells = setup
+    A, B, F = assemble(setup, 0.8)
+    rhs_u = RNG.normal(size=A.shape[0])
+    u, _, _ = sol.DarcySaddle(A, B, mesh).solve(rhs_u, F)
+    u_ref, _ = dense_multiplier_solve(A, B, mesh, rhs_u, F)
+    assert u.shape == (mesh.num_edges,)
+    assert mesh.boundary_edge.sum() == 32
+    assert np.all(u[mesh.boundary_edge] == 0.0)
+    assert np.abs(u[~mesh.boundary_edge] - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
 
 
 def test_saddle_factor_has_no_dense_row_or_column(setup, monkeypatch):
@@ -281,18 +303,18 @@ def test_single_grid_equivalence_when_steps_match():
     for i in range(rc.n_steps):
         cf = fes.P1DGField(mesh, C)
         A, B, F = asm.assemble_darcy(cf, model, wells, q[i], ws)
-        U, P, _, _ = sol.solve_darcy_state(A, B, F, mesh, ws)
-        Us.append(U.values.copy())
-        Ps.append(P.values.copy())
+        u, p, _ = sol.DarcySaddle(A, B, mesh).solve(np.zeros(A.shape[0]), F)
+        Us.append(u.copy())
+        Ps.append(p.copy())
         D, E, H, G = asm.assemble_saturation_state(
-            cf, U, model, wells, q[i + 1], ws, prob.xi
+            cf, fes.RT0Field(mesh, u), model, wells, q[i + 1], ws, prob.xi
         )
         C = sol.step_saturation_forward(C.ravel(), D, E, H, G, rc.dt).reshape(C.shape)
         Cs.append(C.copy())
     cf = fes.P1DGField(mesh, C)
     A, B, F = asm.assemble_darcy(cf, model, wells, q[-1], ws)
-    U, P, _, _ = sol.solve_darcy_state(A, B, F, mesh, ws)
-    Us.append(U.values.copy())
+    u, _, _ = sol.DarcySaddle(A, B, mesh).solve(np.zeros(A.shape[0]), F)
+    Us.append(u.copy())
 
     assert np.allclose(traj.C, np.array(Cs), atol=1e-13)
     assert np.allclose(traj.U, np.array(Us), atol=1e-13)
