@@ -26,6 +26,15 @@ P1DG traces of the saturation argument; edge sums run over interior edges
 (homogeneous-flux boundary treatment), which keeps constants in the kernel
 of E and H.  Assembly is deterministic: loops run in mesh order and produce
 bit-identical matrices for identical inputs.
+
+Each input has one owner.  :class:`AssemblyWorkspace` tabulates the basis
+values once per point set (sub-cells, fans, interior edges, diamond pairs)
+with :func:`fespaces.p1_basis_at` and :func:`fespaces.rt0_basis_at`, on the
+points and weights :class:`QuadratureRule` maps; only ``gamma_mat`` spells
+out its RT0 coefficient.  The coefficients (alpha, b, D, f and their
+derivatives, kappa, phi) come from the workspace's ``ws.model``, so a
+matrix cannot mix two models; :func:`trilinear_form`, which builds no
+workspace, takes its own.
 """
 
 from dataclasses import dataclass
@@ -39,6 +48,8 @@ from .fespaces import (
     P1DGField,
     RT0Field,
     grad_lambda,
+    p1_basis_at,
+    rt0_basis_at,
 )
 from .mesh import BarycentricDualMesh, DiamondDualMesh, PrimalMesh
 from .model import CoefficientModel, WellModel
@@ -52,16 +63,6 @@ _D_LOCAL_UNIT = (
     np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 18.0
     + np.ones((3, 3)) / 27.0
 )
-
-
-def _basis_for_tris(mesh, tris, pts):
-    """Barycentric coordinates for points grouped by arbitrary triangles.
-
-    tris: (n,) triangle indices; pts: (n, m, 2).  Returns (n, m, 3).
-    """
-    g = grad_lambda(mesh)[tris]                     # (n, 3, 2)
-    anchor = mesh.tri_vertices()[tris][:, [1, 2, 0], :]  # (n, 3, 2)
-    return np.einsum("nje,nmje->nmj", g, pts[:, :, None, :] - anchor[:, None, :, :])
 
 
 @dataclass
@@ -91,27 +92,13 @@ class AssemblyWorkspace:
             sub_pts[:, j] = p
             sub_w[:, j] = w
         self.sub_pts, self.sub_w = sub_pts, sub_w
-        lam = np.einsum(
-            "tje,tcqje->tcqj",
-            self.gradlam,
-            sub_pts[:, :, :, None, :] - verts[:, None, None, [1, 2, 0], :],
-        )
-        self.sub_lam = lam
-        coef = mesh.tri_edge_sign * mesh.edge_length[mesh.tri_edges] / (
-            2.0 * mesh.tri_area[:, None]
-        )
-        self.sub_rt0 = coef[:, None, None, :, None] * (
-            sub_pts[:, :, :, None, :] - verts[:, None, None, [2, 0, 1], :]
-        )
+        self.sub_lam = p1_basis_at(mesh, sub_pts)
+        self.sub_rt0 = rt0_basis_at(mesh, sub_pts)
 
         # fan segments of the barycentric dual
         fp, fw = quad.map_to_segments(self.bary.seg_start, self.bary.seg_end)
         self.fan_pts, self.fan_w = fp, fw      # (n_t,3,2,ne,2), (n_t,3,2,ne)
-        self.fan_lam = np.einsum(
-            "tje,tcsqje->tcsqj",
-            self.gradlam,
-            fp[:, :, :, :, None, :] - verts[:, None, None, None, [1, 2, 0], :],
-        )
+        self.fan_lam = p1_basis_at(mesh, fp)
 
         # interior edge data
         ie = mesh.interior_edges
@@ -122,8 +109,8 @@ class AssemblyWorkspace:
         pa = mesh.vertices[mesh.edges[ie, 0]]
         pb = mesh.vertices[mesh.edges[ie, 1]]
         self.edge_pts, self.edge_w = quad.map_to_segments(pa, pb)
-        self.edge_lamL = _basis_for_tris(mesh, self.kL, self.edge_pts)
-        self.edge_lamR = _basis_for_tris(mesh, self.kR, self.edge_pts)
+        self.edge_lamL = p1_basis_at(mesh, self.edge_pts, self.kL)
+        self.edge_lamR = p1_basis_at(mesh, self.edge_pts, self.kR)
         self.gradL = self.gradlam[self.kL]
         self.gradR = self.gradlam[self.kR]
 
@@ -157,29 +144,22 @@ class AssemblyWorkspace:
         has_pair = pair_tri >= 0
         self.pr_edge = np.repeat(np.arange(mesh.num_edges), 2)[has_pair]
         self.pr_tri = pair_tri[has_pair]
-        a = mesh.vertices[mesh.edges[self.pr_edge, 0]]
-        b = mesh.vertices[mesh.edges[self.pr_edge, 1]]
-        g = bc[self.pr_tri]
-        e1 = b - a
-        e2 = g - a
-        x = quad.tri_points[:, 0]
-        y = quad.tri_points[:, 1]
-        self.pr_pts = (
-            a[:, None, :] + e1[:, None, :] * x[None, :, None] + e2[:, None, :] * y[None, :, None]
+        self.pr_pts, self.pr_w = quad.map_to_triangles(
+            mesh.vertices[mesh.edges[self.pr_edge, 0]],
+            mesh.vertices[mesh.edges[self.pr_edge, 1]],
+            bc[self.pr_tri],
         )
-        jac = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-        self.pr_w = jac[:, None] * quad.tri_weights
-        self.pr_lam = _basis_for_tris(mesh, self.pr_tri, self.pr_pts)
-        pair_coef = coef[self.pr_tri]
-        opp = mesh.tri_vertices()[self.pr_tri][:, [2, 0, 1], :]
-        self.pr_rt0 = pair_coef[:, None, :, None] * (
-            self.pr_pts[:, :, None, :] - opp[:, None, :, :]
-        )  # (npair, nq, 3, 2)
+        self.pr_lam = p1_basis_at(mesh, self.pr_pts, self.pr_tri)
+        self.pr_rt0 = rt0_basis_at(mesh, self.pr_pts, self.pr_tri)  # (npair, nq, 3, 2)
         self.pr_cols = int_of_edge[mesh.tri_edges[self.pr_tri]]  # (npair, 3)
 
         # transfer of the interior basis functions: gamma_mat[(k, comp), i]
         # is component comp of gamma_h(Phi_i) on diamond cell k, with the
-        # area-weighted tangential convention
+        # area-weighted tangential convention; the RT0 coefficient is spelled
+        # out here so that the entries round as (w coef)(mid - opp)
+        pair_coef = (mesh.tri_edge_sign * mesh.edge_length[mesh.tri_edges]
+                     / (2.0 * mesh.tri_area[:, None]))[self.pr_tri]
+        opp = verts[self.pr_tri][:, [2, 0, 1], :]
         wsum = np.zeros(mesh.num_edges)
         np.add.at(wsum, mesh.tri_edges.ravel(),
                   np.repeat(mesh.tri_area[:, None], 3, axis=1).ravel())
@@ -217,15 +197,11 @@ class AssemblyWorkspace:
         self.kappa_edge = self._kappa_at(self.edge_pts)
         self.kappa_pair = self._kappa_at(self.pr_pts)
 
-        self.d_local = (
-            self.phi_tri[:, None, None]
-            * self.mesh.tri_area[:, None, None]
-            * _D_LOCAL_UNIT
-        )
-        self.d_local_unit_area = self.mesh.tri_area[:, None, None] * _D_LOCAL_UNIT
         # porosity-weighted eta mass matrix D (field independent; shared by
         # every saturation step, so callers must not modify it in place)
-        self.D = self.element_matrix(self.d_local)
+        self.D = self.element_matrix(
+            self.phi_tri[:, None, None] * mesh.tri_area[:, None, None] * _D_LOCAL_UNIT
+        )
 
     def _kappa_at(self, pts):
         flat = pts.reshape(-1, 2)
@@ -290,8 +266,8 @@ def _cellwise_vector_matrix(ent, ws):
     ).tocsr()
 
 
-def assemble_darcy(c_field: P1DGField, model: CoefficientModel, wells: WellModel,
-                   q: float, ws: AssemblyWorkspace):
+def assemble_darcy(c_field: P1DGField, wells: WellModel, q: float,
+                   ws: AssemblyWorkspace):
     """Velocity matrix, divergence coupling, and well load for one time level.
 
     Returns (A, B, F): A is (n_int, n_int) with A[i, j] the pairing of
@@ -301,7 +277,7 @@ def assemble_darcy(c_field: P1DGField, model: CoefficientModel, wells: WellModel
     """
     _require_finite(c_field.values, "saturation coefficient")
     cvals = ws.p1_at_pairs(c_field)
-    avals = model.alpha(cvals) / ws.kappa_pair
+    avals = ws.model.alpha(cvals) / ws.kappa_pair
     _require_finite(avals, "alpha coefficient")
     ent = np.einsum("nq,nq,nqje->nje", ws.pr_w, avals, ws.pr_rt0)
     C = _cellwise_vector_matrix(ent, ws)
@@ -338,14 +314,14 @@ def assemble_diamond_vector_load(gfun, ws: AssemblyWorkspace):
 
 
 def assemble_darcy_costate_rhs(c_field: P1DGField, cstar_field: P1DGField,
-                               model: CoefficientModel, ws: AssemblyWorkspace):
+                               ws: AssemblyWorkspace):
     """Costate Darcy load F*_i = -(C* b(C) grad(C), gamma_h Phi_i)."""
     _require_finite(c_field.values, "saturation coefficient")
     _require_finite(cstar_field.values, "costate saturation")
     cvals = ws.p1_at_pairs(c_field)
     csvals = ws.p1_at_pairs(cstar_field)
     gradc = c_field.gradients()[ws.pr_tri]      # (npair, 2)
-    scal = model.b(cvals) * csvals              # (npair, nq)
+    scal = ws.model.b(cvals) * csvals           # (npair, nq)
     cell = -np.einsum("nq,nq,ne->ne", ws.pr_w, scal, gradc)
     return _gamma_load(cell, ws)
 
@@ -354,17 +330,9 @@ def assemble_darcy_costate_rhs(c_field: P1DGField, cstar_field: P1DGField,
 # saturation block
 # ---------------------------------------------------------------------------
 
-def eta_mass_matrix(ws: AssemblyWorkspace, with_porosity=True):
-    """The (test, eta_h trial) mass matrix; porosity-weighted by default.
-
-    The porosity-weighted one is the workspace's cached ``D``.
-    """
-    return ws.D if with_porosity else ws.element_matrix(ws.d_local_unit_area)
-
-
 def assemble_saturation_state(c_field: P1DGField, u_field: RT0Field,
-                              model: CoefficientModel, wells: WellModel,
-                              q: float, ws: AssemblyWorkspace, xi: float):
+                              wells: WellModel, q: float,
+                              ws: AssemblyWorkspace, xi: float):
     """Matrices of one saturation step: (D, E, H, G).
 
     D is the porosity-weighted eta mass matrix (the workspace's cached
@@ -380,22 +348,22 @@ def assemble_saturation_state(c_field: P1DGField, u_field: RT0Field,
     D = ws.D
     csub = ws.p1_at_sub(c_field)                      # (n_t, 3, nq)
     uvals = ws.rt0_at_sub(u_field)                    # (n_t, 3, nq, 2)
-    bc = model.b(csub)
+    bc = ws.model.b(csub)
     conv = np.einsum("tcq,tcq,tcqe,tle->tcl", ws.sub_w, bc, uvals, ws.gradlam)
     E = ws.element_matrix(np.einsum("cv,tcl->tvl", SEL, conv))
 
-    H = _diffusion_matrix(c_field, model, ws, xi)
+    H = _diffusion_matrix(c_field, ws, xi)
 
-    fsub = model.f(csub)
+    fsub = ws.model.f(csub)
     gcell = np.einsum("t,tcq,tcq->tc", wells.r0_values() * q, ws.sub_w, fsub)
     G = np.einsum("cv,tc->tv", SEL, gcell).ravel()
     return D, E, H, G
 
 
-def _diffusion_matrix(c_field, model, ws, xi):
+def _diffusion_matrix(c_field, ws, xi):
     # T1: fan fluxes against the cell's eta average
     cfan = ws.p1_at_fan(c_field)
-    dfan = ws.kappa_fan * model.diffusion(cfan)        # (n_t, 3, 2, ne)
+    dfan = ws.kappa_fan * ws.model.diffusion(cfan)     # (n_t, 3, 2, ne)
     dint = np.einsum("tcsq,tcsq->tcs", ws.fan_w, dfan)  # (n_t, 3, 2)
     nflux = np.einsum("tcs,tcse,tle->tcl", dint, ws.bary.seg_normal, ws.gradlam)
     t1 = -np.einsum("cv,tcl->tvl", SEL, nflux)
@@ -404,8 +372,8 @@ def _diffusion_matrix(c_field, model, ws, xi):
     # edge terms on interior edges
     cl = np.einsum("nqj,nj->nq", ws.edge_lamL, c_field.values[ws.kL])
     cr = np.einsum("nqj,nj->nq", ws.edge_lamR, c_field.values[ws.kR])
-    dL = np.einsum("nq,nq->n", ws.edge_w, ws.kappa_edge * model.diffusion(cl))
-    dR = np.einsum("nq,nq->n", ws.edge_w, ws.kappa_edge * model.diffusion(cr))
+    dL = np.einsum("nq,nq->n", ws.edge_w, ws.kappa_edge * ws.model.diffusion(cl))
+    dR = np.einsum("nq,nq->n", ws.edge_w, ws.kappa_edge * ws.model.diffusion(cr))
     # n . grad of each side's trial basis, weighted half (average)
     nfL = 0.5 * np.einsum("n,ne,nle->nl", dL, ws.ie_normal, ws.gradL)
     nfR = 0.5 * np.einsum("n,ne,nle->nl", dR, ws.ie_normal, ws.gradR)
@@ -423,9 +391,8 @@ def _diffusion_matrix(c_field, model, ws, xi):
 
 
 def assemble_saturation_costate(c_field: P1DGField, u_field: RT0Field,
-                                ustar_field: RT0Field, model: CoefficientModel,
-                                wells: WellModel, q: float, t: float,
-                                ws: AssemblyWorkspace):
+                                ustar_field: RT0Field, wells: WellModel,
+                                q: float, t: float, ws: AssemblyWorkspace):
     """Costate-only matrices and loads at one time level: (R, S, W, Z).
 
     R is the production-patch reaction matrix with weight r1 q b(C); S the
@@ -436,6 +403,7 @@ def assemble_saturation_costate(c_field: P1DGField, u_field: RT0Field,
     _require_finite(u_field.values, "velocity coefficient")
     _require_finite(ustar_field.values, "costate velocity")
 
+    model = ws.model
     csub = ws.p1_at_sub(c_field)
 
     react = np.einsum(
@@ -494,11 +462,7 @@ def trilinear_form(psi: P1DGField, phi: P1DGField, z: P1DGField,
     eta_phi = phi.edge_averages()
 
     def dcoef(tri, pts):
-        c = np.einsum(
-            "qj,j->q",
-            _basis_for_tris(mesh, np.array([tri]), pts[None])[0],
-            psi.values[tri],
-        )
+        c = np.einsum("qj,j->q", p1_basis_at(mesh, pts[None], [tri])[0], psi.values[tri])
         kap = np.asarray(model.kappa(pts), dtype=float)
         return kap * model.diffusion(c)
 
@@ -535,8 +499,8 @@ def trilinear_form(psi: P1DGField, phi: P1DGField, z: P1DGField,
         total -= (eta_z[kl, jl] - eta_z[kr, jr]) * mean_flux_phi
         total -= (eta_phi[kl, jl] - eta_phi[kr, jr]) * mean_flux_z
 
-        lamL = _basis_for_tris(mesh, np.array([kl]), qpt[None])[0]
-        lamR = _basis_for_tris(mesh, np.array([kr]), qpt[None])[0]
+        lamL = p1_basis_at(mesh, qpt[None], [kl])[0]
+        lamR = p1_basis_at(mesh, qpt[None], [kr])[0]
         jump_phi = lamL @ phi.values[kl] - lamR @ phi.values[kr]
         jump_z = lamL @ z.values[kl] - lamR @ z.values[kr]
         total += xi / mesh.edge_length[e] * float(np.sum(qw * jump_phi * jump_z))

@@ -18,7 +18,7 @@ import numpy as np
 from .config import RunSpec, parse_config
 from .control import objective, optimize
 from .errors import ConfigError, PorousOptError, SolverError
-from .fespaces import P0Field, P1DGField, RT0Field
+from .fespaces import P0Field, P1DGField, RT0Field, l2_inner
 from .io import (
     mesh_hash,
     sha256_of_text,
@@ -95,10 +95,10 @@ def _dump_matrices(problem, q0, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     c_field = P1DGField(problem.mesh, problem.c0_values)
-    A, B, F = assemble_darcy(c_field, problem.model, problem.wells, q0, problem.ws)
+    A, B, F = assemble_darcy(c_field, problem.wells, q0, problem.ws)
     u0 = RT0Field.zero(problem.mesh)
     D, E, H, G = assemble_saturation_state(
-        c_field, u0, problem.model, problem.wells, q0, problem.ws, problem.xi
+        c_field, u0, problem.wells, q0, problem.ws, problem.xi
     )
     for name, mat in (("A", A), ("B", B), ("D", D), ("E", E), ("H", H)):
         sio.mmwrite(str(out / f"{name}.mtx"), mat)
@@ -127,15 +127,12 @@ def _snapshot(problem, traj, out, prov, every):
 
 
 def _write_step_objective(problem, traj, out, prov):
-    from .fespaces import P1_MASS
-
     rows = []
-    mesh = problem.mesh
     wells = problem.wells
     for n, t in enumerate(traj.fine_times):
-        wv = wells.w(t)
-        c2 = float(np.einsum("t,ti,ij,tj->", mesh.tri_area, traj.C[n], P1_MASS, traj.C[n]))
-        rows.append((n, t, 0.5 * wv * c2, 0.5 * wells.alpha0 * traj.q[n] ** 2))
+        c = P1DGField(problem.mesh, traj.C[n])
+        rows.append((n, t, 0.5 * wells.w(t) * l2_inner(c, c),
+                     0.5 * wells.alpha0 * traj.q[n] ** 2))
     write_csv(out / "objective_terms.csv",
               ("n", "t", "state_integrand", "control_integrand"), rows, prov)
 

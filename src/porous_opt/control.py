@@ -9,10 +9,11 @@ per-node activity value
 
 classifies each control node: lower-active when v < 0, upper-active when
 v > qhat, inactive otherwise (ties inactive), and the update writes 0, qhat,
-or v accordingly -- identical to clamping v into [0, qhat] nodewise.  The
-outer loop stops when two successive classifications coincide and the
-control has stopped moving (tolerance ``q_tol``), or at ``kmax`` sweeps;
-hitting the cap returns a flagged result rather than raising.
+or v accordingly -- identical to clamping v into [0, qhat] nodewise, which
+is how :func:`project_control` computes it.  The outer loop stops when two
+successive classifications coincide and the control has stopped moving
+(tolerance ``q_tol``), or at ``kmax`` sweeps; hitting the cap returns a
+flagged result rather than raising.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import numpy as np
 
 from .assembly import AssemblyWorkspace
 from .errors import ConfigError
-from .fespaces import P1_MASS
+from .fespaces import P1DGField, l2_inner
 from .solver import Problem, Trajectory, run_adjoint, run_forward
 
 
@@ -42,10 +43,8 @@ def objective(traj: Trajectory, wells, mesh) -> tuple:
         wv = wells.w(traj.fine_times[n])
         if wv == 0.0:
             continue
-        c2 = float(
-            np.einsum("t,ti,ij,tj->", mesh.tri_area, traj.C[n], P1_MASS, traj.C[n])
-        )
-        state_term += 0.5 * wts[n] * wv * c2
+        c = P1DGField(mesh, traj.C[n])
+        state_term += 0.5 * wts[n] * wv * l2_inner(c, c)
     control_term = 0.5 * wells.alpha0 * float(np.sum(wts * traj.q**2))
     return state_term + control_term, state_term, control_term
 
@@ -126,12 +125,6 @@ def classify_active_sets(values, qhat) -> ActiveSetState:
     return ActiveSetState(lower=v < 0.0, upper=v > qhat)
 
 
-def update_control(state: ActiveSetState, values, qhat) -> np.ndarray:
-    """Active-set update: 0 on lower, qhat on upper, the value elsewhere."""
-    v = np.asarray(values, dtype=float)
-    return np.where(state.lower, 0.0, np.where(state.upper, qhat, v))
-
-
 @dataclass
 class OptimizeResult:
     q: np.ndarray
@@ -163,9 +156,8 @@ def optimize(problem: Problem, q0=None) -> OptimizeResult:
         run_adjoint(problem, traj)
         J, _, _ = objective(traj, wells, problem.mesh)
         gwo = gradient_without_penalty(traj, wells, problem.model, problem.ws)
-        values = -gwo / wells.alpha0
-        state_k = classify_active_sets(values, wells.qhat)
-        q_new = update_control(state_k, values, wells.qhat)
+        state_k = classify_active_sets(-gwo / wells.alpha0, wells.qhat)
+        q_new = project_control(gwo, wells.alpha0, wells.qhat)
         dq = float(np.max(np.abs(q_new - q)))
         nl, nu, _ = state_k.counts()
         history.append({"k": k, "J": J, "n_lower": nl, "n_upper": nu, "dq_norm": dq})

@@ -57,25 +57,30 @@ def grad_lambda(mesh: PrimalMesh) -> np.ndarray:
     return g
 
 
-def p1_basis_at(mesh: PrimalMesh, pts: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of points given per element.
+def p1_basis_at(mesh: PrimalMesh, pts: np.ndarray, tris=None) -> np.ndarray:
+    """Barycentric coordinates of points grouped by triangle.
 
-    pts has shape (n_t, ..., 2); the result has shape (n_t, ..., 3).
+    Row i of ``pts`` lies in triangle ``tris[i]``, or in triangle i when
+    ``tris`` is None.  pts has shape (n, ..., 2); the result (n, ..., 3).
     """
     g = grad_lambda(mesh)
     verts = mesh.tri_vertices()
+    if tris is not None:
+        g, verts = g[tris], verts[tris]
     extra = pts.ndim - 2
     gx = g.reshape(g.shape[0], *([1] * extra), 3, 2)
     anchor = verts[:, [1, 2, 0], :].reshape(verts.shape[0], *([1] * extra), 3, 2)
     return np.einsum("...je,...je->...j", gx, pts[..., None, :] - anchor)
 
 
-def rt0_basis_at(mesh: PrimalMesh, pts: np.ndarray) -> np.ndarray:
-    """Raviart-Thomas basis values at points given per element.
+def rt0_basis_at(mesh: PrimalMesh, pts: np.ndarray, tris=None) -> np.ndarray:
+    """Raviart-Thomas basis values at points grouped by triangle.
 
     Basis j is attached to local edge j and normalized to unit normal
     component (with respect to the stored global edge normal) along that
-    edge.  pts has shape (n_t, ..., 2); the result (n_t, ..., 3, 2).
+    edge.  Row i of ``pts`` lies in triangle ``tris[i]``, or in triangle i
+    when ``tris`` is None.  pts has shape (n, ..., 2); the result
+    (n, ..., 3, 2).
     """
     verts = mesh.tri_vertices()
     coef = (
@@ -83,6 +88,8 @@ def rt0_basis_at(mesh: PrimalMesh, pts: np.ndarray) -> np.ndarray:
         * mesh.edge_length[mesh.tri_edges]
         / (2.0 * mesh.tri_area[:, None])
     )  # (n_t, 3)
+    if tris is not None:
+        verts, coef = verts[tris], coef[tris]
     extra = pts.ndim - 2
     opp = verts[:, [2, 0, 1], :].reshape(verts.shape[0], *([1] * extra), 3, 2)
     c = coef.reshape(coef.shape[0], *([1] * extra), 3, 1)

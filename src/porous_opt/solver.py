@@ -86,9 +86,9 @@ class DarcySaddle:
         x[n:] -= (area @ x[n:]) / area.sum()
         return x
 
-    def _residual(self, x, rhs):
+    def _product(self, x):
         u, p = x[: self.n_int], x[self.n_int :]
-        return rhs - np.concatenate([self.A @ u - self.B.T @ p, self.B @ u])
+        return np.concatenate([self.A @ u - self.B.T @ p, self.B @ u])
 
     def solve(self, rhs_u, rhs_p):
         """Solve for ``(u, p, report)``.
@@ -98,19 +98,8 @@ class DarcySaddle:
         boundary edges; ``p`` has zero area-weighted mean.
         """
         rhs = np.concatenate([rhs_u, rhs_p])
-        norm = np.linalg.norm(rhs)
-        norm = norm if norm > 0 else 1.0
-        x = self._correction(rhs)
-        r = self._residual(x, rhs)
-        res = np.linalg.norm(r) / norm
-        for _ in range(2):
-            if np.isfinite(res) and res <= self.tol:
-                break
-            x = x + self._correction(r)
-            r = self._residual(x, rhs)
-            res = np.linalg.norm(r) / norm
-        if not np.isfinite(res) or res > self.tol:
-            raise SolverError(f"Darcy solve residual {res:.3e} exceeds {self.tol:.1e}")
+        x, res = _refined_solve(self._correction, self._product, rhs, self.tol,
+                                "Darcy solve")
         u_int = x[: self.n_int]
         mass_res = np.linalg.norm(rhs_p - self.B @ u_int)
         mass_res /= max(np.linalg.norm(rhs_p), 1.0)
@@ -156,6 +145,33 @@ def interpolate_velocity(times, fields, t, direction="state"):
     raise ValueError(f"unknown direction {direction!r}")
 
 
+def _refined_solve(solve, product, rhs, tol, what, detail=None):
+    """``solve(rhs)`` followed by up to two passes of iterative refinement.
+
+    ``solve`` applies a factorization of the matrix whose action is
+    ``product``.  Returns ``(x, relative residual)``; raises
+    :class:`SolverError` naming ``what``, the residual and ``tol`` (plus
+    ``detail()``, when given) if the residual still exceeds ``tol``.
+    """
+    norm = np.linalg.norm(rhs)
+    norm = norm if norm > 0 else 1.0
+    x = solve(rhs)
+    r = rhs - product(x)
+    res = np.linalg.norm(r) / norm
+    for _ in range(2):
+        # one or two passes of iterative refinement rescue mildly
+        # ill-conditioned systems without changing well-conditioned ones
+        if np.isfinite(res) and res <= tol:
+            break
+        x = x + solve(r)
+        r = rhs - product(x)
+        res = np.linalg.norm(r) / norm
+    if not np.isfinite(res) or res > tol:
+        note = detail() if detail is not None else ""
+        raise SolverError(f"{what}: residual {res:.3e} exceeds {tol:.1e}{note}")
+    return x, res
+
+
 def _solve_sparse(Amat, rhs, tol, what):
     # Both step matrices are built from element and interior-edge blocks, so
     # their pattern is symmetric: minimum degree on A+A^T with diagonal
@@ -167,22 +183,12 @@ def _solve_sparse(Amat, rhs, tol, what):
         )
     except RuntimeError as exc:
         raise SolverError(f"{what}: factorization failed: {exc}") from exc
-    x = lu.solve(rhs)
-    norm = np.linalg.norm(rhs)
-    res = np.linalg.norm(Amat @ x - rhs) / (norm if norm > 0 else 1.0)
-    for _ in range(2):
-        # one or two passes of iterative refinement rescue mildly
-        # ill-conditioned steps without changing well-conditioned ones
-        if np.isfinite(res) and res <= tol:
-            break
-        x = x + lu.solve(rhs - Amat @ x)
-        res = np.linalg.norm(Amat @ x - rhs) / (norm if norm > 0 else 1.0)
-    if not np.isfinite(res) or res > tol:
+
+    def one_norm():
         est = spla.onenormest(Amat) if Amat.shape[0] < 20000 else np.nan
-        raise SolverError(
-            f"{what}: residual {res:.3e} exceeds {tol:.1e} (1-norm ~ {est:.3e})"
-        )
-    return x
+        return f" (1-norm ~ {est:.3e})"
+
+    return _refined_solve(lu.solve, lambda x: Amat @ x, rhs, tol, what, one_norm)[0]
 
 
 def step_saturation_forward(c_vec, D, E, H, G, dt, tol=1e-10):
@@ -249,12 +255,9 @@ class Problem:
     """A fully assembled problem: meshes, model, wells, config, caches."""
 
     mesh: PrimalMesh
-    diamond: object
-    bary: object
     model: CoefficientModel
     wells: WellModel
     rc: RunConfig
-    quad: QuadratureRule
     ws: AssemblyWorkspace
     xi: float
     c0_values: np.ndarray
@@ -262,10 +265,10 @@ class Problem:
 
     @classmethod
     def build(cls, mesh, model, wells, rc: RunConfig, sources=None, c0=None):
-        quad = QuadratureRule(rc.tri_quad_degree, rc.edge_quad_degree)
-        dd = build_diamond_dual(mesh)
-        bd = build_barycentric_dual(mesh)
-        ws = AssemblyWorkspace(mesh, dd, bd, model, quad)
+        ws = AssemblyWorkspace(
+            mesh, build_diamond_dual(mesh), build_barycentric_dual(mesh), model,
+            QuadratureRule(rc.tri_quad_degree, rc.edge_quad_degree),
+        )
         xi = rc.xi if rc.xi is not None else 10.0 * model.d_high
         c0 = rc.c0 if c0 is None else c0
         if callable(c0):
@@ -274,12 +277,9 @@ class Problem:
             c0_values = np.full((mesh.num_triangles, 3), float(c0))
         return cls(
             mesh=mesh,
-            diamond=dd,
-            bary=bd,
             model=model,
             wells=wells,
             rc=rc,
-            quad=quad,
             ws=ws,
             xi=xi,
             c0_values=c0_values,
@@ -306,7 +306,7 @@ def _darcy_at(problem, c_values, q_node, t):
     """
     ws = problem.ws
     c_field = P1DGField(problem.mesh, c_values)
-    A, B, F = assemble_darcy(c_field, problem.model, problem.wells, q_node, ws)
+    A, B, F = assemble_darcy(c_field, problem.wells, q_node, ws)
     src = problem.sources
     rhs_u = np.zeros(A.shape[0])
     if src is not None and src.s_div is not None:
@@ -370,8 +370,7 @@ def run_forward(problem: Problem, q) -> Trajectory:
             c_field = P1DGField(mesh, traj.C[n])
             u_field = RT0Field(mesh, uvals)
             D, E, H, G = assemble_saturation_state(
-                c_field, u_field, problem.model, problem.wells, q[n + 1],
-                problem.ws, problem.xi,
+                c_field, u_field, problem.wells, q[n + 1], problem.ws, problem.xi,
             )
             if src is not None and src.s_c is not None:
                 G = G + assemble_dual_scalar_load(
@@ -419,7 +418,7 @@ def run_adjoint(problem: Problem, traj: Trajectory) -> Trajectory:
     def costate_darcy(m_idx, n_idx, t):
         c_field = P1DGField(mesh, traj.C[n_idx])
         cstar_field = P1DGField(mesh, traj.Cstar[n_idx])
-        Fstar = assemble_darcy_costate_rhs(c_field, cstar_field, problem.model, ws)
+        Fstar = assemble_darcy_costate_rhs(c_field, cstar_field, ws)
         if src is not None and src.s_u_star is not None:
             Fstar = Fstar + assemble_diamond_vector_load(
                 lambda p: src.s_u_star(p, t), ws
@@ -440,12 +439,10 @@ def run_adjoint(problem: Problem, traj: Trajectory) -> Trajectory:
             u_field = RT0Field(mesh, uvals)
             us_field = RT0Field(mesh, usvals)
             D, E, H, _ = assemble_saturation_state(
-                c_field, u_field, problem.model, problem.wells, q[n + 1], ws,
-                problem.xi,
+                c_field, u_field, problem.wells, q[n + 1], ws, problem.xi,
             )
             R, S, W, Z = assemble_saturation_costate(
-                c_field, u_field, us_field, problem.model, problem.wells,
-                q[n + 1], t_dep, ws,
+                c_field, u_field, us_field, problem.wells, q[n + 1], t_dep, ws,
             )
             extra = None
             if src is not None and src.s_c_star is not None:

@@ -123,9 +123,7 @@ def operator_identity_suite(mesh: PrimalMesh, n_samples=100, seed=0,
     rng = np.random.default_rng(seed)
     dd = build_diamond_dual(mesh)
     bd = build_barycentric_dual(mesh)
-    model = default_model()
-    quad = QuadratureRule()
-    ws = AssemblyWorkspace(mesh, dd, bd, model, quad)
+    ws = AssemblyWorkspace(mesh, dd, bd, default_model(), QuadratureRule())
 
     brel_max = 0.0
     eta_max = 0.0
@@ -155,14 +153,14 @@ def operator_identity_suite(mesh: PrimalMesh, n_samples=100, seed=0,
     cf = P1DGField(mesh, rng.uniform(0.2, 0.8, (mesh.num_triangles, 3)))
     csf = P1DGField(mesh, rng.normal(size=(mesh.num_triangles, 3)))
     wells = wells_from_tris(mesh, [0], [mesh.num_triangles - 1], T=1.0)
-    A, B, _ = assemble_darcy(cf, model, wells, 0.0, ws)
-    Fstar = assemble_darcy_costate_rhs(cf, csf, model, ws)
+    A, B, _ = assemble_darcy(cf, wells, 0.0, ws)
+    Fstar = assemble_darcy_costate_rhs(cf, csf, ws)
     ustar, _, _ = DarcySaddle(A, B, mesh).solve(Fstar, np.zeros(mesh.num_triangles))
     div_max = float(np.abs(RT0Field(mesh, ustar).divergence().values).max())
 
     # penalty part of the diffusion matrix: difference of two xi values
     psi = P1DGField(mesh, rng.uniform(0.0, 1.0, (mesh.num_triangles, 3)))
-    T4 = (_diffusion_matrix(psi, model, ws, 2.0) - _diffusion_matrix(psi, model, ws, 1.0)).toarray()
+    T4 = (_diffusion_matrix(psi, ws, 2.0) - _diffusion_matrix(psi, ws, 1.0)).toarray()
     asym = float(np.abs(T4 - T4.T).max())
     min_eig = float(np.linalg.eigvalsh(0.5 * (T4 + T4.T)).min())
 

