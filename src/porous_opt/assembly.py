@@ -44,7 +44,6 @@ import scipy.sparse as sp
 
 from .errors import AssemblyError, ConfigError
 from .fespaces import (
-    EDGE_VERTS,
     P1DGField,
     RT0Field,
     grad_lambda,
@@ -116,13 +115,7 @@ class AssemblyWorkspace:
 
         # eta-average selector per side: 0.5 at the local vertices of the edge
         def avg_ops(ks):
-            ops = np.zeros((ie.size, 3))
-            loc = np.argmax(mesh.tri_edges[ks] == ie[:, None], axis=1)
-            for j in range(3):
-                mask = loc == j
-                ops[mask, EDGE_VERTS[j, 0]] = 0.5
-                ops[mask, EDGE_VERTS[j, 1]] = 0.5
-            return ops
+            return SEL[np.argmax(mesh.tri_edges[ks] == ie[:, None], axis=1)]
 
         self.avgL = avg_ops(self.kL)
         self.avgR = avg_ops(self.kR)
@@ -208,6 +201,10 @@ class AssemblyWorkspace:
         return np.asarray(self.model.kappa(flat), dtype=float).reshape(pts.shape[:-1])
 
     # -- small helpers -----------------------------------------------------
+
+    def grad_p1(self, field: P1DGField):
+        """Element gradients of ``field``, shape (n_t, 2)."""
+        return np.einsum("tj,tje->te", field.values, self.gradlam)
 
     def p1_at_sub(self, field: P1DGField):
         return np.einsum("tcqj,tj->tcq", self.sub_lam, field.values)
@@ -320,7 +317,7 @@ def assemble_darcy_costate_rhs(c_field: P1DGField, cstar_field: P1DGField,
     _require_finite(cstar_field.values, "costate saturation")
     cvals = ws.p1_at_pairs(c_field)
     csvals = ws.p1_at_pairs(cstar_field)
-    gradc = c_field.gradients()[ws.pr_tri]      # (npair, 2)
+    gradc = ws.grad_p1(c_field)[ws.pr_tri]      # (npair, 2)
     scal = ws.model.b(cvals) * csvals           # (npair, nq)
     cell = -np.einsum("nq,nq,ne->ne", ws.pr_w, scal, gradc)
     return _gamma_load(cell, ws)
@@ -412,7 +409,7 @@ def assemble_saturation_costate(c_field: P1DGField, u_field: RT0Field,
     )
     R = ws.element_matrix(np.einsum("cv,tcl->tvl", SEL, react))
 
-    gradc = c_field.gradients()                         # (n_t, 2)
+    gradc = ws.grad_p1(c_field)                         # (n_t, 2)
     dp = ws.kappa_sub * model.diffusion_prime(csub)
     cross = np.einsum("tcq,tcq->tc", ws.sub_w, dp)
     sflux = np.einsum("tc,te,tle->tcl", cross, gradc, ws.gradlam)

@@ -47,9 +47,13 @@ def _check_same_mesh(a, b):
 
 def grad_lambda(mesh: PrimalMesh) -> np.ndarray:
     """Gradients of the barycentric coordinates, shape (n_t, 3, 2)."""
-    pts = mesh.tri_vertices()
-    g = np.empty((mesh.num_triangles, 3, 2))
-    twoA = 2.0 * mesh.tri_area
+    return _grad_lambda(mesh.tri_vertices(), mesh.tri_area)
+
+
+def _grad_lambda(pts, area):
+    """Barycentric gradients of triangles with corners ``pts`` (n, 3, 2)."""
+    g = np.empty((pts.shape[0], 3, 2))
+    twoA = 2.0 * area
     for i in range(3):
         d = pts[:, (i + 2) % 3] - pts[:, (i + 1) % 3]
         g[:, i, 0] = -d[:, 1] / twoA
@@ -63,10 +67,9 @@ def p1_basis_at(mesh: PrimalMesh, pts: np.ndarray, tris=None) -> np.ndarray:
     Row i of ``pts`` lies in triangle ``tris[i]``, or in triangle i when
     ``tris`` is None.  pts has shape (n, ..., 2); the result (n, ..., 3).
     """
-    g = grad_lambda(mesh)
-    verts = mesh.tri_vertices()
-    if tris is not None:
-        g, verts = g[tris], verts[tris]
+    rows = slice(None) if tris is None else tris
+    verts = mesh.tri_vertices(tris)
+    g = _grad_lambda(verts, mesh.tri_area[rows])
     extra = pts.ndim - 2
     gx = g.reshape(g.shape[0], *([1] * extra), 3, 2)
     anchor = verts[:, [1, 2, 0], :].reshape(verts.shape[0], *([1] * extra), 3, 2)
@@ -82,14 +85,13 @@ def rt0_basis_at(mesh: PrimalMesh, pts: np.ndarray, tris=None) -> np.ndarray:
     when ``tris`` is None.  pts has shape (n, ..., 2); the result
     (n, ..., 3, 2).
     """
-    verts = mesh.tri_vertices()
+    rows = slice(None) if tris is None else tris
+    verts = mesh.tri_vertices(tris)
     coef = (
-        mesh.tri_edge_sign
-        * mesh.edge_length[mesh.tri_edges]
-        / (2.0 * mesh.tri_area[:, None])
-    )  # (n_t, 3)
-    if tris is not None:
-        verts, coef = verts[tris], coef[tris]
+        mesh.tri_edge_sign[rows]
+        * mesh.edge_length[mesh.tri_edges[rows]]
+        / (2.0 * mesh.tri_area[rows][:, None])
+    )  # (n, 3)
     extra = pts.ndim - 2
     opp = verts[:, [2, 0, 1], :].reshape(verts.shape[0], *([1] * extra), 3, 2)
     c = coef.reshape(coef.shape[0], *([1] * extra), 3, 1)

@@ -54,8 +54,6 @@ class CoefficientModel:
     a_high: float
     d_low: float
     d_high: float
-    phi_low: float
-    phi_high: float
 
     def validate(self, fd_step=1e-5, fd_tol=1e-6):
         """Check positivity bounds and derivative consistency on a 1001-grid.
@@ -133,8 +131,6 @@ def default_model(delta_floor=0.05, peclet=1.0, kappa=None, phi=None) -> Coeffic
 
     inv_alpha = lam(_GRID)
     dvals = diffusion(_GRID)
-    probe = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
-    phivals = phi(probe)
 
     return CoefficientModel(
         alpha=alpha,
@@ -149,8 +145,6 @@ def default_model(delta_floor=0.05, peclet=1.0, kappa=None, phi=None) -> Coeffic
         a_high=float(inv_alpha.max()),
         d_low=float(dvals.min()),
         d_high=float(dvals.max()),
-        phi_low=float(np.min(phivals)),
-        phi_high=float(np.max(phivals)),
     )
 
 
@@ -175,8 +169,6 @@ def unit_model() -> CoefficientModel:
         a_high=1.0,
         d_low=1.0,
         d_high=1.0,
-        phi_low=1.0,
-        phi_high=1.0,
     )
 
 

@@ -14,12 +14,17 @@ the operator implicit on the earlier level and its coefficients lagged to
 the departure level.  Both saturation step matrices have a symmetric
 sparsity pattern and are factored with a minimum-degree ordering on A+A^T.
 
-Velocities are interpolated in time between the two grids: at coarse nodes
-the node value is used; inside a coarse interval the state velocity is the
-linear extrapolation through the two most recent coarse values, and the
-costate velocity the time-mirrored extrapolation through the two next
-coarse values (each sweep only ever consumes values it has already
-computed).
+Each sweep is one loop over the coarse nodes m: a Darcy solve at node m,
+then the K = N/M fine steps to the next node.  A fine step finds its
+velocity from its fine index n alone (:func:`state_velocity`,
+:func:`costate_velocity`): at a coarse node (n = mK) the node value; inside
+a coarse interval the state velocity is the linear extrapolation through
+the two most recent coarse values, (1 + s) U[m] - s U[m-1] with m = n // K
+and s = (n - mK)/K, and the costate velocity the mirrored extrapolation
+through the two next ones, (1 + s) U*[m] - s U*[m+1] with m = ceil(n/K) and
+s = (mK - n)/K.  The first state interval and the last costate interval
+have only one value to use and keep it constant.  Each sweep thus consumes
+only values it has already computed.
 """
 
 from dataclasses import dataclass, field
@@ -110,39 +115,31 @@ class DarcySaddle:
         )
 
 
-def interpolate_velocity(times, fields, t, direction="state"):
-    """Velocity coefficients at time ``t`` from coarse-grid snapshots.
+def state_velocity(U, n, K):
+    """State velocity at fine level n from the coarse values ``U`` (M+1, n_e).
 
-    ``times`` is the coarse grid (length M+1) and ``fields`` the matching
-    coefficient array (M+1, n_e).  Grid nodes return the stored value; for
-    interior times the state direction extrapolates linearly through the two
-    preceding snapshots (constant on the first interval) and the costate
-    direction through the two following snapshots (constant on the last).
+    ``U[m]`` at node n = mK; inside an interval the extrapolation through
+    the two most recent nodes, constant on the first interval.
     """
-    times = np.asarray(times, dtype=float)
-    fields = np.asarray(fields, dtype=float)
-    T = times[-1]
-    tol = 1e-12 * max(T, 1.0)
-    if t < times[0] - tol or t > T + tol:
-        raise ValueError(f"time {t} outside [{times[0]}, {T}]")
-    hit = np.flatnonzero(np.abs(times - t) <= tol)
-    if hit.size:
-        return fields[hit[0]].copy()
-    m = int(np.searchsorted(times, t))  # times[m-1] < t < times[m]
-    if direction == "state":
-        if m == 1:
-            return fields[0].copy()
-        dt_prev = times[m - 1] - times[m - 2]
-        s = (t - times[m - 1]) / dt_prev
-        return (1.0 + s) * fields[m - 1] - s * fields[m - 2]
-    if direction == "costate":
-        M = times.size - 1
-        if m == M:
-            return fields[M].copy()
-        dt_next = times[m + 1] - times[m]
-        s = (times[m] - t) / dt_next
-        return (1.0 + s) * fields[m] - s * fields[m + 1]
-    raise ValueError(f"unknown direction {direction!r}")
+    m, k = divmod(n, K)
+    if k == 0 or m == 0:
+        return U[m]
+    s = k / K
+    return (1.0 + s) * U[m] - s * U[m - 1]
+
+
+def costate_velocity(Ustar, n, K):
+    """Costate velocity at fine level n from the coarse values ``Ustar``.
+
+    ``Ustar[m]`` at node n = mK; inside an interval the extrapolation
+    through the two next nodes, constant on the last interval.
+    """
+    m = -(-n // K)
+    k = m * K - n
+    if k == 0 or m == len(Ustar) - 1:
+        return Ustar[m]
+    s = k / K
+    return (1.0 + s) * Ustar[m] - s * Ustar[m + 1]
 
 
 def _refined_solve(solve, product, rhs, tol, what, detail=None):
@@ -261,7 +258,7 @@ class Problem:
     ws: AssemblyWorkspace
     xi: float
     c0_values: np.ndarray
-    sources: Optional[MMSSources] = None
+    sources: MMSSources = field(default_factory=MMSSources)
 
     @classmethod
     def build(cls, mesh, model, wells, rc: RunConfig, sources=None, c0=None):
@@ -283,7 +280,7 @@ class Problem:
             ws=ws,
             xi=xi,
             c0_values=c0_values,
-            sources=sources,
+            sources=MMSSources() if sources is None else sources,
         )
 
     def q_initial(self):
@@ -309,9 +306,9 @@ def _darcy_at(problem, c_values, q_node, t):
     A, B, F = assemble_darcy(c_field, problem.wells, q_node, ws)
     src = problem.sources
     rhs_u = np.zeros(A.shape[0])
-    if src is not None and src.s_div is not None:
+    if src.s_div is not None:
         F = F + _assemble_p0_load(lambda p: src.s_div(p, t), ws)
-    if src is not None and src.s_u is not None:
+    if src.s_u is not None:
         rhs_u = assemble_diamond_vector_load(lambda p: src.s_u(p, t), ws)
     scale = max(float(np.abs(F).max(initial=0.0)), 1.0)
     if abs(F.sum()) > 1e-10 * scale:
@@ -340,39 +337,37 @@ def run_forward(problem: Problem, q) -> Trajectory:
 
     fine = rc.fine_times()
     coarse = rc.coarse_times()
-    K = rc.substeps
+    K, M = rc.substeps, rc.m_steps
     n_t = mesh.num_triangles
 
     traj = Trajectory(
         fine_times=fine,
         coarse_times=coarse,
         C=np.empty((rc.n_steps + 1, n_t, 3)),
-        U=np.zeros((rc.m_steps + 1, mesh.num_edges)),
-        P=np.zeros((rc.m_steps + 1, n_t)),
+        U=np.zeros((M + 1, mesh.num_edges)),
+        P=np.zeros((M + 1, n_t)),
         q=q.copy(),
     )
     traj.C[0] = problem.c0_values
     src = problem.sources
 
-    for m in range(1, rc.m_steps + 1):
-        n_prev = (m - 1) * K
+    for m in range(M + 1):
         try:
-            traj.U[m - 1], traj.P[m - 1], rep, saddle = _darcy_at(
-                problem, traj.C[n_prev], q[n_prev], coarse[m - 1]
+            traj.U[m], traj.P[m], rep, saddle = _darcy_at(
+                problem, traj.C[m * K], q[m * K], coarse[m]
             )
         except SolverError as exc:
-            raise SolverError(f"Darcy solve at coarse step {m - 1}: {exc}") from exc
+            raise SolverError(f"Darcy solve at coarse step {m}: {exc}") from exc
         traj.darcy_reports.append(rep)
-        traj.saddles[m - 1] = saddle
+        traj.saddles[m] = saddle
 
-        for n in range(n_prev, m * K):
-            uvals = interpolate_velocity(coarse, traj.U, fine[n], "state")
+        for n in range(m * K, min(m + 1, M) * K):
             c_field = P1DGField(mesh, traj.C[n])
-            u_field = RT0Field(mesh, uvals)
+            u_field = RT0Field(mesh, state_velocity(traj.U, n, K))
             D, E, H, G = assemble_saturation_state(
                 c_field, u_field, problem.wells, q[n + 1], problem.ws, problem.xi,
             )
-            if src is not None and src.s_c is not None:
+            if src.s_c is not None:
                 G = G + assemble_dual_scalar_load(
                     lambda p: src.s_c(p, fine[n + 1]), problem.ws
                 )
@@ -381,14 +376,9 @@ def run_forward(problem: Problem, q) -> Trajectory:
                     traj.C[n].ravel(), D, E, H, G, rc.dt, rc.solver_tol
                 )
             except SolverError as exc:
-                raise SolverError(f"saturation step (m={m}, n={n}): {exc}") from exc
+                # the step is named by its interval's end node, as in the adjoint
+                raise SolverError(f"saturation step (m={m + 1}, n={n}): {exc}") from exc
             traj.C[n + 1] = cnew.reshape(n_t, 3)
-
-    traj.U[rc.m_steps], traj.P[rc.m_steps], rep, saddle = _darcy_at(
-        problem, traj.C[rc.n_steps], q[rc.n_steps], coarse[rc.m_steps]
-    )
-    traj.darcy_reports.append(rep)
-    traj.saddles[rc.m_steps] = saddle
     return traj
 
 
@@ -415,29 +405,28 @@ def run_adjoint(problem: Problem, traj: Trajectory) -> Trajectory:
     traj.Cstar[rc.n_steps] = 0.0
     div_max = 0.0
 
-    def costate_darcy(m_idx, n_idx, t):
-        c_field = P1DGField(mesh, traj.C[n_idx])
-        cstar_field = P1DGField(mesh, traj.Cstar[n_idx])
+    for m in range(rc.m_steps, -1, -1):
+        c_field = P1DGField(mesh, traj.C[m * K])
+        cstar_field = P1DGField(mesh, traj.Cstar[m * K])
         Fstar = assemble_darcy_costate_rhs(c_field, cstar_field, ws)
-        if src is not None and src.s_u_star is not None:
+        if src.s_u_star is not None:
             Fstar = Fstar + assemble_diamond_vector_load(
-                lambda p: src.s_u_star(p, t), ws
+                lambda p: src.s_u_star(p, coarse[m]), ws
             )
-        traj.Ustar[m_idx], traj.Pstar[m_idx], _ = traj.saddles[m_idx].solve(
-            Fstar, np.zeros(n_t)
-        )
-        return float(np.abs(RT0Field(mesh, traj.Ustar[m_idx]).divergence().values).max())
+        try:
+            traj.Ustar[m], traj.Pstar[m], _ = traj.saddles[m].solve(
+                Fstar, np.zeros(n_t)
+            )
+        except SolverError as exc:
+            raise SolverError(f"costate Darcy solve at coarse step {m}: {exc}") from exc
+        div = RT0Field(mesh, traj.Ustar[m]).divergence().values
+        div_max = max(div_max, float(np.abs(div).max()))
 
-    div_max = max(div_max, costate_darcy(rc.m_steps, rc.n_steps, coarse[-1]))
-
-    for m in range(rc.m_steps, 0, -1):
-        for n in range(m * K - 1, (m - 1) * K - 1, -1):
+        for n in reversed(range(max(m - 1, 0) * K, m * K)):
             t_dep = fine[n + 1]
-            uvals = interpolate_velocity(coarse, traj.U, t_dep, "state")
-            usvals = interpolate_velocity(coarse, traj.Ustar, t_dep, "costate")
             c_field = P1DGField(mesh, traj.C[n + 1])
-            u_field = RT0Field(mesh, uvals)
-            us_field = RT0Field(mesh, usvals)
+            u_field = RT0Field(mesh, state_velocity(traj.U, n + 1, K))
+            us_field = RT0Field(mesh, costate_velocity(traj.Ustar, n + 1, K))
             D, E, H, _ = assemble_saturation_state(
                 c_field, u_field, problem.wells, q[n + 1], ws, problem.xi,
             )
@@ -445,7 +434,7 @@ def run_adjoint(problem: Problem, traj: Trajectory) -> Trajectory:
                 c_field, u_field, us_field, problem.wells, q[n + 1], t_dep, ws,
             )
             extra = None
-            if src is not None and src.s_c_star is not None:
+            if src.s_c_star is not None:
                 extra = assemble_dual_scalar_load(
                     lambda p: src.s_c_star(p, t_dep), ws
                 )
@@ -457,10 +446,6 @@ def run_adjoint(problem: Problem, traj: Trajectory) -> Trajectory:
             except SolverError as exc:
                 raise SolverError(f"costate step (m={m}, n={n}): {exc}") from exc
             traj.Cstar[n] = cs.reshape(n_t, 3)
-        div_max = max(
-            div_max, costate_darcy(m - 1, (m - 1) * K, coarse[m - 1])
-        )
 
     traj.costate_div_max = div_max
     return traj
-

@@ -185,59 +185,48 @@ def test_saddle_factor_has_no_dense_row_or_column(setup, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# velocity interpolation in time
+# velocity extrapolation between the two grids, by fine step index
 # ---------------------------------------------------------------------------
 
-def test_interpolation_at_nodes():
-    times = np.linspace(0.0, 1.0, 5)
-    fields = RNG.normal(size=(5, 7))
-    for k, t in enumerate(times):
-        got = sol.interpolate_velocity(times, fields, t, "state")
-        assert np.array_equal(got, fields[k])
-        got = sol.interpolate_velocity(times, fields, t, "costate")
-        assert np.array_equal(got, fields[k])
+M_VEL, K_VEL = 4, 3  # coarse steps, fine steps per coarse step
 
 
-def test_interpolation_constant_exact():
-    times = np.linspace(0.0, 1.0, 5)
-    fields = np.tile(RNG.normal(size=7), (5, 1))
-    for t in (0.1, 0.3, 0.55, 0.99):
-        for d in ("state", "costate"):
-            got = sol.interpolate_velocity(times, fields, t, d)
-            assert np.allclose(got, fields[0], atol=1e-14)
+def test_velocity_at_coarse_nodes():
+    fields = RNG.normal(size=(M_VEL + 1, 7))
+    for m in range(M_VEL + 1):
+        assert np.array_equal(sol.state_velocity(fields, m * K_VEL, K_VEL), fields[m])
+        assert np.array_equal(sol.costate_velocity(fields, m * K_VEL, K_VEL), fields[m])
 
 
-def test_interpolation_linear_exact_where_two_point():
-    times = np.linspace(0.0, 1.0, 5)
+def test_velocity_constant_exact():
+    fields = np.tile(RNG.normal(size=7), (M_VEL + 1, 1))
+    for n in range(M_VEL * K_VEL + 1):
+        for fn in (sol.state_velocity, sol.costate_velocity):
+            assert np.allclose(fn(fields, n, K_VEL), fields[0], atol=1e-14)
+
+
+def test_velocity_affine_exact_where_two_point():
     slope = RNG.normal(size=7)
     icept = RNG.normal(size=7)
-    fields = times[:, None] * slope + icept
-    # state: intervals m >= 2 use two-point extrapolation, exact on affine
-    for t in (0.3, 0.6, 0.9):
-        got = sol.interpolate_velocity(times, fields, t, "state")
-        assert np.allclose(got, t * slope + icept, atol=1e-12)
-    # costate: intervals m <= M-1
-    for t in (0.1, 0.4, 0.7):
-        got = sol.interpolate_velocity(times, fields, t, "costate")
-        assert np.allclose(got, t * slope + icept, atol=1e-12)
+    fields = np.linspace(0.0, 1.0, M_VEL + 1)[:, None] * slope + icept
+    fine = np.linspace(0.0, 1.0, M_VEL * K_VEL + 1)
+    # state: every interval after the first extrapolates through two nodes
+    for n in range(K_VEL, M_VEL * K_VEL + 1):
+        got = sol.state_velocity(fields, n, K_VEL)
+        assert np.allclose(got, fine[n] * slope + icept, atol=1e-12)
+    # costate: every interval before the last
+    for n in range((M_VEL - 1) * K_VEL + 1):
+        got = sol.costate_velocity(fields, n, K_VEL)
+        assert np.allclose(got, fine[n] * slope + icept, atol=1e-12)
 
 
-def test_interpolation_first_and_last_interval_constants():
-    times = np.linspace(0.0, 1.0, 5)
-    fields = RNG.normal(size=(5, 3))
-    got = sol.interpolate_velocity(times, fields, 0.1, "state")
-    assert np.array_equal(got, fields[0])
-    got = sol.interpolate_velocity(times, fields, 0.9, "costate")
-    assert np.array_equal(got, fields[-1])
-
-
-def test_interpolation_out_of_range():
-    times = np.linspace(0.0, 1.0, 5)
-    fields = np.zeros((5, 2))
-    with pytest.raises(ValueError):
-        sol.interpolate_velocity(times, fields, -0.5, "state")
-    with pytest.raises(ValueError):
-        sol.interpolate_velocity(times, fields, 1.5, "state")
+def test_velocity_first_and_last_interval_constants():
+    fields = RNG.normal(size=(M_VEL + 1, 3))
+    for k in range(1, K_VEL):
+        got = sol.state_velocity(fields, k, K_VEL)
+        assert np.array_equal(got, fields[0])
+        got = sol.costate_velocity(fields, M_VEL * K_VEL - k, K_VEL)
+        assert np.array_equal(got, fields[M_VEL])
 
 
 # ---------------------------------------------------------------------------
@@ -412,3 +401,131 @@ def test_saturation_steps_match_dense_solve():
     ref = np.linalg.solve((D + dt * (-E + H + S + R)).toarray(),
                           D @ cstar_next + dt * (W - Z))
     assert np.abs(bwd - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+# ---------------------------------------------------------------------------
+# two-grid sweeps against hand-written oracles (K = 4 fine steps per coarse)
+# ---------------------------------------------------------------------------
+
+def two_grid_problem():
+    # M = 4: the costate velocity at the final node is zero (zero terminal
+    # data), so with M = 2 its only extrapolating interval would pair with
+    # that zero and could not tell the partner node apart
+    prob = make_problem(n=4, m_steps=4, n_steps=16, wtilde=2.0)
+    q = 0.3 + 0.5 * np.linspace(0.0, 1.0, prob.rc.n_steps + 1) ** 2
+    return prob, q
+
+
+def darcy_oracle(prob, C, q):
+    cf = fes.P1DGField(prob.mesh, C)
+    A, B, F = asm.assemble_darcy(cf, prob.wells, q, prob.ws)
+    return sol.DarcySaddle(A, B, prob.mesh, prob.rc.solver_tol), F
+
+
+def test_two_grid_forward_matches_oracle():
+    prob, q = two_grid_problem()
+    mesh, wells, rc, ws = prob.mesh, prob.wells, prob.rc, prob.ws
+    M, K = rc.m_steps, rc.substeps
+    assert K == 4
+    traj = sol.run_forward(prob, q)
+
+    C = np.empty_like(traj.C)
+    U = np.zeros_like(traj.U)
+    C[0] = prob.c0_values
+    for m in range(M + 1):
+        saddle, F = darcy_oracle(prob, C[m * K], q[m * K])
+        U[m] = saddle.solve(np.zeros(saddle.n_int), F)[0]
+        if m == M:
+            break
+        for k in range(K):
+            n = m * K + k
+            if m == 0 or k == 0:
+                u = U[m]                      # node value; constant first interval
+            else:
+                s = k / K                     # through the two most recent nodes
+                u = (1.0 + s) * U[m] - s * U[m - 1]
+            D, E, H, G = asm.assemble_saturation_state(
+                fes.P1DGField(mesh, C[n]), fes.RT0Field(mesh, u), wells, q[n + 1],
+                ws, prob.xi,
+            )
+            C[n + 1] = sol.step_saturation_forward(
+                C[n].ravel(), D, E, H, G, rc.dt, rc.solver_tol
+            ).reshape(C[n].shape)
+
+    assert np.array_equal(traj.C, C)
+    assert np.array_equal(traj.U, U)
+
+
+def test_two_grid_adjoint_matches_oracle():
+    prob, q = two_grid_problem()
+    mesh, wells, rc, ws = prob.mesh, prob.wells, prob.rc, prob.ws
+    M, K = rc.m_steps, rc.substeps
+    fine = rc.fine_times()
+    traj = sol.run_forward(prob, q)
+    sol.run_adjoint(prob, traj)
+    C, U = traj.C, traj.U
+
+    Cstar = np.empty_like(C)
+    Ustar = np.zeros_like(U)
+    Cstar[-1] = 0.0
+    for m in range(M, -1, -1):
+        saddle, _ = darcy_oracle(prob, C[m * K], q[m * K])
+        Fstar = asm.assemble_darcy_costate_rhs(
+            fes.P1DGField(mesh, C[m * K]), fes.P1DGField(mesh, Cstar[m * K]), ws
+        )
+        Ustar[m] = saddle.solve(Fstar, np.zeros(mesh.num_triangles))[0]
+        if m == 0:
+            break
+        # fine levels j = (m-1)K + k of the interval (m-1, m], latest first
+        for k in range(K, 0, -1):
+            j = (m - 1) * K + k
+            if k == K:
+                u, us = U[m], Ustar[m]
+            else:
+                s = k / K                     # state: through nodes m-1 and m-2
+                u = U[0] if m == 1 else (1.0 + s) * U[m - 1] - s * U[m - 2]
+                s = (K - k) / K               # costate: through nodes m and m+1
+                us = Ustar[M] if m == M else (1.0 + s) * Ustar[m] - s * Ustar[m + 1]
+            cf = fes.P1DGField(mesh, C[j])
+            uf, usf = fes.RT0Field(mesh, u), fes.RT0Field(mesh, us)
+            D, E, H, _ = asm.assemble_saturation_state(cf, uf, wells, q[j], ws, prob.xi)
+            R, S, W, Z = asm.assemble_saturation_costate(
+                cf, uf, usf, wells, q[j], fine[j], ws
+            )
+            Cstar[j - 1] = sol.step_saturation_backward(
+                Cstar[j].ravel(), D, E, H, S, R, W, Z, rc.dt, rc.solver_tol
+            ).reshape(C[j].shape)
+
+    assert np.abs(Cstar[0]).max() > 0.0
+    assert np.array_equal(traj.Cstar, Cstar)
+    assert np.array_equal(traj.Ustar, Ustar)
+
+
+def failing_solve_at(call):
+    """A ``DarcySaddle.solve`` that raises on its ``call``-th call."""
+    solve = sol.DarcySaddle.solve
+    count = [0]
+
+    def fake(self, rhs_u, rhs_p):
+        count[0] += 1
+        if count[0] == call:
+            raise SolverError("injected failure")
+        return solve(self, rhs_u, rhs_p)
+
+    return fake
+
+
+def test_darcy_failures_name_their_coarse_step(monkeypatch):
+    prob = make_problem(n=4, m_steps=2, n_steps=4, wtilde=2.0)
+    M = prob.rc.m_steps
+    q = np.full(prob.rc.n_steps + 1, 0.5)
+    traj = sol.run_forward(prob, q)
+
+    # the forward's last (M + 1-th) Darcy solve
+    monkeypatch.setattr(sol.DarcySaddle, "solve", failing_solve_at(M + 1))
+    with pytest.raises(SolverError, match=f"coarse step {M}: injected failure"):
+        sol.run_forward(prob, q)
+    # the adjoint's first costate Darcy solve, at the final node
+    monkeypatch.setattr(sol.DarcySaddle, "solve", failing_solve_at(1))
+    with pytest.raises(SolverError, match=f"coarse step {M}: injected failure"):
+        sol.run_adjoint(prob, traj)
