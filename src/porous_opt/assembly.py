@@ -31,10 +31,13 @@ Each input has one owner.  :class:`AssemblyWorkspace` tabulates the basis
 values once per point set (sub-cells, fans, interior edges, diamond pairs)
 with :func:`fespaces.p1_basis_at` and :func:`fespaces.rt0_basis_at`, on the
 points and weights :class:`QuadratureRule` maps; only ``gamma_mat`` spells
-out its RT0 coefficient.  The coefficients (alpha, b, D, f and their
-derivatives, kappa, phi) come from the workspace's ``ws.model``, so a
-matrix cannot mix two models; :func:`trilinear_form`, which builds no
-workspace, takes its own.
+out its RT0 coefficient.  The workspace also owns both test-space
+transfers: ``dual_matrix``/``dual_load`` apply eta_h to sub-cell integrals,
+and ``pair_matrix`` scatters diamond-pair entries (``gamma_mat`` and the
+alpha-weighted basis integrals behind A).  The coefficients (alpha, b, D,
+f and their derivatives, kappa, phi) come from the workspace's
+``ws.model``, so a matrix cannot mix two models; :func:`trilinear_form`,
+which builds no workspace, takes its own.
 """
 
 from dataclasses import dataclass
@@ -84,15 +87,11 @@ class AssemblyWorkspace:
         self.gradlam = grad_lambda(mesh)
 
         # barycentric sub-cells (K, j) = (v_j, v_{j+1}, b_K)
-        sub_pts = np.empty((n_t, 3, quad.tri_points.shape[0], 2))
-        sub_w = np.empty((n_t, 3, quad.tri_points.shape[0]))
-        for j in range(3):
-            p, w = quad.map_to_triangles(verts[:, j], verts[:, (j + 1) % 3], bc)
-            sub_pts[:, j] = p
-            sub_w[:, j] = w
-        self.sub_pts, self.sub_w = sub_pts, sub_w
-        self.sub_lam = p1_basis_at(mesh, sub_pts)
-        self.sub_rt0 = rt0_basis_at(mesh, sub_pts)
+        self.sub_pts, self.sub_w = quad.map_to_triangles(
+            verts, verts[:, [1, 2, 0]], bc[:, None]
+        )
+        self.sub_lam = p1_basis_at(mesh, self.sub_pts)
+        self.sub_rt0 = rt0_basis_at(mesh, self.sub_pts)
 
         # fan segments of the barycentric dual
         fp, fw = quad.map_to_segments(self.bary.seg_start, self.bary.seg_end)
@@ -145,6 +144,13 @@ class AssemblyWorkspace:
         self.pr_lam = p1_basis_at(mesh, self.pr_pts, self.pr_tri)
         self.pr_rt0 = rt0_basis_at(mesh, self.pr_pts, self.pr_tri)  # (npair, nq, 3, 2)
         self.pr_cols = int_of_edge[mesh.tri_edges[self.pr_tri]]  # (npair, 3)
+        # scatter of per-pair (npair, 3, 2) entries: row 2k + comp of
+        # diamond cell k, column the interior dof of local edge j
+        pair_shape = (self.pr_edge.size, 3, 2)
+        rows = np.broadcast_to(2 * self.pr_edge[:, None, None] + np.arange(2), pair_shape)
+        cols = np.broadcast_to(self.pr_cols[:, :, None], pair_shape)
+        self.pair_keep = cols >= 0
+        self.pair_rows, self.pair_cols = rows[self.pair_keep], cols[self.pair_keep]
 
         # transfer of the interior basis functions: gamma_mat[(k, comp), i]
         # is component comp of gamma_h(Phi_i) on diamond cell k, with the
@@ -157,16 +163,9 @@ class AssemblyWorkspace:
         np.add.at(wsum, mesh.tri_edges.ravel(),
                   np.repeat(mesh.tri_area[:, None], 3, axis=1).ravel())
         w = mesh.tri_area[self.pr_tri] / wsum[self.pr_edge]
-        vals = (w[:, None] * pair_coef)[:, :, None] * (
+        self.gamma_mat = self.pair_matrix((w[:, None] * pair_coef)[:, :, None] * (
             mesh.edge_midpoint[self.pr_edge][:, None, :] - opp
-        )  # (npair, 3, 2): entries (row 2k + comp, column of local edge j)
-        rows = np.broadcast_to(2 * self.pr_edge[:, None, None] + np.arange(2), vals.shape)
-        cols = np.broadcast_to(self.pr_cols[:, :, None], vals.shape)
-        keep = cols >= 0
-        self.gamma_mat = sp.coo_matrix(
-            (vals[keep], (rows[keep], cols[keep])),
-            shape=(2 * mesh.num_edges, self.n_int),
-        ).tocsr()
+        ))
 
         # divergence coupling matrix B (geometry only)
         rows, cols, vals = [], [], []
@@ -185,7 +184,7 @@ class AssemblyWorkspace:
 
         # model-dependent but field-independent caches
         self.phi_tri = np.asarray(self.model.phi(bc), dtype=float)
-        self.kappa_sub = self._kappa_at(sub_pts)
+        self.kappa_sub = self._kappa_at(self.sub_pts)
         self.kappa_fan = self._kappa_at(fp)
         self.kappa_edge = self._kappa_at(self.edge_pts)
         self.kappa_pair = self._kappa_at(self.pr_pts)
@@ -219,6 +218,28 @@ class AssemblyWorkspace:
         coeffs = field.values[self.mesh.tri_edges]
         return np.einsum("tcqje,tj->tcqe", self.sub_rt0, coeffs)
 
+    def sample_sub(self, sfun):
+        """The scalar ``sfun`` at the sub-cell points, shaped like ``sub_w``."""
+        flat = self.sub_pts.reshape(-1, 2)
+        return np.asarray(sfun(flat), dtype=float).reshape(self.sub_w.shape)
+
+    def dual_matrix(self, cell):
+        """eta_h transfer of per-sub-cell rows (n_t, 3, 3) into the saturation
+        matrix: test vertex v collects SEL[c, v] times the row of cell c."""
+        return self.element_matrix(np.einsum("cv,tcl->tvl", SEL, cell))
+
+    def dual_load(self, cell):
+        """eta_h transfer of per-sub-cell integrals (n_t, 3) into a load."""
+        return np.einsum("cv,tc->tv", SEL, cell).ravel()
+
+    def pair_matrix(self, vals):
+        """COO assembly of per-pair (npair, 3, 2) entries into a (2 n_e, n_int)
+        CSR: rows index (diamond cell, component), columns the trial dof."""
+        return sp.coo_matrix(
+            (vals[self.pair_keep], (self.pair_rows, self.pair_cols)),
+            shape=(2 * self.mesh.num_edges, self.n_int),
+        ).tocsr()
+
     def element_matrix(self, scatter):
         """COO assembly of per-element 3x3 blocks into a (3n_t, 3n_t) CSR."""
         return sp.coo_matrix(
@@ -247,22 +268,6 @@ def _require_finite(values, what):
 # Darcy block
 # ---------------------------------------------------------------------------
 
-def _cellwise_vector_matrix(ent, ws):
-    """Assemble per-pair vector integrals into a (2 n_e, n_int) sparse
-    matrix: rows index (diamond cell, component), columns the trial dof."""
-    keep = np.repeat(ws.pr_cols[:, :, None] >= 0, 2, axis=2)
-    rows = (
-        2 * ws.pr_edge[:, None, None]
-        + np.arange(2)[None, None, :]
-        + np.zeros((1, 3, 1), dtype=np.int64)
-    )
-    cols = np.repeat(ws.pr_cols[:, :, None], 2, axis=2)
-    return sp.coo_matrix(
-        (ent[keep], (rows[keep], cols[keep])),
-        shape=(2 * ws.mesh.num_edges, ws.n_int),
-    ).tocsr()
-
-
 def assemble_darcy(c_field: P1DGField, wells: WellModel, q: float,
                    ws: AssemblyWorkspace):
     """Velocity matrix, divergence coupling, and well load for one time level.
@@ -277,7 +282,7 @@ def assemble_darcy(c_field: P1DGField, wells: WellModel, q: float,
     avals = ws.model.alpha(cvals) / ws.kappa_pair
     _require_finite(avals, "alpha coefficient")
     ent = np.einsum("nq,nq,nqje->nje", ws.pr_w, avals, ws.pr_rt0)
-    C = _cellwise_vector_matrix(ent, ws)
+    C = ws.pair_matrix(ent)
     A = (ws.gamma_mat.T @ C).tocsr()
     F = well_source_vector(wells, q)
     return A, ws.B, F
@@ -347,13 +352,13 @@ def assemble_saturation_state(c_field: P1DGField, u_field: RT0Field,
     uvals = ws.rt0_at_sub(u_field)                    # (n_t, 3, nq, 2)
     bc = ws.model.b(csub)
     conv = np.einsum("tcq,tcq,tcqe,tle->tcl", ws.sub_w, bc, uvals, ws.gradlam)
-    E = ws.element_matrix(np.einsum("cv,tcl->tvl", SEL, conv))
+    E = ws.dual_matrix(conv)
 
     H = _diffusion_matrix(c_field, ws, xi)
 
     fsub = ws.model.f(csub)
     gcell = np.einsum("t,tcq,tcq->tc", wells.r0_values() * q, ws.sub_w, fsub)
-    G = np.einsum("cv,tc->tv", SEL, gcell).ravel()
+    G = ws.dual_load(gcell)
     return D, E, H, G
 
 
@@ -363,8 +368,7 @@ def _diffusion_matrix(c_field, ws, xi):
     dfan = ws.kappa_fan * ws.model.diffusion(cfan)     # (n_t, 3, 2, ne)
     dint = np.einsum("tcsq,tcsq->tcs", ws.fan_w, dfan)  # (n_t, 3, 2)
     nflux = np.einsum("tcs,tcse,tle->tcl", dint, ws.bary.seg_normal, ws.gradlam)
-    t1 = -np.einsum("cv,tcl->tvl", SEL, nflux)
-    H = ws.element_matrix(t1)
+    H = ws.dual_matrix(-nflux)
 
     # edge terms on interior edges
     cl = np.einsum("nqj,nj->nq", ws.edge_lamL, c_field.values[ws.kL])
@@ -407,32 +411,29 @@ def assemble_saturation_costate(c_field: P1DGField, u_field: RT0Field,
         "t,tcq,tcq,tcqj->tcj", wells.r1_values() * q, ws.sub_w, model.b(csub),
         ws.sub_lam,
     )
-    R = ws.element_matrix(np.einsum("cv,tcl->tvl", SEL, react))
+    R = ws.dual_matrix(react)
 
     gradc = ws.grad_p1(c_field)                         # (n_t, 2)
     dp = ws.kappa_sub * model.diffusion_prime(csub)
     cross = np.einsum("tcq,tcq->tc", ws.sub_w, dp)
     sflux = np.einsum("tc,te,tle->tcl", cross, gradc, ws.gradlam)
-    S = ws.element_matrix(np.einsum("cv,tcl->tvl", SEL, sflux))
+    S = ws.dual_matrix(sflux)
 
     wval = wells.w(t)
     wcell = wval * np.einsum("tcq,tcq->tc", ws.sub_w, csub)
-    W = np.einsum("cv,tc->tv", SEL, wcell).ravel()
+    W = ws.dual_load(wcell)
 
     uvals = ws.rt0_at_sub(u_field)
     usvals = ws.rt0_at_sub(ustar_field)
     ap = model.alpha_prime(csub) / ws.kappa_sub
     zcell = np.einsum("tcq,tcq,tcqe,tcqe->tc", ws.sub_w, ap, uvals, usvals)
-    Z = np.einsum("cv,tc->tv", SEL, zcell).ravel()
+    Z = ws.dual_load(zcell)
     return R, S, W, Z
 
 
 def assemble_dual_scalar_load(sfun, ws: AssemblyWorkspace):
     """Load vector (s, eta_h Psi_i) for a scalar source s(x)."""
-    flat = ws.sub_pts.reshape(-1, 2)
-    svals = np.asarray(sfun(flat), dtype=float).reshape(ws.sub_w.shape)
-    cell = np.einsum("tcq,tcq->tc", ws.sub_w, svals)
-    return np.einsum("cv,tc->tv", SEL, cell).ravel()
+    return ws.dual_load(np.einsum("tcq,tcq->tc", ws.sub_w, ws.sample_sub(sfun)))
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,6 @@ def cmd_mesh_info(args, spec):
 def cmd_forward(args, spec, adjoint=False):
     problem = spec.build_problem()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     prov = _provenance(spec, problem.mesh)
     if args.dump_matrices:
         _dump_matrices(problem, problem.q_initial()[0], args.dump_matrices)
@@ -176,7 +175,6 @@ def cmd_forward(args, spec, adjoint=False):
 def cmd_optimize(args, spec):
     problem = spec.build_problem()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     prov = _provenance(spec, problem.mesh)
     if args.dump_matrices:
         _dump_matrices(problem, problem.q_initial()[0], args.dump_matrices)
@@ -204,7 +202,6 @@ def cmd_verify(args, spec):
     from . import verify as ver
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     prov = _provenance(spec)
     if args.suite == "operators":
         mesh = spec.build_mesh()

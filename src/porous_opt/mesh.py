@@ -348,7 +348,6 @@ class BarycentricDualMesh:
 
     mesh: PrimalMesh
     cell_area: np.ndarray        # (n_t, 3): each equals |K| / 3
-    edge_of_cell: np.ndarray     # (n_t, 3) global edge containing the cell
     seg_start: np.ndarray        # (n_t, 3, 2, 2) fan segment start points
     seg_end: np.ndarray          # (n_t, 3, 2, 2)
     seg_normal: np.ndarray       # (n_t, 3, 2, 2) outward unit normals
@@ -394,7 +393,6 @@ def build_barycentric_dual(mesh: PrimalMesh) -> BarycentricDualMesh:
     return BarycentricDualMesh(
         mesh=mesh,
         cell_area=cell_area,
-        edge_of_cell=mesh.tri_edges.copy(),
         seg_start=seg_start,
         seg_end=seg_end,
         seg_normal=seg_normal,

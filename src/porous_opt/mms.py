@@ -1,18 +1,27 @@
 """Manufactured solutions and compensating sources for convergence studies.
 
-The exact fields are fixed closed-form expressions on the unit square with
-compatible boundary data: velocities are divergence-free curls with zero
-normal trace, pressures have zero mean, and saturations have zero normal
-derivative on the boundary.  The source expressions below were derived by
-hand from the strong forms and are cross-checked symbolically by
-``scripts/derive_mms.py`` (and the test suite), so no numeric
+Every exact field, state or costate, belongs to one family on the unit
+square, built from cc = cos(pi x) cos(pi y) and time coefficients a, b, s,
+k:
+
+    c = a(t) + b(t) cc,    u = s(t) curl,    p = k(t) shape,
+
+with curl = (sin(pi x) cos(pi y), -cos(pi x) sin(pi y)) and the pressure
+shape cc or the plane x + y - 1.  The boundary data are compatible: u is
+divergence-free with zero normal trace, p has zero mean, and c has zero
+normal derivative on the boundary.  The derivatives the sources need come
+from the closed forms grad(cc) = -pi (sin(pi x) cos(pi y),
+cos(pi x) sin(pi y)) and lap(cc) = -2 pi^2 cc, so a variant gives only its
+time coefficients.  The source expressions below were derived by hand
+from the strong forms; ``tests/test_mms.py`` rebuilds the fields and the
+sources with sympy and compares them pointwise, so no numeric
 differentiation enters the oracle.
 
 All derivations assume unit permeability and porosity, which is what the
 default coefficient model provides.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -27,6 +36,13 @@ def _cc(p):
     return np.cos(PI * p[:, 0]) * np.cos(PI * p[:, 1])
 
 
+def _grad_cc(p):
+    x, y = p[:, 0], p[:, 1]
+    return -PI * np.column_stack(
+        [np.sin(PI * x) * np.cos(PI * y), np.cos(PI * x) * np.sin(PI * y)]
+    )
+
+
 def _curl_field(p):
     x, y = p[:, 0], p[:, 1]
     return np.column_stack(
@@ -34,54 +50,63 @@ def _curl_field(p):
     )
 
 
-@dataclass
-class StateExact:
-    """Closed-form state fields and the derivatives the sources need."""
+@dataclass(frozen=True)
+class ExactFields:
+    """One member of the manufactured family and the derivatives the
+    sources need.
 
-    c: Callable
-    u: Callable
-    p: Callable
-    c_t: Callable
-    grad_c: Callable
-    lap_c: Callable
-    grad_p: Callable
+    ``a``, ``b`` and their time derivatives ``a_t``, ``b_t`` give the
+    saturation, ``s`` the velocity and ``k`` the pressure; each maps a time
+    to a number.  ``plane`` selects the pressure shape x + y - 1 in place
+    of cc.  The field methods map ((n, 2) points, t) to values.
+    """
+
+    a: Callable
+    a_t: Callable
+    b: Callable
+    b_t: Callable
+    s: Callable
+    k: Callable
+    plane: bool = False
+
+    def c(self, p, t):
+        return self.a(t) + self.b(t) * _cc(p)
+
+    def c_t(self, p, t):
+        return self.a_t(t) + self.b_t(t) * _cc(p)
+
+    def grad_c(self, p, t):
+        return self.b(t) * _grad_cc(p)
+
+    def lap_c(self, p, t):
+        return self.b(t) * (-2.0 * PI**2 * _cc(p))
+
+    def u(self, p, t):
+        return self.s(t) * _curl_field(p)
+
+    def p(self, p, t):
+        if self.plane:
+            return self.k(t) * (p[:, 0] + p[:, 1] - 1.0)
+        return self.k(t) * _cc(p)
+
+    def grad_p(self, p, t):
+        if self.plane:
+            return np.full((p.shape[0], 2), self.k(t))
+        return self.k(t) * _grad_cc(p)
 
     @staticmethod
-    def default():
-        def c(p, t):
-            return 0.5 + 0.25 * _cc(p) * np.exp(-t)
-
-        def c_t(p, t):
-            return -0.25 * _cc(p) * np.exp(-t)
-
-        def grad_c(p, t):
-            x, y = p[:, 0], p[:, 1]
-            f = -0.25 * PI * np.exp(-t)
-            return np.column_stack(
-                [f * np.sin(PI * x) * np.cos(PI * y), f * np.cos(PI * x) * np.sin(PI * y)]
-            )
-
-        def lap_c(p, t):
-            return -0.5 * PI**2 * _cc(p) * np.exp(-t)
-
-        def u(p, t):
-            return (1.0 + 0.5 * t) * _curl_field(p)
-
-        def pres(p, t):
-            return 0.5 * (1.0 + t) * _cc(p)
-
-        def grad_p(p, t):
-            x, y = p[:, 0], p[:, 1]
-            f = -0.5 * (1.0 + t) * PI
-            return np.column_stack(
-                [f * np.sin(PI * x) * np.cos(PI * y), f * np.cos(PI * x) * np.sin(PI * y)]
-            )
-
-        return StateExact(c, u, pres, c_t, grad_c, lap_c, grad_p)
+    def state():
+        """State fields: c = 1/2 + e^-t cc / 4, u = (1 + t/2) curl,
+        p = (1 + t) cc / 2."""
+        return ExactFields(
+            a=lambda t: 0.5, a_t=lambda t: 0.0,
+            b=lambda t: 0.25 * np.exp(-t), b_t=lambda t: -0.25 * np.exp(-t),
+            s=lambda t: 1.0 + 0.5 * t, k=lambda t: 0.5 * (1.0 + t),
+        )
 
     @staticmethod
-    def mild(u_scale=0.2, c_amp=0.1):
-        """Variant with time-linear saturation and weak transport.
+    def mild_state(u_scale=0.2, c_amp=0.1):
+        """State variant with time-linear saturation and weak transport.
 
         Backward-Euler truncation scales with second time derivatives, and
         the dominant pre-asymptotic drift of the jump-term-free convection
@@ -90,101 +115,36 @@ class StateExact:
         terms in charge of compound studies where both grids refine
         together.
         """
-        base = StateExact.default()
-
-        def amp(t):
-            return c_amp * (1.0 - 0.4 * t)
-
-        def c(p, t):
-            return 0.5 + _cc(p) * amp(t)
-
-        def c_t(p, t):
-            return -0.4 * c_amp * _cc(p) * np.ones_like(np.asarray(t, dtype=float))
-
-        def grad_c(p, t):
-            x, y = p[:, 0], p[:, 1]
-            f = -PI * amp(t)
-            return np.column_stack(
-                [f * np.sin(PI * x) * np.cos(PI * y), f * np.cos(PI * x) * np.sin(PI * y)]
-            )
-
-        def lap_c(p, t):
-            return -2.0 * PI**2 * _cc(p) * amp(t)
-
-        def u(p, t):
-            return u_scale * base.u(p, t)
-
-        return StateExact(c, u, base.p, c_t, grad_c, lap_c, base.grad_p)
-
-
-@dataclass
-class CostateExact:
-    """Closed-form costate fields; the saturation vanishes at t = T."""
-
-    T: float
-    c: Callable
-    u: Callable
-    p: Callable
-    c_t: Callable
-    grad_c: Callable
-    lap_c: Callable
-    grad_p: Callable
+        return ExactFields(
+            a=lambda t: 0.5, a_t=lambda t: 0.0,
+            b=lambda t: c_amp * (1.0 - 0.4 * t), b_t=lambda t: -0.4 * c_amp,
+            s=lambda t: u_scale * (1.0 + 0.5 * t), k=lambda t: 0.5 * (1.0 + t),
+        )
 
     @staticmethod
-    def default(T):
-        def c(p, t):
-            return 0.3 * (T - t) * (0.5 + 0.5 * _cc(p))
-
-        def c_t(p, t):
-            return -0.3 * (0.5 + 0.5 * _cc(p))
-
-        def grad_c(p, t):
-            x, y = p[:, 0], p[:, 1]
-            f = -0.15 * PI * (T - t)
-            return np.column_stack(
-                [f * np.sin(PI * x) * np.cos(PI * y), f * np.cos(PI * x) * np.sin(PI * y)]
-            )
-
-        def lap_c(p, t):
-            return -0.3 * (T - t) * PI**2 * _cc(p)
-
-        def u(p, t):
-            return 0.4 * (1.0 + (T - t)) * _curl_field(p)
-
-        def pres(p, t):
-            return 0.35 * (1.0 + (T - t)) * _cc(p)
-
-        def grad_p(p, t):
-            x, y = p[:, 0], p[:, 1]
-            f = -0.35 * (1.0 + (T - t)) * PI
-            return np.column_stack(
-                [f * np.sin(PI * x) * np.cos(PI * y), f * np.cos(PI * x) * np.sin(PI * y)]
-            )
-
-        return CostateExact(T, c, u, pres, c_t, grad_c, lap_c, grad_p)
+    def costate(T):
+        """Costate fields; the saturation 0.3 (T - t)(1 + cc)/2 vanishes
+        at t = T."""
+        return ExactFields(
+            a=lambda t: 0.15 * (T - t), a_t=lambda t: -0.15,
+            b=lambda t: 0.15 * (T - t), b_t=lambda t: -0.15,
+            s=lambda t: 0.4 * (1.0 + (T - t)), k=lambda t: 0.35 * (1.0 + (T - t)),
+        )
 
     @staticmethod
-    def tilted(T):
-        """Variant with an affine, rotation-odd pressure.
+    def tilted_costate(T):
+        """Costate variant with an affine, rotation-odd pressure.
 
-        The cosine pressure of :meth:`default` integrates identically over
+        The cosine pressure of :meth:`costate` integrates identically over
         the two well boxes, which would park the synthetic optimal control
         on the lower clamp; the tilt keeps the activity strictly interior.
         """
-        base = CostateExact.default(T)
-
-        def pres(p, t):
-            return -0.3 * (1.0 + (T - t)) * (p[:, 0] + p[:, 1] - 1.0)
-
-        def grad_p(p, t):
-            f = -0.3 * (1.0 + (T - t))
-            return np.full((p.shape[0], 2), f)
-
-        return CostateExact(T, base.c, base.u, pres, base.c_t, base.grad_c,
-                            base.lap_c, grad_p)
+        return replace(
+            ExactFields.costate(T), k=lambda t: -0.3 * (1.0 + (T - t)), plane=True
+        )
 
 
-def state_sources(exact: StateExact, model: CoefficientModel) -> MMSSources:
+def state_sources(exact: ExactFields, model: CoefficientModel) -> MMSSources:
     """Sources making the exact state fields solve the well-free forward
     system (the exact velocity is divergence-free, so no mass source)."""
 
@@ -204,7 +164,7 @@ def state_sources(exact: StateExact, model: CoefficientModel) -> MMSSources:
     return MMSSources(s_u=s_u, s_div=None, s_c=s_c)
 
 
-def costate_sources(state: StateExact, costate: CostateExact,
+def costate_sources(state: ExactFields, costate: ExactFields,
                     model: CoefficientModel) -> MMSSources:
     """Sources for the coupled state/costate study (no wells, zero w)."""
     base = state_sources(state, model)
@@ -292,8 +252,8 @@ class SyntheticOptimum:
     """
 
     model: CoefficientModel
-    state: StateExact
-    costate: CostateExact
+    state: ExactFields
+    costate: ExactFields
     alpha0: float
     qhat: float
     sigma: float
@@ -302,8 +262,8 @@ class SyntheticOptimum:
 
     @staticmethod
     def build(model: CoefficientModel, T: float, alpha0: float, qhat: float):
-        state = StateExact.mild()
-        costate = CostateExact.tilted(T)
+        state = ExactFields.mild_state()
+        costate = ExactFields.tilted_costate(T)
         sigma = (BOX0[1] - BOX0[0]) * (BOX0[3] - BOX0[2])
         ind0 = box_indicator(BOX0)
         ind1 = box_indicator(BOX1)

@@ -182,8 +182,6 @@ class WellModel:
     """
 
     mesh: PrimalMesh
-    x0: np.ndarray
-    x1: np.ndarray
     injection_tris: np.ndarray
     production_tris: np.ndarray
     sigma0: float
@@ -267,8 +265,6 @@ def build_wells(
 
     return WellModel(
         mesh=mesh,
-        x0=x0,
-        x1=x1,
         injection_tris=patches[0],
         production_tris=patches[1],
         sigma0=sigmas[0],
@@ -294,12 +290,8 @@ def wells_from_tris(mesh, injection_tris, production_tris, *, T, wtilde=1.0,
         raise DomainError("well patches must be non-empty")
     if epsilon is None:
         epsilon = T / 10.0
-    bc0 = mesh.barycentre[injection_tris].mean(axis=0)
-    bc1 = mesh.barycentre[production_tris].mean(axis=0)
     return WellModel(
         mesh=mesh,
-        x0=bc0,
-        x1=bc1,
         injection_tris=np.sort(injection_tris),
         production_tris=np.sort(production_tris),
         sigma0=float(mesh.tri_area[injection_tris].sum()),

@@ -195,28 +195,29 @@ def step_saturation_forward(c_vec, D, E, H, G, dt, tol=1e-10):
     return _solve_sparse(lhs, rhs, tol, "saturation step")
 
 
-def step_saturation_backward(cstar_next, D, E, H, S, R, W, Z, dt,
-                             tol=1e-10, extra_load=None):
+def step_saturation_backward(cstar_next, D, E, H, S, R, W, Z, dt, tol=1e-10):
     """One backward-Euler step of the costate saturation equation.
 
-    Solves  [D + dt (-E + H + S + R)] cstar = D cstar_next + dt (W - Z)
-    (plus dt times any manufactured load): the operator acts implicitly on
-    the unknown earlier-time value, mirroring the forward step, which keeps
-    the backward march unconditionally stable.  Lagging the operator to the
-    right-hand side instead (mass matrix alone on the left) is an explicit
-    treatment of the diffusion and blows up once dt exceeds the parabolic
-    CFL bound.
+    Solves  [D + dt (-E + H + S + R)] cstar = D cstar_next + dt (W - Z):
+    the operator acts implicitly on the unknown earlier-time value,
+    mirroring the forward step, which keeps the backward march
+    unconditionally stable.  Lagging the operator to the right-hand side
+    instead (mass matrix alone on the left) is an explicit treatment of the
+    diffusion and blows up once dt exceeds the parabolic CFL bound.
     """
     lhs = (D + dt * (-E + H + S + R)).tocsr()
     rhs = D @ cstar_next + dt * (W - Z)
-    if extra_load is not None:
-        rhs = rhs + dt * extra_load
     return _solve_sparse(lhs, rhs, tol, "costate saturation step")
 
 
 @dataclass
 class MMSSources:
-    """Manufactured source hooks; each maps ((n,2) points, t) to values."""
+    """Manufactured source hooks; each maps ((n,2) points, t) to values.
+
+    The sweeps add each to the load of its equation, as the wells are
+    added: s_u to the momentum load, s_div to F, s_c to G, s_u_star to F*
+    and s_c_star to W.
+    """
 
     s_u: Optional[Callable] = None       # Darcy momentum, vector valued
     s_div: Optional[Callable] = None     # Darcy mass, scalar
@@ -288,12 +289,6 @@ class Problem:
         return np.full(self.rc.n_steps + 1, float(q0))
 
 
-def _assemble_p0_load(sfun, ws):
-    flat = ws.sub_pts.reshape(-1, 2)
-    svals = np.asarray(sfun(flat), dtype=float).reshape(ws.sub_w.shape)
-    return np.einsum("tcq,tcq->t", ws.sub_w, svals)
-
-
 def _darcy_at(problem, c_values, q_node, t):
     """Assemble, factor and solve the state Darcy system at one coarse time.
 
@@ -307,7 +302,8 @@ def _darcy_at(problem, c_values, q_node, t):
     src = problem.sources
     rhs_u = np.zeros(A.shape[0])
     if src.s_div is not None:
-        F = F + _assemble_p0_load(lambda p: src.s_div(p, t), ws)
+        svals = ws.sample_sub(lambda p: src.s_div(p, t))
+        F = F + np.einsum("tcq,tcq->t", ws.sub_w, svals)
     if src.s_u is not None:
         rhs_u = assemble_diamond_vector_load(lambda p: src.s_u(p, t), ws)
     scale = max(float(np.abs(F).max(initial=0.0)), 1.0)
@@ -433,15 +429,14 @@ def run_adjoint(problem: Problem, traj: Trajectory) -> Trajectory:
             R, S, W, Z = assemble_saturation_costate(
                 c_field, u_field, us_field, problem.wells, q[n + 1], t_dep, ws,
             )
-            extra = None
             if src.s_c_star is not None:
-                extra = assemble_dual_scalar_load(
+                W = W + assemble_dual_scalar_load(
                     lambda p: src.s_c_star(p, t_dep), ws
                 )
             try:
                 cs = step_saturation_backward(
                     traj.Cstar[n + 1].ravel(), D, E, H, S, R, W, Z,
-                    rc.dt, rc.solver_tol, extra_load=extra,
+                    rc.dt, rc.solver_tol,
                 )
             except SolverError as exc:
                 raise SolverError(f"costate step (m={m}, n={n}): {exc}") from exc

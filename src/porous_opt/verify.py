@@ -229,7 +229,7 @@ def manufactured_state_study(ns=(4, 8, 16, 32), T=1.0, threshold=0.85) -> Conver
     H1 saturation error, with dt tied to h.
     """
     model = default_model()
-    exact = mms.StateExact.default()
+    exact = mms.ExactFields.state()
     sources = mms.state_sources(exact, model)
     report = ConvergenceReport("state convergence", [], threshold=threshold)
     for n in ns:
@@ -254,8 +254,8 @@ def manufactured_costate_study(ns=(4, 8, 16, 32), T=1.0, threshold=0.85) -> Conv
     sweep with costate sources, and measures costate errors at t = 0.
     """
     model = default_model()
-    state = mms.StateExact.default()
-    costate = mms.CostateExact.default(T)
+    state = mms.ExactFields.state()
+    costate = mms.ExactFields.costate(T)
     sources = mms.costate_sources(state, costate, model)
     report = ConvergenceReport("costate convergence", [], threshold=threshold)
     for n in ns:

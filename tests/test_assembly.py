@@ -350,7 +350,7 @@ def test_eta_mass_matrix_properties(setup):
 def test_eta_mass_matrix_against_quadrature(setup):
     mesh, dd, bd, model, ws, wells = setup
     dcell = np.einsum("tcq,tcqj->tcj", ws.sub_w, ws.sub_lam)
-    Dq = ws.element_matrix(np.einsum("cv,tcl->tvl", asm.SEL, dcell))
+    Dq = ws.dual_matrix(dcell)
     D = ws.D
     assert abs(D - Dq).max() < 1e-15
 

@@ -228,13 +228,6 @@ def test_barycentric_arbitrary_triangle():
     assert np.allclose(bd.cell_area, 4.0 / 3.0)
 
 
-def test_barycentric_cells_contain_their_edge():
-    m = square_mesh(3)
-    bd = build_barycentric_dual(m)
-    # cell (K, j) is tagged with local edge j's global index
-    assert np.array_equal(bd.edge_of_cell, m.tri_edges)
-
-
 def test_fan_closure():
     # per triangle, the six interior fan segments close: sum n * len = 0
     mesh = read_mesh("data/unstructured_square.node", "data/unstructured_square.ele")

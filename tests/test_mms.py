@@ -1,8 +1,9 @@
 """Symbolic validation of the frozen manufactured solutions and sources.
 
 The closed forms in porous_opt.mms were derived by hand; these tests rebuild
-state and costate sources with sympy from the strong PDE forms and compare
-pointwise, so no derivation error can hide in the oracles.
+the state and costate fields, their derivatives and the sources with sympy
+from the strong PDE forms and compare pointwise, so no derivation error can
+hide in the oracles.
 """
 
 import numpy as np
@@ -49,20 +50,14 @@ def _check(sym_expr, num_fun, vector=False, ts=(0.0, 0.35, 0.8)):
         assert np.abs(sym_v - num_v).max() < 1e-12
 
 
-@pytest.fixture(scope="module")
-def state_syms():
-    cc = sp.cos(sp.pi * X) * sp.cos(sp.pi * Y)
-    curl = sp.Matrix([sp.sin(sp.pi * X) * sp.cos(sp.pi * Y),
-                      -sp.cos(sp.pi * X) * sp.sin(sp.pi * Y)])
-    c = sp.Rational(1, 2) + sp.Rational(1, 4) * cc * sp.exp(-TS)
-    u = (1 + TS / 2) * curl
-    p = sp.Rational(1, 2) * (1 + TS) * cc
-    return c, u, p
+CC = sp.cos(sp.pi * X) * sp.cos(sp.pi * Y)
+CURL = sp.Matrix([sp.sin(sp.pi * X) * sp.cos(sp.pi * Y),
+                  -sp.cos(sp.pi * X) * sp.sin(sp.pi * Y)])
+T_END = 1.0
 
 
-def test_state_fields_match(state_syms):
-    c, u, p = state_syms
-    exact = mms.StateExact.default()
+def _check_fields(c, u, p, exact):
+    """All seven fields of ``exact`` against the sympy (c, u, p)."""
     _check(c, exact.c)
     _check(u, exact.u, vector=True)
     _check(p, exact.p)
@@ -70,6 +65,46 @@ def test_state_fields_match(state_syms):
     _check(_grad(c), exact.grad_c, vector=True)
     _check(sp.diff(c, X, 2) + sp.diff(c, Y, 2), exact.lap_c)
     _check(_grad(p), exact.grad_p, vector=True)
+
+
+def _state_sources_sym(c, u, p):
+    cs, m = _sym_model()
+    alpha = m["alpha"].subs(cs, c)
+    b = m["b"].subs(cs, c)
+    D = m["D"].subs(cs, c)
+    s_u = alpha * u + _grad(p)
+    s_c = sp.diff(c, TS) - _div(D * _grad(c)) + b * (u.T * _grad(c))[0]
+    return s_u, s_c
+
+
+@pytest.fixture(scope="module")
+def state_syms():
+    c = sp.Rational(1, 2) + sp.Rational(1, 4) * CC * sp.exp(-TS)
+    u = (1 + TS / 2) * CURL
+    p = sp.Rational(1, 2) * (1 + TS) * CC
+    return c, u, p
+
+
+CSTAR = sp.Rational(3, 10) * (T_END - TS) * (sp.Rational(1, 2) + sp.Rational(1, 2) * CC)
+USTAR = sp.Rational(2, 5) * (1 + (T_END - TS)) * CURL
+# the costate variants share c* and u*; each has its pressure and constructor
+COSTATE_VARIANTS = {
+    "default": (sp.Rational(35, 100) * (1 + (T_END - TS)) * CC, mms.ExactFields.costate),
+    "tilted": (-sp.Rational(3, 10) * (1 + (T_END - TS)) * (X + Y - 1),
+               mms.ExactFields.tilted_costate),
+}
+
+
+def test_state_fields_match(state_syms):
+    _check_fields(*state_syms, mms.ExactFields.state())
+
+
+@pytest.mark.parametrize("variant", ["default", "tilted"])
+def test_costate_fields_match(variant):
+    pstar, make = COSTATE_VARIANTS[variant]
+    _check_fields(CSTAR, USTAR, pstar, make(T_END))
+    assert sp.simplify(sp.integrate(pstar, (X, 0, 1), (Y, 0, 1))) == 0
+    assert sp.simplify(CSTAR.subs(TS, T_END)) == 0  # terminal condition
 
 
 def test_state_boundary_compatibility(state_syms):
@@ -86,28 +121,15 @@ def test_state_boundary_compatibility(state_syms):
 
 
 def test_state_sources_match(state_syms):
-    c, u, p = state_syms
-    cs, m = _sym_model()
-    alpha = m["alpha"].subs(cs, c)
-    b = m["b"].subs(cs, c)
-    D = m["D"].subs(cs, c)
-    s_u = alpha * u + _grad(p)
-    s_c = sp.diff(c, TS) - _div(D * _grad(c)) + b * (u.T * _grad(c))[0]
-    model = default_model()
-    src = mms.state_sources(mms.StateExact.default(), model)
+    s_u, s_c = _state_sources_sym(*state_syms)
+    src = mms.state_sources(mms.ExactFields.state(), default_model())
     _check(s_u, src.s_u, vector=True)
     _check(s_c, src.s_c)
 
 
 def test_costate_sources_match(state_syms):
     c, u, _ = state_syms
-    T = 1.0
-    cc = sp.cos(sp.pi * X) * sp.cos(sp.pi * Y)
-    cstar = sp.Rational(3, 10) * (T - TS) * (sp.Rational(1, 2) + sp.Rational(1, 2) * cc)
-    ustar = sp.Rational(2, 5) * (1 + (T - TS)) * sp.Matrix(
-        [sp.sin(sp.pi * X) * sp.cos(sp.pi * Y), -sp.cos(sp.pi * X) * sp.sin(sp.pi * Y)]
-    )
-    pstar = sp.Rational(35, 100) * (1 + (T - TS)) * cc
+    cstar, ustar, pstar = CSTAR, USTAR, COSTATE_VARIANTS["default"][0]
 
     cs, m = _sym_model()
     alpha = m["alpha"].subs(cs, c)
@@ -121,31 +143,21 @@ def test_costate_sources_match(state_syms):
     s_c_star = (-sp.diff(cstar, TS) - _div(D * _grad(cstar)) - drift
                 + alpha_p * (ustar.T * u)[0])
 
-    model = default_model()
-    state = mms.StateExact.default()
-    costate = mms.CostateExact.default(T)
-    src = mms.costate_sources(state, costate, model)
+    src = mms.costate_sources(mms.ExactFields.state(),
+                              mms.ExactFields.costate(T_END), default_model())
     _check(s_u_star, src.s_u_star, vector=True)
     _check(s_c_star, src.s_c_star)
-    assert sp.simplify(cstar.subs(TS, T)) == 0  # terminal condition
 
 
 def test_mild_state_sources_match():
     # the weak-transport variant used by the control study
-    cc = sp.cos(sp.pi * X) * sp.cos(sp.pi * Y)
-    curl = sp.Matrix([sp.sin(sp.pi * X) * sp.cos(sp.pi * Y),
-                      -sp.cos(sp.pi * X) * sp.sin(sp.pi * Y)])
-    c = sp.Rational(1, 2) + sp.Rational(1, 10) * cc * (1 - sp.Rational(2, 5) * TS)
-    u = sp.Rational(1, 5) * (1 + TS / 2) * curl
-    p = sp.Rational(1, 2) * (1 + TS) * cc
-    cs, m = _sym_model()
-    alpha = m["alpha"].subs(cs, c)
-    b = m["b"].subs(cs, c)
-    D = m["D"].subs(cs, c)
-    s_u = alpha * u + _grad(p)
-    s_c = sp.diff(c, TS) - _div(D * _grad(c)) + b * (u.T * _grad(c))[0]
-    model = default_model()
-    src = mms.state_sources(mms.StateExact.mild(), model)
+    c = sp.Rational(1, 2) + sp.Rational(1, 10) * CC * (1 - sp.Rational(2, 5) * TS)
+    u = sp.Rational(1, 5) * (1 + TS / 2) * CURL
+    p = sp.Rational(1, 2) * (1 + TS) * CC
+    exact = mms.ExactFields.mild_state()
+    _check_fields(c, u, p, exact)
+    s_u, s_c = _state_sources_sym(c, u, p)
+    src = mms.state_sources(exact, default_model())
     _check(s_u, src.s_u, vector=True)
     _check(s_c, src.s_c)
 

@@ -311,10 +311,10 @@ def test_single_grid_equivalence_when_steps_match():
 
 def test_time_self_convergence():
     # halving dt roughly halves the solution difference (backward Euler)
-    from porous_opt.mms import StateExact, state_sources
+    from porous_opt.mms import ExactFields, state_sources
 
     model = default_model()
-    exact = StateExact.default()
+    exact = ExactFields.state()
     sources = state_sources(exact, model)
     mesh = square_mesh(8)
     wells = wells_from_tris(mesh, [0], [mesh.num_triangles - 1], T=1.0, wtilde=0.0)
