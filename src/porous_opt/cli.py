@@ -74,12 +74,6 @@ def build_parser():
     return parser
 
 
-def _load_spec(args) -> RunSpec:
-    if args.config is None:
-        return RunSpec()
-    return parse_config(args.config)
-
-
 def _provenance(spec, mesh=None):
     prov = {"config_sha256": sha256_of_text(spec.resolved().to_text())}
     if mesh is not None:
@@ -249,6 +243,7 @@ def cmd_config(args, spec):
     if args.show_defaults:
         print(RunSpec().to_text(), end="")
     else:
+        spec.build_wells(spec.build_mesh())  # the well checks a run makes
         print(spec.resolved().to_text(), end="")
     return EXIT_OK, {}
 
@@ -264,7 +259,10 @@ def main(argv=None) -> int:
     out = Path(args.out)
     status_path = None
     try:
-        spec = _load_spec(args)
+        if args.command not in ("mesh-info", "config"):
+            out.mkdir(parents=True, exist_ok=True)
+            status_path = out / "status.json"
+        spec = RunSpec() if args.config is None else parse_config(args.config)
         handler = {
             "mesh-info": cmd_mesh_info,
             "forward": lambda a, s: cmd_forward(a, s, adjoint=False),
@@ -273,9 +271,6 @@ def main(argv=None) -> int:
             "verify": cmd_verify,
             "config": cmd_config,
         }[args.command]
-        if args.command not in ("mesh-info", "config"):
-            out.mkdir(parents=True, exist_ok=True)
-            status_path = out / "status.json"
         code, extra = handler(args, spec)
         if status_path is not None:
             write_status(status_path, "ok" if code == EXIT_OK else "warning",

@@ -1,82 +1,85 @@
 """Run configuration files: a flat ``key = value`` grammar.
 
 Lines are ``key = value`` pairs; ``#`` starts a comment; blank lines are
-ignored.  Unknown keys are rejected with the offending key named, as are
-type mismatches and out-of-range values.  ``auto`` is accepted where a
-default depends on other values (xi, epsilon, q_init).  An empty file is a
-valid configuration: every key has a default.
+ignored.  Parsing only converts types: an unknown key, or a value that does
+not read as its key's type, is rejected with the key named.  ``auto`` is
+accepted where a default depends on other values (xi, epsilon, q_init).  An
+empty file is a valid configuration: every key has a default.
 
-Key reference (defaults in parentheses):
+Ranges are checked when a :class:`RunSpec` is constructed (parsed,
+``replace``-d or resolved), each by the object that uses its keys; the well
+points need the mesh and are checked when the wells are built.
 
-    mesh          square | files            (square)
-    n             square subdivisions       (16)
-    nodes_file    node file path            (-)
-    elems_file    element file path         (-)
-    T             time horizon              (1.0)
-    m_steps       pressure steps            (8)
-    n_steps       saturation steps          (32)
-    xi            penalty, auto = 10 d*     (auto)
-    delta_floor   mobility floor            (0.05)
-    peclet        capillary slope           (1.0)
-    c0            initial saturation        (0.5)
-    q_init        initial control, auto = qhat/2   (auto)
-    kmax          active-set cap            (50)
-    q_tol         control fixed-point tol   (1e-9)
-    solver_tol    linear solve tolerance    (1e-10)
-    tri_quad_degree, edge_quad_degree        (4, 3)
-    x0, x1        well points "x y"         (0.1 0.1 / 0.9 0.9)
-    sigma         target patch area         (0.02)
-    wtilde        oil price                 (1.0)
-    epsilon       terminal window, auto = 2 dt     (auto)
-    alpha0        water price               (1.0)
-    qhat          control bound             (1.0)
+Key reference (defaults in parentheses; last column: who checks the key):
+
+    mesh          square | files            (square)    RunSpec
+    n             square subdivisions       (16)        RunSpec
+    nodes_file    node file path            (-)         RunSpec
+    elems_file    element file path         (-)         RunSpec
+    T             time horizon              (1.0)       model.RunConfig
+    m_steps       pressure steps            (8)         model.RunConfig
+    n_steps       saturation steps          (32)        model.RunConfig
+    xi            penalty, auto = 10 d*     (auto)      model.RunConfig
+    delta_floor   mobility floor            (0.05)      model.default_model
+    peclet        capillary slope           (1.0)       model.default_model
+    c0            initial saturation        (0.5)       model.RunConfig
+    q_init        initial control, auto = qhat/2 (auto) RunSpec (<= qhat)
+    kmax          active-set cap            (50)        model.RunConfig
+    q_tol         control fixed-point tol   (1e-9)      model.RunConfig
+    solver_tol    linear solve tolerance    (1e-10)     model.RunConfig
+    tri_quad_degree, edge_quad_degree       (4, 3)      model.RunConfig
+    x0, x1        well points "x y"  (0.1 0.1 / 0.9 0.9) model.build_wells
+    sigma         target patch area         (0.02)      RunSpec
+    wtilde        oil price                 (1.0)       -
+    epsilon       terminal window, auto = 2 dt  (auto)  model.check_well_data
+    alpha0        water price               (1.0)       model.check_well_data
+    qhat          control bound             (1.0)       model.check_well_data
 """
 
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields, replace
 from typing import Optional
 
 from .errors import ConfigError
 from .mesh import PrimalMesh, read_mesh, square_mesh
-from .model import RunConfig, build_wells, default_model
+from .model import (
+    CoefficientModel,
+    RunConfig,
+    WellModel,
+    build_wells,
+    check_well_data,
+    default_model,
+)
 from .solver import Problem
 
-_FLOAT_KEYS = {
-    "T": (0.0, None), "delta_floor": (0.0, None), "peclet": (0.0, None),
-    "c0": (0.0, 1.0), "q_tol": (0.0, None), "solver_tol": (0.0, None),
-    "sigma": (0.0, None), "wtilde": (None, None), "alpha0": (0.0, None),
-    "qhat": (0.0, None),
-}
-_AUTO_FLOAT_KEYS = {"xi": (0.0, None), "epsilon": (0.0, None), "q_init": (None, None)}
-_INT_KEYS = {
-    "n": (1, None), "m_steps": (1, None), "n_steps": (1, None),
-    "kmax": (1, None), "tri_quad_degree": (1, 5), "edge_quad_degree": (1, None),
-}
-_POINT_KEYS = ("x0", "x1")
-_ENUM_KEYS = {"mesh": ("square", "files")}
-_PATH_KEYS = ("nodes_file", "elems_file")
+_RUN_CONFIG_KEYS = tuple(f.name for f in dc_fields(RunConfig) if f.init)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunSpec:
-    """Fully parsed run description (mesh source, model, wells, solver)."""
+    """Fully parsed run description (mesh source, model, wells, solver).
+
+    Checked on construction, which also builds ``rc``, the
+    :class:`RunConfig` of the keys the two share (with its defaults), and
+    ``model``, the coefficient set of ``delta_floor`` and ``peclet``.
+    """
 
     mesh: str = "square"
     n: int = 16
     nodes_file: Optional[str] = None
     elems_file: Optional[str] = None
-    T: float = 1.0
-    m_steps: int = 8
-    n_steps: int = 32
-    xi: Optional[float] = None
+    T: float = RunConfig.T
+    m_steps: int = RunConfig.m_steps
+    n_steps: int = RunConfig.n_steps
+    xi: Optional[float] = RunConfig.xi
     delta_floor: float = 0.05
     peclet: float = 1.0
-    c0: float = 0.5
-    q_init: Optional[float] = None
-    kmax: int = 50
-    q_tol: float = 1e-9
-    solver_tol: float = 1e-10
-    tri_quad_degree: int = 4
-    edge_quad_degree: int = 3
+    c0: float = RunConfig.c0
+    q_init: Optional[float] = RunConfig.q_init
+    kmax: int = RunConfig.kmax
+    q_tol: float = RunConfig.q_tol
+    solver_tol: float = RunConfig.solver_tol
+    tri_quad_degree: int = RunConfig.tri_quad_degree
+    edge_quad_degree: int = RunConfig.edge_quad_degree
     x0: tuple = (0.1, 0.1)
     x1: tuple = (0.9, 0.9)
     sigma: float = 0.02
@@ -84,105 +87,99 @@ class RunSpec:
     epsilon: Optional[float] = None
     alpha0: float = 1.0
     qhat: float = 1.0
+    rc: RunConfig = field(init=False, repr=False, compare=False)
+    model: CoefficientModel = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.mesh not in ("square", "files"):
+            raise ConfigError(f"mesh: expected square or files, got {self.mesh!r}")
+        if self.mesh == "files" and (self.nodes_file is None or self.elems_file is None):
+            raise ConfigError("mesh = files requires nodes_file and elems_file")
+        if self.n < 1:
+            raise ConfigError("n must be >= 1")
+        if not self.sigma > 0.0:
+            raise ConfigError("sigma must be > 0")
+        object.__setattr__(
+            self, "rc", RunConfig(**{k: getattr(self, k) for k in _RUN_CONFIG_KEYS})
+        )
+        object.__setattr__(self, "model", default_model(self.delta_floor, self.peclet))
+        check_well_data(self.T, self.well_epsilon, self.alpha0, self.qhat)
+        if self.q_init is not None and not 0.0 <= self.q_init <= self.qhat:
+            raise ConfigError("q_init must lie in [0, qhat]")
+
+    @property
+    def well_epsilon(self) -> float:
+        """The terminal window; ``auto`` is two saturation steps."""
+        return self.epsilon if self.epsilon is not None else 2.0 * self.rc.dt
 
     def resolved(self) -> "RunSpec":
         """Copy with every ``auto`` value made explicit."""
-        model = default_model(self.delta_floor, self.peclet)
-        out = RunSpec(**{f.name: getattr(self, f.name) for f in dc_fields(self)})
-        if out.xi is None:
-            out.xi = 10.0 * model.d_high
-        if out.epsilon is None:
-            out.epsilon = 2.0 * out.T / out.n_steps
-        if out.q_init is None:
-            out.q_init = 0.5 * out.qhat
-        return out
+        return replace(
+            self, xi=self.rc.xi_for(self.model), epsilon=self.well_epsilon,
+            q_init=self.rc.q_init_for(self.qhat),
+        )
 
     def to_text(self) -> str:
-        spec = self
         lines = []
-        for f in dc_fields(spec):
-            val = getattr(spec, f.name)
+        for key, kind in _KEY_TYPES.items():
+            val = getattr(self, key)
             if val is None:
-                if f.name in _AUTO_FLOAT_KEYS:
-                    val = "auto"
-                else:
+                if kind != Optional[float]:
                     continue
-            if f.name in _POINT_KEYS:
+                val = "auto"
+            elif kind is tuple:
                 val = f"{val[0]!r} {val[1]!r}"
-            lines.append(f"{f.name} = {val}")
+            lines.append(f"{key} = {val}")
         return "\n".join(lines) + "\n"
 
     def build_mesh(self) -> PrimalMesh:
         if self.mesh == "square":
             return square_mesh(self.n)
-        if self.nodes_file is None or self.elems_file is None:
-            raise ConfigError("mesh = files requires nodes_file and elems_file")
         return read_mesh(self.nodes_file, self.elems_file)
 
+    def build_wells(self, mesh: PrimalMesh) -> WellModel:
+        return build_wells(
+            mesh, self.x0, self.x1, self.sigma, T=self.T, wtilde=self.wtilde,
+            epsilon=self.well_epsilon, alpha0=self.alpha0, qhat=self.qhat,
+        )
+
     def build_problem(self) -> Problem:
-        spec = self.resolved()
-        mesh = spec.build_mesh()
-        model = default_model(spec.delta_floor, spec.peclet)
-        wells = build_wells(
-            mesh, spec.x0, spec.x1, spec.sigma, T=spec.T, wtilde=spec.wtilde,
-            epsilon=spec.epsilon, alpha0=spec.alpha0, qhat=spec.qhat,
-        )
-        rc = RunConfig(
-            T=spec.T, m_steps=spec.m_steps, n_steps=spec.n_steps, xi=spec.xi,
-            c0=spec.c0, q_init=spec.q_init, kmax=spec.kmax, q_tol=spec.q_tol,
-            solver_tol=spec.solver_tol, tri_quad_degree=spec.tri_quad_degree,
-            edge_quad_degree=spec.edge_quad_degree,
-        )
-        return Problem.build(mesh, model, wells, rc)
+        mesh = self.build_mesh()
+        return Problem.build(mesh, self.model, self.build_wells(mesh), self.rc)
+
+
+_KEY_TYPES = {f.name: f.type for f in dc_fields(RunSpec) if f.init}
+
+
+def _auto_float(raw):
+    return None if raw == "auto" else float(raw)
+
+
+def _point(raw):
+    x, y = raw.split()
+    return (float(x), float(y))
+
+
+# declared type of a key -> (converter raising ValueError, expected form)
+_READERS = {
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    Optional[float]: (_auto_float, "a number or auto"),
+    tuple: (_point, "two coordinates"),
+    str: (str, "a string"),
+    Optional[str]: (str, "a path"),
+}
 
 
 def _parse_value(key, raw):
-    if key in _ENUM_KEYS:
-        if raw not in _ENUM_KEYS[key]:
-            raise ConfigError(f"{key}: expected one of {_ENUM_KEYS[key]}, got {raw!r}")
-        return raw
-    if key in _PATH_KEYS:
-        return raw
-    if key in _POINT_KEYS:
-        parts = raw.split()
-        if len(parts) != 2:
-            raise ConfigError(f"{key}: expected two coordinates, got {raw!r}")
-        try:
-            return (float(parts[0]), float(parts[1]))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: not a coordinate pair: {raw!r}") from exc
-    if key in _INT_KEYS:
-        try:
-            val = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from exc
-        lo, hi = _INT_KEYS[key]
-        if (lo is not None and val < lo) or (hi is not None and val > hi):
-            raise ConfigError(f"{key}: value {val} outside valid range")
-        return val
-    if key in _AUTO_FLOAT_KEYS:
-        if raw == "auto":
-            return None
-        lo, hi = _AUTO_FLOAT_KEYS[key]
-    elif key in _FLOAT_KEYS:
-        lo, hi = _FLOAT_KEYS[key]
-    else:
-        raise ConfigError(f"unknown key {key!r}")
+    read, expected = _READERS[_KEY_TYPES[key]]
     try:
-        val = float(raw)
+        return read(raw)
     except ValueError as exc:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
-    if lo is not None and val <= lo and key not in ("wtilde", "c0", "q_init"):
-        raise ConfigError(f"{key}: value {val} outside valid range (must be > {lo})")
-    if key == "c0" and not (0.0 <= val <= 1.0):
-        raise ConfigError("c0: must lie in [0, 1]")
-    if hi is not None and val > hi:
-        raise ConfigError(f"{key}: value {val} outside valid range")
-    return val
+        raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from exc
 
 
 def parse_config_text(text: str) -> RunSpec:
-    known = {f.name for f in dc_fields(RunSpec)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -193,20 +190,10 @@ def parse_config_text(text: str) -> RunSpec:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in known:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"unknown key {key!r} (line {lineno})")
         values[key] = _parse_value(key, val)
-    spec = RunSpec(**values)
-    # cross-field validation
-    if spec.n_steps % spec.m_steps != 0:
-        raise ConfigError("n_steps must be a multiple of m_steps")
-    if spec.qhat <= 0.0:
-        raise ConfigError("qhat: must be > 0")
-    if spec.q_init is not None and not (0.0 <= spec.q_init <= spec.qhat):
-        raise ConfigError("q_init: must lie in [0, qhat]")
-    if spec.epsilon is not None and spec.epsilon > spec.T:
-        raise ConfigError("epsilon: must lie in (0, T]")
-    return spec
+    return RunSpec(**values)
 
 
 def parse_config(path) -> RunSpec:

@@ -49,13 +49,6 @@ def objective(traj: Trajectory, wells, mesh) -> tuple:
     return state_term + control_term, state_term, control_term
 
 
-def _coarse_index(n, substeps):
-    """Coarse interval owner of fine node n (right-endpoint convention)."""
-    if n == 0:
-        return 0
-    return (n + substeps - 1) // substeps
-
-
 def gradient_without_penalty(traj: Trajectory, wells, model,
                              ws: AssemblyWorkspace) -> np.ndarray:
     """Per-node integrals g_wo^n = int f(C^n) r0 C*^n - (r0 - r1) P*^n dx."""
@@ -75,8 +68,8 @@ def gradient_without_penalty(traj: Trajectory, wells, model,
         fterm = float(
             np.einsum("tcq,tcq->", ws.sub_w[inj], model.f(csub) * cssub)
         ) / wells.sigma0
-        m = _coarse_index(n, substeps)
-        pstar = traj.Pstar[m]
+        # P* at the coarse node that closes fine node n's interval
+        pstar = traj.Pstar[-(-n // substeps)]
         pterm = (
             float(pstar[inj] @ area[inj]) / wells.sigma0
             - float(pstar[prod] @ area[prod]) / wells.sigma1

@@ -20,9 +20,10 @@ class ConfigError(PorousOptError):
     values outside their documented ranges."""
 
 
-class DomainError(PorousOptError):
+class DomainError(ConfigError):
     """Raised when well placement is geometrically invalid (outside the
-    domain, or overlapping patches)."""
+    domain, coincident points, or overlapping or empty patches).  The well
+    data come from the configuration, so this is a configuration error."""
 
 
 class AssemblyError(PorousOptError):

@@ -275,7 +275,7 @@ def b_form(gv: DiamondPWConstantField, w: P0Field) -> float:
 
 
 def l2_inner(a, b) -> float:
-    """L2 inner product of two fields of the same type and mesh."""
+    """L2 inner product of two P1DG, P0 or RT0 fields of one type and mesh."""
     _check_same_mesh(a, b)
     if isinstance(a, P1DGField) and isinstance(b, P1DGField):
         return float(
@@ -292,10 +292,6 @@ def l2_inner(a, b) -> float:
         return float(
             np.einsum("t,tje->", a.mesh.tri_area / 3.0, va * vb)
         )
-    if isinstance(a, DiamondPWConstantField) and isinstance(b, DiamondPWConstantField):
-        return float(np.einsum("c,ce,ce->", a.dual.cell_area, a.values, b.values))
-    if isinstance(a, DualPWConstantField) and isinstance(b, DualPWConstantField):
-        return float(np.einsum("tj,tj,tj->", a.dual.cell_area, a.values, b.values))
     raise PorousOptError(f"unsupported field combination {type(a)}, {type(b)}")
 
 

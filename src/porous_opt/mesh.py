@@ -251,8 +251,8 @@ class DiamondDualMesh:
 
     mesh: PrimalMesh
     cell_area: np.ndarray           # (n_e,)
-    cell_polygons: list             # per cell, (k, 2) CCW vertex array
     seg_ptr: np.ndarray             # (n_e + 1,) CSR offsets into seg_* arrays
+    seg_start: np.ndarray           # (n_seg, 2) first vertex; a cell's run is CCW
     seg_owner: np.ndarray           # (n_seg,) owning triangle
     seg_normal: np.ndarray          # (n_seg, 2) outward unit normal
     seg_length: np.ndarray          # (n_seg,)
@@ -328,8 +328,8 @@ def build_diamond_dual(mesh: PrimalMesh) -> DiamondDualMesh:
     return DiamondDualMesh(
         mesh=mesh,
         cell_area=cell_area,
-        cell_polygons=np.split(poly[valid], seg_ptr[1:-1]),
         seg_ptr=seg_ptr,
+        seg_start=poly[valid],
         seg_owner=owner[valid],
         seg_normal=normal[valid],
         seg_length=length[valid],

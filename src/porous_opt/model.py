@@ -23,13 +23,14 @@ w(t) = wtilde/epsilon for t in the final window of width epsilon, whose
 time integral is exactly wtilde.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .mesh import PrimalMesh, _cross2
+from .quadrature import QuadratureRule
 
 _GRID = np.linspace(0.0, 1.0, 1001)
 
@@ -86,9 +87,9 @@ class CoefficientModel:
 
 def default_model(delta_floor=0.05, peclet=1.0, kappa=None, phi=None) -> CoefficientModel:
     """Quadratic-mobility coefficient set with floored diffusion."""
-    if delta_floor <= 0.0:
+    if not delta_floor > 0.0:
         raise ConfigError("delta_floor must be > 0")
-    if peclet <= 0.0:
+    if not peclet > 0.0:
         raise ConfigError("peclet must be > 0")
 
     def lam_o(c):
@@ -193,12 +194,7 @@ class WellModel:
     T: float
 
     def __post_init__(self):
-        if self.alpha0 <= 0.0:
-            raise ConfigError("alpha0 (water price) must be > 0")
-        if self.qhat <= 0.0:
-            raise ConfigError("qhat (control bound) must be > 0")
-        if self.epsilon <= 0.0 or self.epsilon > self.T:
-            raise ConfigError("epsilon must lie in (0, T]")
+        check_well_data(self.T, self.epsilon, self.alpha0, self.qhat)
         if np.intersect1d(self.injection_tris, self.production_tris).size:
             raise DomainError("well patches overlap")
 
@@ -223,6 +219,17 @@ class WellModel:
         if t > self.T - self.epsilon + 1e-12 * max(self.T, 1.0) and t <= self.T + 1e-12:
             return self.wtilde / self.epsilon
         return 0.0
+
+
+def check_well_data(T, epsilon, alpha0, qhat):
+    """Raise :class:`ConfigError` unless the prices are positive and the
+    terminal window ``epsilon`` lies in (0, T]."""
+    if not alpha0 > 0.0:
+        raise ConfigError("alpha0 (water price) must be > 0")
+    if not qhat > 0.0:
+        raise ConfigError("qhat (control bound) must be > 0")
+    if not 0.0 < epsilon <= T:
+        raise ConfigError("epsilon must lie in (0, T]")
 
 
 def build_wells(
@@ -316,16 +323,18 @@ def _point_in_mesh(mesh, x, tol=1e-12):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Time grids, scheme parameters, and solver knobs.
+    """Time grids, scheme parameters and solver knobs; checked on construction.
 
     The pressure grid has ``m_steps`` uniform intervals and the saturation
     grid ``n_steps`` (a multiple of ``m_steps``).  ``xi`` is the interior
-    penalty constant; ``None`` resolves to 10 * d_high of the model in use.
+    penalty constant and ``q_init`` the initial control; ``None`` (``auto``)
+    resolves through :meth:`xi_for` and :meth:`q_init_for`.  ``quad`` is
+    the rule of the two quadrature degrees, whose construction checks them.
     """
 
     T: float = 1.0
-    m_steps: int = 4
-    n_steps: int = 16
+    m_steps: int = 8
+    n_steps: int = 32
     xi: Optional[float] = None
     c0: float = 0.5
     q_init: Optional[float] = None
@@ -334,20 +343,37 @@ class RunConfig:
     solver_tol: float = 1e-10
     tri_quad_degree: int = 4
     edge_quad_degree: int = 3
+    quad: QuadratureRule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.T <= 0.0:
+        # comparisons are written to fail on NaN
+        if not self.T > 0.0:
             raise ConfigError("T must be > 0")
         if self.m_steps < 1 or self.n_steps < 1:
-            raise ConfigError("step counts must be >= 1")
+            raise ConfigError("m_steps and n_steps must be >= 1")
         if self.n_steps % self.m_steps != 0:
             raise ConfigError("n_steps must be a multiple of m_steps")
-        if self.xi is not None and self.xi <= 0.0:
+        if self.xi is not None and not self.xi > 0.0:
             raise ConfigError("xi must be > 0")
         if not 0.0 <= self.c0 <= 1.0:
             raise ConfigError("c0 must lie in [0, 1]")
         if self.kmax < 1:
             raise ConfigError("kmax must be >= 1")
+        if not self.q_tol > 0.0:
+            raise ConfigError("q_tol must be > 0")
+        if not self.solver_tol > 0.0:
+            raise ConfigError("solver_tol must be > 0")
+        object.__setattr__(
+            self, "quad", QuadratureRule(self.tri_quad_degree, self.edge_quad_degree)
+        )
+
+    def xi_for(self, model: CoefficientModel) -> float:
+        """The penalty constant; ``auto`` is 10 * d_high of ``model``."""
+        return self.xi if self.xi is not None else 10.0 * model.d_high
+
+    def q_init_for(self, qhat: float) -> float:
+        """The initial control; ``auto`` is half the control bound ``qhat``."""
+        return self.q_init if self.q_init is not None else 0.5 * qhat
 
     @property
     def dt(self):

@@ -47,7 +47,6 @@ from .errors import CompatibilityError, PorousOptError, SolverError
 from .fespaces import P1DGField, RT0Field
 from .mesh import PrimalMesh, build_barycentric_dual, build_diamond_dual
 from .model import CoefficientModel, RunConfig, WellModel
-from .quadrature import QuadratureRule
 
 
 @dataclass
@@ -264,10 +263,8 @@ class Problem:
     @classmethod
     def build(cls, mesh, model, wells, rc: RunConfig, sources=None, c0=None):
         ws = AssemblyWorkspace(
-            mesh, build_diamond_dual(mesh), build_barycentric_dual(mesh), model,
-            QuadratureRule(rc.tri_quad_degree, rc.edge_quad_degree),
+            mesh, build_diamond_dual(mesh), build_barycentric_dual(mesh), model, rc.quad,
         )
-        xi = rc.xi if rc.xi is not None else 10.0 * model.d_high
         c0 = rc.c0 if c0 is None else c0
         if callable(c0):
             c0_values = P1DGField.interpolate(mesh, c0).values
@@ -279,13 +276,13 @@ class Problem:
             wells=wells,
             rc=rc,
             ws=ws,
-            xi=xi,
+            xi=rc.xi_for(model),
             c0_values=c0_values,
             sources=MMSSources() if sources is None else sources,
         )
 
     def q_initial(self):
-        q0 = self.rc.q_init if self.rc.q_init is not None else 0.5 * self.wells.qhat
+        q0 = self.rc.q_init_for(self.wells.qhat)
         return np.full(self.rc.n_steps + 1, float(q0))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -63,6 +64,8 @@ def test_cross_field_validation():
         parse_config_text("m_steps = 3\nn_steps = 4\n")
     with pytest.raises(ConfigError, match="q_init"):
         parse_config_text("qhat = 1.0\nq_init = 2.0\n")
+    with pytest.raises(ConfigError, match="n_steps"):
+        dataclasses.replace(RunSpec(), m_steps=3)
 
 
 def test_config_round_trip_through_resolve():
@@ -103,6 +106,21 @@ def test_config_error_exit_code(tmp_path, capsys):
     code = main(["mesh-info", "--config", str(bad)])
     assert code == 2
     assert "xi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [
+    "tri_quad_degree = 3\n",        # no triangle rule of that degree
+    "x0 = 1.5 0.5\n",               # well outside the domain
+    "m_steps = 1\nn_steps = 1\n",   # auto epsilon = 2 dt exceeds T
+], ids=["quad_degree", "well_outside", "auto_epsilon"])
+def test_resolve_and_run_reject_alike(bad, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SMALL_CFG + bad)
+    assert main(["config", "--resolve", "--config", str(cfg)]) == 2
+    out = tmp_path / "out"
+    assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 2
+    status = json.loads((out / "status.json").read_text())
+    assert status["status"] == "error" and status["exit_code"] == 2
 
 
 def test_forward_writes_outputs(small_cfg, tmp_path, capsys):

@@ -153,7 +153,7 @@ def test_diamond_two_tri(two_tri):
     assert dd.cell_area.sum() == pytest.approx(1.0, rel=1e-12)
     # the single interior cell is a quadrilateral
     e = two_tri.interior_edges[0]
-    assert dd.cell_polygons[e].shape[0] == 4
+    assert dd.seg_start[dd.seg_ptr[e]:dd.seg_ptr[e + 1]].shape[0] == 4
 
 
 def test_diamond_reference_triangle():
@@ -176,9 +176,10 @@ def test_diamond_interior_area_identity():
 @pytest.mark.parametrize("mesh", _oracle_meshes(), ids=["unstructured", "n5"])
 def test_diamond_cells_against_geometry(mesh):
     dd = build_diamond_dual(mesh)
-    assert len(dd.cell_polygons) == mesh.num_edges
-    for e, poly in enumerate(dd.cell_polygons):
+    assert dd.seg_ptr.size == mesh.num_edges + 1
+    for e in range(mesh.num_edges):
         lo, hi = dd.seg_ptr[e], dd.seg_ptr[e + 1]
+        poly = dd.seg_start[lo:hi]
         assert poly.shape == (hi - lo, 2)
         nxt = np.roll(poly, -1, axis=0)
         twice = np.sum(poly[:, 0] * nxt[:, 1] - poly[:, 1] * nxt[:, 0])

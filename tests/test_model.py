@@ -145,6 +145,9 @@ def test_run_config_grids():
     {"xi": -2.0},
     {"c0": 1.5},
     {"kmax": 0},
+    {"q_tol": 0.0},
+    {"solver_tol": 0.0},
+    {"tri_quad_degree": 3},
 ])
 def test_run_config_validation(kwargs):
     with pytest.raises(ConfigError):
