@@ -186,6 +186,7 @@ def cmd_optimize(args, spec):
           f"{result.projected_gradient_residual:.3e}")
     extra = {
         "iterations": result.iterations,
+        "mixing_resets": result.mixing_resets,
         "converged": result.converged,
         "projected_gradient_residual": result.projected_gradient_residual,
     }

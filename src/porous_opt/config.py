@@ -30,7 +30,7 @@ Key reference (defaults in parentheses; last column: who checks the key):
     tri_quad_degree, edge_quad_degree       (4, 3)      model.RunConfig
     x0, x1        well points "x y"  (0.1 0.1 / 0.9 0.9) model.build_wells
     sigma         target patch area         (0.02)      RunSpec
-    wtilde        oil price                 (1.0)       -
+    wtilde        oil price                 (1.0)       model.check_well_data
     epsilon       terminal window, auto = 2 dt  (auto)  model.check_well_data
     alpha0        water price               (1.0)       model.check_well_data
     qhat          control bound             (1.0)       model.check_well_data
@@ -103,7 +103,7 @@ class RunSpec:
             self, "rc", RunConfig(**{k: getattr(self, k) for k in _RUN_CONFIG_KEYS})
         )
         object.__setattr__(self, "model", default_model(self.delta_floor, self.peclet))
-        check_well_data(self.T, self.well_epsilon, self.alpha0, self.qhat)
+        check_well_data(self.T, self.well_epsilon, self.alpha0, self.qhat, self.wtilde)
         if self.q_init is not None and not 0.0 <= self.q_init <= self.qhat:
             raise ConfigError("q_init must lie in [0, qhat]")
 

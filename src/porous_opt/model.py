@@ -194,7 +194,7 @@ class WellModel:
     T: float
 
     def __post_init__(self):
-        check_well_data(self.T, self.epsilon, self.alpha0, self.qhat)
+        check_well_data(self.T, self.epsilon, self.alpha0, self.qhat, self.wtilde)
         if np.intersect1d(self.injection_tris, self.production_tris).size:
             raise DomainError("well patches overlap")
 
@@ -221,9 +221,13 @@ class WellModel:
         return 0.0
 
 
-def check_well_data(T, epsilon, alpha0, qhat):
-    """Raise :class:`ConfigError` unless the prices are positive and the
-    terminal window ``epsilon`` lies in (0, T]."""
+def check_well_data(T, epsilon, alpha0, qhat, wtilde):
+    """Raise :class:`ConfigError` unless the water price and the control
+    bound are positive, the oil price is finite and >= 0 (zero decouples the
+    objective from the state), and the terminal window ``epsilon`` lies in
+    (0, T]."""
+    if not np.isfinite(wtilde) or wtilde < 0.0:
+        raise ConfigError("wtilde (oil price) must be finite and >= 0")
     if not alpha0 > 0.0:
         raise ConfigError("alpha0 (water price) must be > 0")
     if not qhat > 0.0:

@@ -12,7 +12,8 @@ advanced by backward Euler on the fine grid with coefficients lagged to the
 previous fine level, and the costate saturation is marched backward with
 the operator implicit on the earlier level and its coefficients lagged to
 the departure level.  Both saturation step matrices have a symmetric
-sparsity pattern and are factored with a minimum-degree ordering on A+A^T.
+sparsity pattern and are factored with a minimum-degree ordering on A+A^T
+while each column's diagonal is its largest entry, with COLAMD otherwise.
 
 Each sweep is one loop over the coarse nodes m: a Darcy solve at node m,
 then the K = N/M fine steps to the next node.  A fine step finds its
@@ -168,15 +169,30 @@ def _refined_solve(solve, product, rhs, tol, what, detail=None):
     return x, res
 
 
+def _diagonal_dominates_columns(csc):
+    """True when every column's largest entry in magnitude is its diagonal.
+
+    Each column of a saturation step matrix holds at least its diagonal
+    (the mass matrix), so no column is empty."""
+    colmax = np.maximum.reduceat(np.abs(csc.data), csc.indptr[:-1])
+    return bool(np.all(np.abs(csc.diagonal()) >= colmax))
+
+
 def _solve_sparse(Amat, rhs, tol, what):
     # Both step matrices are built from element and interior-edge blocks, so
     # their pattern is symmetric: minimum degree on A+A^T with diagonal
     # pivots preferred gives 36-47 % less fill than COLAMD (n = 16 to 64).
+    # That holds only while the diagonal pivots are the column maxima; at
+    # coarse dt the convection term breaks this, SuperLU pivots off the
+    # diagonal and the fill grew to 2-10x COLAMD's, so such matrices are
+    # factored with COLAMD and partial pivoting.
+    csc = Amat.tocsc()
+    if _diagonal_dominates_columns(csc):
+        kwargs = dict(permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+    else:
+        kwargs = dict(permc_spec="COLAMD")
     try:
-        lu = spla.splu(
-            Amat.tocsc(), permc_spec="MMD_AT_PLUS_A",
-            options=dict(SymmetricMode=True),
-        )
+        lu = spla.splu(csc, **kwargs)
     except RuntimeError as exc:
         raise SolverError(f"{what}: factorization failed: {exc}") from exc
 

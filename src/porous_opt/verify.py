@@ -327,20 +327,35 @@ class GradientReport:
     round-off on the other.  It can be true only where the FD truncation
     error at the largest step exceeds the adjoint gap, i.e. in the decoupled
     regime, or with steps large enough to leave the plateau.
+
+    ``undiluted_rel_errors`` divides the same mismatch by the directional
+    derivative of the non-penalty part alone, the exact alpha0 * q term
+    taken out, so a fault in the state-dependent part is not hidden behind
+    a dominant penalty.  It is reported, not gated on; it is nan where that
+    part vanishes (zero oil price).
     """
 
     steps: np.ndarray
     rel_errors: np.ndarray            # (n_directions, n_steps)
     best_rel_error: float
     v_shaped: bool
+    undiluted_rel_errors: np.ndarray  # (n_directions, n_steps)
+
+    @property
+    def best_undiluted_rel_error(self) -> float:
+        return float(self.undiluted_rel_errors.max(axis=0).min())
 
     def __str__(self):
-        cols = ["step"] + [f"dir {i}" for i in range(len(self.rel_errors))] + ["worst"]
+        cols = (["step"] + [f"dir {i}" for i in range(len(self.rel_errors))]
+                + ["worst", "undiluted"])
         lines = ["gradient check (relative FD mismatch per step):",
                  "  " + "".join(f"{c:>12s}" for c in cols)]
-        for s, errs, w in zip(self.steps, self.rel_errors.T, self.rel_errors.max(axis=0)):
-            lines.append(f"  {s:12.2e}" + "".join(f"{e:12.4e}" for e in (*errs, w)))
-        lines.append(f"  best {self.best_rel_error:.3e}, v-shaped: {self.v_shaped}")
+        for s, errs, w, u in zip(self.steps, self.rel_errors.T,
+                                 self.rel_errors.max(axis=0),
+                                 self.undiluted_rel_errors.max(axis=0)):
+            lines.append(f"  {s:12.2e}" + "".join(f"{e:12.4e}" for e in (*errs, w, u)))
+        lines.append(f"  best {self.best_rel_error:.3e} (undiluted "
+                     f"{self.best_undiluted_rel_error:.3e}), v-shaped: {self.v_shaped}")
         return "\n".join(lines)
 
 
@@ -373,8 +388,8 @@ def gradient_check(problem: Problem, q, directions, steps) -> GradientReport:
 
     traj = run_forward(problem, q)
     run_adjoint(problem, traj)
-    g = gradient_without_penalty(traj, problem.wells, problem.model, problem.ws)
-    g = g + problem.wells.alpha0 * q
+    gwo = gradient_without_penalty(traj, problem.wells, problem.model, problem.ws)
+    g = gwo + problem.wells.alpha0 * q
 
     def J_of(qv):
         t = run_forward(problem, qv)
@@ -382,12 +397,15 @@ def gradient_check(problem: Problem, q, directions, steps) -> GradientReport:
 
     steps = np.asarray(steps, dtype=float)
     rel = np.empty((len(directions), steps.size))
+    undiluted = np.empty_like(rel)
     for i, d in enumerate(directions):
         d = np.asarray(d, dtype=float)
         pred = float(np.sum(wts * g * d))
+        pred_wo = abs(float(np.sum(wts * gwo * d)))
         for j, s in enumerate(steps):
             fd = (J_of(q + s * d) - J_of(q - s * d)) / (2.0 * s)
             rel[i, j] = abs(fd - pred) / max(abs(pred), 1e-14)
+            undiluted[i, j] = abs(fd - pred) / pred_wo if pred_wo > 0.0 else np.nan
     worst = rel.max(axis=0)
     kmin = int(np.argmin(worst))
     v_shaped = bool(worst[0] > worst[kmin] and worst[-1] > worst[kmin])
@@ -396,4 +414,5 @@ def gradient_check(problem: Problem, q, directions, steps) -> GradientReport:
         rel_errors=rel,
         best_rel_error=float(worst[kmin]),
         v_shaped=v_shaped,
+        undiluted_rel_errors=undiluted,
     )

@@ -112,7 +112,10 @@ def test_config_error_exit_code(tmp_path, capsys):
     "tri_quad_degree = 3\n",        # no triangle rule of that degree
     "x0 = 1.5 0.5\n",               # well outside the domain
     "m_steps = 1\nn_steps = 1\n",   # auto epsilon = 2 dt exceeds T
-], ids=["quad_degree", "well_outside", "auto_epsilon"])
+    "wtilde = nan\n",               # J would be nan
+    "wtilde = -1\n",                # flips the sign of the terminal term
+], ids=["quad_degree", "well_outside", "auto_epsilon", "wtilde_nan",
+        "wtilde_negative"])
 def test_resolve_and_run_reject_alike(bad, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(SMALL_CFG + bad)
@@ -158,6 +161,17 @@ def test_optimize_hitting_cap_exits_3_with_results(tmp_path):
     assert (out / "control.csv").exists()
     status = json.loads((out / "status.json").read_text())
     assert status["exit_code"] == 3 and status["converged"] is False
+
+
+def test_optimize_status_reports_mixing_resets(small_cfg, tmp_path):
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", str(small_cfg), "--out", str(out)]) == 0
+    status = json.loads((out / "status.json").read_text())
+    assert isinstance(status["mixing_resets"], int)
+    assert 0 <= status["mixing_resets"] < status["iterations"]
+    header = [l for l in (out / "history.csv").read_text().splitlines()
+              if not l.startswith("#")][0]
+    assert header == "k,J,n_lower,n_upper,dq_norm"
 
 
 def test_optimize_converges_small(small_cfg, tmp_path):

@@ -226,3 +226,79 @@ def test_history_records_every_sweep():
     for k, h in enumerate(result.history):
         assert h["k"] == k
         assert np.isfinite(h["J"])
+
+
+# ---------------------------------------------------------------------------
+# Anderson mixing of the projected fixed-point map
+# ---------------------------------------------------------------------------
+
+MIXED_KW = dict(n=6, m_steps=3, n_steps=6, wtilde=1.0, alpha0=0.5)
+
+
+def picard(prob, tol):
+    """The unmixed loop q <- G(q) to ``tol``; returns (q, sweeps at which the
+    optimizer's stopping rule first held)."""
+    wells = prob.wells
+    q = prob.q_initial()
+    prev, stop_at = None, None
+    for k in range(200):
+        traj = sol.run_forward(prob, q)
+        sol.run_adjoint(prob, traj)
+        gwo = ctl.gradient_without_penalty(traj, wells, prob.model, prob.ws)
+        state = ctl.classify_active_sets(-gwo / wells.alpha0, wells.qhat)
+        q_new = ctl.project_control(gwo, wells.alpha0, wells.qhat)
+        dq = float(np.max(np.abs(q_new - q)))
+        if (stop_at is None and prev is not None and state.same_sets(prev)
+                and dq <= prob.rc.q_tol):
+            stop_at = k + 1
+        q, prev = q_new, state
+        if dq <= tol:
+            return q, stop_at
+    raise AssertionError("plain loop did not reach its tolerance")
+
+
+def test_mixed_loop_matches_plain_loop_in_fewer_sweeps():
+    prob = make_problem(**MIXED_KW)
+    q_ref, plain_sweeps = picard(prob, 1e-12)
+    result = ctl.optimize(prob)
+    assert result.converged
+    assert np.abs(result.q - q_ref).max() <= 1e-8
+    assert result.iterations <= plain_sweeps
+
+
+def test_mixing_history_reset_when_active_sets_change(monkeypatch):
+    # from qhat/2 the first sweep finds a lower-active node that the second
+    # no longer has; the difference across that change must not be mixed
+    depths = []
+    step = ctl.AndersonMixer.step
+
+    def record(self, q, Gq):
+        out = step(self, q, Gq)
+        depths.append(self.depth)
+        return out
+
+    monkeypatch.setattr(ctl.AndersonMixer, "step", record)
+    prob = make_problem(**MIXED_KW)
+    result = ctl.optimize(prob)
+    counts = [(h["n_lower"], h["n_upper"]) for h in result.history]
+    changed = [k for k in range(1, len(counts)) if counts[k] != counts[k - 1]]
+    assert changed and result.mixing_resets >= len(changed)
+    for k in changed:
+        assert depths[k] == 0
+    assert max(depths) == ctl.ANDERSON_DEPTH
+
+
+def test_anderson_mixer_solves_affine_map():
+    # type-II Anderson on an affine contraction in R^3 with depth 3 reaches
+    # the fixed point once three independent differences are stored
+    A = np.array([[0.5, 0.2, 0.0], [0.1, 0.6, 0.3], [0.0, 0.2, 0.7]])
+    b = np.array([1.0, -2.0, 0.5])
+    x_star = np.linalg.solve(np.eye(3) - A, b)
+    mixer = ctl.AndersonMixer()
+    x = np.zeros(3)
+    for _ in range(5):
+        x = mixer.step(x, A @ x + b)
+    assert np.abs(x - x_star).max() <= 1e-10
+    mixer.reset()
+    assert mixer.depth == 0
+    assert np.array_equal(mixer.step(x, A @ x + b), A @ x + b)

@@ -184,6 +184,37 @@ def test_saddle_factor_has_no_dense_row_or_column(setup, monkeypatch):
     assert np.diff(K.tocsr().indptr).max() <= 15
 
 
+def test_coarse_dt_saturation_fill_stays_near_colamd(monkeypatch):
+    # at dt = 1/2 the convection term moves the column maxima of the
+    # saturation step matrices off the diagonal; a minimum-degree ordering
+    # with diagonal pivots preferred then pivots off it and filled in up to
+    # 4.7x what COLAMD with partial pivoting needs
+    import dataclasses
+    from pathlib import Path
+
+    from porous_opt.config import parse_config
+
+    cfg = Path(__file__).resolve().parents[1] / "data" / "quarter_five_spot.cfg"
+    spec = dataclasses.replace(parse_config(cfg), n=16, m_steps=1, n_steps=2)
+    prob = spec.build_problem()
+    size = 3 * prob.mesh.num_triangles
+    splu = sol.spla.splu
+    fills = []
+
+    def record(K, *args, **kwargs):
+        lu = splu(K, *args, **kwargs)
+        if K.shape == (size, size):
+            fills.append((lu.nnz, splu(K, permc_spec="COLAMD").nnz))
+        return lu
+
+    monkeypatch.setattr(sol.spla, "splu", record)
+    traj = sol.run_forward(prob, prob.q_initial())
+    sol.run_adjoint(prob, traj)
+    assert len(fills) == 4  # two forward steps, two costate steps
+    for nnz, colamd in fills:
+        assert nnz <= 2 * colamd, fills
+
+
 # ---------------------------------------------------------------------------
 # velocity extrapolation between the two grids, by fine step index
 # ---------------------------------------------------------------------------

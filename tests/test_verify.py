@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from porous_opt import mms, verify
+from porous_opt import control, mms, verify
 from porous_opt.errors import ConfigError
 from porous_opt.mesh import square_mesh
-from porous_opt.model import RunConfig, default_model, wells_from_tris
+from porous_opt.model import RunConfig, build_wells, default_model, wells_from_tris
 from porous_opt.solver import MMSSources, Problem, run_forward
 
 
@@ -82,6 +82,28 @@ def test_gradient_check_decoupled_exact():
     directions = [rng.uniform(-1, 1, 5) * 0.3]
     report = verify.gradient_check(prob, q, directions, steps=np.array([1e-4]))
     assert report.rel_errors.max() <= 1e-8
+
+
+def test_undiluted_column_sees_a_state_gradient_fault(monkeypatch):
+    # alpha0 = 2 at q = 0.5 makes the exact penalty part dominate the
+    # directional derivative, which dilutes the gated mismatch; scaling the
+    # state part of the gradient by 2 % must move the undiluted one more
+    mesh = square_mesh(4)
+    wells = build_wells(mesh, (0.1, 0.1), (0.9, 0.9), 0.05, T=1.0,
+                        wtilde=0.5, epsilon=0.5, alpha0=2.0, qhat=1.0)
+    rc = RunConfig(T=1.0, m_steps=4, n_steps=4, c0=0.5)
+    prob = Problem.build(mesh, default_model(), wells, rc)
+    dirs = [0.3 * np.sin(np.pi * rc.fine_times())]
+    steps = np.array([1e-3, 1e-5])
+    base = verify.gradient_check(prob, np.full(5, 0.5), dirs, steps)
+    exact = control.gradient_without_penalty
+    monkeypatch.setattr(control, "gradient_without_penalty",
+                        lambda *args: 1.02 * exact(*args))
+    faulty = verify.gradient_check(prob, np.full(5, 0.5), dirs, steps)
+    gated = abs(faulty.best_rel_error - base.best_rel_error)
+    undiluted = abs(faulty.best_undiluted_rel_error - base.best_undiluted_rel_error)
+    assert undiluted > 10.0 * gated
+    assert "undiluted" in str(base)
 
 
 def test_gradient_check_requires_interior_control():
