@@ -34,7 +34,11 @@ points and weights :class:`QuadratureRule` maps; only ``gamma_mat`` spells
 out its RT0 coefficient.  The workspace also owns both test-space
 transfers: ``dual_matrix``/``dual_load`` apply eta_h to sub-cell integrals,
 and ``pair_matrix`` scatters diamond-pair entries (``gamma_mat`` and the
-alpha-weighted basis integrals behind A).  The coefficients (alpha, b, D,
+alpha-weighted basis integrals behind A).  It owns the symmetric CSC pattern
+all saturation matrices share (``sat_indptr``/``sat_indices``: triangle t's
+columns hold the rows of t and its interior-edge neighbours, ascending) and
+the slot maps ``el_slot``/``edge_slot`` placing each element and
+interior-edge block entry in ``data``.  The coefficients (alpha, b, D,
 f and their derivatives, kappa, phi) come from the workspace's
 ``ws.model``, so a matrix cannot mix two models; :func:`trilinear_form`,
 which builds no workspace, takes its own.
@@ -118,12 +122,20 @@ class AssemblyWorkspace:
 
         self.avgL = avg_ops(self.kL)
         self.avgR = avg_ops(self.kR)
+        # C-independent penalty integrals of the jump products, (n_ie, 6, 6)
+        lam = np.concatenate([self.edge_lamL, -self.edge_lamR], axis=2)
+        self.edge_penalty = np.einsum("nq,nqr,nqc->nrc", self.edge_w, lam, lam)
 
-        # scatter indices
-        dofs = np.arange(3 * n_t).reshape(n_t, 3)
-        self.el_rows = np.repeat(dofs[:, :, None], 3, axis=2)
-        self.el_cols = np.repeat(dofs[:, None, :], 3, axis=1)
-        self.edge_dofs = np.concatenate([dofs[self.kL], dofs[self.kR]], axis=1)
+        # saturation pattern: t, then the triangle across each edge (-1 -> n_t pads)
+        tri = np.arange(n_t)[:, None]
+        nb = np.hstack([tri, mesh.edge_tris[mesh.tri_edges].sum(axis=2) - tri])
+        nb = np.sort(np.where(nb < 0, n_t, nb), axis=1).astype(np.int32)
+        keep = np.repeat(nb < n_t, 3, axis=1)                # (n_t, 12) rows of a column
+        rows = (3 * nb[:, None, :, None] + np.arange(3, dtype=np.int32)).reshape(n_t, 1, 12)
+        self.sat_indices = np.broadcast_to(rows, (n_t, 3, 12))[np.stack([keep] * 3, axis=1)]
+        self.sat_indptr = np.append(0, np.cumsum(np.repeat(keep.sum(axis=1), 3))).astype(np.int32)
+        self.el_slot = _block_slots(nb, self.sat_indptr, tri)
+        self.edge_slot = _block_slots(nb, self.sat_indptr, np.stack([self.kL, self.kR], axis=1))
 
         # Darcy pair arrays: one (edge, adjacent triangle) pair per diamond
         # portion, covering boundary cells too
@@ -191,7 +203,7 @@ class AssemblyWorkspace:
 
         # porosity-weighted eta mass matrix D (field independent; shared by
         # every saturation step, so callers must not modify it in place)
-        self.D = self.element_matrix(
+        self.D = self.sat_matrix(
             self.phi_tri[:, None, None] * mesh.tri_area[:, None, None] * _D_LOCAL_UNIT
         )
 
@@ -223,10 +235,10 @@ class AssemblyWorkspace:
         flat = self.sub_pts.reshape(-1, 2)
         return np.asarray(sfun(flat), dtype=float).reshape(self.sub_w.shape)
 
-    def dual_matrix(self, cell):
-        """eta_h transfer of per-sub-cell rows (n_t, 3, 3) into the saturation
-        matrix: test vertex v collects SEL[c, v] times the row of cell c."""
-        return self.element_matrix(np.einsum("cv,tcl->tvl", SEL, cell))
+    def dual_matrix(self, cell, edge_blocks=None):
+        """eta_h transfer of per-sub-cell rows (n_t, 3, 3), plus any edge blocks,
+        into a saturation matrix: test vertex v collects SEL[c, v] times row c."""
+        return self.sat_matrix(np.einsum("cv,tcl->tvl", SEL, cell), edge_blocks)
 
     def dual_load(self, cell):
         """eta_h transfer of per-sub-cell integrals (n_t, 3) into a load."""
@@ -240,21 +252,26 @@ class AssemblyWorkspace:
             shape=(2 * self.mesh.num_edges, self.n_int),
         ).tocsr()
 
-    def element_matrix(self, scatter):
-        """COO assembly of per-element 3x3 blocks into a (3n_t, 3n_t) CSR."""
-        return sp.coo_matrix(
-            (scatter.ravel(), (self.el_rows.ravel(), self.el_cols.ravel())),
-            shape=(3 * self.mesh.num_triangles,) * 2,
-        ).tocsr()
+    def sat_matrix(self, blocks, edge_blocks=None):
+        """Saturation matrix of element blocks (n_t, 3, 3), written by slot,
+        plus any interior-edge blocks (n_ie, 6, 6), summed in edge order."""
+        data = np.zeros(self.sat_indptr[-1])
+        data[self.el_slot] = blocks
+        if edge_blocks is not None:
+            data += np.bincount(self.edge_slot.ravel(), edge_blocks.ravel(), data.size)
+        n = 3 * len(blocks)
+        return sp.csc_matrix((data, self.sat_indices, self.sat_indptr), shape=(n, n))
 
-    def edge_matrix(self, blocks):
-        """COO assembly of per-interior-edge 6x6 blocks."""
-        rows = np.repeat(self.edge_dofs[:, :, None], 6, axis=2)
-        cols = np.repeat(self.edge_dofs[:, None, :], 6, axis=1)
-        return sp.coo_matrix(
-            (blocks.ravel(), (rows.ravel(), cols.ravel())),
-            shape=(3 * self.mesh.num_triangles,) * 2,
-        ).tocsr()
+
+def _block_slots(nb, indptr, k):
+    """(n, 3s, 3s) slots in the saturation ``data`` of the blocks coupling
+    the triangles k (n, s): entry (3a + i, 3b + j) is dof i of k[:, a] in
+    column dof j of k[:, b]."""
+    # position of k[:, a] among nb[k[:, b]], the row triangles of k[:, b]
+    pos = np.argmax(nb[k[:, None, :]] == k[:, :, None, None], axis=-1)
+    start = indptr[3 * k[:, :, None] + np.arange(3)]                   # (n, b, j)
+    slot = start[:, None, None] + 3 * pos[:, :, None, :, None] + np.arange(3)[:, None, None]
+    return slot.reshape(len(k), 3 * k.shape[1], -1)
 
 
 def _require_finite(values, what):
@@ -368,7 +385,6 @@ def _diffusion_matrix(c_field, ws, xi):
     dfan = ws.kappa_fan * ws.model.diffusion(cfan)     # (n_t, 3, 2, ne)
     dint = np.einsum("tcsq,tcsq->tcs", ws.fan_w, dfan)  # (n_t, 3, 2)
     nflux = np.einsum("tcs,tcse,tle->tcl", dint, ws.bary.seg_normal, ws.gradlam)
-    H = ws.dual_matrix(-nflux)
 
     # edge terms on interior edges
     cl = np.einsum("nqj,nj->nq", ws.edge_lamL, c_field.values[ws.kL])
@@ -382,13 +398,8 @@ def _diffusion_matrix(c_field, ws, xi):
     flux = np.concatenate([nfL, nfR], axis=1)                # (n_ie, 6)
     t2 = -np.einsum("nr,nc->nrc", avg_jump, flux)
     t3 = -np.einsum("nr,nc->nrc", flux, avg_jump)
-
-    lam = np.concatenate([ws.edge_lamL, -ws.edge_lamR], axis=2)  # (n_ie, nq, 6)
-    t4 = (xi / ws.ie_h)[:, None, None] * np.einsum(
-        "nq,nqr,nqc->nrc", ws.edge_w, lam, lam
-    )
-    H = H + ws.edge_matrix(t2 + t3 + t4)
-    return H
+    t4 = (xi / ws.ie_h)[:, None, None] * ws.edge_penalty
+    return ws.dual_matrix(-nflux, t2 + t3 + t4)
 
 
 def assemble_saturation_costate(c_field: P1DGField, u_field: RT0Field,

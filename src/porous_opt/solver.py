@@ -11,9 +11,10 @@ with them, so it needs the forward's trajectory.  The saturation equation is
 advanced by backward Euler on the fine grid with coefficients lagged to the
 previous fine level, and the costate saturation is marched backward with
 the operator implicit on the earlier level and its coefficients lagged to
-the departure level.  Both saturation step matrices have a symmetric
-sparsity pattern and are factored with a minimum-degree ordering on A+A^T
-while each column's diagonal is its largest entry, with COLAMD otherwise.
+the departure level.  Both step matrices are data on the workspace's
+symmetric CSC saturation pattern, which holds every diagonal, and are
+factored as they are: minimum degree on A+A^T while each column's diagonal
+is its largest entry, else COLAMD.
 
 Each sweep is one loop over the coarse nodes m: a Darcy solve at node m,
 then the K = N/M fine steps to the next node.  A fine step finds its
@@ -172,21 +173,19 @@ def _refined_solve(solve, product, rhs, tol, what, detail=None):
 def _diagonal_dominates_columns(csc):
     """True when every column's largest entry in magnitude is its diagonal.
 
-    Each column of a saturation step matrix holds at least its diagonal
-    (the mass matrix), so no column is empty."""
+    The saturation pattern is symmetric and holds every diagonal by
+    construction, so no column is empty."""
     colmax = np.maximum.reduceat(np.abs(csc.data), csc.indptr[:-1])
     return bool(np.all(np.abs(csc.diagonal()) >= colmax))
 
 
-def _solve_sparse(Amat, rhs, tol, what):
-    # Both step matrices are built from element and interior-edge blocks, so
-    # their pattern is symmetric: minimum degree on A+A^T with diagonal
-    # pivots preferred gives 36-47 % less fill than COLAMD (n = 16 to 64).
-    # That holds only while the diagonal pivots are the column maxima; at
-    # coarse dt the convection term breaks this, SuperLU pivots off the
-    # diagonal and the fill grew to 2-10x COLAMD's, so such matrices are
-    # factored with COLAMD and partial pivoting.
-    csc = Amat.tocsc()
+def _solve_sparse(csc, rhs, tol, what):
+    # The saturation pattern is symmetric and holds every diagonal: minimum
+    # degree on A+A^T with diagonal pivots preferred gives 36-47 % less fill
+    # than COLAMD (n = 16 to 64).  That holds only while the diagonal pivots
+    # are the column maxima; at coarse dt the convection term breaks this,
+    # SuperLU pivots off the diagonal and the fill grew to 2-10x COLAMD's, so
+    # such matrices are factored with COLAMD and partial pivoting.
     if _diagonal_dominates_columns(csc):
         kwargs = dict(permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
     else:
@@ -197,21 +196,26 @@ def _solve_sparse(Amat, rhs, tol, what):
         raise SolverError(f"{what}: factorization failed: {exc}") from exc
 
     def one_norm():
-        est = spla.onenormest(Amat) if Amat.shape[0] < 20000 else np.nan
+        est = spla.onenormest(csc) if csc.shape[0] < 20000 else np.nan
         return f" (1-norm ~ {est:.3e})"
 
-    return _refined_solve(lu.solve, lambda x: Amat @ x, rhs, tol, what, one_norm)[0]
+    return _refined_solve(lu.solve, lambda x: csc @ x, rhs, tol, what, one_norm)[0]
 
 
-def step_saturation_forward(c_vec, D, E, H, G, dt, tol=1e-10):
-    """One backward-Euler step of the state saturation equation."""
-    lhs = (D + dt * (E + H)).tocsr()
-    rhs = D @ c_vec + dt * G
-    return _solve_sparse(lhs, rhs, tol, "saturation step")
+def _step_label(kind, m, n, c):
+    """A step's name in errors, with the range of the C its coefficients use."""
+    return f"{kind} (m={m}, n={n}, C in [{c.min():.3g}, {c.max():.3g}])"
 
 
-def step_saturation_backward(cstar_next, D, E, H, S, R, W, Z, dt, tol=1e-10):
-    """One backward-Euler step of the costate saturation equation.
+def step_saturation_forward(c_vec, D, E, H, G, dt, tol=1e-10, what="saturation step"):
+    """One backward-Euler step of the state saturation equation (D, E, H on one pattern)."""
+    lhs = sp.csc_matrix((D.data + dt * (E.data + H.data), D.indices, D.indptr), D.shape)
+    return _solve_sparse(lhs, D @ c_vec + dt * G, tol, what)
+
+
+def step_saturation_backward(cstar_next, D, E, H, S, R, W, Z, dt, tol=1e-10,
+                             what="costate saturation step"):
+    """One backward-Euler step of the costate saturation equation (operators on D's pattern).
 
     Solves  [D + dt (-E + H + S + R)] cstar = D cstar_next + dt (W - Z):
     the operator acts implicitly on the unknown earlier-time value,
@@ -220,9 +224,9 @@ def step_saturation_backward(cstar_next, D, E, H, S, R, W, Z, dt, tol=1e-10):
     instead (mass matrix alone on the left) is an explicit treatment of the
     diffusion and blows up once dt exceeds the parabolic CFL bound.
     """
-    lhs = (D + dt * (-E + H + S + R)).tocsr()
-    rhs = D @ cstar_next + dt * (W - Z)
-    return _solve_sparse(lhs, rhs, tol, "costate saturation step")
+    data = D.data + dt * (-E.data + H.data + S.data + R.data)
+    lhs = sp.csc_matrix((data, D.indices, D.indptr), D.shape)
+    return _solve_sparse(lhs, D @ cstar_next + dt * (W - Z), tol, what)
 
 
 @dataclass
@@ -380,13 +384,11 @@ def run_forward(problem: Problem, q) -> Trajectory:
                 G = G + assemble_dual_scalar_load(
                     lambda p: src.s_c(p, fine[n + 1]), problem.ws
                 )
-            try:
-                cnew = step_saturation_forward(
-                    traj.C[n].ravel(), D, E, H, G, rc.dt, rc.solver_tol
-                )
-            except SolverError as exc:
-                # the step is named by its interval's end node, as in the adjoint
-                raise SolverError(f"saturation step (m={m + 1}, n={n}): {exc}") from exc
+            # the step is named by its interval's end node, as in the adjoint
+            cnew = step_saturation_forward(
+                traj.C[n].ravel(), D, E, H, G, rc.dt, rc.solver_tol,
+                _step_label("saturation step", m + 1, n, traj.C[n]),
+            )
             traj.C[n + 1] = cnew.reshape(n_t, 3)
     return traj
 
@@ -446,13 +448,10 @@ def run_adjoint(problem: Problem, traj: Trajectory) -> Trajectory:
                 W = W + assemble_dual_scalar_load(
                     lambda p: src.s_c_star(p, t_dep), ws
                 )
-            try:
-                cs = step_saturation_backward(
-                    traj.Cstar[n + 1].ravel(), D, E, H, S, R, W, Z,
-                    rc.dt, rc.solver_tol,
-                )
-            except SolverError as exc:
-                raise SolverError(f"costate step (m={m}, n={n}): {exc}") from exc
+            cs = step_saturation_backward(
+                traj.Cstar[n + 1].ravel(), D, E, H, S, R, W, Z, rc.dt, rc.solver_tol,
+                _step_label("costate saturation step", m, n, traj.C[n + 1]),
+            )
             traj.Cstar[n] = cs.reshape(n_t, 3)
 
     traj.costate_div_max = div_max

@@ -355,6 +355,61 @@ def test_eta_mass_matrix_against_quadrature(setup):
     assert abs(D - Dq).max() < 1e-15
 
 
+@pytest.mark.parametrize("mesh", [
+    square_mesh(4),
+    read_mesh("data/unstructured_square.node", "data/unstructured_square.ele"),
+], ids=["n4", "unstructured"])
+def test_saturation_operators_match_coo_assembly(mesh, monkeypatch):
+    # every saturation operator is the COO sum of the blocks it is built
+    # from, stored on the workspace's one shared pattern
+    built = []
+    sat_matrix = asm.AssemblyWorkspace.sat_matrix
+
+    def record(self, blocks, edge_blocks=None):
+        out = sat_matrix(self, blocks, edge_blocks)
+        built.append((blocks, edge_blocks, out))
+        return out
+
+    monkeypatch.setattr(asm.AssemblyWorkspace, "sat_matrix", record)
+    ws = _workspace(mesh)
+    n_t = mesh.num_triangles
+    wells = wells_from_tris(mesh, [0, 1], [n_t - 2, n_t - 1], T=1.0)
+    c, u, us = random_saturation(mesh), random_velocity(mesh), random_velocity(mesh)
+    D, E, H, _ = asm.assemble_saturation_state(c, u, wells, 0.4, ws, 1.0)
+    R, S, _, _ = asm.assemble_saturation_costate(c, u, us, wells, 0.4, 0.5, ws)
+    H2 = asm._diffusion_matrix(c, ws, 2.0)
+    ops = (D, E, H, R, S, H2)
+    assert len(built) == len(ops)
+    assert all(out is op for (_, _, out), op in zip(built, ops))
+
+    dofs = np.arange(3 * n_t).reshape(n_t, 3)
+    edge_dofs = np.concatenate([dofs[ws.kL], dofs[ws.kR]], axis=1)
+
+    def coo(idx, blocks):
+        rows = np.broadcast_to(idx[:, :, None], blocks.shape)
+        cols = np.broadcast_to(idx[:, None, :], blocks.shape)
+        return sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
+                             shape=(3 * n_t, 3 * n_t))
+
+    for blocks, edge_blocks, out in built:
+        assert out.format == "csc"
+        assert np.shares_memory(out.indptr, ws.sat_indptr)
+        assert np.shares_memory(out.indices, ws.sat_indices)
+        ref = coo(dofs, blocks)
+        if edge_blocks is None:
+            assert np.array_equal(out.toarray(), ref.toarray())
+        else:
+            ref = (ref + coo(edge_dofs, edge_blocks)).toarray()
+            assert np.abs(out.toarray() - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    # T4 alone: the jump-product penalty integrals, weighted by 1 / h_e
+    lam = np.concatenate([ws.edge_lamL, -ws.edge_lamR], axis=2)
+    t4 = np.einsum("nq,nqr,nqc->nrc", ws.edge_w, lam, lam) / ws.ie_h[:, None, None]
+    t4 = coo(edge_dofs, t4).toarray()
+    H2 = H2.toarray()
+    assert np.abs(H2 - H.toarray() - t4).max() <= 1e-15 * np.abs(H2).max()
+
+
 def test_state_matrices_annihilate_constants(setup):
     mesh, dd, bd, model, ws, wells = setup
     c = random_saturation(mesh)

@@ -193,6 +193,24 @@ def test_dump_matrices(small_cfg, tmp_path):
     for name in ("A", "B", "D", "E", "H", "F", "G"):
         assert (dump / f"{name}.mtx").exists()
 
+    # the files read back as the first-step matrices, every stored slot
+    # (explicit zeros of the saturation pattern included) listed
+    import scipy.io as sio
+
+    from porous_opt.assembly import assemble_darcy, assemble_saturation_state
+    from porous_opt.fespaces import P1DGField, RT0Field
+
+    prob = parse_config(small_cfg).build_problem()
+    c0 = P1DGField(prob.mesh, prob.c0_values)
+    q0 = prob.q_initial()[0]
+    A, B, _ = assemble_darcy(c0, prob.wells, q0, prob.ws)
+    D, E, H, _ = assemble_saturation_state(c0, RT0Field.zero(prob.mesh), prob.wells,
+                                           q0, prob.ws, prob.xi)
+    for name, mat in (("A", A), ("B", B), ("D", D), ("E", E), ("H", H)):
+        back = sio.mmread(dump / f"{name}.mtx")
+        assert back.nnz == mat.nnz
+        assert np.array_equal(back.toarray(), mat.toarray())
+
 
 def test_config_show_defaults(capsys):
     code = main(["config", "--show-defaults"])

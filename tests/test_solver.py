@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -559,4 +560,43 @@ def test_darcy_failures_name_their_coarse_step(monkeypatch):
     # the adjoint's first costate Darcy solve, at the final node
     monkeypatch.setattr(sol.DarcySaddle, "solve", failing_solve_at(1))
     with pytest.raises(SolverError, match=f"coarse step {M}: injected failure"):
+        sol.run_adjoint(prob, traj)
+
+
+def failing_splu_at(call, size):
+    """An ``splu`` that fails on its ``call``-th factorization of a
+    (size, size) matrix."""
+    splu = sol.spla.splu
+    count = [0]
+
+    def fake(A, *args, **kwargs):
+        if A.shape == (size, size):
+            count[0] += 1
+            if count[0] == call:
+                raise RuntimeError("injected failure")
+        return splu(A, *args, **kwargs)
+
+    return fake
+
+
+def test_step_failures_name_their_step_and_c_range(monkeypatch):
+    prob = make_problem(n=4, m_steps=2, n_steps=4, wtilde=2.0)
+    q = np.full(prob.rc.n_steps + 1, 0.5)
+    traj = sol.run_forward(prob, q)
+    sol.run_adjoint(prob, traj)
+    size = 3 * prob.mesh.num_triangles
+
+    def message(kind, m, n, c):
+        return re.escape(f"{kind} (m={m}, n={n}, C in [{c.min():.3g}, {c.max():.3g}]): "
+                         "factorization failed: injected failure")
+
+    # the forward's third step, n = 2, opens coarse interval 2; its
+    # coefficients are taken at C^2
+    monkeypatch.setattr(sol.spla, "splu", failing_splu_at(3, size))
+    with pytest.raises(SolverError, match="^" + message("saturation step", 2, 2, traj.C[2])):
+        sol.run_forward(prob, q)
+    # the adjoint's second costate step, n = 2, takes its coefficients at C^3
+    monkeypatch.setattr(sol.spla, "splu", failing_splu_at(2, size))
+    with pytest.raises(SolverError,
+                       match="^" + message("costate saturation step", 2, 2, traj.C[3])):
         sol.run_adjoint(prob, traj)
