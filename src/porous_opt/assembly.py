@@ -31,23 +31,37 @@ Each input has one owner.  :class:`AssemblyWorkspace` tabulates the basis
 values once per point set (sub-cells, fans, interior edges, diamond pairs)
 with :func:`fespaces.p1_basis_at` and :func:`fespaces.rt0_basis_at`, on the
 points and weights :class:`QuadratureRule` maps; only ``gamma_mat`` spells
-out its RT0 coefficient.  The workspace also owns both test-space
-transfers: ``dual_matrix``/``dual_load`` apply eta_h to sub-cell integrals,
-and ``pair_matrix`` scatters diamond-pair entries (``gamma_mat`` and the
-alpha-weighted basis integrals behind A).  It owns the symmetric CSC pattern
-all saturation matrices share (``sat_indptr``/``sat_indices``: triangle t's
-columns hold the rows of t and its interior-edge neighbours, ascending) and
-the slot maps ``el_slot``/``edge_slot`` placing each element and
-interior-edge block entry in ``data``.  The coefficients (alpha, b, D,
-f and their derivatives, kappa, phi) come from the workspace's
-``ws.model``, so a matrix cannot mix two models; :func:`trilinear_form`,
-which builds no workspace, takes its own.
+out its RT0 basis, from the workspace's ``rt0_coef``.  The workspace also
+owns both test-space transfers: ``dual_matrix``/``dual_load`` apply eta_h to
+sub-cell integrals, and ``pair_matrix`` scatters diamond-pair entries
+(``gamma_mat`` and the alpha-weighted basis integrals behind A).  It owns the
+symmetric CSC pattern all saturation matrices share
+(``sat_indptr``/``sat_indices``: triangle t's columns hold the rows of t and
+its interior-edge neighbours, ascending) and the slot maps
+``el_slot``/``edge_slot`` placing each element and interior-edge block entry
+in ``data``.  It also owns the geometry products the saturation kernels
+contract at every step.  Phi_j . grad lambda_l at the sub-cell points is
+``rt0_coef[t, j]`` times the reference table ``sub_rt0_grad[j, c, q, l]``,
+the same on every triangle, so E is one GEMM of the scaled edge coefficients
+with that table and one contraction with w b(C).  ``seg_ngrad`` holds the fan
+segment normals against grad lambda_l (T1), and
+``edge_ngradL``/``edge_ngradR`` the interior-edge normals against each
+side's grad lambda_l (the edge fluxes).  The per-step kernels are broadcasts
+and ``matmul`` over these tables; only Z evaluates the velocities at the
+sub-cell points.  Its ``step_ordering`` (:class:`SaturationOrdering`, built
+at the first step) holds the diagonal slots and the one elimination order of
+the step matrices.  The coefficients (alpha, b, D, f and their derivatives,
+kappa, phi) come from the workspace's ``ws.model``, so a matrix cannot mix
+two models; :func:`trilinear_form`, which builds no workspace, takes its
+own.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, ConfigError
 from .fespaces import (
@@ -96,6 +110,9 @@ class AssemblyWorkspace:
         )
         self.sub_lam = p1_basis_at(mesh, self.sub_pts)
         self.sub_rt0 = rt0_basis_at(mesh, self.sub_pts)
+        # RT0 scale: Phi_j = rt0_coef[t, j] (x - p_j), p_j the vertex opposite edge j
+        self.rt0_coef = (mesh.tri_edge_sign * mesh.edge_length[mesh.tri_edges]
+                         / (2.0 * mesh.tri_area[:, None]))
 
         # fan segments of the barycentric dual
         fp, fw = quad.map_to_segments(self.bary.seg_start, self.bary.seg_end)
@@ -113,15 +130,32 @@ class AssemblyWorkspace:
         self.edge_pts, self.edge_w = quad.map_to_segments(pa, pb)
         self.edge_lamL = p1_basis_at(mesh, self.edge_pts, self.kL)
         self.edge_lamR = p1_basis_at(mesh, self.edge_pts, self.kR)
-        self.gradL = self.gradlam[self.kL]
-        self.gradR = self.gradlam[self.kR]
 
-        # eta-average selector per side: 0.5 at the local vertices of the edge
+        # jump of the eta averages across each edge, (n_ie, 6): SEL's 0.5 at
+        # the local vertices of the edge, left side minus right side
         def avg_ops(ks):
             return SEL[np.argmax(mesh.tri_edges[ks] == ie[:, None], axis=1)]
 
-        self.avgL = avg_ops(self.kL)
-        self.avgR = avg_ops(self.kR)
+        self.avg_jump = np.concatenate([avg_ops(self.kL), -avg_ops(self.kR)], axis=1)
+
+        # geometry products the saturation kernels contract at every step.
+        # Phi_j . grad(lambda_l) = rt0_coef[t, j] (lambda_l(x) - lambda_l(p_j)),
+        # and the sub-cell points have the same barycentric coordinates in
+        # every triangle ((1 - x - y) at v_c, x at v_c+1, y / 3 at each
+        # vertex), so at sub-cell point (c, q) it is rt0_coef[t, j] times the
+        # reference table sub_rt0_grad[j, c, q, l]
+        x, y = quad.tri_points.T
+        eye = np.eye(3)
+        lam_ref = ((1.0 - x - y)[:, None] * eye[:, None, :]
+                   + x[:, None] * eye[[1, 2, 0], None, :] + y[:, None] / 3.0)  # (3, nq, 3)
+        self.sub_rt0_grad = lam_ref - eye[[2, 0, 1], None, None, :]
+        # seg_ngrad[t, c, s, l] = n . grad(lambda_l) on fan segment (c, s),
+        # edge_ngradL/R[e, l] = n_e . grad(lambda_l) of each side's trial basis
+        grad_t = np.swapaxes(self.gradlam, 1, 2)                          # (n_t, 2, 3)
+        self.seg_ngrad = (self.bary.seg_normal.reshape(n_t, -1, 2) @ grad_t).reshape(
+            self.bary.seg_normal.shape[:-1] + (3,))
+        self.edge_ngradL = np.einsum("nle,ne->nl", self.gradlam[self.kL], self.ie_normal)
+        self.edge_ngradR = np.einsum("nle,ne->nl", self.gradlam[self.kR], self.ie_normal)
         # C-independent penalty integrals of the jump products, (n_ie, 6, 6)
         lam = np.concatenate([self.edge_lamL, -self.edge_lamR], axis=2)
         self.edge_penalty = np.einsum("nq,nqr,nqc->nrc", self.edge_w, lam, lam)
@@ -166,10 +200,9 @@ class AssemblyWorkspace:
 
         # transfer of the interior basis functions: gamma_mat[(k, comp), i]
         # is component comp of gamma_h(Phi_i) on diamond cell k, with the
-        # area-weighted tangential convention; the RT0 coefficient is spelled
-        # out here so that the entries round as (w coef)(mid - opp)
-        pair_coef = (mesh.tri_edge_sign * mesh.edge_length[mesh.tri_edges]
-                     / (2.0 * mesh.tri_area[:, None]))[self.pr_tri]
+        # area-weighted tangential convention; the RT0 basis is spelled out
+        # here so that the entries round as (w coef)(mid - opp)
+        pair_coef = self.rt0_coef[self.pr_tri]
         opp = verts[self.pr_tri][:, [2, 0, 1], :]
         wsum = np.zeros(mesh.num_edges)
         np.add.at(wsum, mesh.tri_edges.ravel(),
@@ -207,6 +240,12 @@ class AssemblyWorkspace:
             self.phi_tri[:, None, None] * mesh.tri_area[:, None, None] * _D_LOCAL_UNIT
         )
 
+    @cached_property
+    def step_ordering(self):
+        """Diagonal slots and elimination order of the saturation step
+        matrices, built at the first step rather than at set-up."""
+        return SaturationOrdering(self.sat_indptr, self.sat_indices)
+
     def _kappa_at(self, pts):
         flat = pts.reshape(-1, 2)
         return np.asarray(self.model.kappa(flat), dtype=float).reshape(pts.shape[:-1])
@@ -215,20 +254,24 @@ class AssemblyWorkspace:
 
     def grad_p1(self, field: P1DGField):
         """Element gradients of ``field``, shape (n_t, 2)."""
-        return np.einsum("tj,tje->te", field.values, self.gradlam)
+        return (field.values[:, None, :] @ self.gradlam)[:, 0]
 
     def p1_at_sub(self, field: P1DGField):
-        return np.einsum("tcqj,tj->tcq", self.sub_lam, field.values)
+        return _at_points(self.sub_lam, field.values)
 
     def p1_at_fan(self, field: P1DGField):
-        return np.einsum("tcsqj,tj->tcsq", self.fan_lam, field.values)
+        return _at_points(self.fan_lam, field.values)
 
     def p1_at_pairs(self, field: P1DGField):
-        return np.einsum("nqj,nj->nq", self.pr_lam, field.values[self.pr_tri])
+        return _at_points(self.pr_lam, field.values[self.pr_tri])
 
     def rt0_at_sub(self, field: RT0Field):
+        """``field`` at the sub-cell points, (n_t, 3, nq, 2)."""
         coeffs = field.values[self.mesh.tri_edges]
-        return np.einsum("tcqje,tj->tcqe", self.sub_rt0, coeffs)
+        vals = coeffs[:, None, None, 0, None] * self.sub_rt0[:, :, :, 0]
+        for j in (1, 2):
+            vals += coeffs[:, None, None, j, None] * self.sub_rt0[:, :, :, j]
+        return vals
 
     def sample_sub(self, sfun):
         """The scalar ``sfun`` at the sub-cell points, shaped like ``sub_w``."""
@@ -238,11 +281,11 @@ class AssemblyWorkspace:
     def dual_matrix(self, cell, edge_blocks=None):
         """eta_h transfer of per-sub-cell rows (n_t, 3, 3), plus any edge blocks,
         into a saturation matrix: test vertex v collects SEL[c, v] times row c."""
-        return self.sat_matrix(np.einsum("cv,tcl->tvl", SEL, cell), edge_blocks)
+        return self.sat_matrix(SEL.T @ cell, edge_blocks)
 
     def dual_load(self, cell):
         """eta_h transfer of per-sub-cell integrals (n_t, 3) into a load."""
-        return np.einsum("cv,tc->tv", SEL, cell).ravel()
+        return (cell @ SEL).ravel()
 
     def pair_matrix(self, vals):
         """COO assembly of per-pair (npair, 3, 2) entries into a (2 n_e, n_int)
@@ -261,6 +304,53 @@ class AssemblyWorkspace:
             data += np.bincount(self.edge_slot.ravel(), edge_blocks.ravel(), data.size)
         n = 3 * len(blocks)
         return sp.csc_matrix((data, self.sat_indices, self.sat_indptr), shape=(n, n))
+
+
+class SaturationOrdering:
+    """Factorization data of one saturation pattern: a symmetric CSC pattern
+    of 3 x 3 triangle blocks that holds every diagonal.
+
+    ``diag_slot[i]`` is the position of entry (i, i) in ``data``.  The
+    elimination order ``perm`` is minimum degree on A + A^T (SuperLU's
+    ``MMD_AT_PLUS_A``) of the n_t x n_t triangle adjacency graph read off
+    the pattern, expanded to the three dofs of each triangle: row and column
+    i of the permuted matrix are dof ``perm[i]``, and ``inv`` undoes it.  A
+    matrix with data ``data`` on the pattern has data ``data[gather]`` on the
+    permuted pattern (``indptr``, ``indices``).
+    """
+
+    def __init__(self, indptr, indices):
+        n = len(indptr) - 1
+        n_t = n // 3
+        col = np.repeat(np.arange(n), np.diff(indptr))
+        self.diag_slot = np.flatnonzero(indices == col)
+
+        # triangle graph: the first dof row of each block in column 3t
+        first = indptr[:-1:3]
+        count = (indptr[1::3] - first) // 3
+        tri_ptr = np.append(0, np.cumsum(count))
+        within = np.arange(tri_ptr[-1]) - np.repeat(tri_ptr[:-1], count)
+        tri_rows = indices[np.repeat(first, count) + 3 * within] // 3
+        # any diagonally dominant values will do: only the pattern sets the order
+        vals = np.where(tri_rows == np.repeat(np.arange(n_t), count), 4.0, -1.0)
+        graph = sp.csc_matrix((vals, tri_rows, tri_ptr), shape=(n_t, n_t))
+        lu = spla.splu(graph, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+        # argsort returns a new array: no view into the factor outlives ``lu``
+        tri_order = np.argsort(lu.perm_c)
+
+        self.perm = (3 * tri_order[:, None] + np.arange(3)).ravel()
+        self.inv = np.empty_like(self.perm)
+        self.inv[self.perm] = np.arange(n)
+        rows, cols = self.inv[indices], self.inv[col]
+        self.gather = np.argsort(cols * n + rows)
+        self.indices = rows[self.gather].astype(np.int32)
+        self.indptr = np.append(0, np.cumsum(np.diff(indptr)[self.perm])).astype(np.int32)
+
+
+def _at_points(lam, values):
+    """Values (n, 3) of P1 fields on n triangles at the points of a
+    barycentric table ``lam`` (n, ..., 3), shaped like the points."""
+    return (lam.reshape(len(lam), -1, 3) @ values[:, :, None]).reshape(lam.shape[:-1])
 
 
 def _block_slots(nb, indptr, k):
@@ -365,10 +455,13 @@ def assemble_saturation_state(c_field: P1DGField, u_field: RT0Field,
     _require_finite(u_field.values, "velocity coefficient")
 
     D = ws.D
+    n_t = ws.mesh.num_triangles
     csub = ws.p1_at_sub(c_field)                      # (n_t, 3, nq)
-    uvals = ws.rt0_at_sub(u_field)                    # (n_t, 3, nq, 2)
-    bc = ws.model.b(csub)
-    conv = np.einsum("tcq,tcq,tcqe,tle->tcl", ws.sub_w, bc, uvals, ws.gradlam)
+    # E: w b(C) U . grad(lambda_l); U . grad(lambda_l) at the sub-cell points
+    # is one GEMM of the scaled edge coefficients with the reference table
+    coeffs = u_field.values[ws.mesh.tri_edges] * ws.rt0_coef          # (n_t, 3)
+    ugrad = (coeffs @ ws.sub_rt0_grad.reshape(3, -1)).reshape(n_t, *ws.sub_rt0_grad.shape[1:])
+    conv = np.einsum("tcq,tcql->tcl", ws.sub_w * ws.model.b(csub), ugrad)
     E = ws.dual_matrix(conv)
 
     H = _diffusion_matrix(c_field, ws, xi)
@@ -384,22 +477,20 @@ def _diffusion_matrix(c_field, ws, xi):
     cfan = ws.p1_at_fan(c_field)
     dfan = ws.kappa_fan * ws.model.diffusion(cfan)     # (n_t, 3, 2, ne)
     dint = np.einsum("tcsq,tcsq->tcs", ws.fan_w, dfan)  # (n_t, 3, 2)
-    nflux = np.einsum("tcs,tcse,tle->tcl", dint, ws.bary.seg_normal, ws.gradlam)
+    nflux = (dint[:, :, None, :] @ ws.seg_ngrad)[:, :, 0]
 
-    # edge terms on interior edges
-    cl = np.einsum("nqj,nj->nq", ws.edge_lamL, c_field.values[ws.kL])
-    cr = np.einsum("nqj,nj->nq", ws.edge_lamR, c_field.values[ws.kR])
+    # edge terms on interior edges: n . grad of each side's trial basis,
+    # weighted by that side's diffusion integral and half (average)
+    cl = _at_points(ws.edge_lamL, c_field.values[ws.kL])
+    cr = _at_points(ws.edge_lamR, c_field.values[ws.kR])
     dL = np.einsum("nq,nq->n", ws.edge_w, ws.kappa_edge * ws.model.diffusion(cl))
     dR = np.einsum("nq,nq->n", ws.edge_w, ws.kappa_edge * ws.model.diffusion(cr))
-    # n . grad of each side's trial basis, weighted half (average)
-    nfL = 0.5 * np.einsum("n,ne,nle->nl", dL, ws.ie_normal, ws.gradL)
-    nfR = 0.5 * np.einsum("n,ne,nle->nl", dR, ws.ie_normal, ws.gradR)
-    avg_jump = np.concatenate([ws.avgL, -ws.avgR], axis=1)   # (n_ie, 6)
-    flux = np.concatenate([nfL, nfR], axis=1)                # (n_ie, 6)
-    t2 = -np.einsum("nr,nc->nrc", avg_jump, flux)
-    t3 = -np.einsum("nr,nc->nrc", flux, avg_jump)
+    flux = 0.5 * np.concatenate([dL[:, None] * ws.edge_ngradL,
+                                 dR[:, None] * ws.edge_ngradR], axis=1)   # (n_ie, 6)
+    t2 = -ws.avg_jump[:, :, None] * flux[:, None, :]
     t4 = (xi / ws.ie_h)[:, None, None] * ws.edge_penalty
-    return ws.dual_matrix(-nflux, t2 + t3 + t4)
+    # T3 is T2 with the roles of trial and test swapped
+    return ws.dual_matrix(-nflux, t2 + np.swapaxes(t2, 1, 2) + t4)
 
 
 def assemble_saturation_costate(c_field: P1DGField, u_field: RT0Field,
@@ -418,27 +509,22 @@ def assemble_saturation_costate(c_field: P1DGField, u_field: RT0Field,
     model = ws.model
     csub = ws.p1_at_sub(c_field)
 
-    react = np.einsum(
-        "t,tcq,tcq,tcqj->tcj", wells.r1_values() * q, ws.sub_w, model.b(csub),
-        ws.sub_lam,
-    )
-    R = ws.dual_matrix(react)
+    r1qwb = (wells.r1_values() * q)[:, None, None] * ws.sub_w * model.b(csub)
+    R = ws.dual_matrix((r1qwb[:, :, None, :] @ ws.sub_lam)[:, :, 0])
 
-    gradc = ws.grad_p1(c_field)                         # (n_t, 2)
     dp = ws.kappa_sub * model.diffusion_prime(csub)
     cross = np.einsum("tcq,tcq->tc", ws.sub_w, dp)
-    sflux = np.einsum("tc,te,tle->tcl", cross, gradc, ws.gradlam)
-    S = ws.dual_matrix(sflux)
+    gradc_lam = (ws.gradlam @ ws.grad_p1(c_field)[:, :, None])[:, :, 0]   # (n_t, 3)
+    S = ws.dual_matrix(cross[:, :, None] * gradc_lam[:, None, :])
 
     wval = wells.w(t)
     wcell = wval * np.einsum("tcq,tcq->tc", ws.sub_w, csub)
     W = ws.dual_load(wcell)
 
-    uvals = ws.rt0_at_sub(u_field)
-    usvals = ws.rt0_at_sub(ustar_field)
+    # the only evaluation of the velocities at the sub-cell points
+    udot = (ws.rt0_at_sub(u_field) * ws.rt0_at_sub(ustar_field)).sum(axis=-1)
     ap = model.alpha_prime(csub) / ws.kappa_sub
-    zcell = np.einsum("tcq,tcq,tcqe,tcqe->tc", ws.sub_w, ap, uvals, usvals)
-    Z = ws.dual_load(zcell)
+    Z = ws.dual_load(np.einsum("tcq,tcq->tc", ws.sub_w, ap * udot))
     return R, S, W, Z
 
 

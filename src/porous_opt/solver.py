@@ -12,9 +12,15 @@ advanced by backward Euler on the fine grid with coefficients lagged to the
 previous fine level, and the costate saturation is marched backward with
 the operator implicit on the earlier level and its coefficients lagged to
 the departure level.  Both step matrices are data on the workspace's
-symmetric CSC saturation pattern, which holds every diagonal, and are
-factored as they are: minimum degree on A+A^T while each column's diagonal
-is its largest entry, else COLAMD.
+symmetric CSC saturation pattern, which holds every diagonal.  While each
+column's diagonal is its largest entry, a step matrix is factored in the
+workspace's one elimination order (``ws.step_ordering``): SuperLU's minimum
+degree on A+A^T of the triangle adjacency graph, computed once per mesh at
+the first step and expanded to the three dofs of each triangle.  Its fill is
+below that of SuperLU's own minimum degree on each dof matrix on the
+benchmark meshes (70,080 against 71,142 at n = 16, 2,115,438 against
+2,148,630 at n = 64) and 2 % above it on ``data/unstructured_square``.
+Other step matrices are factored with COLAMD.
 
 Each sweep is one loop over the coarse nodes m: a Darcy solve at node m,
 then the K = N/M fine steps to the next node.  A fine step finds its
@@ -38,6 +44,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import (
     AssemblyWorkspace,
+    SaturationOrdering,
     assemble_darcy,
     assemble_darcy_costate_rhs,
     assemble_diamond_vector_load,
@@ -170,36 +177,52 @@ def _refined_solve(solve, product, rhs, tol, what, detail=None):
     return x, res
 
 
-def _diagonal_dominates_columns(csc):
-    """True when every column's largest entry in magnitude is its diagonal.
+def _diagonal_dominates_columns(csc, diag_slot):
+    """True when every column's largest entry in magnitude is its diagonal,
+    stored at ``diag_slot`` of the data.
 
     The saturation pattern is symmetric and holds every diagonal by
     construction, so no column is empty."""
-    colmax = np.maximum.reduceat(np.abs(csc.data), csc.indptr[:-1])
-    return bool(np.all(np.abs(csc.diagonal()) >= colmax))
+    mag = np.abs(csc.data)
+    colmax = np.maximum.reduceat(mag, csc.indptr[:-1])
+    return bool(np.all(mag[diag_slot] >= colmax))
 
 
-def _solve_sparse(csc, rhs, tol, what):
+def _solve_sparse(csc, rhs, tol, what, ordering=None):
     # The saturation pattern is symmetric and holds every diagonal: minimum
     # degree on A+A^T with diagonal pivots preferred gives 36-47 % less fill
-    # than COLAMD (n = 16 to 64).  That holds only while the diagonal pivots
-    # are the column maxima; at coarse dt the convection term breaks this,
-    # SuperLU pivots off the diagonal and the fill grew to 2-10x COLAMD's, so
-    # such matrices are factored with COLAMD and partial pivoting.
-    if _diagonal_dominates_columns(csc):
-        kwargs = dict(permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+    # than COLAMD (n = 16 to 64).  That order depends only on the pattern, so
+    # it is computed once (``SaturationOrdering``, from the triangle graph)
+    # and the matrix is factored pre-permuted, in the natural order: 3.0 ms
+    # against 4.1 ms with SuperLU's own MMD at n = 16, 130 ms against 159 ms
+    # at n = 64 (see the module docstring for the fill).  This holds only
+    # while the diagonal pivots are the column maxima; at coarse dt the
+    # convection term breaks this, SuperLU pivots off the diagonal and the
+    # fill grew to 2-10x COLAMD's, so such matrices are factored with COLAMD
+    # and partial pivoting.
+    if ordering is None:
+        ordering = SaturationOrdering(csc.indptr, csc.indices)
+    if _diagonal_dominates_columns(csc, ordering.diag_slot):
+        perm, inv = ordering.perm, ordering.inv
+        factored = sp.csc_matrix((csc.data[ordering.gather], ordering.indices, ordering.indptr),
+                                 csc.shape)
+        kwargs = dict(permc_spec="NATURAL", options=dict(SymmetricMode=True))
     else:
-        kwargs = dict(permc_spec="COLAMD")
+        perm = inv = slice(None)
+        factored, kwargs = csc, dict(permc_spec="COLAMD")
     try:
-        lu = spla.splu(csc, **kwargs)
+        lu = spla.splu(factored, **kwargs)
     except RuntimeError as exc:
         raise SolverError(f"{what}: factorization failed: {exc}") from exc
+
+    def solve(r):
+        return lu.solve(r[perm])[inv]
 
     def one_norm():
         est = spla.onenormest(csc) if csc.shape[0] < 20000 else np.nan
         return f" (1-norm ~ {est:.3e})"
 
-    return _refined_solve(lu.solve, lambda x: csc @ x, rhs, tol, what, one_norm)[0]
+    return _refined_solve(solve, lambda x: csc @ x, rhs, tol, what, one_norm)[0]
 
 
 def _step_label(kind, m, n, c):
@@ -207,15 +230,20 @@ def _step_label(kind, m, n, c):
     return f"{kind} (m={m}, n={n}, C in [{c.min():.3g}, {c.max():.3g}])"
 
 
-def step_saturation_forward(c_vec, D, E, H, G, dt, tol=1e-10, what="saturation step"):
-    """One backward-Euler step of the state saturation equation (D, E, H on one pattern)."""
+def step_saturation_forward(c_vec, D, E, H, G, dt, tol=1e-10, what="saturation step",
+                            ordering=None):
+    """One backward-Euler step of the state saturation equation (D, E, H on one pattern).
+
+    ``ordering`` is the pattern's :class:`SaturationOrdering` (the
+    workspace's ``step_ordering``); without it the step builds its own."""
     lhs = sp.csc_matrix((D.data + dt * (E.data + H.data), D.indices, D.indptr), D.shape)
-    return _solve_sparse(lhs, D @ c_vec + dt * G, tol, what)
+    return _solve_sparse(lhs, D @ c_vec + dt * G, tol, what, ordering)
 
 
 def step_saturation_backward(cstar_next, D, E, H, S, R, W, Z, dt, tol=1e-10,
-                             what="costate saturation step"):
-    """One backward-Euler step of the costate saturation equation (operators on D's pattern).
+                             what="costate saturation step", ordering=None):
+    """One backward-Euler step of the costate saturation equation (operators on
+    D's pattern; ``ordering`` as in :func:`step_saturation_forward`).
 
     Solves  [D + dt (-E + H + S + R)] cstar = D cstar_next + dt (W - Z):
     the operator acts implicitly on the unknown earlier-time value,
@@ -226,7 +254,7 @@ def step_saturation_backward(cstar_next, D, E, H, S, R, W, Z, dt, tol=1e-10,
     """
     data = D.data + dt * (-E.data + H.data + S.data + R.data)
     lhs = sp.csc_matrix((data, D.indices, D.indptr), D.shape)
-    return _solve_sparse(lhs, D @ cstar_next + dt * (W - Z), tol, what)
+    return _solve_sparse(lhs, D @ cstar_next + dt * (W - Z), tol, what, ordering)
 
 
 @dataclass
@@ -388,6 +416,7 @@ def run_forward(problem: Problem, q) -> Trajectory:
             cnew = step_saturation_forward(
                 traj.C[n].ravel(), D, E, H, G, rc.dt, rc.solver_tol,
                 _step_label("saturation step", m + 1, n, traj.C[n]),
+                ordering=problem.ws.step_ordering,
             )
             traj.C[n + 1] = cnew.reshape(n_t, 3)
     return traj
@@ -451,6 +480,7 @@ def run_adjoint(problem: Problem, traj: Trajectory) -> Trajectory:
             cs = step_saturation_backward(
                 traj.Cstar[n + 1].ravel(), D, E, H, S, R, W, Z, rc.dt, rc.solver_tol,
                 _step_label("costate saturation step", m, n, traj.C[n + 1]),
+                ordering=ws.step_ordering,
             )
             traj.Cstar[n] = cs.reshape(n_t, 3)
 

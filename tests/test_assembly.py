@@ -410,6 +410,89 @@ def test_saturation_operators_match_coo_assembly(mesh, monkeypatch):
     assert np.abs(H2 - H.toarray() - t4).max() <= 1e-15 * np.abs(H2).max()
 
 
+def _einsum_kernels(ws, c, u, us, wells, q, t, xi):
+    """Every saturation kernel as one einsum of the basis tables, the way
+    they read before the workspace precontracted its geometry products."""
+    model = ws.model
+    tri_edges = ws.mesh.tri_edges
+    csub = np.einsum("tcqj,tj->tcq", ws.sub_lam, c.values)
+    usub = np.einsum("tcqje,tj->tcqe", ws.sub_rt0, u.values[tri_edges])
+    ussub = np.einsum("tcqje,tj->tcqe", ws.sub_rt0, us.values[tri_edges])
+    out = {"p1_at_sub": csub, "rt0_at_sub": usub}
+    out["E"] = np.einsum("tcq,tcq,tcqe,tle->tcl", ws.sub_w, model.b(csub), usub, ws.gradlam)
+
+    cfan = np.einsum("tcsqj,tj->tcsq", ws.fan_lam, c.values)
+    dint = np.einsum("tcsq,tcsq->tcs", ws.fan_w, ws.kappa_fan * model.diffusion(cfan))
+    out["T1"] = -np.einsum("tcs,tcse,tle->tcl", dint, ws.bary.seg_normal, ws.gradlam)
+
+    flux = []
+    for k, lam in ((ws.kL, ws.edge_lamL), (ws.kR, ws.edge_lamR)):
+        ck = np.einsum("nqj,nj->nq", lam, c.values[k])
+        dk = np.einsum("nq,nq->n", ws.edge_w, ws.kappa_edge * model.diffusion(ck))
+        flux.append(0.5 * np.einsum("n,ne,nle->nl", dk, ws.ie_normal, ws.gradlam[k]))
+    flux = np.concatenate(flux, axis=1)
+    t2 = -np.einsum("nr,nc->nrc", ws.avg_jump, flux)
+    t3 = -np.einsum("nr,nc->nrc", flux, ws.avg_jump)
+    out["edges"] = t2 + t3 + (xi / ws.ie_h)[:, None, None] * ws.edge_penalty
+
+    out["G"] = np.einsum("t,tcq,tcq->tc", wells.r0_values() * q, ws.sub_w, model.f(csub))
+    out["R"] = np.einsum("t,tcq,tcq,tcqj->tcj", wells.r1_values() * q, ws.sub_w,
+                         model.b(csub), ws.sub_lam)
+    gradc = np.einsum("tj,tje->te", c.values, ws.gradlam)
+    cross = np.einsum("tcq,tcq->tc", ws.sub_w, ws.kappa_sub * model.diffusion_prime(csub))
+    out["S"] = np.einsum("tc,te,tle->tcl", cross, gradc, ws.gradlam)
+    out["W"] = wells.w(t) * np.einsum("tcq,tcq->tc", ws.sub_w, csub)
+    out["Z"] = np.einsum("tcq,tcq,tcqe,tcqe->tc", ws.sub_w,
+                         model.alpha_prime(csub) / ws.kappa_sub, usub, ussub)
+    return out
+
+
+def test_precontracted_kernels_match_einsum_oracle(table_ws, monkeypatch):
+    # each kernel, as handed to the eta_h transfer, against one einsum of
+    # the basis tables; the transfer itself against its einsum
+    ws = table_ws
+    mesh = ws.mesh
+    n_t = mesh.num_triangles
+    wells = wells_from_tris(mesh, [0, 1], [n_t - 2, n_t - 1], T=1.0, wtilde=2.0)
+    c, u, us = random_saturation(mesh), random_velocity(mesh), random_velocity(mesh)
+    q, t, xi = 0.4, 1.0, 1.7
+    ref = _einsum_kernels(ws, c, u, us, wells, q, t, xi)
+
+    seen = []
+    dual_matrix, dual_load = asm.AssemblyWorkspace.dual_matrix, asm.AssemblyWorkspace.dual_load
+
+    def record_matrix(self, cell, edge_blocks=None):
+        seen.append(cell)
+        if edge_blocks is not None:
+            seen.append(edge_blocks)
+        return dual_matrix(self, cell, edge_blocks)
+
+    def record_load(self, cell):
+        seen.append(cell)
+        return dual_load(self, cell)
+
+    monkeypatch.setattr(asm.AssemblyWorkspace, "dual_matrix", record_matrix)
+    monkeypatch.setattr(asm.AssemblyWorkspace, "dual_load", record_load)
+    asm.assemble_saturation_state(c, u, wells, q, ws, xi)
+    asm.assemble_saturation_costate(c, u, us, wells, q, t, ws)
+    monkeypatch.undo()
+    got = dict(zip(["E", "T1", "edges", "G", "R", "S", "W", "Z"], seen))
+    got["p1_at_sub"] = ws.p1_at_sub(c)
+    got["rt0_at_sub"] = ws.rt0_at_sub(u)
+
+    assert len(seen) == 8
+    assert np.abs(ref["R"]).max() > 0.0 and np.abs(ref["W"]).max() > 0.0
+    for name, want in ref.items():
+        assert got[name].shape == want.shape, name
+        assert np.abs(got[name] - want).max() <= 1e-14 * np.abs(want).max(), name
+
+    cell = RNG.normal(size=(n_t, 3, 3))
+    transferred = ws.sat_matrix(np.einsum("cv,tcl->tvl", asm.SEL, cell))
+    assert np.abs(ws.dual_matrix(cell).data - transferred.data).max() <= 1e-14 * np.abs(cell).max()
+    load = np.einsum("cv,tc->tv", asm.SEL, cell[:, :, 0]).ravel()
+    assert np.abs(ws.dual_load(cell[:, :, 0]) - load).max() <= 1e-14 * np.abs(cell).max()
+
+
 def test_state_matrices_annihilate_constants(setup):
     mesh, dd, bd, model, ws, wells = setup
     c = random_saturation(mesh)
