@@ -50,7 +50,9 @@ side's grad lambda_l (the edge fluxes).  The per-step kernels are broadcasts
 and ``matmul`` over these tables; only Z evaluates the velocities at the
 sub-cell points.  Its ``step_ordering`` (:class:`SaturationOrdering`, built
 at the first step) holds the diagonal slots and the one elimination order of
-the step matrices.  The coefficients (alpha, b, D, f and their derivatives,
+the step matrices, and its ``saddle_ordering`` (:class:`SaddleOrdering`,
+built at the first Darcy solve) the one nested-dissection order of the
+pinned Darcy saddles.  The coefficients (alpha, b, D, f and their derivatives,
 kappa, phi) come from the workspace's ``ws.model``, so a matrix cannot mix
 two models; :func:`trilinear_form`, which builds no workspace, takes its
 own.
@@ -149,6 +151,7 @@ class AssemblyWorkspace:
         lam_ref = ((1.0 - x - y)[:, None] * eye[:, None, :]
                    + x[:, None] * eye[[1, 2, 0], None, :] + y[:, None] / 3.0)  # (3, nq, 3)
         self.sub_rt0_grad = lam_ref - eye[[2, 0, 1], None, None, :]
+        self.vert_rel = verts - verts[:, :1]                              # (n_t, 3, 2)
         # seg_ngrad[t, c, s, l] = n . grad(lambda_l) on fan segment (c, s),
         # edge_ngradL/R[e, l] = n_e . grad(lambda_l) of each side's trial basis
         grad_t = np.swapaxes(self.gradlam, 1, 2)                          # (n_t, 2, 3)
@@ -246,6 +249,12 @@ class AssemblyWorkspace:
         matrices, built at the first step rather than at set-up."""
         return SaturationOrdering(self.sat_indptr, self.sat_indices)
 
+    @cached_property
+    def saddle_ordering(self):
+        """Elimination order of the pinned Darcy saddle, built at the first
+        Darcy solve rather than at set-up."""
+        return SaddleOrdering(self.mesh)
+
     def _kappa_at(self, pts):
         flat = pts.reshape(-1, 2)
         return np.asarray(self.model.kappa(flat), dtype=float).reshape(pts.shape[:-1])
@@ -266,12 +275,16 @@ class AssemblyWorkspace:
         return _at_points(self.pr_lam, field.values[self.pr_tri])
 
     def rt0_at_sub(self, field: RT0Field):
-        """``field`` at the sub-cell points, (n_t, 3, nq, 2)."""
-        coeffs = field.values[self.mesh.tri_edges]
-        vals = coeffs[:, None, None, 0, None] * self.sub_rt0[:, :, :, 0]
-        for j in (1, 2):
-            vals += coeffs[:, None, None, j, None] * self.sub_rt0[:, :, :, j]
-        return vals
+        """``field`` at the sub-cell points, (n_t, 3, nq, 2).
+
+        With c_j the scaled edge coefficients, sum_j c_j (x - p_j) is
+        sum_l w_l v_l for the weights w = c @ sub_rt0_grad, one GEMM, and a
+        batched matmul with the vertices.  The weights sum to zero, so the
+        vertices are taken relative to the first one (``vert_rel``): the
+        same sum, without the cancellation of the absolute coordinates."""
+        coeffs = field.values[self.mesh.tri_edges] * self.rt0_coef
+        w = (coeffs @ self.sub_rt0_grad.reshape(3, -1)).reshape(len(coeffs), -1, 3)
+        return (w @ self.vert_rel).reshape(self.sub_w.shape + (2,))
 
     def sample_sub(self, sfun):
         """The scalar ``sfun`` at the sub-cell points, shaped like ``sub_w``."""
@@ -345,6 +358,112 @@ class SaturationOrdering:
         self.gather = np.argsort(cols * n + rows)
         self.indices = rows[self.gather].astype(np.int32)
         self.indptr = np.append(0, np.cumsum(np.diff(indptr)[self.perm])).astype(np.int32)
+
+
+# Largest part the nested dissection leaves undivided.  On three Darcy
+# systems at n = 64 (measured), leaves of 32 unknowns gave 2-5 % more LU fill
+# than 40, and leaves of 48 from 3 % less to 11 % more.
+_ND_LEAF = 40
+
+
+class SaddleOrdering:
+    """Elimination order of the pinned Darcy saddle of one mesh: geometric
+    nested dissection (George, SIAM J. Numer. Anal. 10, 1973).
+
+    The unknowns are numbered as in the full saddle system: interior edge i
+    is unknown i and the pressure of triangle t is n_int + t.  The first
+    pressure, n_int, is pinned and left out, so the order holds the other
+    n_int + n_t - 1.  Each unknown sits at its edge midpoint or triangle
+    barycentre.  Level by level, every part of more than ``_ND_LEAF``
+    unknowns is bisected at the median of the coordinate along which it is
+    wider.  The lower half's unknowns with a neighbour in the upper half, in
+    the structural graph of K + K^T, form the part's one-sided separator,
+    ordered after both halves.  Within each undivided part and each
+    separator the edges come before the pressures, in index order.
+
+    The graph comes from the mesh, not from A's values: an entry of A that
+    cancels for one saturation (8 of 8,952 at constant C on the 16 x 16
+    square mesh) leaves the order unchanged.  ``perm[i]`` is the unknown
+    eliminated i-th, and ``pos`` its position in ``perm`` (-1 at the pinned
+    pressure).
+    """
+
+    def __init__(self, mesh: PrimalMesh):
+        ie = mesh.interior_edges
+        n_int, n_t = ie.size, mesh.num_triangles
+        n = n_int + n_t
+
+        # structural graph, each pair once: A couples the interior edges of
+        # the triangles on either side of one edge (a diamond cell), B each
+        # triangle with its interior edges.  Pairs with the pinned pressure
+        # need no removal: its part id never matches a live one
+        int_of_edge = np.full(mesh.num_edges, -1)
+        int_of_edge[ie] = np.arange(n_int)
+        tri_int = int_of_edge[mesh.tri_edges]                    # (n_t, 3)
+        side_tri = mesh.edge_tris.ravel()
+        has = side_tri >= 0
+        cell = np.repeat(np.repeat(np.arange(mesh.num_edges), 2)[has], 3)
+        dof = tri_int[side_tri[has]].ravel()
+        keep = dof >= 0
+        cell, dof = cell[keep], dof[keep]
+        M = sp.csr_matrix((np.ones(dof.size), (cell, dof)), shape=(mesh.num_edges, n_int))
+        A = sp.triu(M.T @ M, 1, format="coo")
+        tri = np.repeat(np.arange(n_t), 3)[tri_int.ravel() >= 0]
+        gi = np.concatenate([A.row, tri_int[tri_int >= 0]])
+        gj = np.concatenate([A.col, n_int + tri])
+
+        pts = np.concatenate([mesh.edge_midpoint[ie], mesh.barycentre])
+        live = np.delete(np.arange(n), n_int)
+        # the undivided unknowns, grouped by part, by x and by y within each
+        ox = live[np.argsort(pts[live, 0], kind="stable")]
+        oy = live[np.argsort(pts[live, 1], kind="stable")]
+        part = np.ones(n, dtype=np.int64)    # heap ids: part k splits into 2k, 2k + 1
+        level = np.zeros(n, dtype=np.int64)  # depth at which each unknown was placed
+        depth = 0
+        while ox.size:
+            p = part[ox]
+            starts = np.flatnonzero(np.diff(p, prepend=-1))
+            cnt = np.diff(starts, append=p.size)
+            leaf = np.repeat(cnt <= _ND_LEAF, cnt)
+            level[ox[leaf]] = depth
+            ox, oy, cnt = ox[~leaf], oy[~leaf], cnt[cnt > _ND_LEAF]
+            if not ox.size:
+                break
+            starts = np.cumsum(cnt) - cnt
+            lo, hi = starts, starts + cnt - 1
+            x, y = pts[ox, 0], pts[oy, 1]
+            by_y = np.repeat(y[hi] - y[lo] > x[hi] - x[lo], cnt)
+            upper = np.arange(ox.size) >= np.repeat(starts + cnt // 2, cnt)
+            side = np.zeros(n, dtype=np.int64)
+            side[ox[~by_y]] = upper[~by_y]
+            side[oy[by_y]] = upper[by_y]
+            part[ox] = 2 * part[ox] + side[ox]
+
+            pi, pj = part[gi], part[gj]
+            same = (pi >> 1) == (pj >> 1)
+            cross = same & (pi != pj)
+            sep = np.where(pi[cross] & 1, gj[cross], gi[cross])  # the lower end
+            part[sep] >>= 1
+            level[sep] = depth
+            placed = np.zeros(n, dtype=bool)
+            placed[sep] = True
+            gi, gj = gi[same & ~cross], gj[same & ~cross]
+            ox, oy = ox[~placed[ox]], oy[~placed[oy]]
+            ox = ox[np.argsort(part[ox], kind="stable")]
+            oy = oy[np.argsort(part[oy], kind="stable")]
+            depth += 1
+
+        # post-order of the dissection tree: part k at depth d spans the
+        # leaf slots [k, k + 1) * 2^(top - d); a part follows every part whose
+        # span ends first and, at equal ends, its own descendants.  The
+        # stable sort keeps each part's edges, numbered first, before its
+        # pressures
+        top = level[live].max()
+        shift = top - level[live]
+        key = ((part[live] + 1) << shift) * (top + 1) + shift
+        self.perm = live[np.argsort(key, kind="stable")]
+        self.pos = np.full(n, -1)
+        self.pos[self.perm] = np.arange(n - 1)
 
 
 def _at_points(lam, values):
