@@ -27,11 +27,12 @@ P1DG traces of the saturation argument; edge sums run over interior edges
 of E and H.  Assembly is deterministic: loops run in mesh order and produce
 bit-identical matrices for identical inputs.
 
-Each input has one owner.  :class:`AssemblyWorkspace` tabulates the basis
-values once per point set (sub-cells, fans, interior edges, diamond pairs)
-with :func:`fespaces.p1_basis_at` and :func:`fespaces.rt0_basis_at`, on the
-points and weights :class:`QuadratureRule` maps; only ``gamma_mat`` spells
-out its RT0 basis, from the workspace's ``rt0_coef``.  The workspace also
+Each input has one owner.  :class:`AssemblyWorkspace` holds one quadrature
+per kind of cell, mapped by :class:`QuadratureRule`: sub-cells, fan segments,
+interior edges.  The sub-cell (K, j) = (v_j, v_{j+1}, b_K) is also the part
+of the diamond cell of edge j inside K, so both duals integrate on the
+sub-cells, and ``sub_lam`` and ``fan_lam`` are reference tables.  Only
+``gamma_mat`` spells out its RT0 basis, from ``rt0_coef``.  The workspace also
 owns both test-space transfers: ``dual_matrix``/``dual_load`` apply eta_h to
 sub-cell integrals, and ``pair_matrix`` scatters diamond-pair entries
 (``gamma_mat`` and the alpha-weighted basis integrals behind A).  It owns the
@@ -66,14 +67,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, ConfigError
-from .fespaces import (
-    P1DGField,
-    RT0Field,
-    grad_lambda,
-    p1_basis_at,
-    rt0_basis_at,
-)
-from .mesh import BarycentricDualMesh, DiamondDualMesh, PrimalMesh
+from .fespaces import P1DGField, RT0Field, grad_lambda, p1_basis_at
+from .mesh import BarycentricDualMesh, PrimalMesh
 from .model import CoefficientModel, WellModel
 from .quadrature import QuadratureRule
 
@@ -89,10 +84,20 @@ _D_LOCAL_UNIT = (
 
 @dataclass
 class AssemblyWorkspace:
-    """Geometry and coefficient caches reused by every assembly call."""
+    """Geometry and coefficient caches reused by every assembly call.
+
+    Triangle integrals use one point set, the sub-cell quadrature
+    ``sub_pts``/``sub_w`` (n_t, 3, nq).  Sub-cell (t, j) is also the portion
+    inside t of the diamond cell of edge ``tri_edges[t, j]``, so diamond pair
+    k (edge ``pr_edge[k]``, triangle ``pr_tri[k]``) is sub-cell
+    ``(pr_tri[k], pr_loc[k])``.  Reference tables, the same in every
+    triangle: ``sub_lam`` (3, nq, 3) and ``fan_lam`` (3, 2, ne, 3), the
+    barycentric coordinates of the sub-cell and fan points, and
+    ``sub_rt0_grad`` (3, 3, nq, 3); the other tables are per triangle, edge
+    or pair.
+    """
 
     mesh: PrimalMesh
-    diamond: DiamondDualMesh
     bary: BarycentricDualMesh
     model: CoefficientModel
     quad: QuadratureRule
@@ -106,20 +111,25 @@ class AssemblyWorkspace:
 
         self.gradlam = grad_lambda(mesh)
 
-        # barycentric sub-cells (K, j) = (v_j, v_{j+1}, b_K)
+        # sub-cells (K, c) = (v_c, v_c+1, b_K): point (c, q) has the barycentric
+        # coordinates (1 - x - y) at v_c, x at v_c+1 and y / 3 at each vertex
         self.sub_pts, self.sub_w = quad.map_to_triangles(
             verts, verts[:, [1, 2, 0]], bc[:, None]
         )
-        self.sub_lam = p1_basis_at(mesh, self.sub_pts)
-        self.sub_rt0 = rt0_basis_at(mesh, self.sub_pts)
+        x, y = quad.tri_points.T
+        eye = np.eye(3)
+        self.sub_lam = ((1.0 - x - y)[:, None] * eye[:, None, :]
+                        + x[:, None] * eye[[1, 2, 0], None, :] + y[:, None] / 3.0)  # (3, nq, 3)
         # RT0 scale: Phi_j = rt0_coef[t, j] (x - p_j), p_j the vertex opposite edge j
         self.rt0_coef = (mesh.tri_edge_sign * mesh.edge_length[mesh.tri_edges]
                          / (2.0 * mesh.tri_area[:, None]))
 
-        # fan segments of the barycentric dual
+        # fan segments of the barycentric dual, (c, 0) = v_c+1 -> b_K, (c, 1) = b_K -> v_c
         fp, fw = quad.map_to_segments(self.bary.seg_start, self.bary.seg_end)
         self.fan_pts, self.fan_w = fp, fw      # (n_t,3,2,ne,2), (n_t,3,2,ne)
-        self.fan_lam = p1_basis_at(mesh, fp)
+        s = quad.edge_points[:, None]
+        self.fan_lam = np.stack([(1.0 - s) * eye[[1, 2, 0], None, :] + s / 3.0,
+                                 (1.0 - s) / 3.0 + s * eye[:, None, :]], axis=1)  # (3, 2, ne, 3)
 
         # interior edge data
         ie = mesh.interior_edges
@@ -140,17 +150,12 @@ class AssemblyWorkspace:
 
         self.avg_jump = np.concatenate([avg_ops(self.kL), -avg_ops(self.kR)], axis=1)
 
-        # geometry products the saturation kernels contract at every step.
+        # geometry products the kernels contract at every step.
         # Phi_j . grad(lambda_l) = rt0_coef[t, j] (lambda_l(x) - lambda_l(p_j)),
-        # and the sub-cell points have the same barycentric coordinates in
-        # every triangle ((1 - x - y) at v_c, x at v_c+1, y / 3 at each
-        # vertex), so at sub-cell point (c, q) it is rt0_coef[t, j] times the
-        # reference table sub_rt0_grad[j, c, q, l]
-        x, y = quad.tri_points.T
-        eye = np.eye(3)
-        lam_ref = ((1.0 - x - y)[:, None] * eye[:, None, :]
-                   + x[:, None] * eye[[1, 2, 0], None, :] + y[:, None] / 3.0)  # (3, nq, 3)
-        self.sub_rt0_grad = lam_ref - eye[[2, 0, 1], None, None, :]
+        # so at sub-cell point (c, q) it is rt0_coef[t, j] times the reference
+        # table sub_rt0_grad[j, c, q, l], and Phi_j is
+        # rt0_coef[t, j] sum_l sub_rt0_grad[j, c, q, l] vert_rel[t, l]
+        self.sub_rt0_grad = self.sub_lam - eye[[2, 0, 1], None, None, :]
         self.vert_rel = verts - verts[:, :1]                              # (n_t, 3, 2)
         # seg_ngrad[t, c, s, l] = n . grad(lambda_l) on fan segment (c, s),
         # edge_ngradL/R[e, l] = n_e . grad(lambda_l) of each side's trial basis
@@ -185,13 +190,7 @@ class AssemblyWorkspace:
         has_pair = pair_tri >= 0
         self.pr_edge = np.repeat(np.arange(mesh.num_edges), 2)[has_pair]
         self.pr_tri = pair_tri[has_pair]
-        self.pr_pts, self.pr_w = quad.map_to_triangles(
-            mesh.vertices[mesh.edges[self.pr_edge, 0]],
-            mesh.vertices[mesh.edges[self.pr_edge, 1]],
-            bc[self.pr_tri],
-        )
-        self.pr_lam = p1_basis_at(mesh, self.pr_pts, self.pr_tri)
-        self.pr_rt0 = rt0_basis_at(mesh, self.pr_pts, self.pr_tri)  # (npair, nq, 3, 2)
+        self.pr_loc = np.argmax(mesh.tri_edges[self.pr_tri] == self.pr_edge[:, None], axis=1)
         self.pr_cols = int_of_edge[mesh.tri_edges[self.pr_tri]]  # (npair, 3)
         # scatter of per-pair (npair, 3, 2) entries: row 2k + comp of
         # diamond cell k, column the interior dof of local edge j
@@ -235,7 +234,6 @@ class AssemblyWorkspace:
         self.kappa_sub = self._kappa_at(self.sub_pts)
         self.kappa_fan = self._kappa_at(fp)
         self.kappa_edge = self._kappa_at(self.edge_pts)
-        self.kappa_pair = self._kappa_at(self.pr_pts)
 
         # porosity-weighted eta mass matrix D (field independent; shared by
         # every saturation step, so callers must not modify it in place)
@@ -266,13 +264,10 @@ class AssemblyWorkspace:
         return (field.values[:, None, :] @ self.gradlam)[:, 0]
 
     def p1_at_sub(self, field: P1DGField):
-        return _at_points(self.sub_lam, field.values)
+        return _at_ref(self.sub_lam, field.values)
 
     def p1_at_fan(self, field: P1DGField):
-        return _at_points(self.fan_lam, field.values)
-
-    def p1_at_pairs(self, field: P1DGField):
-        return _at_points(self.pr_lam, field.values[self.pr_tri])
+        return _at_ref(self.fan_lam, field.values)
 
     def rt0_at_sub(self, field: RT0Field):
         """``field`` at the sub-cell points, (n_t, 3, nq, 2).
@@ -286,10 +281,10 @@ class AssemblyWorkspace:
         w = (coeffs @ self.sub_rt0_grad.reshape(3, -1)).reshape(len(coeffs), -1, 3)
         return (w @ self.vert_rel).reshape(self.sub_w.shape + (2,))
 
-    def sample_sub(self, sfun):
-        """The scalar ``sfun`` at the sub-cell points, shaped like ``sub_w``."""
-        flat = self.sub_pts.reshape(-1, 2)
-        return np.asarray(sfun(flat), dtype=float).reshape(self.sub_w.shape)
+    def sample_sub(self, fun):
+        """``fun`` at the sub-cell points, shaped like ``sub_w`` plus its value shape."""
+        vals = np.asarray(fun(self.sub_pts.reshape(-1, 2)), dtype=float)
+        return vals.reshape(self.sub_w.shape + vals.shape[1:])
 
     def dual_matrix(self, cell, edge_blocks=None):
         """eta_h transfer of per-sub-cell rows (n_t, 3, 3), plus any edge blocks,
@@ -472,6 +467,12 @@ def _at_points(lam, values):
     return (lam.reshape(len(lam), -1, 3) @ values[:, :, None]).reshape(lam.shape[:-1])
 
 
+def _at_ref(lam, values):
+    """Values (n, 3) of P1 fields on n triangles at the points of a
+    reference table ``lam`` (..., 3), the same in every triangle: one GEMM."""
+    return (values @ lam.reshape(-1, 3).T).reshape(len(values), *lam.shape[:-1])
+
+
 def _block_slots(nb, indptr, k):
     """(n, 3s, 3s) slots in the saturation ``data`` of the blocks coupling
     the triangles k (n, s): entry (3a + i, 3b + j) is dof i of k[:, a] in
@@ -504,11 +505,14 @@ def assemble_darcy(c_field: P1DGField, wells: WellModel, q: float,
     integrals of (r0 - r1) q.
     """
     _require_finite(c_field.values, "saturation coefficient")
-    cvals = ws.p1_at_pairs(c_field)
-    avals = ws.model.alpha(cvals) / ws.kappa_pair
+    avals = ws.model.alpha(ws.p1_at_sub(c_field)) / ws.kappa_sub
     _require_finite(avals, "alpha coefficient")
-    ent = np.einsum("nq,nq,nqje->nje", ws.pr_w, avals, ws.pr_rt0)
-    C = ws.pair_matrix(ent)
+    # sum_q w alpha/kappa Phi_j per sub-cell as in ``rt0_at_sub``, one GEMM block-diagonal in c
+    n_t, _, nq = ws.sub_w.shape
+    block = np.einsum("cd,jcql->cqdjl", np.eye(3), ws.sub_rt0_grad).reshape(3 * nq, -1)
+    wgrad = ((ws.sub_w * avals).reshape(n_t, -1) @ block).reshape(n_t, 9, 3)
+    ent = (wgrad @ ws.vert_rel).reshape(n_t, 3, 3, 2) * ws.rt0_coef[:, None, :, None]
+    C = ws.pair_matrix(ent[ws.pr_tri, ws.pr_loc])
     A = (ws.gamma_mat.T @ C).tocsr()
     F = well_source_vector(wells, q)
     return A, ws.B, F
@@ -536,9 +540,8 @@ def assemble_diamond_vector_load(gfun, ws: AssemblyWorkspace):
 
     ``gfun`` maps an (n, 2) point array to (n, 2) vector values.
     """
-    flat = ws.pr_pts.reshape(-1, 2)
-    gvals = np.asarray(gfun(flat), dtype=float).reshape(ws.pr_pts.shape)
-    return _gamma_load(np.einsum("nq,nqe->ne", ws.pr_w, gvals), ws)
+    cell = np.einsum("tcq,tcqe->tce", ws.sub_w, ws.sample_sub(gfun))
+    return _gamma_load(cell[ws.pr_tri, ws.pr_loc], ws)
 
 
 def assemble_darcy_costate_rhs(c_field: P1DGField, cstar_field: P1DGField,
@@ -546,11 +549,9 @@ def assemble_darcy_costate_rhs(c_field: P1DGField, cstar_field: P1DGField,
     """Costate Darcy load F*_i = -(C* b(C) grad(C), gamma_h Phi_i)."""
     _require_finite(c_field.values, "saturation coefficient")
     _require_finite(cstar_field.values, "costate saturation")
-    cvals = ws.p1_at_pairs(c_field)
-    csvals = ws.p1_at_pairs(cstar_field)
-    gradc = ws.grad_p1(c_field)[ws.pr_tri]      # (npair, 2)
-    scal = ws.model.b(cvals) * csvals           # (npair, nq)
-    cell = -np.einsum("nq,nq,ne->ne", ws.pr_w, scal, gradc)
+    scal = ws.model.b(ws.p1_at_sub(c_field)) * ws.p1_at_sub(cstar_field)
+    sint = np.einsum("tcq,tcq->tc", ws.sub_w, scal)
+    cell = -sint[ws.pr_tri, ws.pr_loc, None] * ws.grad_p1(c_field)[ws.pr_tri]
     return _gamma_load(cell, ws)
 
 

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunSpec, parse_config
-from .control import objective, optimize
+from .control import objective, objective_integrands, optimize
 from .errors import ConfigError, PorousOptError, SolverError
-from .fespaces import P0Field, P1DGField, RT0Field, l2_inner
+from .fespaces import P0Field, P1DGField, RT0Field
 from .io import (
     mesh_hash,
     sha256_of_text,
@@ -121,14 +121,10 @@ def _snapshot(problem, traj, out, prov, every):
 
 
 def _write_step_objective(problem, traj, out, prov):
-    rows = []
-    wells = problem.wells
-    for n, t in enumerate(traj.fine_times):
-        c = P1DGField(problem.mesh, traj.C[n])
-        rows.append((n, t, 0.5 * wells.w(t) * l2_inner(c, c),
-                     0.5 * wells.alpha0 * traj.q[n] ** 2))
+    state, control = objective_integrands(traj, problem.wells, problem.mesh)
     write_csv(out / "objective_terms.csv",
-              ("n", "t", "state_integrand", "control_integrand"), rows, prov)
+              ("n", "t", "state_integrand", "control_integrand"),
+              zip(range(state.size), traj.fine_times, state, control), prov)
 
 
 def cmd_mesh_info(args, spec):

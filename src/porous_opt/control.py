@@ -49,19 +49,23 @@ def time_weights(n_steps, dt):
     return w
 
 
+def objective_integrands(traj: Trajectory, wells, mesh) -> tuple:
+    """Per-node integrands of J: 0.5 w(t^n) ||C^n||^2 and 0.5 alpha0 (q^n)^2."""
+    state = np.zeros(traj.fine_times.size)
+    for n, t in enumerate(traj.fine_times):
+        wv = wells.w(t)
+        if wv != 0.0:
+            c = P1DGField(mesh, traj.C[n])
+            state[n] = 0.5 * wv * l2_inner(c, c)
+    return state, 0.5 * wells.alpha0 * traj.q**2
+
+
 def objective(traj: Trajectory, wells, mesh) -> tuple:
-    """Discrete objective J and its (state, control-cost) parts."""
+    """Discrete objective J and its (state, control-cost) parts, the integrands' weighted sums."""
     N = traj.fine_times.size - 1
-    dt = traj.fine_times[1] - traj.fine_times[0]
-    wts = time_weights(N, dt)
-    state_term = 0.0
-    for n in range(1, N + 1):
-        wv = wells.w(traj.fine_times[n])
-        if wv == 0.0:
-            continue
-        c = P1DGField(mesh, traj.C[n])
-        state_term += 0.5 * wts[n] * wv * l2_inner(c, c)
-    control_term = 0.5 * wells.alpha0 * float(np.sum(wts * traj.q**2))
+    wts = time_weights(N, traj.fine_times[1] - traj.fine_times[0])
+    state, control = objective_integrands(traj, wells, mesh)
+    state_term, control_term = float(wts @ state), float(wts @ control)
     return state_term + control_term, state_term, control_term
 
 
@@ -76,14 +80,14 @@ def gradient_without_penalty(traj: Trajectory, wells, model,
     inj = wells.injection_tris
     prod = wells.production_tris
     area = mesh.tri_area
+    lam = ws.sub_lam.reshape(-1, 3).T           # the reference table, (3, 3 nq)
+    w = ws.sub_w[inj].reshape(len(inj), -1)
 
     out = np.empty(N + 1)
     for n in range(N + 1):
-        csub = np.einsum("tcqj,tj->tcq", ws.sub_lam[inj], traj.C[n][inj])
-        cssub = np.einsum("tcqj,tj->tcq", ws.sub_lam[inj], traj.Cstar[n][inj])
-        fterm = float(
-            np.einsum("tcq,tcq->", ws.sub_w[inj], model.f(csub) * cssub)
-        ) / wells.sigma0
+        csub = traj.C[n][inj] @ lam
+        cssub = traj.Cstar[n][inj] @ lam
+        fterm = float(np.einsum("tq,tq->", w, model.f(csub) * cssub)) / wells.sigma0
         # P* at the coarse node that closes fine node n's interval
         pstar = traj.Pstar[-(-n // substeps)]
         pterm = (

@@ -74,7 +74,8 @@ from .assembly import (
 )
 from .errors import CompatibilityError, PorousOptError, SolverError
 from .fespaces import P1DGField, RT0Field
-from .mesh import PrimalMesh, build_barycentric_dual, build_diamond_dual
+# build_diamond_dual stays bound for perfbench, which traces it by this name
+from .mesh import PrimalMesh, build_barycentric_dual, build_diamond_dual  # noqa: F401
 from .model import CoefficientModel, RunConfig, WellModel
 
 
@@ -348,9 +349,7 @@ class Problem:
 
     @classmethod
     def build(cls, mesh, model, wells, rc: RunConfig, sources=None, c0=None):
-        ws = AssemblyWorkspace(
-            mesh, build_diamond_dual(mesh), build_barycentric_dual(mesh), model, rc.quad,
-        )
+        ws = AssemblyWorkspace(mesh, build_barycentric_dual(mesh), model, rc.quad)
         c0 = rc.c0 if c0 is None else c0
         if callable(c0):
             c0_values = P1DGField.interpolate(mesh, c0).values

@@ -123,7 +123,7 @@ def operator_identity_suite(mesh: PrimalMesh, n_samples=100, seed=0,
     rng = np.random.default_rng(seed)
     dd = build_diamond_dual(mesh)
     bd = build_barycentric_dual(mesh)
-    ws = AssemblyWorkspace(mesh, dd, bd, default_model(), QuadratureRule())
+    ws = AssemblyWorkspace(mesh, bd, default_model(), QuadratureRule())
 
     brel_max = 0.0
     eta_max = 0.0

@@ -21,7 +21,7 @@ def setup():
     dd = build_diamond_dual(mesh)
     bd = build_barycentric_dual(mesh)
     model = default_model()
-    ws = asm.AssemblyWorkspace(mesh, dd, bd, model, QuadratureRule())
+    ws = asm.AssemblyWorkspace(mesh, bd, model, QuadratureRule())
     wells = wells_from_tris(mesh, [0, 1], [30, 31], T=1.0)
     return mesh, dd, bd, model, ws, wells
 
@@ -82,8 +82,19 @@ def test_segment_rule_exact_cubics():
 # ---------------------------------------------------------------------------
 
 def _workspace(mesh, model=None):
-    return asm.AssemblyWorkspace(mesh, build_diamond_dual(mesh), build_barycentric_dual(mesh),
-                                 model or default_model(), QuadratureRule())
+    return asm.AssemblyWorkspace(mesh, build_barycentric_dual(mesh), model or default_model(),
+                                 QuadratureRule())
+
+
+def _pair_tables(ws):
+    """Points, weights, P1 and RT0 tables of the diamond portions, one row
+    per (edge, triangle) pair, mapped from the edge's own endpoints."""
+    mesh = ws.mesh
+    pts, w = ws.quad.map_to_triangles(mesh.vertices[mesh.edges[ws.pr_edge, 0]],
+                                      mesh.vertices[mesh.edges[ws.pr_edge, 1]],
+                                      mesh.barycentre[ws.pr_tri])
+    return (pts, w, fes.p1_basis_at(mesh, pts, ws.pr_tri),
+            fes.rt0_basis_at(mesh, pts, ws.pr_tri))
 
 
 @pytest.fixture(scope="module", params=["n4", "unstructured"])
@@ -97,15 +108,19 @@ def table_ws(request):
 def test_barycentric_tables_reproduce_points(table_ws):
     # each table holds the barycentric coordinates of its points in the
     # triangle the points are assigned to: they sum to one and the
-    # coordinate-weighted vertices give the points back
+    # coordinate-weighted vertices give the points back.  The sub-cell and
+    # fan tables are reference tables, the same in every triangle
     ws = table_ws
     all_tris = np.arange(ws.mesh.num_triangles)
+    pr_pts, _, pr_lam, _ = _pair_tables(ws)
     tables = {
-        "sub_lam": (ws.sub_lam, ws.sub_pts, all_tris),
-        "fan_lam": (ws.fan_lam, ws.fan_pts, all_tris),
+        "sub_lam": (np.broadcast_to(ws.sub_lam, ws.sub_pts.shape[:-1] + (3,)),
+                    ws.sub_pts, all_tris),
+        "fan_lam": (np.broadcast_to(ws.fan_lam, ws.fan_pts.shape[:-1] + (3,)),
+                    ws.fan_pts, all_tris),
         "edge_lamL": (ws.edge_lamL, ws.edge_pts, ws.kL),
         "edge_lamR": (ws.edge_lamR, ws.edge_pts, ws.kR),
-        "pr_lam": (ws.pr_lam, ws.pr_pts, ws.pr_tri),
+        "pairs": (pr_lam, pr_pts, ws.pr_tri),
     }
     verts = ws.mesh.tri_vertices()
     for name, (lam, pts, tris) in tables.items():
@@ -114,13 +129,34 @@ def test_barycentric_tables_reproduce_points(table_ws):
         assert np.abs(back - pts).max() <= 1e-14, name
 
 
+def test_diamond_portions_are_the_sub_cells(table_ws):
+    # the portion of edge pr_edge's diamond cell in triangle pr_tri, mapped
+    # from the edge's endpoints, has the quadrature of sub-cell
+    # (pr_tri, pr_loc): the same points, in some order, with the same weights
+    ws = table_ws
+    pr_pts, pr_w, _, _ = _pair_tables(ws)
+    sub_pts = ws.sub_pts[ws.pr_tri, ws.pr_loc]
+    sub_w = ws.sub_w[ws.pr_tri, ws.pr_loc]
+    # and every sub-cell is the portion of exactly one pair
+    cells = 3 * ws.pr_tri + ws.pr_loc
+    assert np.array_equal(np.sort(cells), np.arange(3 * ws.mesh.num_triangles))
+    # each pair point's nearest sub-cell point, and back
+    dist = np.linalg.norm(pr_pts[:, :, None, :] - sub_pts[:, None, :, :], axis=-1)
+    near = np.argmin(dist, axis=2)
+    assert (np.sort(near, axis=1) == np.arange(near.shape[1])).all()
+    assert np.take_along_axis(dist, near[:, :, None], axis=2).max() <= 1e-15
+    assert np.abs(np.take_along_axis(sub_w, near, axis=1) - pr_w).max() <= 1e-15
+
+
 def test_rt0_tables_reproduce_constant_field(table_ws):
     ws = table_ws
     mesh = ws.mesh
     vec = np.array([0.3, -0.7])
     coeffs = fes.RT0Field.interpolate(mesh, lambda p: np.tile(vec, (p.shape[0], 1))).values
-    sub = np.einsum("tcqje,tj->tcqe", ws.sub_rt0, coeffs[mesh.tri_edges])
-    pair = np.einsum("nqje,nj->nqe", ws.pr_rt0, coeffs[mesh.tri_edges[ws.pr_tri]])
+    sub_rt0 = fes.rt0_basis_at(mesh, ws.sub_pts)
+    pr_rt0 = _pair_tables(ws)[3]
+    sub = np.einsum("tcqje,tj->tcqe", sub_rt0, coeffs[mesh.tri_edges])
+    pair = np.einsum("nqje,nj->nqe", pr_rt0, coeffs[mesh.tri_edges[ws.pr_tri]])
     assert np.abs(sub - vec).max() <= 1e-13
     assert np.abs(pair - vec).max() <= 1e-13
 
@@ -189,7 +225,8 @@ def test_velocity_matrix_is_gamma_pairing(setup):
     mesh, dd, bd, model, ws, wells = setup
     c = random_saturation(mesh)
     A, _, _ = asm.assemble_darcy(c, wells, 0.0, ws)
-    quad = QuadratureRule()
+    pr_pts, pr_w, pr_lam, pr_rt0 = _pair_tables(ws)
+    kappa = model.kappa(pr_pts.reshape(-1, 2)).reshape(pr_w.shape)
     interior = mesh.interior_edges
     for trial in range(0, interior.size, 7):
         vals = np.zeros(mesh.num_edges)
@@ -200,11 +237,35 @@ def test_velocity_matrix_is_gamma_pairing(setup):
             tv[interior[test]] = 1.0
             gv = fes.gamma_h(fes.RT0Field(mesh, tv), dd).values
             # integrate alpha phi_j . (gamma phi_i) over all diamond cells
-            cv = np.einsum("nqj,nj->nq", ws.pr_lam, c.values[ws.pr_tri])
-            avals = model.alpha(cv) / ws.kappa_pair
-            pj = np.einsum("nqje,nj->nqe", ws.pr_rt0, phi_j.values[mesh.tri_edges[ws.pr_tri]])
-            ref = float(np.einsum("nq,nq,nqe,ne->", ws.pr_w, avals, pj, gv[ws.pr_edge]))
+            cv = np.einsum("nqj,nj->nq", pr_lam, c.values[ws.pr_tri])
+            avals = model.alpha(cv) / kappa
+            pj = np.einsum("nqje,nj->nqe", pr_rt0, phi_j.values[mesh.tri_edges[ws.pr_tri]])
+            ref = float(np.einsum("nq,nq,nqe,ne->", pr_w, avals, pj, gv[ws.pr_edge]))
             assert A[test, trial] == pytest.approx(ref, abs=1e-13)
+
+
+def test_diamond_loads_match_pair_quadrature(table_ws):
+    # the costate Darcy load and the vector load, integrated on the
+    # sub-cells, against the same integrals on each diamond portion's own
+    # quadrature, with fields that tell the portions of a triangle apart
+    ws = table_ws
+    mesh, model = ws.mesh, ws.model
+    pr_pts, pr_w, pr_lam, _ = _pair_tables(ws)
+    c, cs = random_saturation(mesh), random_saturation(mesh, -1.0, 1.0)
+    cv = np.einsum("nqj,nj->nq", pr_lam, c.values[ws.pr_tri])
+    csv = np.einsum("nqj,nj->nq", pr_lam, cs.values[ws.pr_tri])
+    cell = -np.einsum("nq,nq,ne->ne", pr_w, model.b(cv) * csv, c.gradients()[ws.pr_tri])
+    ref = asm._gamma_load(cell, ws)
+    got = asm.assemble_darcy_costate_rhs(c, cs, ws)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def g(p):
+        return np.column_stack([np.sin(3.0 * p[:, 0]), p[:, 1] ** 2 - p[:, 0]])
+
+    gvals = g(pr_pts.reshape(-1, 2)).reshape(pr_pts.shape)
+    ref = asm._gamma_load(np.einsum("nq,nqe->ne", pr_w, gvals), ws)
+    got = asm.assemble_diamond_vector_load(g, ws)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("mesh", [
@@ -212,8 +273,7 @@ def test_velocity_matrix_is_gamma_pairing(setup):
     read_mesh("data/unstructured_square.node", "data/unstructured_square.ele"),
 ], ids=["n4", "unstructured"])
 def test_gamma_mat_matches_entry_loop(mesh):
-    ws = asm.AssemblyWorkspace(mesh, build_diamond_dual(mesh), build_barycentric_dual(mesh),
-                               unit_model(), QuadratureRule())
+    ws = asm.AssemblyWorkspace(mesh, build_barycentric_dual(mesh), unit_model(), QuadratureRule())
     verts = mesh.tri_vertices()
     coef = mesh.tri_edge_sign * mesh.edge_length[mesh.tri_edges] / (
         2.0 * mesh.tri_area[:, None])
@@ -289,7 +349,7 @@ def test_costate_rhs_two_triangle_quadrature_oracle():
     dd = build_diamond_dual(mesh)
     bd = build_barycentric_dual(mesh)
     model = default_model()
-    ws = asm.AssemblyWorkspace(mesh, dd, bd, model, QuadratureRule())
+    ws = asm.AssemblyWorkspace(mesh, bd, model, QuadratureRule())
     c = fes.P1DGField.interpolate(mesh, lambda p: p[:, 0])
     cstar = fes.P1DGField.constant(mesh, 1.0)
     got = asm.assemble_darcy_costate_rhs(c, cstar, ws)
@@ -349,7 +409,7 @@ def test_eta_mass_matrix_properties(setup):
 
 def test_eta_mass_matrix_against_quadrature(setup):
     mesh, dd, bd, model, ws, wells = setup
-    dcell = np.einsum("tcq,tcqj->tcj", ws.sub_w, ws.sub_lam)
+    dcell = np.einsum("tcq,tcqj->tcj", ws.sub_w, fes.p1_basis_at(mesh, ws.sub_pts))
     Dq = ws.dual_matrix(dcell)
     D = ws.D
     assert abs(D - Dq).max() < 1e-15
@@ -415,13 +475,15 @@ def _einsum_kernels(ws, c, u, us, wells, q, t, xi):
     they read before the workspace precontracted its geometry products."""
     model = ws.model
     tri_edges = ws.mesh.tri_edges
-    csub = np.einsum("tcqj,tj->tcq", ws.sub_lam, c.values)
-    usub = np.einsum("tcqje,tj->tcqe", ws.sub_rt0, u.values[tri_edges])
-    ussub = np.einsum("tcqje,tj->tcqe", ws.sub_rt0, us.values[tri_edges])
+    sub_lam = fes.p1_basis_at(ws.mesh, ws.sub_pts)
+    sub_rt0 = fes.rt0_basis_at(ws.mesh, ws.sub_pts)
+    csub = np.einsum("tcqj,tj->tcq", sub_lam, c.values)
+    usub = np.einsum("tcqje,tj->tcqe", sub_rt0, u.values[tri_edges])
+    ussub = np.einsum("tcqje,tj->tcqe", sub_rt0, us.values[tri_edges])
     out = {"p1_at_sub": csub, "rt0_at_sub": usub}
     out["E"] = np.einsum("tcq,tcq,tcqe,tle->tcl", ws.sub_w, model.b(csub), usub, ws.gradlam)
 
-    cfan = np.einsum("tcsqj,tj->tcsq", ws.fan_lam, c.values)
+    cfan = np.einsum("tcsqj,tj->tcsq", fes.p1_basis_at(ws.mesh, ws.fan_pts), c.values)
     dint = np.einsum("tcsq,tcsq->tcs", ws.fan_w, ws.kappa_fan * model.diffusion(cfan))
     out["T1"] = -np.einsum("tcs,tcse,tle->tcl", dint, ws.bary.seg_normal, ws.gradlam)
 
@@ -437,7 +499,7 @@ def _einsum_kernels(ws, c, u, us, wells, q, t, xi):
 
     out["G"] = np.einsum("t,tcq,tcq->tc", wells.r0_values() * q, ws.sub_w, model.f(csub))
     out["R"] = np.einsum("t,tcq,tcq,tcqj->tcj", wells.r1_values() * q, ws.sub_w,
-                         model.b(csub), ws.sub_lam)
+                         model.b(csub), sub_lam)
     gradc = np.einsum("tj,tje->te", c.values, ws.gradlam)
     cross = np.einsum("tcq,tcq->tc", ws.sub_w, ws.kappa_sub * model.diffusion_prime(csub))
     out["S"] = np.einsum("tc,te,tle->tcl", cross, gradc, ws.gradlam)
@@ -556,7 +618,7 @@ def test_quadrature_order_insensitive_for_affine_data(setup):
     u = random_velocity(mesh)
     out = []
     for deg in (4, 5):
-        ws = asm.AssemblyWorkspace(mesh, dd, bd, model, QuadratureRule(tri_degree=deg))
+        ws = asm.AssemblyWorkspace(mesh, bd, model, QuadratureRule(tri_degree=deg))
         D, E, H, G = asm.assemble_saturation_state(c, u, wells, 0.3, ws, 2.0)
         out.append((D, E, H, G))
     for a, b in zip(out[0], out[1]):

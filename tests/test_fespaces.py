@@ -62,17 +62,19 @@ def test_gamma_h_normal_component_single_valued(grids):
 
 def gamma_interp_error(mesh, v):
     """||v - gamma_h v|| over the diamond grid by quadrature."""
-    from porous_opt.assembly import AssemblyWorkspace
-    from porous_opt.mesh import build_barycentric_dual, build_diamond_dual
-    from porous_opt.model import default_model
     from porous_opt.quadrature import QuadratureRule
 
-    ws = AssemblyWorkspace(mesh, build_diamond_dual(mesh),
-                           build_barycentric_dual(mesh), default_model(),
-                           QuadratureRule())
-    vv = np.einsum("nqje,nj->nqe", ws.pr_rt0, v.values[mesh.tri_edges[ws.pr_tri]])
-    gv = v.midpoint_values()[ws.pr_edge]
-    return float(np.sqrt(np.einsum("nq,nqe->", ws.pr_w, (vv - gv[:, None, :]) ** 2)))
+    # one (edge, triangle) pair per diamond portion (edge endpoints, barycentre)
+    side_tri = mesh.edge_tris.ravel()
+    pr_edge = np.repeat(np.arange(mesh.num_edges), 2)[side_tri >= 0]
+    pr_tri = side_tri[side_tri >= 0]
+    pts, w = QuadratureRule().map_to_triangles(mesh.vertices[mesh.edges[pr_edge, 0]],
+                                               mesh.vertices[mesh.edges[pr_edge, 1]],
+                                               mesh.barycentre[pr_tri])
+    rt0 = fes.rt0_basis_at(mesh, pts, pr_tri)
+    vv = np.einsum("nqje,nj->nqe", rt0, v.values[mesh.tri_edges[pr_tri]])
+    gv = v.midpoint_values()[pr_edge]
+    return float(np.sqrt(np.einsum("nq,nqe->", w, (vv - gv[:, None, :]) ** 2)))
 
 
 def test_gamma_h_interp_error_rate():
@@ -144,8 +146,7 @@ def test_eta_h_o_h_decay():
         from porous_opt.model import default_model
         from porous_opt.quadrature import QuadratureRule
 
-        ws = AssemblyWorkspace(mesh, build_diamond_dual(mesh), bd,
-                               default_model(), QuadratureRule())
+        ws = AssemblyWorkspace(mesh, bd, default_model(), QuadratureRule())
         zq = ws.p1_at_sub(z)
         err2 = float(np.einsum("tcq,tcq->", ws.sub_w, (zq - gz.values[:, :, None]) ** 2))
         errs.append(np.sqrt(err2))

@@ -13,7 +13,7 @@ from porous_opt import fespaces as fes
 from porous_opt import solver as sol
 from porous_opt.config import parse_config
 from porous_opt.errors import CompatibilityError, PorousOptError, SolverError
-from porous_opt.mesh import build_barycentric_dual, build_diamond_dual, square_mesh
+from porous_opt.mesh import build_barycentric_dual, square_mesh
 from porous_opt.model import RunConfig, default_model, wells_from_tris
 from porous_opt.quadrature import QuadratureRule
 
@@ -23,10 +23,8 @@ RNG = np.random.default_rng(11)
 @pytest.fixture(scope="module")
 def setup():
     mesh = square_mesh(8)
-    dd = build_diamond_dual(mesh)
-    bd = build_barycentric_dual(mesh)
     model = default_model()
-    ws = asm.AssemblyWorkspace(mesh, dd, bd, model, QuadratureRule())
+    ws = asm.AssemblyWorkspace(mesh, build_barycentric_dual(mesh), model, QuadratureRule())
     wells = wells_from_tris(mesh, [0, 1], [126, 127], T=1.0)
     return mesh, model, ws, wells
 
@@ -142,8 +140,7 @@ def dense_multiplier_solve(A, B, mesh, rhs_u, rhs_p):
 def test_pinned_solve_matches_dense_multiplier_system():
     mesh = square_mesh(4)
     model = default_model()
-    ws = asm.AssemblyWorkspace(mesh, build_diamond_dual(mesh),
-                               build_barycentric_dual(mesh), model, QuadratureRule())
+    ws = asm.AssemblyWorkspace(mesh, build_barycentric_dual(mesh), model, QuadratureRule())
     wells = wells_from_tris(mesh, [0, 1], [30, 31], T=1.0)
     c = fes.P1DGField.interpolate(mesh, lambda p: 0.2 + 0.6 * p[:, 0] * p[:, 1])
     A, B, F = asm.assemble_darcy(c, wells, 0.8, ws)
