@@ -57,6 +57,25 @@ pinned Darcy saddles.  The coefficients (alpha, b, D, f and their derivatives,
 kappa, phi) come from the workspace's ``ws.model``, so a matrix cannot mix
 two models; :func:`trilinear_form`, which builds no workspace, takes its
 own.
+
+The saturation kernels (:func:`assemble_saturation_state`,
+:func:`_diffusion_matrix`, :func:`assemble_saturation_costate`) run their
+per-point work over blocks of consecutive triangles and interior edges
+(:func:`_blocks`).  A block evaluates the ``ws.model`` coefficients, the P1
+values at its sub-cell, fan and edge points, the velocity-gradient table, the
+quadrature products and the edge flux blocks, and writes its rows into
+outputs allocated once per call: (n_t, 3, 3) cell rows, (n_t, 3) loads and
+(n_ie, 6, 6) edge blocks.  The injection source G and the reaction R are
+evaluated only on the well triangles of each block.  A block's length comes
+from the byte budget ``_BLOCK_BYTES`` of its largest temporary: 256 rows at
+the default nq = 6, 108 KiB, which fits in L2 and stays below glibc's default
+128 KiB mmap threshold.  Whole-mesh temporaries above that threshold were
+each mapped and faulted in afresh at every call, and a block's are reused
+from the heap: with the threshold fixed at 128 KiB, at n = 64, the state
+kernels went from 9.0-9.7 k to 3.3 k minor faults per call and the costate
+kernels from 11.8-12.3 k to 1.7 k (one process on a 2-core host).  Each row
+goes through the same operations as in a whole-mesh pass, so the operators
+keep their bits.
 """
 
 from dataclasses import dataclass
@@ -259,27 +278,36 @@ class AssemblyWorkspace:
 
     # -- small helpers -----------------------------------------------------
 
-    def grad_p1(self, field: P1DGField):
-        """Element gradients of ``field``, shape (n_t, 2)."""
-        return (field.values[:, None, :] @ self.gradlam)[:, 0]
+    def grad_p1(self, field: P1DGField, rows=slice(None)):
+        """Element gradients of ``field`` on the triangles ``rows``, shape (len, 2)."""
+        return (field.values[rows, None, :] @ self.gradlam[rows])[:, 0]
 
-    def p1_at_sub(self, field: P1DGField):
-        return _at_ref(self.sub_lam, field.values)
+    def p1_at_sub(self, field: P1DGField, rows=slice(None)):
+        return _at_ref(self.sub_lam, field.values[rows])
 
-    def p1_at_fan(self, field: P1DGField):
-        return _at_ref(self.fan_lam, field.values)
+    def p1_at_fan(self, field: P1DGField, rows=slice(None)):
+        return _at_ref(self.fan_lam, field.values[rows])
 
-    def rt0_at_sub(self, field: RT0Field):
-        """``field`` at the sub-cell points, (n_t, 3, nq, 2).
+    def rt0_grad_at_sub(self, field: RT0Field, rows=slice(None)):
+        """sum_j c_j Phi_j . grad(lambda_l) at the sub-cell points of the
+        triangles ``rows``, (len, 3, nq, 3), for the scaled edge coefficients
+        c = ``field`` times ``rt0_coef``: one GEMM with ``sub_rt0_grad``."""
+        coeffs = field.values[self.mesh.tri_edges[rows]] * self.rt0_coef[rows]
+        return (coeffs @ self.sub_rt0_grad.reshape(3, -1)).reshape(
+            len(coeffs), *self.sub_rt0_grad.shape[1:])
+
+    def rt0_at_sub(self, field: RT0Field, rows=slice(None)):
+        """``field`` at the sub-cell points of the triangles ``rows``,
+        (len, 3, nq, 2).
 
         With c_j the scaled edge coefficients, sum_j c_j (x - p_j) is
-        sum_l w_l v_l for the weights w = c @ sub_rt0_grad, one GEMM, and a
-        batched matmul with the vertices.  The weights sum to zero, so the
-        vertices are taken relative to the first one (``vert_rel``): the
-        same sum, without the cancellation of the absolute coordinates."""
-        coeffs = field.values[self.mesh.tri_edges] * self.rt0_coef
-        w = (coeffs @ self.sub_rt0_grad.reshape(3, -1)).reshape(len(coeffs), -1, 3)
-        return (w @ self.vert_rel).reshape(self.sub_w.shape + (2,))
+        sum_l w_l v_l for the weights w = c @ sub_rt0_grad
+        (:meth:`rt0_grad_at_sub`), and a batched matmul with the vertices.
+        The weights sum to zero, so the vertices are taken relative to the
+        first one (``vert_rel``): the same sum, without the cancellation of
+        the absolute coordinates."""
+        w = self.rt0_grad_at_sub(field, rows)
+        return (w.reshape(len(w), -1, 3) @ self.vert_rel[rows]).reshape(w.shape[:-1] + (2,))
 
     def sample_sub(self, fun):
         """``fun`` at the sub-cell points, shaped like ``sub_w`` plus its value shape."""
@@ -306,10 +334,14 @@ class AssemblyWorkspace:
     def sat_matrix(self, blocks, edge_blocks=None):
         """Saturation matrix of element blocks (n_t, 3, 3), written by slot,
         plus any interior-edge blocks (n_ie, 6, 6), summed in edge order."""
-        data = np.zeros(self.sat_indptr[-1])
-        data[self.el_slot] = blocks
-        if edge_blocks is not None:
-            data += np.bincount(self.edge_slot.ravel(), edge_blocks.ravel(), data.size)
+        if edge_blocks is None:
+            data = np.zeros(self.sat_indptr[-1])
+            data[self.el_slot] = blocks
+        else:
+            # bincount sums from +0.0, so adding the element blocks to its
+            # sums rounds as adding the sums to the blocks would
+            data = np.bincount(self.edge_slot.ravel(), edge_blocks.ravel(), self.sat_indptr[-1])
+            data[self.el_slot] += blocks
         n = 3 * len(blocks)
         return sp.csc_matrix((data, self.sat_indices, self.sat_indptr), shape=(n, n))
 
@@ -484,6 +516,27 @@ def _block_slots(nb, indptr, k):
     return slot.reshape(len(k), 3 * k.shape[1], -1)
 
 
+# Byte budget of the largest temporary of one block, E's (len, 3, nq, 3)
+# velocity-gradient table: 256 triangles at the default nq = 6, 108 KiB, which
+# stays below glibc's default 128 KiB mmap threshold and fits in L2.
+_BLOCK_BYTES = 108 * 1024
+
+
+def _blocks(n, nq):
+    """range(n) cut into the fewest consecutive slices of at most
+    ``_BLOCK_BYTES`` / (72 nq) rows (three or more), their lengths differing
+    by at most one.
+
+    Even lengths keep out single-row blocks (unless n = 1): numpy multiplies
+    a one-row matrix by a matrix-vector kernel, which rounds otherwise than
+    the matrix-matrix kernel of longer blocks and of the whole mesh
+    (measured)."""
+    step = max(3, _BLOCK_BYTES // (9 * nq * np.dtype(float).itemsize))
+    count = max(1, -(-n // step))
+    bounds = (np.arange(count + 1) * n // count).tolist()
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def _require_finite(values, what):
     vals = np.asarray(values)
     if not np.isfinite(vals).all():
@@ -574,43 +627,50 @@ def assemble_saturation_state(c_field: P1DGField, u_field: RT0Field,
     _require_finite(c_field.values, "saturation coefficient")
     _require_finite(u_field.values, "velocity coefficient")
 
-    D = ws.D
-    n_t = ws.mesh.num_triangles
-    csub = ws.p1_at_sub(c_field)                      # (n_t, 3, nq)
-    # E: w b(C) U . grad(lambda_l); U . grad(lambda_l) at the sub-cell points
-    # is one GEMM of the scaled edge coefficients with the reference table
-    coeffs = u_field.values[ws.mesh.tri_edges] * ws.rt0_coef          # (n_t, 3)
-    ugrad = (coeffs @ ws.sub_rt0_grad.reshape(3, -1)).reshape(n_t, *ws.sub_rt0_grad.shape[1:])
-    conv = np.einsum("tcq,tcql->tcl", ws.sub_w * ws.model.b(csub), ugrad)
-    E = ws.dual_matrix(conv)
-
-    H = _diffusion_matrix(c_field, ws, xi)
-
-    fsub = ws.model.f(csub)
-    gcell = np.einsum("t,tcq,tcq->tc", wells.r0_values() * q, ws.sub_w, fsub)
-    G = ws.dual_load(gcell)
-    return D, E, H, G
+    model = ws.model
+    n_t, _, nq = ws.sub_w.shape
+    r0 = wells.r0_values()
+    conv = np.empty((n_t, 3, 3))
+    gcell = np.zeros((n_t, 3))
+    for rows in _blocks(n_t, nq):
+        w = ws.sub_w[rows]
+        csub = ws.p1_at_sub(c_field, rows)                   # (len, 3, nq)
+        # E: w b(C) U . grad(lambda_l)
+        conv[rows] = np.einsum("tcq,tcql->tcl", w * model.b(csub), ws.rt0_grad_at_sub(u_field, rows))
+        # G: f(C) r0 q, zero off the injection triangles
+        inj = np.flatnonzero(r0[rows])
+        if inj.size:
+            gcell[rows][inj] = np.einsum("t,tcq,tcq->tc", r0[rows][inj] * q, w[inj],
+                                         model.f(csub[inj]))
+    return ws.D, ws.dual_matrix(conv), _diffusion_matrix(c_field, ws, xi), ws.dual_load(gcell)
 
 
 def _diffusion_matrix(c_field, ws, xi):
+    model = ws.model
+    n_t, _, nq = ws.sub_w.shape
     # T1: fan fluxes against the cell's eta average
-    cfan = ws.p1_at_fan(c_field)
-    dfan = ws.kappa_fan * ws.model.diffusion(cfan)     # (n_t, 3, 2, ne)
-    dint = np.einsum("tcsq,tcsq->tcs", ws.fan_w, dfan)  # (n_t, 3, 2)
-    nflux = (dint[:, :, None, :] @ ws.seg_ngrad)[:, :, 0]
+    t1 = np.empty((n_t, 3, 3))
+    for rows in _blocks(n_t, nq):
+        dfan = ws.kappa_fan[rows] * model.diffusion(ws.p1_at_fan(c_field, rows))  # (len, 3, 2, ne)
+        dint = np.einsum("tcsq,tcsq->tcs", ws.fan_w[rows], dfan)            # (len, 3, 2)
+        t1[rows] = -(dint[:, :, None, :] @ ws.seg_ngrad[rows])[:, :, 0]
 
     # edge terms on interior edges: n . grad of each side's trial basis,
     # weighted by that side's diffusion integral and half (average)
-    cl = _at_points(ws.edge_lamL, c_field.values[ws.kL])
-    cr = _at_points(ws.edge_lamR, c_field.values[ws.kR])
-    dL = np.einsum("nq,nq->n", ws.edge_w, ws.kappa_edge * ws.model.diffusion(cl))
-    dR = np.einsum("nq,nq->n", ws.edge_w, ws.kappa_edge * ws.model.diffusion(cr))
-    flux = 0.5 * np.concatenate([dL[:, None] * ws.edge_ngradL,
-                                 dR[:, None] * ws.edge_ngradR], axis=1)   # (n_ie, 6)
-    t2 = -ws.avg_jump[:, :, None] * flux[:, None, :]
-    t4 = (xi / ws.ie_h)[:, None, None] * ws.edge_penalty
-    # T3 is T2 with the roles of trial and test swapped
-    return ws.dual_matrix(-nflux, t2 + np.swapaxes(t2, 1, 2) + t4)
+    edges = np.empty((ws.n_int, 6, 6))
+    for rows in _blocks(ws.n_int, nq):
+        w, kappa = ws.edge_w[rows], ws.kappa_edge[rows]
+        cl = _at_points(ws.edge_lamL[rows], c_field.values[ws.kL[rows]])
+        cr = _at_points(ws.edge_lamR[rows], c_field.values[ws.kR[rows]])
+        dL = np.einsum("nq,nq->n", w, kappa * model.diffusion(cl))
+        dR = np.einsum("nq,nq->n", w, kappa * model.diffusion(cr))
+        flux = 0.5 * np.concatenate([dL[:, None] * ws.edge_ngradL[rows],
+                                     dR[:, None] * ws.edge_ngradR[rows]], axis=1)  # (len, 6)
+        t2 = -ws.avg_jump[rows, :, None] * flux[:, None, :]
+        t4 = (xi / ws.ie_h[rows])[:, None, None] * ws.edge_penalty[rows]
+        # T3 is T2 with the roles of trial and test swapped
+        edges[rows] = t2 + np.swapaxes(t2, 1, 2) + t4
+    return ws.dual_matrix(t1, edges)
 
 
 def assemble_saturation_costate(c_field: P1DGField, u_field: RT0Field,
@@ -627,25 +687,33 @@ def assemble_saturation_costate(c_field: P1DGField, u_field: RT0Field,
     _require_finite(ustar_field.values, "costate velocity")
 
     model = ws.model
-    csub = ws.p1_at_sub(c_field)
-
-    r1qwb = (wells.r1_values() * q)[:, None, None] * ws.sub_w * model.b(csub)
-    R = ws.dual_matrix((r1qwb[:, :, None, :] @ ws.sub_lam)[:, :, 0])
-
-    dp = ws.kappa_sub * model.diffusion_prime(csub)
-    cross = np.einsum("tcq,tcq->tc", ws.sub_w, dp)
-    gradc_lam = (ws.gradlam @ ws.grad_p1(c_field)[:, :, None])[:, :, 0]   # (n_t, 3)
-    S = ws.dual_matrix(cross[:, :, None] * gradc_lam[:, None, :])
-
+    n_t, _, nq = ws.sub_w.shape
+    r1 = wells.r1_values()
     wval = wells.w(t)
-    wcell = wval * np.einsum("tcq,tcq->tc", ws.sub_w, csub)
-    W = ws.dual_load(wcell)
+    rcell = np.zeros((n_t, 3, 3))
+    scell = np.empty((n_t, 3, 3))
+    wcell = np.empty((n_t, 3))
+    zcell = np.empty((n_t, 3))
+    for rows in _blocks(n_t, nq):
+        w = ws.sub_w[rows]
+        csub = ws.p1_at_sub(c_field, rows)
+        # R: r1 q w b(C) against lambda_j, zero off the production triangles
+        prod = np.flatnonzero(r1[rows])
+        if prod.size:
+            r1qwb = (r1[rows][prod] * q)[:, None, None] * w[prod] * model.b(csub[prod])
+            rcell[rows][prod] = (r1qwb[:, :, None, :] @ ws.sub_lam)[:, :, 0]
 
-    # the only evaluation of the velocities at the sub-cell points
-    udot = (ws.rt0_at_sub(u_field) * ws.rt0_at_sub(ustar_field)).sum(axis=-1)
-    ap = model.alpha_prime(csub) / ws.kappa_sub
-    Z = ws.dual_load(np.einsum("tcq,tcq->tc", ws.sub_w, ap * udot))
-    return R, S, W, Z
+        cross = np.einsum("tcq,tcq->tc", w, ws.kappa_sub[rows] * model.diffusion_prime(csub))
+        gradc_lam = (ws.gradlam[rows] @ ws.grad_p1(c_field, rows)[:, :, None])[:, :, 0]
+        scell[rows] = cross[:, :, None] * gradc_lam[:, None, :]
+
+        wcell[rows] = wval * np.einsum("tcq,tcq->tc", w, csub)
+
+        # the only evaluation of the velocities at the sub-cell points
+        udot = (ws.rt0_at_sub(u_field, rows) * ws.rt0_at_sub(ustar_field, rows)).sum(axis=-1)
+        ap = model.alpha_prime(csub) / ws.kappa_sub[rows]
+        zcell[rows] = np.einsum("tcq,tcq->tc", w, ap * udot)
+    return ws.dual_matrix(rcell), ws.dual_matrix(scell), ws.dual_load(wcell), ws.dual_load(zcell)
 
 
 def assemble_dual_scalar_load(sfun, ws: AssemblyWorkspace):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -553,6 +555,105 @@ def test_precontracted_kernels_match_einsum_oracle(table_ws, monkeypatch):
     assert np.abs(ws.dual_matrix(cell).data - transferred.data).max() <= 1e-14 * np.abs(cell).max()
     load = np.einsum("cv,tc->tv", asm.SEL, cell[:, :, 0]).ravel()
     assert np.abs(ws.dual_load(cell[:, :, 0]) - load).max() <= 1e-14 * np.abs(cell).max()
+
+
+def _whole_mesh_operators(ws, c, u, us, wells, q, t, xi):
+    """E, H, G, R, S, W, Z as whole-mesh array expressions: the formulas of
+    the blocked kernels on every triangle and interior edge at once, with
+    each matrix's data written as zeros, then the element blocks by slot,
+    then the edge sums added."""
+    model = ws.model
+    n_t, _, nq = ws.sub_w.shape
+
+    def sat_data(cell, edge_blocks=None):
+        data = np.zeros(ws.sat_indptr[-1])
+        data[ws.el_slot] = asm.SEL.T @ cell
+        if edge_blocks is not None:
+            data += np.bincount(ws.edge_slot.ravel(), edge_blocks.ravel(), data.size)
+        return data
+
+    def at_ref(lam, values):
+        return (values @ lam.reshape(-1, 3).T).reshape(len(values), *lam.shape[:-1])
+
+    def rt0_grad(field):
+        coeffs = field.values[ws.mesh.tri_edges] * ws.rt0_coef
+        return (coeffs @ ws.sub_rt0_grad.reshape(3, -1)).reshape(n_t, 3, nq, 3)
+
+    def rt0_at_sub(field):
+        return (rt0_grad(field).reshape(n_t, -1, 3) @ ws.vert_rel).reshape(n_t, 3, nq, 2)
+
+    out = {}
+    csub = at_ref(ws.sub_lam, c.values)
+    out["E"] = sat_data(np.einsum("tcq,tcql->tcl", ws.sub_w * model.b(csub), rt0_grad(u)))
+
+    dfan = ws.kappa_fan * model.diffusion(at_ref(ws.fan_lam, c.values))
+    dint = np.einsum("tcsq,tcsq->tcs", ws.fan_w, dfan)
+    nflux = (dint[:, :, None, :] @ ws.seg_ngrad)[:, :, 0]
+    cl = (ws.edge_lamL @ c.values[ws.kL][:, :, None])[:, :, 0]
+    cr = (ws.edge_lamR @ c.values[ws.kR][:, :, None])[:, :, 0]
+    dL = np.einsum("nq,nq->n", ws.edge_w, ws.kappa_edge * model.diffusion(cl))
+    dR = np.einsum("nq,nq->n", ws.edge_w, ws.kappa_edge * model.diffusion(cr))
+    flux = 0.5 * np.concatenate([dL[:, None] * ws.edge_ngradL,
+                                 dR[:, None] * ws.edge_ngradR], axis=1)
+    t2 = -ws.avg_jump[:, :, None] * flux[:, None, :]
+    t4 = (xi / ws.ie_h)[:, None, None] * ws.edge_penalty
+    out["H"] = sat_data(-nflux, t2 + np.swapaxes(t2, 1, 2) + t4)
+
+    gcell = np.einsum("t,tcq,tcq->tc", wells.r0_values() * q, ws.sub_w, model.f(csub))
+    out["G"] = (gcell @ asm.SEL).ravel()
+
+    r1qwb = (wells.r1_values() * q)[:, None, None] * ws.sub_w * model.b(csub)
+    out["R"] = sat_data((r1qwb[:, :, None, :] @ ws.sub_lam)[:, :, 0])
+    cross = np.einsum("tcq,tcq->tc", ws.sub_w, ws.kappa_sub * model.diffusion_prime(csub))
+    gradc = (c.values[:, None, :] @ ws.gradlam)[:, 0]
+    gradc_lam = (ws.gradlam @ gradc[:, :, None])[:, :, 0]
+    out["S"] = sat_data(cross[:, :, None] * gradc_lam[:, None, :])
+    out["W"] = ((wells.w(t) * np.einsum("tcq,tcq->tc", ws.sub_w, csub)) @ asm.SEL).ravel()
+    udot = (rt0_at_sub(u) * rt0_at_sub(us)).sum(axis=-1)
+    ap = model.alpha_prime(csub) / ws.kappa_sub
+    out["Z"] = (np.einsum("tcq,tcq->tc", ws.sub_w, ap * udot) @ asm.SEL).ravel()
+    return out
+
+
+def test_blocked_kernels_match_whole_mesh_oracle(table_ws, monkeypatch):
+    # the kernels run over blocks of 7 or fewer triangles and interior edges
+    # (several blocks, of unequal lengths on the triangles); every operator
+    # is bitwise the whole-mesh one, and no coefficient call sees more points
+    # than one block holds
+    ws = table_ws
+    mesh = ws.mesh
+    n_t, _, nq = ws.sub_w.shape
+    wells = wells_from_tris(mesh, [0, 1, 9, 16], [12, n_t - 8, n_t - 1], T=1.0, wtilde=2.0)
+    c = random_saturation(mesh, -0.1, 1.1)
+    u, us = random_velocity(mesh), random_velocity(mesh)
+    q, t, xi = 0.4, 0.95, 1.7
+    want = _whole_mesh_operators(ws, c, u, us, wells, q, t, xi)
+    assert all(np.abs(want[k]).max() > 0.0 for k in ("G", "R", "W"))
+
+    monkeypatch.setattr(asm, "_BLOCK_BYTES", 7 * 9 * nq * 8)
+    lengths = [s.stop - s.start for s in asm._blocks(n_t, nq)]
+    assert sum(lengths) == n_t and len(lengths) > 3 and len(set(lengths)) == 2
+    assert max(s.stop - s.start for s in asm._blocks(ws.n_int, nq)) <= 7 < ws.n_int
+
+    points = []
+
+    def counted(fun):
+        def wrapped(x, *args):
+            points.append(np.size(x))
+            return fun(x, *args)
+        return wrapped
+
+    model = ws.model
+    monkeypatch.setattr(ws, "model", dataclasses.replace(model, **{
+        f.name: counted(getattr(model, f.name))
+        for f in dataclasses.fields(model) if callable(getattr(model, f.name))}))
+    D, E, H, G = asm.assemble_saturation_state(c, u, wells, q, ws, xi)
+    R, S, W, Z = asm.assemble_saturation_costate(c, u, us, wells, q, t, ws)
+    assert D is ws.D
+    got = dict(E=E.data, H=H.data, G=G, R=R.data, S=S.data, W=W, Z=Z)
+    for name, arr in want.items():
+        assert got[name].tobytes() == arr.tobytes(), name
+    assert points and max(points) <= 7 * 3 * nq
 
 
 def test_state_matrices_annihilate_constants(setup):

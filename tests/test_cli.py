@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -247,3 +250,37 @@ def test_determinism_across_thread_flag(small_cfg, tmp_path):
                  "--threads", "4"]) == 0
     for name in ("summary.csv", "objective_terms.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# records the thread variables at the moment numpy is first imported
+_PROBE = """
+import json, os, sys
+VARS = {vars!r}
+seen = {{}}
+
+
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update({{v: os.environ.get(v) for v in VARS}})
+
+
+sys.meta_path.insert(0, Probe())
+import porous_opt.cli
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "3"}], ids=["unset", "set"])
+def test_cli_pins_blas_threads_before_numpy_loads(preset):
+    # importing the CLI sets each BLAS thread count to 1 before numpy loads
+    # BLAS, and keeps a count the environment already gives
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join([str(DATA.parent / "src"), env.get("PYTHONPATH", "")])
+    env.update(preset)
+    res = subprocess.run([sys.executable, "-c", _PROBE.format(vars=_BLAS_VARS)], env=env,
+                         capture_output=True, text=True, check=True)
+    seen = json.loads(res.stdout)
+    assert seen == {v: preset.get(v, "1") for v in _BLAS_VARS}
