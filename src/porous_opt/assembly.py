@@ -51,9 +51,9 @@ side's grad lambda_l (the edge fluxes).  The per-step kernels are broadcasts
 and ``matmul`` over these tables; only Z evaluates the velocities at the
 sub-cell points.  Its ``step_ordering`` (:class:`SaturationOrdering`, built
 at the first step) holds the diagonal slots and the one elimination order of
-the step matrices, and its ``saddle_ordering`` (:class:`SaddleOrdering`,
-built at the first Darcy solve) the one nested-dissection order of the
-pinned Darcy saddles.  The coefficients (alpha, b, D, f and their derivatives,
+the step matrices, and its ``null_space`` (:class:`DarcyNullSpace`, built
+at the first Darcy solve) the divergence-free velocity basis and the B B^T
+factor that every Darcy solve of the mesh shares.  The coefficients (alpha, b, D, f and their derivatives,
 kappa, phi) come from the workspace's ``ws.model``, so a matrix cannot mix
 two models; :func:`trilinear_form`, which builds no workspace, takes its
 own.
@@ -84,8 +84,9 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
-from .errors import AssemblyError, ConfigError
+from .errors import AssemblyError, ConfigError, DomainError
 from .fespaces import P1DGField, RT0Field, grad_lambda, p1_basis_at
 from .mesh import BarycentricDualMesh, PrimalMesh
 from .model import CoefficientModel, WellModel
@@ -267,10 +268,10 @@ class AssemblyWorkspace:
         return SaturationOrdering(self.sat_indptr, self.sat_indices)
 
     @cached_property
-    def saddle_ordering(self):
-        """Elimination order of the pinned Darcy saddle, built at the first
-        Darcy solve rather than at set-up."""
-        return SaddleOrdering(self.mesh)
+    def null_space(self):
+        """Divergence-free basis and pressure factor of the Darcy systems,
+        built at the first Darcy solve rather than at set-up."""
+        return DarcyNullSpace(self.mesh, self.B)
 
     def _kappa_at(self, pts):
         flat = pts.reshape(-1, 2)
@@ -387,110 +388,72 @@ class SaturationOrdering:
         self.indptr = np.append(0, np.cumsum(np.diff(indptr)[self.perm])).astype(np.int32)
 
 
-# Largest part the nested dissection leaves undivided.  On three Darcy
-# systems at n = 64 (measured), leaves of 32 unknowns gave 2-5 % more LU fill
-# than 40, and leaves of 48 from 3 % less to 11 % more.
-_ND_LEAF = 40
+class DarcyNullSpace:
+    """Divergence-free basis and pressure factor of the Darcy systems of one
+    mesh (the null-space method: Benzi, Golub & Liesen, Acta Numerica 14,
+    2005, section 6; Arioli & Manzini, Commun. Numer. Meth. Engng 18, 2002).
 
+    ``curl`` maps stream-function values at the vertices to interior-edge
+    velocities: row e holds +1/|e| at the end b and -1/|e| at the end a of
+    edge e = (a, b) when its normal is the tangent b - a turned clockwise,
+    the opposite signs otherwise, so ``B @ curl == 0``.  The stream function
+    is 0 on the outer boundary loop (the loop of the leftmost vertex) and one
+    unknown on each other loop, a hole, so the columns are the interior
+    vertices followed by the holes; an interior edge whose two ends share a
+    column has an empty row.  A boundary loop is a connected component of
+    the boundary edges.  The columns span the divergence-free velocities only
+    when their number is the null space's dimension n_int - n_t + 1 (the
+    rows of B sum to zero); otherwise, as on a disconnected mesh,
+    :class:`DomainError` names both numbers.
 
-class SaddleOrdering:
-    """Elimination order of the pinned Darcy saddle of one mesh: geometric
-    nested dissection (George, SIAM J. Numer. Anal. 10, 1973).
-
-    The unknowns are numbered as in the full saddle system: interior edge i
-    is unknown i and the pressure of triangle t is n_int + t.  The first
-    pressure, n_int, is pinned and left out, so the order holds the other
-    n_int + n_t - 1.  Each unknown sits at its edge midpoint or triangle
-    barycentre.  Level by level, every part of more than ``_ND_LEAF``
-    unknowns is bisected at the median of the coordinate along which it is
-    wider.  The lower half's unknowns with a neighbour in the upper half, in
-    the structural graph of K + K^T, form the part's one-sided separator,
-    ordered after both halves.  Within each undivided part and each
-    separator the edges come before the pressures, in index order.
-
-    The graph comes from the mesh, not from A's values: an entry of A that
-    cancels for one saturation (8 of 8,952 at constant C on the 16 x 16
-    square mesh) leaves the order unchanged.  ``perm[i]`` is the unknown
-    eliminated i-th, and ``pos`` its position in ``perm`` (-1 at the pinned
-    pressure).
+    ``pressure_solve(r)`` solves (B B^T) y = r, geometry only, through one
+    ``splu`` of B B^T with the first pressure pinned (y[0] = 0).
     """
 
-    def __init__(self, mesh: PrimalMesh):
+    def __init__(self, mesh: PrimalMesh, B):
         ie = mesh.interior_edges
-        n_int, n_t = ie.size, mesh.num_triangles
-        n = n_int + n_t
+        n_v = mesh.num_vertices
+        bd = mesh.edges[mesh.boundary_edge]
+        on_bd = np.zeros(n_v, dtype=bool)
+        on_bd[bd.ravel()] = True
+        _, loop = connected_components(
+            sp.coo_matrix((np.ones(len(bd)), (bd[:, 0], bd[:, 1])), shape=(n_v, n_v)),
+            directed=False)
+        outer = loop[np.argmin(np.where(on_bd, mesh.vertices[:, 0], np.inf))]
+        in_hole = on_bd & (loop != outer)
+        holes, hole_of = np.unique(loop[in_hole], return_inverse=True)
+        col = np.full(n_v, -1)
+        inner = np.flatnonzero(~on_bd)
+        col[inner] = np.arange(inner.size)
+        col[in_hole] = inner.size + hole_of
+        n_col = inner.size + holes.size
+        n_null = ie.size - mesh.num_triangles + 1
+        if n_col != n_null:
+            raise DomainError(
+                f"the stream function has {n_col} unknowns but the divergence-free "
+                f"velocities have {n_null} dimensions: the mesh must be one piece "
+                f"joined through its edges")
 
-        # structural graph, each pair once: A couples the interior edges of
-        # the triangles on either side of one edge (a diamond cell), B each
-        # triangle with its interior edges.  Pairs with the pinned pressure
-        # need no removal: its part id never matches a live one
-        int_of_edge = np.full(mesh.num_edges, -1)
-        int_of_edge[ie] = np.arange(n_int)
-        tri_int = int_of_edge[mesh.tri_edges]                    # (n_t, 3)
-        side_tri = mesh.edge_tris.ravel()
-        has = side_tri >= 0
-        cell = np.repeat(np.repeat(np.arange(mesh.num_edges), 2)[has], 3)
-        dof = tri_int[side_tri[has]].ravel()
-        keep = dof >= 0
-        cell, dof = cell[keep], dof[keep]
-        M = sp.csr_matrix((np.ones(dof.size), (cell, dof)), shape=(mesh.num_edges, n_int))
-        A = sp.triu(M.T @ M, 1, format="coo")
-        tri = np.repeat(np.arange(n_t), 3)[tri_int.ravel() >= 0]
-        gi = np.concatenate([A.row, tri_int[tri_int >= 0]])
-        gj = np.concatenate([A.col, n_int + tri])
+        a, b = mesh.edges[ie, 0], mesh.edges[ie, 1]
+        t = mesh.vertices[b] - mesh.vertices[a]
+        n = mesh.edge_normal[ie]
+        sign = np.where(n[:, 0] * t[:, 1] - n[:, 1] * t[:, 0] > 0, 1.0, -1.0)
+        vals = np.concatenate([sign, -sign]) / np.tile(mesh.edge_length[ie], 2)
+        rows = np.tile(np.arange(ie.size), 2)
+        cols = col[np.concatenate([b, a])]
+        keep = cols >= 0
+        # the two ends of an edge inside one hole's column cancel exactly
+        self.curl = sp.csc_matrix((vals[keep], (rows[keep], cols[keep])),
+                                  shape=(ie.size, n_col))
+        self.curl.eliminate_zeros()
 
-        pts = np.concatenate([mesh.edge_midpoint[ie], mesh.barycentre])
-        live = np.delete(np.arange(n), n_int)
-        # the undivided unknowns, grouped by part, by x and by y within each
-        ox = live[np.argsort(pts[live, 0], kind="stable")]
-        oy = live[np.argsort(pts[live, 1], kind="stable")]
-        part = np.ones(n, dtype=np.int64)    # heap ids: part k splits into 2k, 2k + 1
-        level = np.zeros(n, dtype=np.int64)  # depth at which each unknown was placed
-        depth = 0
-        while ox.size:
-            p = part[ox]
-            starts = np.flatnonzero(np.diff(p, prepend=-1))
-            cnt = np.diff(starts, append=p.size)
-            leaf = np.repeat(cnt <= _ND_LEAF, cnt)
-            level[ox[leaf]] = depth
-            ox, oy, cnt = ox[~leaf], oy[~leaf], cnt[cnt > _ND_LEAF]
-            if not ox.size:
-                break
-            starts = np.cumsum(cnt) - cnt
-            lo, hi = starts, starts + cnt - 1
-            x, y = pts[ox, 0], pts[oy, 1]
-            by_y = np.repeat(y[hi] - y[lo] > x[hi] - x[lo], cnt)
-            upper = np.arange(ox.size) >= np.repeat(starts + cnt // 2, cnt)
-            side = np.zeros(n, dtype=np.int64)
-            side[ox[~by_y]] = upper[~by_y]
-            side[oy[by_y]] = upper[by_y]
-            part[ox] = 2 * part[ox] + side[ox]
+        BBt = (B @ B.T).tocsc()[1:, 1:]
+        self._bbt = spla.splu(BBt, permc_spec="MMD_AT_PLUS_A",
+                              options=dict(SymmetricMode=True))
 
-            pi, pj = part[gi], part[gj]
-            same = (pi >> 1) == (pj >> 1)
-            cross = same & (pi != pj)
-            sep = np.where(pi[cross] & 1, gj[cross], gi[cross])  # the lower end
-            part[sep] >>= 1
-            level[sep] = depth
-            placed = np.zeros(n, dtype=bool)
-            placed[sep] = True
-            gi, gj = gi[same & ~cross], gj[same & ~cross]
-            ox, oy = ox[~placed[ox]], oy[~placed[oy]]
-            ox = ox[np.argsort(part[ox], kind="stable")]
-            oy = oy[np.argsort(part[oy], kind="stable")]
-            depth += 1
-
-        # post-order of the dissection tree: part k at depth d spans the
-        # leaf slots [k, k + 1) * 2^(top - d); a part follows every part whose
-        # span ends first and, at equal ends, its own descendants.  The
-        # stable sort keeps each part's edges, numbered first, before its
-        # pressures
-        top = level[live].max()
-        shift = top - level[live]
-        key = ((part[live] + 1) << shift) * (top + 1) + shift
-        self.perm = live[np.argsort(key, kind="stable")]
-        self.pos = np.full(n, -1)
-        self.pos[self.perm] = np.arange(n - 1)
+    def pressure_solve(self, r):
+        """y with (B B^T) y = r in every row but the first, and y[0] = 0."""
+        return np.concatenate([[0.0], self._bbt.solve(r[1:])])
 
 
 def _at_points(lam, values):

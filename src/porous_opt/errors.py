@@ -22,8 +22,11 @@ class ConfigError(PorousOptError):
 
 class DomainError(ConfigError):
     """Raised when well placement is geometrically invalid (outside the
-    domain, coincident points, or overlapping or empty patches).  The well
-    data come from the configuration, so this is a configuration error."""
+    domain, coincident points, or overlapping or empty patches), or when the
+    mesh is not one piece joined through its edges, so that the stream
+    function cannot span its divergence-free velocities.  The well data and
+    the mesh come from the configuration, so this is a configuration
+    error."""
 
 
 class AssemblyError(PorousOptError):

@@ -1,28 +1,30 @@
 """Linear solves and the two-grid time-splitting sweeps.
 
 The Darcy saddle systems (state and costate share the velocity matrix at a
-given coarse time) are solved by sparse LU with the first pressure pinned;
-the pressure is then shifted to zero area-weighted mean, and the residual
-is checked on the full unpinned system.  :meth:`DarcySaddle.solve` returns
-the velocity on every edge (zero on the boundary edges, the slip
-condition).  Every saddle of a mesh is factored in one elimination order,
-the workspace's ``ws.saddle_ordering`` (:class:`SaddleOrdering`, built at
-the first Darcy solve): a geometric nested dissection of the interior-edge
-and pressure unknowns, with one-sided separators from the structural graph
-of K + K^T.  The matrix is assembled in that order and factored with
-SuperLU's ``NATURAL`` column order and partial pivoting.  Against the
-COLAMD factor it replaced, on the config's first Darcy system (median time
-of the whole constructor, one process on a 2-core VM; the order itself is
-built once per mesh, in 1.9 ms at n = 16 and 24 ms at n = 64):
+given coarse time) are solved in the divergence-free subspace (the
+null-space method): every velocity with B u = 0 is the curl of a stream
+function, so :class:`DarcySaddle` factors only the stream-function system
+curl^T A curl, in SuperLU's minimum degree with diagonal pivots preferred.
+The basis ``curl`` and one factor of B B^T with the first pressure pinned
+are geometry, built once per mesh at the first Darcy solve (the workspace's
+``ws.null_space``, :class:`DarcyNullSpace`): B B^T lifts the mass load and
+gives the pressure, which is then shifted to zero area-weighted mean, and
+the residual is checked on the full unpinned system.
+:meth:`DarcySaddle.solve` returns the velocity on every edge (zero on the
+boundary edges, the slip condition).  Against the pinned saddle factored in
+a geometric nested-dissection order that it replaced, on the config's first
+Darcy system (median time of the whole constructor, one process on a 2-core
+VM with BLAS on one thread; the null space itself is built once per mesh,
+in 2.8 ms at n = 16, 21 ms at n = 64 and 110 ms at n = 128):
 
-    ===================  ==================  ======================
+    ===================  ==================  ========================
     mesh                 factor time         SuperLU ``lu.nnz``
-    ===================  ==================  ======================
-    n = 16               5.9 -> 3.5 ms       87,772 -> 54,355
-    n = 32               34 -> 20 ms         623,530 -> 347,121
-    n = 64               262 -> 183 ms       3,771,610 -> 2,231,181
-    unstructured_square  2.1 -> 1.2 ms       21,588 -> 17,299
-    ===================  ==================  ======================
+    ===================  ==================  ========================
+    n = 16               5.7 -> 1.4 ms       54,259 -> 8,082
+    n = 64               244 -> 30 ms        2,283,826 -> 499,886
+    n = 128              2,157 -> 172 ms     16,150,680 -> 3,058,628
+    unstructured_square  1.6 -> 0.6 ms       17,299 -> 1,766
+    ===================  ==================  ========================
 
 The forward sweep caches one factorization per coarse time in
 ``Trajectory.saddles``; the adjoint sweep solves the costate Darcy systems
@@ -63,7 +65,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import (
     AssemblyWorkspace,
-    SaddleOrdering,
+    DarcyNullSpace,
     SaturationOrdering,
     assemble_darcy,
     assemble_darcy_costate_rhs,
@@ -88,55 +90,46 @@ class SaddleSolveReport:
 
 
 class DarcySaddle:
-    """Factorized Darcy saddle system [[A, -B^T], [B, 0]], one pressure pinned.
+    """Factorized Darcy saddle system [[A, -B^T], [B, 0]], solved in the
+    divergence-free subspace.
 
-    The pressure is fixed only up to a constant (the rows of B sum to zero),
-    so the factored matrix drops the first pressure unknown and the mass
-    equation of the first triangle, which the others imply for a compatible
-    load.  Each solve shifts the pressure to zero area-weighted mean.  The
-    residual check and iterative refinement run on the full unpinned system,
-    so the dropped mass equation is still verified: an incompatible pressure
-    load raises :class:`SolverError`.
-
-    The matrix is assembled directly in the elimination order ``ordering``
-    (a :class:`SaddleOrdering` of ``mesh``, which the sweeps share through
-    the workspace; without one the saddle builds it) by relabelling its COO
-    indices, and factored by one ``splu`` call with ``permc_spec="NATURAL"``
-    and SuperLU's partial pivoting, which still swaps rows (``perm_r`` fixes
-    about 3 % of them).  Solves map in and out of that order (see the
-    module docstring for its fill against COLAMD).
+    ``null_space`` is the mesh's :class:`DarcyNullSpace` (the workspace's
+    ``null_space``, which the sweeps share; without one the saddle builds
+    it).  Its columns ``curl`` span the velocities with B u = 0, so the
+    saddle reduces to the stream-function system curl^T A curl, which
+    ``lu`` factors with SuperLU's minimum degree on its A + A^T pattern and
+    diagonal pivots preferred.  A solve lifts the mass load with
+    u_p = B^T (B B^T)^{-1} r_p, adds curl psi for the psi that balances the
+    momentum load, reads the pressure off B^T p = A u - r_u through the same
+    B B^T factor, and shifts it to zero area-weighted mean.  The residual
+    check and iterative refinement run on the full unpinned system, so a
+    pressure load with a nonzero sum still raises :class:`SolverError`.
     """
 
-    def __init__(self, A, B, mesh: PrimalMesh, tol=1e-10, ordering=None):
+    def __init__(self, A, B, mesh: PrimalMesh, tol=1e-10, null_space=None):
         self.mesh = mesh
         self.tol = tol
         self.A = A
         self.B = B
         self.n_int = A.shape[0]
-        self.ordering = SaddleOrdering(mesh) if ordering is None else ordering
-        # K in the elimination order: the COO indices of [[A, -B^T], [B, 0]],
-        # pressure rows and columns past the pinned one, relabelled by ``pos``
-        pos, n = self.ordering.pos, self.n_int
-        a, b = A.tocoo(), B[1:].tocoo()
-        p = n + 1 + b.row
-        K = sp.csc_matrix(
-            (np.concatenate([a.data, -b.data, b.data]),
-             (pos[np.concatenate([a.row, b.col, p])], pos[np.concatenate([a.col, p, b.col])])),
-            shape=(self.ordering.perm.size,) * 2,
-        )
+        self.null_space = DarcyNullSpace(mesh, B) if null_space is None else null_space
+        curl = self.null_space.curl
         try:
-            self.lu = spla.splu(K, permc_spec="NATURAL")
+            self.lu = spla.splu((curl.T @ A @ curl).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                options=dict(SymmetricMode=True))
         except RuntimeError as exc:  # pragma: no cover - singular input
             raise SolverError(f"Darcy saddle factorization failed: {exc}") from exc
 
     def _correction(self, r):
-        """Pinned solve for the full residual ``r``, pressure at zero mean."""
-        n, perm = self.n_int, self.ordering.perm
-        x = np.zeros(r.size)
-        x[perm] = self.lu.solve(r[perm])
+        """Null-space solve for the full residual ``r``, pressure at zero mean."""
+        ns, n = self.null_space, self.n_int
+        r_u, r_p = r[:n], r[n:]
+        u = self.B.T @ ns.pressure_solve(r_p)
+        u += ns.curl @ self.lu.solve(ns.curl.T @ (r_u - self.A @ u))
+        p = ns.pressure_solve(self.B @ (self.A @ u - r_u))
         area = self.mesh.tri_area
-        x[n:] -= (area @ x[n:]) / area.sum()
-        return x
+        p -= (area @ p) / area.sum()
+        return np.concatenate([u, p])
 
     def _product(self, x):
         u, p = x[: self.n_int], x[self.n_int :]
@@ -412,7 +405,7 @@ def _darcy_at(problem, c_values, q_node, t):
         raise CompatibilityError(
             f"incompatible Darcy source: sum(F) = {F.sum():.3e}"
         )
-    saddle = DarcySaddle(A, B, problem.mesh, problem.rc.solver_tol, ws.saddle_ordering)
+    saddle = DarcySaddle(A, B, problem.mesh, problem.rc.solver_tol, ws.null_space)
     u, p, report = saddle.solve(rhs_u, F)
     return u, p, report, saddle
 

@@ -12,8 +12,8 @@ from porous_opt import assembly as asm
 from porous_opt import fespaces as fes
 from porous_opt import solver as sol
 from porous_opt.config import parse_config
-from porous_opt.errors import CompatibilityError, PorousOptError, SolverError
-from porous_opt.mesh import build_barycentric_dual, square_mesh
+from porous_opt.errors import CompatibilityError, DomainError, PorousOptError, SolverError
+from porous_opt.mesh import build_barycentric_dual, build_primal, read_mesh, square_mesh
 from porous_opt.model import RunConfig, default_model, wells_from_tris
 from porous_opt.quadrature import QuadratureRule
 
@@ -114,8 +114,8 @@ def test_factorization_reuse_identical_and_faster(setup):
 
 
 def test_incompatible_pressure_load_rejected_by_saddle(setup):
-    # the pinned factor drops the first mass equation; the residual check on
-    # the full system must still see a load that violates it
+    # the pinned B B^T factor drops the first mass equation; the residual
+    # check on the full system must still see a load that violates it
     mesh, model, ws, wells = setup
     A, B, F = assemble(setup, 0.8)
     saddle = sol.DarcySaddle(A, B, mesh)
@@ -168,10 +168,12 @@ def test_saddle_velocity_is_zero_on_boundary_edges(setup):
 
 def test_saddle_factor_has_no_dense_row_or_column(setup, monkeypatch):
     # guards against a bordered zero-mean row/column coming back: on this
-    # mesh A couples an edge with at most 13 others and -B^T adds two
-    # pressures, while a multiplier row would hold all 128 pressures
+    # mesh the stream function at a vertex couples only with vertices at
+    # most two rings away (at most 19; measured 13), while a multiplier row
+    # would hold all 49 interior vertices
     mesh, model, ws, wells = setup
     A, B, _ = assemble(setup, 0.8)
+    null_space = ws.null_space
     factored = []
     splu = sol.spla.splu
 
@@ -180,11 +182,12 @@ def test_saddle_factor_has_no_dense_row_or_column(setup, monkeypatch):
         return splu(K, *args, **kwargs)
 
     monkeypatch.setattr(sol.spla, "splu", capture)
-    sol.DarcySaddle(A, B, mesh)
+    sol.DarcySaddle(A, B, mesh, 1e-10, null_space)
     (K,) = factored
     K = K.tocsc()
-    assert np.diff(K.indptr).max() <= 15
-    assert np.diff(K.tocsr().indptr).max() <= 15
+    assert K.shape == (49, 49)
+    assert np.diff(K.indptr).max() <= 19
+    assert np.diff(K.tocsr().indptr).max() <= 19
 
 
 def test_coarse_dt_saturation_fill_stays_near_colamd(monkeypatch):
@@ -295,72 +298,136 @@ def test_step_factor_uses_the_workspace_order(config_problem, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# one nested-dissection order per Darcy saddle
+# the Darcy saddle in the divergence-free subspace
 # ---------------------------------------------------------------------------
 
-def test_saddle_ordering_permutes_the_pinned_unknowns(config_problem):
-    ws = config_problem[1].ws
-    n_int, n_t = ws.n_int, ws.mesh.num_triangles
-    order = ws.saddle_ordering
-    assert ws.saddle_ordering is order
-    # every unknown but the pinned first pressure (n_int), once
-    assert np.array_equal(np.sort(order.perm), np.delete(np.arange(n_int + n_t), n_int))
-    assert np.array_equal(order.pos[order.perm], np.arange(n_int + n_t - 1))
-    assert order.pos[n_int] == -1
+def holed_square(n, cells):
+    """square_mesh(n) without the two triangles of each cell j * n + i in
+    ``cells``, and without the vertices left unused."""
+    mesh = square_mesh(n)
+    tris = np.delete(mesh.triangles, [t for c in cells for t in (2 * c, 2 * c + 1)], axis=0)
+    used = np.unique(tris)
+    index = np.full(mesh.num_vertices, -1)
+    index[used] = np.arange(used.size)
+    return build_primal(mesh.vertices[used], index[tris])
 
 
-def test_saddle_factor_uses_the_mesh_order(config_problem, monkeypatch):
-    # the first Darcy system of the run (constant C, so 8 entries of A
-    # cancel on the config's mesh) is factored in the mesh's order, with no
-    # more fill than COLAMD on the same matrix (measured 54,355 against
-    # 87,772 on the config and 17,299 against 21,588 on the unstructured
-    # mesh), and solved as COLAMD and the dense bordered system solve it;
-    # a saddle that builds its own order agrees bitwise
+def null_space_mesh(name):
+    return {
+        "square1": lambda: square_mesh(1),
+        "square4": lambda: square_mesh(4),
+        "square5-left": lambda: square_mesh(5, "left"),
+        "unstructured": lambda: read_mesh(ROOT / "data" / "unstructured_square.node",
+                                          ROOT / "data" / "unstructured_square.ele"),
+        # two separate one-cell holes
+        "two-holes": lambda: holed_square(8, [2 * 8 + 2, 5 * 8 + 5]),
+        # two one-cell holes that share the corner vertex (3, 3) / 8
+        "touching-holes": lambda: holed_square(8, [2 * 8 + 2, 3 * 8 + 3]),
+    }[name]()
+
+
+def workspace(mesh):
+    return asm.AssemblyWorkspace(mesh, build_barycentric_dual(mesh), default_model(),
+                                 QuadratureRule())
+
+
+@pytest.mark.parametrize("name", ["square4", "square5-left", "unstructured", "two-holes"])
+def test_null_space_basis_spans_the_divergence_free_velocities(name):
+    # curl maps into the kernel of B, has one column per dimension of that
+    # kernel (the rows of B sum to zero, so rank B = n_t - 1), and each row
+    # is the +-1/|e| difference of the stream function at the edge's ends
+    mesh = null_space_mesh(name)
+    ws = workspace(mesh)
+    curl = ws.null_space.curl
+    assert abs(ws.B @ curl).max() <= 1e-12
+    assert curl.shape == (ws.n_int, ws.n_int - mesh.num_triangles + 1)
+    assert np.diff(curl.tocsr().indptr).max() <= 2
+    rows = curl.tocoo().row
+    assert np.allclose(np.abs(curl.tocoo().data), 1.0 / ws.ie_h[rows], rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["two-holes", "touching-holes", "square1"])
+def test_null_space_solve_matches_the_dense_multiplier_system(name):
+    # each hole is one stream-function unknown; holes that share a vertex
+    # share one boundary loop and one unknown, and still fill the null
+    # space.  square_mesh(1) has no interior vertex: the stream-function
+    # system is 0 x 0 and the velocity is the lifted u_p alone
+    mesh = null_space_mesh(name)
+    ws = workspace(mesh)
+    assert ws.null_space.curl.shape[1] == ws.n_int - mesh.num_triangles + 1
+    wells = wells_from_tris(mesh, [0], [mesh.num_triangles - 1], T=1.0)
+    c = fes.P1DGField.interpolate(mesh, lambda p: 0.2 + 0.6 * p[:, 0] * p[:, 1])
+    A, B, F = asm.assemble_darcy(c, wells, 0.8, ws)
+    rhs_u = RNG.normal(size=A.shape[0])
+    u, p, rep = sol.DarcySaddle(A, B, mesh, 1e-10, ws.null_space).solve(rhs_u, F)
+    u_ref, p_ref = dense_multiplier_solve(A, B, mesh, rhs_u, F)
+    assert np.abs(u[mesh.interior_edges] - u_ref).max() <= 1e-12 * np.abs(u_ref).max()
+    assert np.abs(p - p_ref).max() <= 1e-12 * np.abs(p_ref).max()
+    assert rep.residual <= 1e-10
+
+
+def test_disconnected_mesh_is_refused_by_the_null_space():
+    # two squares side by side with no shared edge: the stream function has
+    # one unknown too many for a basis
+    left = square_mesh(2)
+    mesh = build_primal(np.vstack([left.vertices, left.vertices + [2.0, 0.0]]),
+                        np.vstack([left.triangles, left.triangles + left.num_vertices]))
+    with pytest.raises(DomainError, match="has 3 unknowns but .* have 1 dimensions"):
+        workspace(mesh).null_space
+
+
+def test_stream_function_factor_pivots_on_the_diagonal(config_problem):
+    # the first Darcy system of the run is factored in SuperLU's minimum
+    # degree with no off-diagonal pivot, with less fill than COLAMD on the
+    # same matrix (measured 8,082 against 8,698 on the config and 1,766
+    # against 2,290 on the unstructured mesh), and solved as the pinned
+    # COLAMD saddle and the dense bordered system solve it; a round-off
+    # change of A leaves the fill as it is, and a saddle that builds its
+    # own null space agrees bitwise
     _, prob = config_problem
     mesh, ws = prob.mesh, prob.ws
     c = fes.P1DGField(mesh, prob.c0_values)
     A, B, F = asm.assemble_darcy(c, prob.wells, prob.q_initial()[0], ws)
     rhs_u = RNG.normal(size=A.shape[0])
-
-    splu = sol.spla.splu
-    specs = []
-
-    def record(K, *args, **kwargs):
-        specs.append(kwargs.get("permc_spec"))
-        return splu(K, *args, **kwargs)
-
-    monkeypatch.setattr(sol.spla, "splu", record)
-    saddle = sol.DarcySaddle(A, B, mesh, prob.rc.solver_tol, ws.saddle_ordering)
-    monkeypatch.undo()
-    assert specs == ["NATURAL"]
-    assert saddle.ordering is ws.saddle_ordering
+    saddle = sol.DarcySaddle(A, B, mesh, prob.rc.solver_tol, ws.null_space)
+    assert saddle.null_space is ws.null_space
+    assert np.array_equal(saddle.lu.perm_r, saddle.lu.perm_c)
     u, p, _ = saddle.solve(rhs_u, F)
 
+    curl = ws.null_space.curl
+    splu = sol.spla.splu
+    assert saddle.lu.nnz < splu((curl.T @ A @ curl).tocsc(), permc_spec="COLAMD").nnz
     n = A.shape[0]
     K = sp.bmat([[A, -B[1:].T], [B[1:], None]], format="csc")
-    colamd = splu(K, permc_spec="COLAMD")
-    assert saddle.lu.nnz <= colamd.nnz
-    x = np.insert(colamd.solve(np.delete(np.concatenate([rhs_u, F]), n)), n, 0.0)
+    x = np.insert(splu(K, permc_spec="COLAMD").solve(np.delete(np.concatenate([rhs_u, F]), n)),
+                  n, 0.0)
     x[n:] -= (mesh.tri_area @ x[n:]) / mesh.tri_area.sum()
     u_dense, p_dense = dense_multiplier_solve(A, B, mesh, rhs_u, F)
     for u_ref, p_ref in ((x[:n], x[n:]), (u_dense, p_dense)):
         assert np.abs(u[mesh.interior_edges] - u_ref).max() <= 1e-12 * np.abs(u_ref).max()
         assert np.abs(p - p_ref).max() <= 1e-12 * np.abs(p_ref).max()
 
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        scaled = A.copy()
+        scaled.data *= 1.0 + rng.choice([-2.2e-16, 2.2e-16], size=scaled.data.size)
+        assert sol.DarcySaddle(scaled, B, mesh, prob.rc.solver_tol,
+                               ws.null_space).lu.nnz == saddle.lu.nnz
+
     own = sol.DarcySaddle(A, B, mesh, prob.rc.solver_tol)
-    assert own.ordering is not ws.saddle_ordering
+    assert own.null_space is not ws.null_space
     u2, p2, _ = own.solve(rhs_u, F)
     assert np.array_equal(u2, u)
     assert np.array_equal(p2, p)
 
 
-def test_saddle_ordering_is_built_at_the_first_darcy_solve():
+def test_null_space_is_built_at_the_first_darcy_solve():
     prob = make_problem(n=6, m_steps=3, n_steps=6)
-    assert "saddle_ordering" not in vars(prob.ws)
+    assert "null_space" not in vars(prob.ws)
     traj = sol.run_forward(prob, np.full(prob.rc.n_steps + 1, 0.5))
-    order = vars(prob.ws)["saddle_ordering"]
+    null_space = vars(prob.ws)["null_space"]
     assert len(traj.saddles) == prob.rc.m_steps + 1
-    assert all(s.ordering is order for s in traj.saddles.values())
+    assert all(s.null_space is null_space for s in traj.saddles.values())
 
 
 # ---------------------------------------------------------------------------
