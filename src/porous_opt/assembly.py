@@ -31,11 +31,14 @@ Each input has one owner.  :class:`AssemblyWorkspace` holds one quadrature
 per kind of cell, mapped by :class:`QuadratureRule`: sub-cells, fan segments,
 interior edges.  The sub-cell (K, j) = (v_j, v_{j+1}, b_K) is also the part
 of the diamond cell of edge j inside K, so both duals integrate on the
-sub-cells, and ``sub_lam`` and ``fan_lam`` are reference tables.  Only
+sub-cells, and ``sub_lam`` and ``fan_lam`` are reference tables.  Every
+Darcy entry is indexed by its sub-cell (t, j), and diamond cell e collects
+the (at most two) sub-cells with ``tri_edges[t, j] == e``.  Only
 ``gamma_mat`` spells out its RT0 basis, from ``rt0_coef``.  The workspace also
 owns both test-space transfers: ``dual_matrix``/``dual_load`` apply eta_h to
-sub-cell integrals, and ``pair_matrix`` scatters diamond-pair entries
-(``gamma_mat`` and the alpha-weighted basis integrals behind A).  It owns the
+sub-cell integrals, and ``diamond_matrix`` scatters per-sub-cell entries to
+the diamond cells (``gamma_mat`` and the alpha-weighted basis integrals
+behind A).  It owns the
 symmetric CSC pattern all saturation matrices share
 (``sat_indptr``/``sat_indices``: triangle t's columns hold the rows of t and
 its interior-edge neighbours, ascending) and the slot maps
@@ -50,13 +53,14 @@ segment normals against grad lambda_l (T1), and
 side's grad lambda_l (the edge fluxes).  The per-step kernels are broadcasts
 and ``matmul`` over these tables; only Z evaluates the velocities at the
 sub-cell points.  Its ``step_ordering`` (:class:`SaturationOrdering`, built
-at the first step) holds the diagonal slots and the one elimination order of
-the step matrices, and its ``null_space`` (:class:`DarcyNullSpace`, built
-at the first Darcy solve) the divergence-free velocity basis and the B B^T
-factor that every Darcy solve of the mesh shares.  The coefficients (alpha, b, D, f and their derivatives,
-kappa, phi) come from the workspace's ``ws.model``, so a matrix cannot mix
-two models; :func:`trilinear_form`, which builds no workspace, takes its
-own.
+at the first step from the triangle table ``nb`` behind the pattern) holds
+the diagonal slots and the one elimination order of the step matrices, and
+its ``null_space`` (:class:`DarcyNullSpace`, built at the first Darcy solve)
+the divergence-free velocity basis and the B B^T factor that every Darcy
+solve of the mesh shares.  The coefficients (alpha, b, D, f and their
+derivatives, kappa, phi) come from the workspace's ``ws.model``, so a matrix
+cannot mix two models; :func:`trilinear_form`, which builds no workspace,
+takes its own.
 
 The saturation kernels (:func:`assemble_saturation_state`,
 :func:`_diffusion_matrix`, :func:`assemble_saturation_costate`) run their
@@ -69,13 +73,10 @@ outputs allocated once per call: (n_t, 3, 3) cell rows, (n_t, 3) loads and
 evaluated only on the well triangles of each block.  A block's length comes
 from the byte budget ``_BLOCK_BYTES`` of its largest temporary: 256 rows at
 the default nq = 6, 108 KiB, which fits in L2 and stays below glibc's default
-128 KiB mmap threshold.  Whole-mesh temporaries above that threshold were
-each mapped and faulted in afresh at every call, and a block's are reused
-from the heap: with the threshold fixed at 128 KiB, at n = 64, the state
-kernels went from 9.0-9.7 k to 3.3 k minor faults per call and the costate
-kernels from 11.8-12.3 k to 1.7 k (one process on a 2-core host).  Each row
-goes through the same operations as in a whole-mesh pass, so the operators
-keep their bits.
+128 KiB mmap threshold.  A whole-mesh temporary above that threshold is
+mapped and faulted in afresh at every call, while a block's is reused from
+the heap.  Each row goes through the same operations as in a whole-mesh
+pass, so the operators keep their bits.
 """
 
 from dataclasses import dataclass
@@ -108,13 +109,15 @@ class AssemblyWorkspace:
 
     Triangle integrals use one point set, the sub-cell quadrature
     ``sub_pts``/``sub_w`` (n_t, 3, nq).  Sub-cell (t, j) is also the portion
-    inside t of the diamond cell of edge ``tri_edges[t, j]``, so diamond pair
-    k (edge ``pr_edge[k]``, triangle ``pr_tri[k]``) is sub-cell
-    ``(pr_tri[k], pr_loc[k])``.  Reference tables, the same in every
-    triangle: ``sub_lam`` (3, nq, 3) and ``fan_lam`` (3, 2, ne, 3), the
-    barycentric coordinates of the sub-cell and fan points, and
-    ``sub_rt0_grad`` (3, 3, nq, 3); the other tables are per triangle, edge
-    or pair.
+    inside t of the diamond cell of edge ``tri_edges[t, j]``, so the Darcy
+    kernels index their entries by sub-cell too, and ``diamond_matrix`` and
+    ``_gamma_load`` sum each diamond cell's sub-cells.  Reference tables, the
+    same in every triangle: ``sub_lam`` (3, nq, 3) and ``fan_lam``
+    (3, 2, ne, 3), the barycentric coordinates of the sub-cell and fan
+    points, and ``sub_rt0_grad`` (3, 3, nq, 3); the other tables are per
+    triangle or edge.  ``nb`` (n_t, 4) lists each triangle and its
+    interior-edge neighbours, ascending and padded with n_t: the saturation
+    pattern and its elimination order are both read off it.
     """
 
     mesh: PrimalMesh
@@ -191,7 +194,7 @@ class AssemblyWorkspace:
         # saturation pattern: t, then the triangle across each edge (-1 -> n_t pads)
         tri = np.arange(n_t)[:, None]
         nb = np.hstack([tri, mesh.edge_tris[mesh.tri_edges].sum(axis=2) - tri])
-        nb = np.sort(np.where(nb < 0, n_t, nb), axis=1).astype(np.int32)
+        self.nb = nb = np.sort(np.where(nb < 0, n_t, nb), axis=1).astype(np.int32)
         keep = np.repeat(nb < n_t, 3, axis=1)                # (n_t, 12) rows of a column
         rows = (3 * nb[:, None, :, None] + np.arange(3, dtype=np.int32)).reshape(n_t, 1, 12)
         self.sat_indices = np.broadcast_to(rows, (n_t, 3, 12))[np.stack([keep] * 3, axis=1)]
@@ -199,55 +202,37 @@ class AssemblyWorkspace:
         self.el_slot = _block_slots(nb, self.sat_indptr, tri)
         self.edge_slot = _block_slots(nb, self.sat_indptr, np.stack([self.kL, self.kR], axis=1))
 
-        # Darcy pair arrays: one (edge, adjacent triangle) pair per diamond
-        # portion, covering boundary cells too
+        # Darcy index: sub-cell (t, j) is the portion inside t of the diamond
+        # cell of edge tri_edges[t, j]; entry (t, j, l, comp) of a diamond
+        # matrix goes to row 2 tri_edges[t, j] + comp and to the interior
+        # dof of local edge l
         int_of_edge = -np.ones(mesh.num_edges, dtype=np.int64)
         int_of_edge[ie] = np.arange(ie.size)
         self.int_of_edge = int_of_edge
         self.n_int = ie.size
-
-        pair_tri = mesh.edge_tris.ravel()
-        has_pair = pair_tri >= 0
-        self.pr_edge = np.repeat(np.arange(mesh.num_edges), 2)[has_pair]
-        self.pr_tri = pair_tri[has_pair]
-        self.pr_loc = np.argmax(mesh.tri_edges[self.pr_tri] == self.pr_edge[:, None], axis=1)
-        self.pr_cols = int_of_edge[mesh.tri_edges[self.pr_tri]]  # (npair, 3)
-        # scatter of per-pair (npair, 3, 2) entries: row 2k + comp of
-        # diamond cell k, column the interior dof of local edge j
-        pair_shape = (self.pr_edge.size, 3, 2)
-        rows = np.broadcast_to(2 * self.pr_edge[:, None, None] + np.arange(2), pair_shape)
-        cols = np.broadcast_to(self.pr_cols[:, :, None], pair_shape)
-        self.pair_keep = cols >= 0
-        self.pair_rows, self.pair_cols = rows[self.pair_keep], cols[self.pair_keep]
+        te = mesh.tri_edges
+        dof = int_of_edge[te]                                            # (n_t, 3)
+        cell_shape = (n_t, 3, 3, 2)
+        rows = np.broadcast_to(2 * te[:, :, None, None] + np.arange(2), cell_shape)
+        cols = np.broadcast_to(dof[:, None, :, None], cell_shape)
+        self.diamond_keep = cols >= 0
+        self.diamond_rows, self.diamond_cols = rows[self.diamond_keep], cols[self.diamond_keep]
 
         # transfer of the interior basis functions: gamma_mat[(k, comp), i]
         # is component comp of gamma_h(Phi_i) on diamond cell k, with the
         # area-weighted tangential convention; the RT0 basis is spelled out
         # here so that the entries round as (w coef)(mid - opp)
-        pair_coef = self.rt0_coef[self.pr_tri]
-        opp = verts[self.pr_tri][:, [2, 0, 1], :]
-        wsum = np.zeros(mesh.num_edges)
-        np.add.at(wsum, mesh.tri_edges.ravel(),
-                  np.repeat(mesh.tri_area[:, None], 3, axis=1).ravel())
-        w = mesh.tri_area[self.pr_tri] / wsum[self.pr_edge]
-        self.gamma_mat = self.pair_matrix((w[:, None] * pair_coef)[:, :, None] * (
-            mesh.edge_midpoint[self.pr_edge][:, None, :] - opp
-        ))
+        wsum = np.bincount(te.ravel(), np.repeat(mesh.tri_area, 3), mesh.num_edges)
+        wcoef = (mesh.tri_area[:, None] / wsum[te])[:, :, None] * self.rt0_coef[:, None, :]
+        opp = verts[:, None, [2, 0, 1], :]
+        self.gamma_mat = self.diamond_matrix(
+            wcoef[..., None] * (mesh.edge_midpoint[te][:, :, None, :] - opp))
 
-        # divergence coupling matrix B (geometry only)
-        rows, cols, vals = [], [], []
-        for j in range(3):
-            e = mesh.tri_edges[:, j]
-            keep = int_of_edge[e] >= 0
-            rows.append(np.flatnonzero(keep))
-            cols.append(int_of_edge[e[keep]])
-            vals.append(
-                (mesh.tri_edge_sign[:, j] * mesh.edge_length[e])[keep].astype(float)
-            )
-        self.B = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_t, self.n_int),
-        ).tocsr()
+        # divergence coupling matrix B (geometry only): B[t, dof] = sign |e|
+        keep = dof >= 0
+        sign_len = mesh.tri_edge_sign * mesh.edge_length[te]
+        self.B = sp.coo_matrix((sign_len[keep].astype(float), (np.nonzero(keep)[0], dof[keep])),
+                               shape=(n_t, self.n_int)).tocsr()
 
         # model-dependent but field-independent caches
         self.phi_tri = np.asarray(self.model.phi(bc), dtype=float)
@@ -265,7 +250,7 @@ class AssemblyWorkspace:
     def step_ordering(self):
         """Diagonal slots and elimination order of the saturation step
         matrices, built at the first step rather than at set-up."""
-        return SaturationOrdering(self.sat_indptr, self.sat_indices)
+        return SaturationOrdering(self.nb, self.el_slot, self.sat_indptr, self.sat_indices)
 
     @cached_property
     def null_space(self):
@@ -324,11 +309,13 @@ class AssemblyWorkspace:
         """eta_h transfer of per-sub-cell integrals (n_t, 3) into a load."""
         return (cell @ SEL).ravel()
 
-    def pair_matrix(self, vals):
-        """COO assembly of per-pair (npair, 3, 2) entries into a (2 n_e, n_int)
-        CSR: rows index (diamond cell, component), columns the trial dof."""
+    def diamond_matrix(self, vals):
+        """COO assembly of per-sub-cell entries (n_t, 3, 3, 2) into a
+        (2 n_e, n_int) CSR: entry (t, j, l, comp) goes to row 2 e + comp of
+        the diamond cell e = ``tri_edges[t, j]``, column the interior dof of
+        local edge l."""
         return sp.coo_matrix(
-            (vals[self.pair_keep], (self.pair_rows, self.pair_cols)),
+            (vals[self.diamond_keep], (self.diamond_rows, self.diamond_cols)),
             shape=(2 * self.mesh.num_edges, self.n_int),
         ).tocsr()
 
@@ -348,30 +335,31 @@ class AssemblyWorkspace:
 
 
 class SaturationOrdering:
-    """Factorization data of one saturation pattern: a symmetric CSC pattern
-    of 3 x 3 triangle blocks that holds every diagonal.
+    """Factorization data of the workspace's saturation pattern (``indptr``,
+    ``indices``), built from the triangle table ``nb`` that pattern was
+    built from: row t holds t and its interior-edge neighbours, ascending,
+    padded with n_t.
 
-    ``diag_slot[i]`` is the position of entry (i, i) in ``data``.  The
-    elimination order ``perm`` is minimum degree on A + A^T (SuperLU's
-    ``MMD_AT_PLUS_A``) of the n_t x n_t triangle adjacency graph read off
-    the pattern, expanded to the three dofs of each triangle: row and column
-    i of the permuted matrix are dof ``perm[i]``, and ``inv`` undoes it.  A
-    matrix with data ``data`` on the pattern has data ``data[gather]`` on the
-    permuted pattern (``indptr``, ``indices``).
+    ``diag_slot[i]`` is the position of entry (i, i) in ``data``, the
+    diagonal of the element slots ``el_slot``.  The elimination order
+    ``perm`` is minimum degree on A + A^T (SuperLU's ``MMD_AT_PLUS_A``) of
+    the n_t x n_t triangle adjacency graph ``nb``, expanded to the three
+    dofs of each triangle: row and column i of the permuted matrix are dof
+    ``perm[i]``, and ``inv`` undoes it.  A matrix with data ``data`` on the
+    pattern has data ``data[gather]`` on the permuted pattern (``indptr``,
+    ``indices``).
     """
 
-    def __init__(self, indptr, indices):
-        n = len(indptr) - 1
-        n_t = n // 3
-        col = np.repeat(np.arange(n), np.diff(indptr))
-        self.diag_slot = np.flatnonzero(indices == col)
+    def __init__(self, nb, el_slot, indptr, indices):
+        n_t = len(nb)
+        n = 3 * n_t
+        self.diag_slot = np.diagonal(el_slot, axis1=1, axis2=2).ravel()
 
-        # triangle graph: the first dof row of each block in column 3t
-        first = indptr[:-1:3]
-        count = (indptr[1::3] - first) // 3
+        # triangle graph: column t holds the rows nb[t], ascending
+        keep = nb < n_t
+        count = keep.sum(axis=1)
+        tri_rows = nb[keep]
         tri_ptr = np.append(0, np.cumsum(count))
-        within = np.arange(tri_ptr[-1]) - np.repeat(tri_ptr[:-1], count)
-        tri_rows = indices[np.repeat(first, count) + 3 * within] // 3
         # any diagonally dominant values will do: only the pattern sets the order
         vals = np.where(tri_rows == np.repeat(np.arange(n_t), count), 4.0, -1.0)
         graph = sp.csc_matrix((vals, tri_rows, tri_ptr), shape=(n_t, n_t))
@@ -382,6 +370,7 @@ class SaturationOrdering:
         self.perm = (3 * tri_order[:, None] + np.arange(3)).ravel()
         self.inv = np.empty_like(self.perm)
         self.inv[self.perm] = np.arange(n)
+        col = np.repeat(np.arange(n), np.diff(indptr))
         rows, cols = self.inv[indices], self.inv[col]
         self.gather = np.argsort(cols * n + rows)
         self.indices = rows[self.gather].astype(np.int32)
@@ -528,7 +517,7 @@ def assemble_darcy(c_field: P1DGField, wells: WellModel, q: float,
     block = np.einsum("cd,jcql->cqdjl", np.eye(3), ws.sub_rt0_grad).reshape(3 * nq, -1)
     wgrad = ((ws.sub_w * avals).reshape(n_t, -1) @ block).reshape(n_t, 9, 3)
     ent = (wgrad @ ws.vert_rel).reshape(n_t, 3, 3, 2) * ws.rt0_coef[:, None, :, None]
-    C = ws.pair_matrix(ent[ws.pr_tri, ws.pr_loc])
+    C = ws.diamond_matrix(ent)
     A = (ws.gamma_mat.T @ C).tocsr()
     F = well_source_vector(wells, q)
     return A, ws.B, F
@@ -545,9 +534,11 @@ def well_source_vector(wells: WellModel, q: float):
 
 
 def _gamma_load(cell_integrals, ws):
-    """Pair l_i = sum_k gamma_h(Phi_i)|_k . cell_integrals[k]."""
+    """l_i = sum_k gamma_h(Phi_i)|_k . (integral over diamond cell k), from
+    the sub-cell integrals (n_t, 3, 2): cell k sums its (at most two)
+    sub-cells."""
     acc = np.zeros((ws.mesh.num_edges, 2))
-    np.add.at(acc, ws.pr_edge, cell_integrals)
+    np.add.at(acc, ws.mesh.tri_edges, cell_integrals)
     return ws.gamma_mat.T @ acc.ravel()
 
 
@@ -557,7 +548,7 @@ def assemble_diamond_vector_load(gfun, ws: AssemblyWorkspace):
     ``gfun`` maps an (n, 2) point array to (n, 2) vector values.
     """
     cell = np.einsum("tcq,tcqe->tce", ws.sub_w, ws.sample_sub(gfun))
-    return _gamma_load(cell[ws.pr_tri, ws.pr_loc], ws)
+    return _gamma_load(cell, ws)
 
 
 def assemble_darcy_costate_rhs(c_field: P1DGField, cstar_field: P1DGField,
@@ -567,7 +558,7 @@ def assemble_darcy_costate_rhs(c_field: P1DGField, cstar_field: P1DGField,
     _require_finite(cstar_field.values, "costate saturation")
     scal = ws.model.b(ws.p1_at_sub(c_field)) * ws.p1_at_sub(cstar_field)
     sint = np.einsum("tcq,tcq->tc", ws.sub_w, scal)
-    cell = -sint[ws.pr_tri, ws.pr_loc, None] * ws.grad_p1(c_field)[ws.pr_tri]
+    cell = -sint[:, :, None] * ws.grad_p1(c_field)[:, None, :]
     return _gamma_load(cell, ws)
 
 

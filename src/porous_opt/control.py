@@ -71,9 +71,13 @@ def objective(traj: Trajectory, wells, mesh) -> tuple:
 
 def gradient_without_penalty(traj: Trajectory, wells, model,
                              ws: AssemblyWorkspace) -> np.ndarray:
-    """Per-node integrals g_wo^n = int f(C^n) r0 C*^n - (r0 - r1) P*^n dx."""
+    """Per-node integrals g_wo^n = int f(C^n) r0 C*^n - (r0 - r1) P*^n dx.
+
+    f comes from ``ws.model``; ``model`` must be that same model."""
     if not traj.has_costate:
         raise ConfigError("adjoint sweep missing: run_adjoint first")
+    if model is not ws.model:
+        raise ConfigError("gradient_without_penalty: model is not the workspace's model")
     mesh = ws.mesh
     N = traj.fine_times.size - 1
     substeps = (N) // (traj.coarse_times.size - 1)
@@ -87,7 +91,7 @@ def gradient_without_penalty(traj: Trajectory, wells, model,
     for n in range(N + 1):
         csub = traj.C[n][inj] @ lam
         cssub = traj.Cstar[n][inj] @ lam
-        fterm = float(np.einsum("tq,tq->", w, model.f(csub) * cssub)) / wells.sigma0
+        fterm = float(np.einsum("tq,tq->", w, ws.model.f(csub) * cssub)) / wells.sigma0
         # P* at the coarse node that closes fine node n's interval
         pstar = traj.Pstar[-(-n // substeps)]
         pterm = (

@@ -11,20 +11,12 @@ are geometry, built once per mesh at the first Darcy solve (the workspace's
 gives the pressure, which is then shifted to zero area-weighted mean, and
 the residual is checked on the full unpinned system.
 :meth:`DarcySaddle.solve` returns the velocity on every edge (zero on the
-boundary edges, the slip condition).  Against the pinned saddle factored in
-a geometric nested-dissection order that it replaced, on the config's first
-Darcy system (median time of the whole constructor, one process on a 2-core
-VM with BLAS on one thread; the null space itself is built once per mesh,
-in 2.8 ms at n = 16, 21 ms at n = 64 and 110 ms at n = 128):
-
-    ===================  ==================  ========================
-    mesh                 factor time         SuperLU ``lu.nnz``
-    ===================  ==================  ========================
-    n = 16               5.7 -> 1.4 ms       54,259 -> 8,082
-    n = 64               244 -> 30 ms        2,283,826 -> 499,886
-    n = 128              2,157 -> 172 ms     16,150,680 -> 3,058,628
-    unstructured_square  1.6 -> 0.6 ms       17,299 -> 1,766
-    ===================  ==================  ========================
+boundary edges, the slip condition).  The stream-function system has one
+unknown per interior vertex, under a fifth of the saddle's, and needs no
+pivoting, so its factor is small: 8,082 ``lu.nnz`` at n = 16, 499,886 at
+n = 64 and 3,058,628 at n = 128 on the config's first Darcy system, where
+the pinned full saddle in a geometric nested-dissection order fills 4.6 to
+6.7 times as much.
 
 The forward sweep caches one factorization per coarse time in
 ``Trajectory.saddles``; the adjoint sweep solves the costate Darcy systems
@@ -66,7 +58,6 @@ import scipy.sparse.linalg as spla
 from .assembly import (
     AssemblyWorkspace,
     DarcyNullSpace,
-    SaturationOrdering,
     assemble_darcy,
     assemble_darcy_costate_rhs,
     assemble_diamond_vector_load,
@@ -143,13 +134,11 @@ class DarcySaddle:
         boundary edges; ``p`` has zero area-weighted mean.
         """
         rhs = np.concatenate([rhs_u, rhs_p])
-        x, res = _refined_solve(self._correction, self._product, rhs, self.tol,
-                                "Darcy solve")
-        u_int = x[: self.n_int]
-        mass_res = np.linalg.norm(rhs_p - self.B @ u_int)
-        mass_res /= max(np.linalg.norm(rhs_p), 1.0)
+        x, res, r = _refined_solve(self._correction, self._product, rhs, self.tol,
+                                   "Darcy solve")
+        mass_res = np.linalg.norm(r[self.n_int :]) / max(np.linalg.norm(rhs_p), 1.0)
         u = np.zeros(self.mesh.num_edges)
-        u[~self.mesh.boundary_edge] = u_int
+        u[~self.mesh.boundary_edge] = x[: self.n_int]
         return u, x[self.n_int :], SaddleSolveReport(
             residual=float(res), mass_residual=float(mass_res)
         )
@@ -186,7 +175,8 @@ def _refined_solve(solve, product, rhs, tol, what, detail=None):
     """``solve(rhs)`` followed by up to two passes of iterative refinement.
 
     ``solve`` applies a factorization of the matrix whose action is
-    ``product``.  Returns ``(x, relative residual)``; raises
+    ``product``.  Returns ``(x, relative residual, residual vector
+    rhs - product(x))``; raises
     :class:`SolverError` naming ``what``, the residual and ``tol`` (plus
     ``detail()``, when given) if the residual still exceeds ``tol``.
     """
@@ -206,7 +196,7 @@ def _refined_solve(solve, product, rhs, tol, what, detail=None):
     if not np.isfinite(res) or res > tol:
         note = detail() if detail is not None else ""
         raise SolverError(f"{what}: residual {res:.3e} exceeds {tol:.1e}{note}")
-    return x, res
+    return x, res, r
 
 
 def _diagonal_dominates_columns(csc, diag_slot):
@@ -220,29 +210,21 @@ def _diagonal_dominates_columns(csc, diag_slot):
     return bool(np.all(mag[diag_slot] >= colmax))
 
 
-def _solve_sparse(csc, rhs, tol, what, ordering=None):
+def _solve_sparse(csc, rhs, tol, what, ordering):
     # The saturation pattern is symmetric and holds every diagonal: minimum
     # degree on A+A^T with diagonal pivots preferred gives 36-47 % less fill
     # than COLAMD (n = 16 to 64).  That order depends only on the pattern, so
-    # it is computed once (``SaturationOrdering``, from the triangle graph)
-    # and the matrix is factored pre-permuted, in the natural order: 3.0 ms
-    # against 4.1 ms with SuperLU's own MMD at n = 16, 130 ms against 159 ms
-    # at n = 64 (see the module docstring for the fill).  This holds only
+    # ``ordering`` (the workspace's ``step_ordering``) holds it for the whole
+    # mesh and the matrix is factored pre-permuted, in the natural order,
+    # which skips SuperLU's own ordering pass at every step.  This holds only
     # while the diagonal pivots are the column maxima; at coarse dt the
     # convection term breaks this, SuperLU pivots off the diagonal and the
     # fill grew to 2-10x COLAMD's, so such matrices are factored with COLAMD
     # and partial pivoting.  On the minimum-degree branch SuperLU works on
-    # panels of 3 columns, not its default 20.  ``relax`` stays at its
-    # default 10, so ``lu.nnz`` does not move (relax 6 raised the fill on
-    # ``data/unstructured_square`` from 19,068 to 19,950).  On a
-    # config step matrix (median of alternating factors, one process on a
-    # 2-core host, glibc's mmap threshold fixed at 128 KiB) a factor took
-    # 3.24 -> 2.91 ms at n = 16, 134 -> 119 ms at n = 64 and 1.20 -> 1.09 ms
-    # on the unstructured mesh; the solution moved by at most 6e-15 relative.
-    # With the threshold left to glibc: 3.06 -> 3.05, 128 -> 119 and
-    # 1.00 -> 0.89 ms (the smaller panel also shrinks SuperLU's work arrays).
-    if ordering is None:
-        ordering = SaturationOrdering(csc.indptr, csc.indices)
+    # panels of 3 columns, not its default 20: the factor is about 10 %
+    # faster at n = 64 and SuperLU's work arrays are smaller.  ``relax``
+    # stays at its default 10 (relax 6 raised the fill on
+    # ``data/unstructured_square`` from 19,068 to 19,950).
     if _diagonal_dominates_columns(csc, ordering.diag_slot):
         perm, inv = ordering.perm, ordering.inv
         factored = sp.csc_matrix((csc.data[ordering.gather], ordering.indices, ordering.indptr),
@@ -271,12 +253,12 @@ def _step_label(kind, m, n, c):
     return f"{kind} (m={m}, n={n}, C in [{c.min():.3g}, {c.max():.3g}])"
 
 
-def step_saturation_forward(c_vec, D, E, H, G, dt, tol=1e-10, what="saturation step",
-                            ordering=None):
+def step_saturation_forward(c_vec, D, E, H, G, dt, tol=1e-10, what="saturation step", *,
+                            ordering):
     """One backward-Euler step of the state saturation equation (D, E, H on one pattern).
 
-    ``ordering`` is the pattern's :class:`SaturationOrdering` (the
-    workspace's ``step_ordering``); without it the step builds its own."""
+    ``ordering`` is the pattern's :class:`SaturationOrdering`, the
+    workspace's ``step_ordering``."""
     # D + dt (E + H), formed in one array in that order
     data = np.add(E.data, H.data)
     data *= dt
@@ -286,7 +268,7 @@ def step_saturation_forward(c_vec, D, E, H, G, dt, tol=1e-10, what="saturation s
 
 
 def step_saturation_backward(cstar_next, D, E, H, S, R, W, Z, dt, tol=1e-10,
-                             what="costate saturation step", ordering=None):
+                             what="costate saturation step", *, ordering):
     """One backward-Euler step of the costate saturation equation (operators on
     D's pattern; ``ordering`` as in :func:`step_saturation_forward`).
 

@@ -155,7 +155,8 @@ def operator_identity_suite(mesh: PrimalMesh, n_samples=100, seed=0,
     wells = wells_from_tris(mesh, [0], [mesh.num_triangles - 1], T=1.0)
     A, B, _ = assemble_darcy(cf, wells, 0.0, ws)
     Fstar = assemble_darcy_costate_rhs(cf, csf, ws)
-    ustar, _, _ = DarcySaddle(A, B, mesh).solve(Fstar, np.zeros(mesh.num_triangles))
+    saddle = DarcySaddle(A, B, mesh, null_space=ws.null_space)
+    ustar, _, _ = saddle.solve(Fstar, np.zeros(mesh.num_triangles))
     div_max = float(np.abs(RT0Field(mesh, ustar).divergence().values).max())
 
     # penalty part of the diffusion matrix: difference of two xi values

@@ -88,15 +88,34 @@ def _workspace(mesh, model=None):
                                  QuadratureRule())
 
 
+def _pairs(mesh):
+    """One (edge, triangle) pair per diamond portion, edge-major, and the
+    local index of the edge in the triangle."""
+    side_tri = mesh.edge_tris.ravel()
+    pr_edge = np.repeat(np.arange(mesh.num_edges), 2)[side_tri >= 0]
+    pr_tri = side_tri[side_tri >= 0]
+    pr_loc = np.argmax(mesh.tri_edges[pr_tri] == pr_edge[:, None], axis=1)
+    return pr_edge, pr_tri, pr_loc
+
+
 def _pair_tables(ws):
     """Points, weights, P1 and RT0 tables of the diamond portions, one row
-    per (edge, triangle) pair, mapped from the edge's own endpoints."""
+    per pair of :func:`_pairs`, mapped from the edge's own endpoints."""
     mesh = ws.mesh
-    pts, w = ws.quad.map_to_triangles(mesh.vertices[mesh.edges[ws.pr_edge, 0]],
-                                      mesh.vertices[mesh.edges[ws.pr_edge, 1]],
-                                      mesh.barycentre[ws.pr_tri])
-    return (pts, w, fes.p1_basis_at(mesh, pts, ws.pr_tri),
-            fes.rt0_basis_at(mesh, pts, ws.pr_tri))
+    pr_edge, pr_tri, _ = _pairs(mesh)
+    pts, w = ws.quad.map_to_triangles(mesh.vertices[mesh.edges[pr_edge, 0]],
+                                      mesh.vertices[mesh.edges[pr_edge, 1]],
+                                      mesh.barycentre[pr_tri])
+    return (pts, w, fes.p1_basis_at(mesh, pts, pr_tri),
+            fes.rt0_basis_at(mesh, pts, pr_tri))
+
+
+def _pair_load(ws, cell):
+    """l_i = sum over diamond cells k of gamma_h(Phi_i)|_k . (integral over
+    k), from one integral per pair of :func:`_pairs`."""
+    acc = np.zeros((ws.mesh.num_edges, 2))
+    np.add.at(acc, _pairs(ws.mesh)[0], cell)
+    return ws.gamma_mat.T @ acc.ravel()
 
 
 @pytest.fixture(scope="module", params=["n4", "unstructured"])
@@ -122,7 +141,7 @@ def test_barycentric_tables_reproduce_points(table_ws):
                     ws.fan_pts, all_tris),
         "edge_lamL": (ws.edge_lamL, ws.edge_pts, ws.kL),
         "edge_lamR": (ws.edge_lamR, ws.edge_pts, ws.kR),
-        "pairs": (pr_lam, pr_pts, ws.pr_tri),
+        "pairs": (pr_lam, pr_pts, _pairs(ws.mesh)[1]),
     }
     verts = ws.mesh.tri_vertices()
     for name, (lam, pts, tris) in tables.items():
@@ -136,11 +155,12 @@ def test_diamond_portions_are_the_sub_cells(table_ws):
     # from the edge's endpoints, has the quadrature of sub-cell
     # (pr_tri, pr_loc): the same points, in some order, with the same weights
     ws = table_ws
+    _, pr_tri, pr_loc = _pairs(ws.mesh)
     pr_pts, pr_w, _, _ = _pair_tables(ws)
-    sub_pts = ws.sub_pts[ws.pr_tri, ws.pr_loc]
-    sub_w = ws.sub_w[ws.pr_tri, ws.pr_loc]
+    sub_pts = ws.sub_pts[pr_tri, pr_loc]
+    sub_w = ws.sub_w[pr_tri, pr_loc]
     # and every sub-cell is the portion of exactly one pair
-    cells = 3 * ws.pr_tri + ws.pr_loc
+    cells = 3 * pr_tri + pr_loc
     assert np.array_equal(np.sort(cells), np.arange(3 * ws.mesh.num_triangles))
     # each pair point's nearest sub-cell point, and back
     dist = np.linalg.norm(pr_pts[:, :, None, :] - sub_pts[:, None, :, :], axis=-1)
@@ -158,7 +178,7 @@ def test_rt0_tables_reproduce_constant_field(table_ws):
     sub_rt0 = fes.rt0_basis_at(mesh, ws.sub_pts)
     pr_rt0 = _pair_tables(ws)[3]
     sub = np.einsum("tcqje,tj->tcqe", sub_rt0, coeffs[mesh.tri_edges])
-    pair = np.einsum("nqje,nj->nqe", pr_rt0, coeffs[mesh.tri_edges[ws.pr_tri]])
+    pair = np.einsum("nqje,nj->nqe", pr_rt0, coeffs[mesh.tri_edges[_pairs(mesh)[1]]])
     assert np.abs(sub - vec).max() <= 1e-13
     assert np.abs(pair - vec).max() <= 1e-13
 
@@ -227,6 +247,7 @@ def test_velocity_matrix_is_gamma_pairing(setup):
     mesh, dd, bd, model, ws, wells = setup
     c = random_saturation(mesh)
     A, _, _ = asm.assemble_darcy(c, wells, 0.0, ws)
+    pr_edge, pr_tri, _ = _pairs(mesh)
     pr_pts, pr_w, pr_lam, pr_rt0 = _pair_tables(ws)
     kappa = model.kappa(pr_pts.reshape(-1, 2)).reshape(pr_w.shape)
     interior = mesh.interior_edges
@@ -239,10 +260,10 @@ def test_velocity_matrix_is_gamma_pairing(setup):
             tv[interior[test]] = 1.0
             gv = fes.gamma_h(fes.RT0Field(mesh, tv), dd).values
             # integrate alpha phi_j . (gamma phi_i) over all diamond cells
-            cv = np.einsum("nqj,nj->nq", pr_lam, c.values[ws.pr_tri])
+            cv = np.einsum("nqj,nj->nq", pr_lam, c.values[pr_tri])
             avals = model.alpha(cv) / kappa
-            pj = np.einsum("nqje,nj->nqe", pr_rt0, phi_j.values[mesh.tri_edges[ws.pr_tri]])
-            ref = float(np.einsum("nq,nq,nqe,ne->", pr_w, avals, pj, gv[ws.pr_edge]))
+            pj = np.einsum("nqje,nj->nqe", pr_rt0, phi_j.values[mesh.tri_edges[pr_tri]])
+            ref = float(np.einsum("nq,nq,nqe,ne->", pr_w, avals, pj, gv[pr_edge]))
             assert A[test, trial] == pytest.approx(ref, abs=1e-13)
 
 
@@ -252,12 +273,13 @@ def test_diamond_loads_match_pair_quadrature(table_ws):
     # quadrature, with fields that tell the portions of a triangle apart
     ws = table_ws
     mesh, model = ws.mesh, ws.model
+    pr_tri = _pairs(mesh)[1]
     pr_pts, pr_w, pr_lam, _ = _pair_tables(ws)
     c, cs = random_saturation(mesh), random_saturation(mesh, -1.0, 1.0)
-    cv = np.einsum("nqj,nj->nq", pr_lam, c.values[ws.pr_tri])
-    csv = np.einsum("nqj,nj->nq", pr_lam, cs.values[ws.pr_tri])
-    cell = -np.einsum("nq,nq,ne->ne", pr_w, model.b(cv) * csv, c.gradients()[ws.pr_tri])
-    ref = asm._gamma_load(cell, ws)
+    cv = np.einsum("nqj,nj->nq", pr_lam, c.values[pr_tri])
+    csv = np.einsum("nqj,nj->nq", pr_lam, cs.values[pr_tri])
+    cell = -np.einsum("nq,nq,ne->ne", pr_w, model.b(cv) * csv, c.gradients()[pr_tri])
+    ref = _pair_load(ws, cell)
     got = asm.assemble_darcy_costate_rhs(c, cs, ws)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -265,7 +287,7 @@ def test_diamond_loads_match_pair_quadrature(table_ws):
         return np.column_stack([np.sin(3.0 * p[:, 0]), p[:, 1] ** 2 - p[:, 0]])
 
     gvals = g(pr_pts.reshape(-1, 2)).reshape(pr_pts.shape)
-    ref = asm._gamma_load(np.einsum("nq,nqe->ne", pr_w, gvals), ws)
+    ref = _pair_load(ws, np.einsum("nq,nqe->ne", pr_w, gvals))
     got = asm.assemble_diamond_vector_load(g, ws)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 

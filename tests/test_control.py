@@ -166,6 +166,21 @@ def test_gradient_requires_adjoint():
         ctl.gradient_without_penalty(traj, prob.wells, prob.model, prob.ws)
 
 
+def test_gradient_refuses_a_second_model():
+    # f comes from the workspace's model: any other model object is refused
+    # rather than mixed in
+    prob = make_problem()
+    traj = sol.run_forward(prob, np.full(prob.rc.n_steps + 1, 0.5))
+    sol.run_adjoint(prob, traj)
+    other = default_model()
+    with pytest.raises(ConfigError, match="workspace's model"):
+        ctl.gradient_without_penalty(traj, prob.wells, other, prob.ws)
+    with pytest.raises(ConfigError, match="workspace's model"):
+        ctl.reduced_gradient_density(traj, prob.wells, other, prob.ws)
+    g = ctl.gradient_without_penalty(traj, prob.wells, prob.ws.model, prob.ws)
+    assert np.isfinite(g).all()
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from porous_opt import assembly as asm
 from porous_opt import fespaces as fes
@@ -255,6 +256,32 @@ def test_step_ordering_permutes_whole_triangles(config_problem):
     assert np.array_equal(dofs, 3 * (dofs[:, :1] // 3) + np.arange(3))
     assert np.array_equal(np.sort(dofs[:, 0] // 3), np.arange(n_t))
     assert np.array_equal(order.inv[order.perm], np.arange(3 * n_t))
+
+
+def test_step_ordering_matches_the_pattern_oracle(config_problem):
+    # the order built from the workspace's triangle table equals minimum
+    # degree on the triangle graph read back from the saturation pattern:
+    # the first dof row of each block in column 3t, expanded to the dofs
+    ws = config_problem[1].ws
+    indptr, indices = ws.sat_indptr, ws.sat_indices
+    n = len(indptr) - 1
+    n_t = n // 3
+    col = np.repeat(np.arange(n), np.diff(indptr))
+    diag_slot = np.flatnonzero(indices == col)
+    rows, ptr = [], [0]
+    for t in range(n_t):
+        block = indices[indptr[3 * t]:indptr[3 * t + 1]]
+        rows.extend(block[::3] // 3)
+        ptr.append(len(rows))
+    rows = np.array(rows)
+    vals = np.where(rows == np.repeat(np.arange(n_t), np.diff(ptr)), 4.0, -1.0)
+    graph = sp.csc_matrix((vals, rows, ptr), shape=(n_t, n_t))
+    lu = spla.splu(graph, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+    perm = (3 * np.argsort(lu.perm_c)[:, None] + np.arange(3)).ravel()
+
+    order = ws.step_ordering
+    assert np.array_equal(order.diag_slot, diag_slot)
+    assert np.array_equal(order.perm, perm)
 
 
 def test_step_factor_uses_the_workspace_order(config_problem, monkeypatch):
@@ -544,7 +571,8 @@ def test_single_grid_equivalence_when_steps_match():
         D, E, H, G = asm.assemble_saturation_state(
             cf, fes.RT0Field(mesh, u), wells, q[i + 1], ws, prob.xi
         )
-        C = sol.step_saturation_forward(C.ravel(), D, E, H, G, rc.dt).reshape(C.shape)
+        C = sol.step_saturation_forward(C.ravel(), D, E, H, G, rc.dt,
+                                        ordering=ws.step_ordering).reshape(C.shape)
         Cs.append(C.copy())
     cf = fes.P1DGField(mesh, C)
     A, B, F = asm.assemble_darcy(cf, wells, q[-1], ws)
@@ -619,7 +647,8 @@ def test_backward_step_trivial_zero():
                                                0.0, ws, prob.xi)
     R, S, W, Z = asm.assemble_saturation_costate(c, u, u, prob.wells, 0.0, 0.2, ws)
     out = sol.step_saturation_backward(np.zeros(3 * mesh.num_triangles),
-                                       D, E, H, S, R, W, Z, prob.rc.dt)
+                                       D, E, H, S, R, W, Z, prob.rc.dt,
+                                       ordering=ws.step_ordering)
     assert np.abs(out).max() < 1e-14
 
 
@@ -639,11 +668,12 @@ def test_saturation_steps_match_dense_solve():
     cstar_next = traj.Cstar[3].ravel()
     assert np.abs(cstar_next).max() > 0.0
 
-    fwd = sol.step_saturation_forward(c_prev, D, E, H, G, dt)
+    fwd = sol.step_saturation_forward(c_prev, D, E, H, G, dt, ordering=ws.step_ordering)
     ref = np.linalg.solve((D + dt * (E + H)).toarray(), D @ c_prev + dt * G)
     assert np.abs(fwd - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    bwd = sol.step_saturation_backward(cstar_next, D, E, H, S, R, W, Z, dt)
+    bwd = sol.step_saturation_backward(cstar_next, D, E, H, S, R, W, Z, dt,
+                                       ordering=ws.step_ordering)
     ref = np.linalg.solve((D + dt * (-E + H + S + R)).toarray(),
                           D @ cstar_next + dt * (W - Z))
     assert np.abs(bwd - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -695,7 +725,7 @@ def test_two_grid_forward_matches_oracle():
                 ws, prob.xi,
             )
             C[n + 1] = sol.step_saturation_forward(
-                C[n].ravel(), D, E, H, G, rc.dt, rc.solver_tol
+                C[n].ravel(), D, E, H, G, rc.dt, rc.solver_tol, ordering=ws.step_ordering
             ).reshape(C[n].shape)
 
     assert np.array_equal(traj.C, C)
@@ -739,7 +769,8 @@ def test_two_grid_adjoint_matches_oracle():
                 cf, uf, usf, wells, q[j], fine[j], ws
             )
             Cstar[j - 1] = sol.step_saturation_backward(
-                Cstar[j].ravel(), D, E, H, S, R, W, Z, rc.dt, rc.solver_tol
+                Cstar[j].ravel(), D, E, H, S, R, W, Z, rc.dt, rc.solver_tol,
+                ordering=ws.step_ordering,
             ).reshape(C[j].shape)
 
     assert np.abs(Cstar[0]).max() > 0.0
