@@ -63,7 +63,8 @@ cannot mix two models; :func:`trilinear_form`, which builds no workspace,
 takes its own.
 
 The saturation kernels (:func:`assemble_saturation_state`,
-:func:`_diffusion_matrix`, :func:`assemble_saturation_costate`) run their
+:func:`_diffusion_matrix`, :func:`assemble_saturation_costate`,
+:func:`assemble_costate_loads`) run their
 per-point work over blocks of consecutive triangles and interior edges
 (:func:`_blocks`).  A block evaluates the ``ws.model`` coefficients, the P1
 values at its sub-cell, fan and edge points, the velocity-gradient table, the
@@ -627,27 +628,21 @@ def _diffusion_matrix(c_field, ws, xi):
     return ws.dual_matrix(t1, edges)
 
 
-def assemble_saturation_costate(c_field: P1DGField, u_field: RT0Field,
-                                ustar_field: RT0Field, wells: WellModel,
-                                q: float, t: float, ws: AssemblyWorkspace):
-    """Costate-only matrices and loads at one time level: (R, S, W, Z).
+def assemble_saturation_costate(c_field: P1DGField, wells: WellModel, q: float,
+                                ws: AssemblyWorkspace):
+    """Costate-only matrices at one time level: (R, S).
 
     R is the production-patch reaction matrix with weight r1 q b(C); S the
-    cross-gradient matrix with kappa D'(C) grad(C); W the terminal-weight
-    load w(t) C; Z the load alpha'(C)/kappa U . U*.
+    cross-gradient matrix with kappa D'(C) grad(C).  Neither depends on a
+    velocity, so the adjoint builds them ahead of the costate Darcy solves.
     """
     _require_finite(c_field.values, "saturation coefficient")
-    _require_finite(u_field.values, "velocity coefficient")
-    _require_finite(ustar_field.values, "costate velocity")
 
     model = ws.model
     n_t, _, nq = ws.sub_w.shape
     r1 = wells.r1_values()
-    wval = wells.w(t)
     rcell = np.zeros((n_t, 3, 3))
     scell = np.empty((n_t, 3, 3))
-    wcell = np.empty((n_t, 3))
-    zcell = np.empty((n_t, 3))
     for rows in _blocks(n_t, nq):
         w = ws.sub_w[rows]
         csub = ws.p1_at_sub(c_field, rows)
@@ -660,14 +655,34 @@ def assemble_saturation_costate(c_field: P1DGField, u_field: RT0Field,
         cross = np.einsum("tcq,tcq->tc", w, ws.kappa_sub[rows] * model.diffusion_prime(csub))
         gradc_lam = (ws.gradlam[rows] @ ws.grad_p1(c_field, rows)[:, :, None])[:, :, 0]
         scell[rows] = cross[:, :, None] * gradc_lam[:, None, :]
+    return ws.dual_matrix(rcell), ws.dual_matrix(scell)
 
+
+def assemble_costate_loads(c_field: P1DGField, u_field: RT0Field, ustar_field: RT0Field,
+                           wells: WellModel, t: float, ws: AssemblyWorkspace):
+    """Costate loads at one time level: (W, Z).
+
+    W is the terminal-weight load w(t) C; Z the load alpha'(C)/kappa U . U*.
+    """
+    _require_finite(c_field.values, "saturation coefficient")
+    _require_finite(u_field.values, "velocity coefficient")
+    _require_finite(ustar_field.values, "costate velocity")
+
+    model = ws.model
+    n_t, _, nq = ws.sub_w.shape
+    wval = wells.w(t)
+    wcell = np.empty((n_t, 3))
+    zcell = np.empty((n_t, 3))
+    for rows in _blocks(n_t, nq):
+        w = ws.sub_w[rows]
+        csub = ws.p1_at_sub(c_field, rows)
         wcell[rows] = wval * np.einsum("tcq,tcq->tc", w, csub)
 
         # the only evaluation of the velocities at the sub-cell points
         udot = (ws.rt0_at_sub(u_field, rows) * ws.rt0_at_sub(ustar_field, rows)).sum(axis=-1)
         ap = model.alpha_prime(csub) / ws.kappa_sub[rows]
         zcell[rows] = np.einsum("tcq,tcq->tc", w, ap * udot)
-    return ws.dual_matrix(rcell), ws.dual_matrix(scell), ws.dual_load(wcell), ws.dual_load(zcell)
+    return ws.dual_load(wcell), ws.dual_load(zcell)
 
 
 def assemble_dual_scalar_load(sfun, ws: AssemblyWorkspace):

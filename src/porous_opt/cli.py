@@ -59,7 +59,9 @@ def build_parser():
                         help="write VTK snapshots every K saturation steps")
     common.add_argument("--threads", type=int, default=1,
                         help="accepted and checked (>= 1), but sets no thread "
-                             "count; the outputs are the same for every value")
+                             "count: the adjoint factors its step matrices on one "
+                             "helper thread whatever the value, and the outputs "
+                             "are the same for every value")
     common.add_argument("--dump-matrices", type=str, default=None, metavar="DIR",
                         help="dump first-step matrices in MatrixMarket format")
 

@@ -35,6 +35,22 @@ benchmark meshes (70,080 against 71,142 at n = 16, 2,115,438 against
 2,148,630 at n = 64) and 2 % above it on ``data/unstructured_square``.
 Other step matrices are factored with COLAMD.
 
+The costate saturation equation is linear in C*, and its step matrix
+D + dt (-E + H + S + R) is built from the forward trajectory and q alone.
+So the adjoint factors its steps on one helper thread (:class:`CostateMarch`,
+opened and joined inside :func:`run_adjoint`): the helper factors costate
+step n, then solves and refines it, while the main thread assembles step
+n - 1's matrix, step n's loads and the costate Darcy solves.  SuperLU
+releases the interpreter lock while it factors, so the two overlap on two
+cores.  Each factorization is queued behind the previous step's solve, so
+one step LU exists at a time, as in a serial march, and the outputs are
+bitwise those of one.  Every step LU is made and dropped on the thread that
+uses it: with scipy 1.17.1 a SuperLU factor made on one thread and freed on
+another is never freed (+19.5 MB of RSS per factor of 1.9 M ``lu.nnz``, and
++342 MB per ``sweep-n64`` adjoint when the helper's factors were solved and
+dropped on the main thread).  Only private code runs on the helper; every
+public function of this module runs on the thread that calls it.
+
 Each sweep is one loop over the coarse nodes m: a Darcy solve at node m,
 then the K = N/M fine steps to the next node.  A fine step finds its
 velocity from its fine index n alone (:func:`state_velocity`,
@@ -48,6 +64,7 @@ have only one value to use and keep it constant.  Each sweep thus consumes
 only values it has already computed.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -58,6 +75,7 @@ import scipy.sparse.linalg as spla
 from .assembly import (
     AssemblyWorkspace,
     DarcyNullSpace,
+    assemble_costate_loads,
     assemble_darcy,
     assemble_darcy_costate_rhs,
     assemble_diamond_vector_load,
@@ -210,42 +228,60 @@ def _diagonal_dominates_columns(csc, diag_slot):
     return bool(np.all(mag[diag_slot] >= colmax))
 
 
-def _solve_sparse(csc, rhs, tol, what, ordering):
-    # The saturation pattern is symmetric and holds every diagonal: minimum
-    # degree on A+A^T with diagonal pivots preferred gives 36-47 % less fill
-    # than COLAMD (n = 16 to 64).  That order depends only on the pattern, so
-    # ``ordering`` (the workspace's ``step_ordering``) holds it for the whole
-    # mesh and the matrix is factored pre-permuted, in the natural order,
-    # which skips SuperLU's own ordering pass at every step.  This holds only
-    # while the diagonal pivots are the column maxima; at coarse dt the
-    # convection term breaks this, SuperLU pivots off the diagonal and the
-    # fill grew to 2-10x COLAMD's, so such matrices are factored with COLAMD
-    # and partial pivoting.  On the minimum-degree branch SuperLU works on
-    # panels of 3 columns, not its default 20: the factor is about 10 %
-    # faster at n = 64 and SuperLU's work arrays are smaller.  ``relax``
-    # stays at its default 10 (relax 6 raised the fill on
-    # ``data/unstructured_square`` from 19,068 to 19,950).
-    if _diagonal_dominates_columns(csc, ordering.diag_slot):
-        perm, inv = ordering.perm, ordering.inv
-        factored = sp.csc_matrix((csc.data[ordering.gather], ordering.indices, ordering.indptr),
-                                 csc.shape)
-        kwargs = dict(permc_spec="NATURAL", panel_size=3, options=dict(SymmetricMode=True))
-    else:
-        perm = inv = slice(None)
-        factored, kwargs = csc, dict(permc_spec="COLAMD")
-    try:
-        lu = spla.splu(factored, **kwargs)
-    except RuntimeError as exc:
-        raise SolverError(f"{what}: factorization failed: {exc}") from exc
+class _StepLU:
+    """SuperLU factor of one saturation step matrix ``csc``, used for one solve.
 
-    def solve(r):
-        return lu.solve(r[perm])[inv]
+    The saturation pattern is symmetric and holds every diagonal: minimum
+    degree on A+A^T with diagonal pivots preferred gives 36-47 % less fill
+    than COLAMD (n = 16 to 64).  That order depends only on the pattern, so
+    ``ordering`` (the workspace's ``step_ordering``) holds it for the whole
+    mesh and the matrix is factored pre-permuted, in the natural order,
+    which skips SuperLU's own ordering pass at every step.  This holds only
+    while the diagonal pivots are the column maxima; at coarse dt the
+    convection term breaks this, SuperLU pivots off the diagonal and the
+    fill grew to 2-10x COLAMD's, so such matrices are factored with COLAMD
+    and partial pivoting.  On the minimum-degree branch SuperLU works on
+    panels of 3 columns, not its default 20: the factor is about 10 %
+    faster at n = 64 and SuperLU's work arrays are smaller.  ``relax``
+    stays at its default 10 (relax 6 raised the fill on
+    ``data/unstructured_square`` from 19,068 to 19,950).
+    """
 
-    def one_norm():
-        est = spla.onenormest(csc) if csc.shape[0] < 20000 else np.nan
+    def __init__(self, csc, what, ordering):
+        self.csc, self.what = csc, what
+        if _diagonal_dominates_columns(csc, ordering.diag_slot):
+            self.perm, self.inv = ordering.perm, ordering.inv
+            factored = sp.csc_matrix((csc.data[ordering.gather], ordering.indices,
+                                      ordering.indptr), csc.shape)
+            kwargs = dict(permc_spec="NATURAL", panel_size=3, options=dict(SymmetricMode=True))
+        else:
+            self.perm = self.inv = slice(None)
+            factored, kwargs = csc, dict(permc_spec="COLAMD")
+        try:
+            self.lu = spla.splu(factored, **kwargs)
+        except RuntimeError as exc:
+            raise SolverError(f"{what}: factorization failed: {exc}") from exc
+
+    def solve(self, rhs, tol):
+        """x with ``csc @ x = rhs``, iteratively refined to ``tol``.
+
+        Drops the factor, also when the solve raises: the traceback of a
+        :class:`SolverError` then keeps no factor alive."""
+        try:
+            return _refined_solve(self._apply, self._product, rhs, tol, self.what,
+                                  self._one_norm)[0]
+        finally:
+            self.lu = None
+
+    def _apply(self, r):
+        return self.lu.solve(r[self.perm])[self.inv]
+
+    def _product(self, x):
+        return self.csc @ x
+
+    def _one_norm(self):
+        est = spla.onenormest(self.csc) if self.csc.shape[0] < 20000 else np.nan
         return f" (1-norm ~ {est:.3e})"
-
-    return _refined_solve(solve, lambda x: csc @ x, rhs, tol, what, one_norm)[0]
 
 
 def _step_label(kind, m, n, c):
@@ -264,30 +300,110 @@ def step_saturation_forward(c_vec, D, E, H, G, dt, tol=1e-10, what="saturation s
     data *= dt
     data += D.data
     lhs = sp.csc_matrix((data, D.indices, D.indptr), D.shape)
-    return _solve_sparse(lhs, D @ c_vec + dt * G, tol, what, ordering)
+    return _StepLU(lhs, what, ordering).solve(D @ c_vec + dt * G, tol)
 
 
-def step_saturation_backward(cstar_next, D, E, H, S, R, W, Z, dt, tol=1e-10,
-                             what="costate saturation step", *, ordering):
-    """One backward-Euler step of the costate saturation equation (operators on
-    D's pattern; ``ordering`` as in :func:`step_saturation_forward`).
+def costate_step_matrix(c_field, u_field, wells, q, ws, xi, dt):
+    """The costate step matrix D + dt (-E + H + S + R) at coefficients (C, U, q).
 
-    Solves  [D + dt (-E + H + S + R)] cstar = D cstar_next + dt (W - Z):
-    the operator acts implicitly on the unknown earlier-time value,
-    mirroring the forward step, which keeps the backward march
-    unconditionally stable.  Lagging the operator to the right-hand side
-    instead (mass matrix alone on the left) is an explicit treatment of the
-    diffusion and blows up once dt exceeds the parabolic CFL bound.
+    It is summed in H's freshly assembled ``data``, never in D (the
+    workspace's ``ws.D``), in the order -E + H + S + R (H - E rounds as
+    -E + H), and each operator is dropped once it is added, so no step holds
+    more than three of them.  Returns H, which then holds the sum.
     """
-    # D + dt (-E + H + S + R), formed in one array in that order (H - E
-    # rounds as -E + H)
-    data = np.subtract(H.data, E.data)
+    D, E, H, _ = assemble_saturation_state(c_field, u_field, wells, q, ws, xi)
+    data = H.data
+    data -= E.data
+    del E
+    R, S = assemble_saturation_costate(c_field, wells, q, ws)
     data += S.data
+    del S
     data += R.data
+    del R
     data *= dt
     data += D.data
-    lhs = sp.csc_matrix((data, D.indices, D.indptr), D.shape)
-    return _solve_sparse(lhs, D @ cstar_next + dt * (W - Z), tol, what, ordering)
+    return H
+
+
+class CostateMarch:
+    """The costate saturation march of one adjoint sweep on one helper thread.
+
+    The costate equation is linear in C*, and each step matrix is built from
+    the forward trajectory and q alone, so the main thread can assemble the
+    next step while the helper factors this one.  Tasks run on the helper in
+    the order they are queued: :meth:`factor` queues the LU of the next step
+    matrix, :meth:`solve` the solve with it that writes row n of ``cstar``
+    from row n + 1 and drops the LU.  A factorization is queued once every
+    queued solve has finished, so one step LU exists at a time and one step
+    matrix at most waits for the helper.
+
+    Every LU is made and dropped on the helper: with scipy 1.17.1 a SuperLU
+    factor made on one thread and freed on another is never freed (see the
+    module docstring).  On exit, tasks not yet started are cancelled, any LU
+    left is dropped on the helper, and the thread is joined.
+    """
+
+    def __init__(self, cstar, D, ordering, tol):
+        self._cstar, self._D, self._ordering, self._tol = cstar, D, ordering, tol
+        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="costate-lu")
+        self._lu = None      # touched only on the helper
+        self._made = None    # the future of a factorization no solve follows yet
+        self._queued = []    # futures of the queued tasks, oldest first
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for future in [self._made, *self._queued]:
+            if future is not None:
+                future.cancel()
+        self._pool.submit(self._drop)
+        self._pool.shutdown(wait=True)
+
+    def factor(self, A, what):
+        """Queue the factorization of step matrix ``A``, named ``what`` in errors,
+        once every queued solve has finished."""
+        self.wait()
+        self._made = self._pool.submit(self._factor, A, what)
+
+    def solve(self, n, load):
+        """Queue the solve of C*^n from D C*^{n+1} + ``load`` with the last factor."""
+        self._queued += [self._made, self._pool.submit(self._solve, n, load)]
+        self._made = None
+
+    def wait(self):
+        """Wait for every queued solve; raise the first failure in queue order."""
+        while self._queued:
+            self._queued.pop(0).result()
+
+    def _factor(self, A, what):
+        self._lu = _StepLU(A, what, self._ordering)
+
+    def _solve(self, n, load):
+        lu, self._lu = self._lu, None
+        if lu is None:  # the factorization raised; its future, read first, reports it
+            return
+        rhs = self._D @ self._cstar[n + 1].ravel() + load
+        self._cstar[n] = lu.solve(rhs, self._tol).reshape(self._cstar[n].shape)
+
+    def _drop(self):
+        self._lu = None
+
+
+def step_saturation_backward(march, n, W, Z, dt):
+    """Queue backward-Euler step ``n`` of the costate saturation equation on ``march``.
+
+    After the tasks queued before it, the helper solves
+    [D + dt (-E + H + S + R)] cstar^n = D cstar^{n+1} + dt (W - Z) with the
+    step matrix last given to :meth:`CostateMarch.factor` (see
+    :func:`costate_step_matrix`).  The operator acts implicitly on the
+    unknown earlier-time value, mirroring the forward step, which keeps the
+    backward march unconditionally stable.  Lagging the operator to the
+    right-hand side instead (mass matrix alone on the left) is an explicit
+    treatment of the diffusion and blows up once dt exceeds the parabolic
+    CFL bound.
+    """
+    march.solve(n, dt * (W - Z))
 
 
 @dataclass
@@ -453,17 +569,37 @@ def run_forward(problem: Problem, q) -> Trajectory:
     return traj
 
 
+def _factor_costate_step(march, problem, traj, n):
+    """Queue the factorization of costate step n on ``march``; its matrix is
+    built at (C^{n+1}, U(t_{n+1}), q^{n+1})."""
+    mesh, K = problem.mesh, problem.rc.substeps
+    A = costate_step_matrix(
+        P1DGField(mesh, traj.C[n + 1]), RT0Field(mesh, state_velocity(traj.U, n + 1, K)),
+        problem.wells, traj.q[n + 1], problem.ws, problem.xi, problem.rc.dt,
+    )
+    march.factor(A, _step_label("costate saturation step", n // K + 1, n, traj.C[n + 1]))
+
+
 def run_adjoint(problem: Problem, traj: Trajectory) -> Trajectory:
     """Backward sweep filling the costate part of ``traj``.
 
     Requires a completed forward trajectory: the costate Darcy solves use
     its cached factorizations ``traj.saddles`` (the costate velocity matrix
     at each coarse time is the state one).
+
+    The step LUs are made, used and dropped on one helper thread
+    (:class:`CostateMarch`), opened and joined inside the sweep: scipy does
+    not free a factor dropped on another thread than the one that made it
+    (+342 MB of RSS per ``sweep-n64`` adjoint otherwise).  While the
+    helper factors and solves costate step n, this thread assembles step
+    n - 1's matrix, step n's loads and, at a coarse node, the costate Darcy
+    solve, which waits for C* at the node.  One step LU exists at a time, as
+    in a serial march, and the outputs are bitwise those of one: every
+    operation and its order are the same, only the thread differs.
     """
     rc = problem.rc
     mesh = problem.mesh
     ws = problem.ws
-    q = traj.q
     fine = rc.fine_times()
     coarse = rc.coarse_times()
     K = rc.substeps
@@ -476,44 +612,41 @@ def run_adjoint(problem: Problem, traj: Trajectory) -> Trajectory:
     traj.Cstar[rc.n_steps] = 0.0
     div_max = 0.0
 
-    for m in range(rc.m_steps, -1, -1):
-        c_field = P1DGField(mesh, traj.C[m * K])
-        cstar_field = P1DGField(mesh, traj.Cstar[m * K])
-        Fstar = assemble_darcy_costate_rhs(c_field, cstar_field, ws)
-        if src.s_u_star is not None:
-            Fstar = Fstar + assemble_diamond_vector_load(
-                lambda p: src.s_u_star(p, coarse[m]), ws
-            )
-        try:
-            traj.Ustar[m], traj.Pstar[m], _ = traj.saddles[m].solve(
-                Fstar, np.zeros(n_t)
-            )
-        except SolverError as exc:
-            raise SolverError(f"costate Darcy solve at coarse step {m}: {exc}") from exc
-        div = RT0Field(mesh, traj.Ustar[m]).divergence().values
-        div_max = max(div_max, float(np.abs(div).max()))
-
-        for n in reversed(range(max(m - 1, 0) * K, m * K)):
-            t_dep = fine[n + 1]
-            c_field = P1DGField(mesh, traj.C[n + 1])
-            u_field = RT0Field(mesh, state_velocity(traj.U, n + 1, K))
-            us_field = RT0Field(mesh, costate_velocity(traj.Ustar, n + 1, K))
-            D, E, H, _ = assemble_saturation_state(
-                c_field, u_field, problem.wells, q[n + 1], ws, problem.xi,
-            )
-            R, S, W, Z = assemble_saturation_costate(
-                c_field, u_field, us_field, problem.wells, q[n + 1], t_dep, ws,
-            )
-            if src.s_c_star is not None:
-                W = W + assemble_dual_scalar_load(
-                    lambda p: src.s_c_star(p, t_dep), ws
+    with CostateMarch(traj.Cstar, ws.D, ws.step_ordering, rc.solver_tol) as march:
+        _factor_costate_step(march, problem, traj, rc.n_steps - 1)
+        for m in range(rc.m_steps, -1, -1):
+            march.wait()
+            c_field = P1DGField(mesh, traj.C[m * K])
+            cstar_field = P1DGField(mesh, traj.Cstar[m * K])
+            Fstar = assemble_darcy_costate_rhs(c_field, cstar_field, ws)
+            if src.s_u_star is not None:
+                Fstar = Fstar + assemble_diamond_vector_load(
+                    lambda p: src.s_u_star(p, coarse[m]), ws
                 )
-            cs = step_saturation_backward(
-                traj.Cstar[n + 1].ravel(), D, E, H, S, R, W, Z, rc.dt, rc.solver_tol,
-                _step_label("costate saturation step", m, n, traj.C[n + 1]),
-                ordering=ws.step_ordering,
-            )
-            traj.Cstar[n] = cs.reshape(n_t, 3)
+            try:
+                traj.Ustar[m], traj.Pstar[m], _ = traj.saddles[m].solve(
+                    Fstar, np.zeros(n_t)
+                )
+            except SolverError as exc:
+                raise SolverError(f"costate Darcy solve at coarse step {m}: {exc}") from exc
+            div = RT0Field(mesh, traj.Ustar[m]).divergence().values
+            div_max = max(div_max, float(np.abs(div).max()))
+
+            for n in reversed(range(max(m - 1, 0) * K, m * K)):
+                t_dep = fine[n + 1]
+                W, Z = assemble_costate_loads(
+                    P1DGField(mesh, traj.C[n + 1]),
+                    RT0Field(mesh, state_velocity(traj.U, n + 1, K)),
+                    RT0Field(mesh, costate_velocity(traj.Ustar, n + 1, K)),
+                    problem.wells, t_dep, ws,
+                )
+                if src.s_c_star is not None:
+                    W = W + assemble_dual_scalar_load(
+                        lambda p: src.s_c_star(p, t_dep), ws
+                    )
+                step_saturation_backward(march, n, W, Z, rc.dt)
+                if n > 0:
+                    _factor_costate_step(march, problem, traj, n - 1)
 
     traj.costate_div_max = div_max
     return traj

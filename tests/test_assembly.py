@@ -460,7 +460,7 @@ def test_saturation_operators_match_coo_assembly(mesh, monkeypatch):
     wells = wells_from_tris(mesh, [0, 1], [n_t - 2, n_t - 1], T=1.0)
     c, u, us = random_saturation(mesh), random_velocity(mesh), random_velocity(mesh)
     D, E, H, _ = asm.assemble_saturation_state(c, u, wells, 0.4, ws, 1.0)
-    R, S, _, _ = asm.assemble_saturation_costate(c, u, us, wells, 0.4, 0.5, ws)
+    R, S = asm.assemble_saturation_costate(c, wells, 0.4, ws)
     H2 = asm._diffusion_matrix(c, ws, 2.0)
     ops = (D, E, H, R, S, H2)
     assert len(built) == len(ops)
@@ -560,7 +560,8 @@ def test_precontracted_kernels_match_einsum_oracle(table_ws, monkeypatch):
     monkeypatch.setattr(asm.AssemblyWorkspace, "dual_matrix", record_matrix)
     monkeypatch.setattr(asm.AssemblyWorkspace, "dual_load", record_load)
     asm.assemble_saturation_state(c, u, wells, q, ws, xi)
-    asm.assemble_saturation_costate(c, u, us, wells, q, t, ws)
+    asm.assemble_saturation_costate(c, wells, q, ws)
+    asm.assemble_costate_loads(c, u, us, wells, t, ws)
     monkeypatch.undo()
     got = dict(zip(["E", "T1", "edges", "G", "R", "S", "W", "Z"], seen))
     got["p1_at_sub"] = ws.p1_at_sub(c)
@@ -670,7 +671,8 @@ def test_blocked_kernels_match_whole_mesh_oracle(table_ws, monkeypatch):
         f.name: counted(getattr(model, f.name))
         for f in dataclasses.fields(model) if callable(getattr(model, f.name))}))
     D, E, H, G = asm.assemble_saturation_state(c, u, wells, q, ws, xi)
-    R, S, W, Z = asm.assemble_saturation_costate(c, u, us, wells, q, t, ws)
+    R, S = asm.assemble_saturation_costate(c, wells, q, ws)
+    W, Z = asm.assemble_costate_loads(c, u, us, wells, t, ws)
     assert D is ws.D
     got = dict(E=E.data, H=H.data, G=G, R=R.data, S=S.data, W=W, Z=Z)
     for name, arr in want.items():
@@ -760,26 +762,21 @@ def test_costate_matrices_trivial_cases(setup):
     u = random_velocity(mesh)
     zero_u = fes.RT0Field.zero(mesh)
     # before the terminal window the weight load vanishes identically
-    R, S, W, Z = asm.assemble_saturation_costate(c, u, u, wells, 0.5,
-                                                 t=0.2, ws=ws)
+    W, _ = asm.assemble_costate_loads(c, u, u, wells, t=0.2, ws=ws)
     assert np.allclose(W, 0.0)
     # zero costate velocity kills the velocity-product load
-    _, _, _, Z0 = asm.assemble_saturation_costate(c, u, zero_u, wells,
-                                                  0.5, t=0.2, ws=ws)
+    _, Z0 = asm.assemble_costate_loads(c, u, zero_u, wells, t=0.2, ws=ws)
     assert np.allclose(Z0, 0.0)
     # constant saturation kills the cross-gradient matrix
     const = fes.P1DGField.constant(mesh, 0.5)
-    _, S0, _, _ = asm.assemble_saturation_costate(const, u, u, wells,
-                                                  0.5, t=0.2, ws=ws)
+    _, S0 = asm.assemble_saturation_costate(const, wells, 0.5, ws=ws)
     assert abs(S0).max() < 1e-14
 
 
 def test_reaction_matrix_support(setup):
     mesh, dd, bd, model, ws, wells = setup
     c = random_saturation(mesh)
-    u = random_velocity(mesh)
-    R, _, _, _ = asm.assemble_saturation_costate(c, u, u, wells, 0.5,
-                                                 t=0.2, ws=ws)
+    R, _ = asm.assemble_saturation_costate(c, wells, 0.5, ws=ws)
     R = R.tocoo()
     rows_tris = R.row // 3
     assert np.isin(rows_tris[np.abs(R.data) > 0], wells.production_tris).all()
@@ -790,8 +787,7 @@ def test_terminal_weight_load(setup):
     c = fes.P1DGField.constant(mesh, 0.5)
     u = fes.RT0Field.zero(mesh)
     t_in_window = wells.T - wells.epsilon / 2.0
-    _, _, W, _ = asm.assemble_saturation_costate(c, u, u, wells, 0.0,
-                                                 t=t_in_window, ws=ws)
+    W, _ = asm.assemble_costate_loads(c, u, u, wells, t=t_in_window, ws=ws)
     # (w * c, eta_h Psi) summed over all test functions = w * c * |Omega|
     expect = wells.w(t_in_window) * 0.5 * mesh.domain_area
     assert W.sum() == pytest.approx(expect, rel=1e-12)

@@ -1,7 +1,11 @@
 import dataclasses
+import functools
+import gc
 import re
 import sys
+import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -637,18 +641,26 @@ def test_forward_deterministic():
     assert np.array_equal(t1.P, t2.P)
 
 
+def march_one_step(prob, A, cstar_next, W, Z):
+    """C* of one costate step with matrix ``A`` from ``cstar_next``, marched
+    on a :class:`CostateMarch` of its own."""
+    cstar = np.stack([np.full_like(cstar_next, np.nan), cstar_next])
+    with sol.CostateMarch(cstar, prob.ws.D, prob.ws.step_ordering, prob.rc.solver_tol) as march:
+        march.factor(A, "costate saturation step")
+        sol.step_saturation_backward(march, 0, W, Z, prob.rc.dt)
+        march.wait()
+    return cstar[0]
+
+
 def test_backward_step_trivial_zero():
     # zero terminal data and zero loads propagate zero
     prob = make_problem(n=4, m_steps=2, n_steps=4, wtilde=0.0)
     mesh, ws = prob.mesh, prob.ws
     c = fes.P1DGField.constant(mesh, 0.5)
     u = fes.RT0Field.zero(mesh)
-    D, E, H, _ = asm.assemble_saturation_state(c, u, prob.wells,
-                                               0.0, ws, prob.xi)
-    R, S, W, Z = asm.assemble_saturation_costate(c, u, u, prob.wells, 0.0, 0.2, ws)
-    out = sol.step_saturation_backward(np.zeros(3 * mesh.num_triangles),
-                                       D, E, H, S, R, W, Z, prob.rc.dt,
-                                       ordering=ws.step_ordering)
+    A = sol.costate_step_matrix(c, u, prob.wells, 0.0, ws, prob.xi, prob.rc.dt)
+    W, Z = asm.assemble_costate_loads(c, u, u, prob.wells, 0.2, ws)
+    out = march_one_step(prob, A, np.zeros(3 * mesh.num_triangles), W, Z)
     assert np.abs(out).max() < 1e-14
 
 
@@ -663,7 +675,8 @@ def test_saturation_steps_match_dense_solve():
     us = fes.RT0Field(mesh, traj.Ustar[1])
     D, E, H, G = asm.assemble_saturation_state(c, u, prob.wells,
                                                q[2], ws, prob.xi)
-    R, S, W, Z = asm.assemble_saturation_costate(c, u, us, prob.wells, q[2], 0.5, ws)
+    R, S = asm.assemble_saturation_costate(c, prob.wells, q[2], ws)
+    W, Z = asm.assemble_costate_loads(c, u, us, prob.wells, 0.5, ws)
     c_prev = traj.C[1].ravel()
     cstar_next = traj.Cstar[3].ravel()
     assert np.abs(cstar_next).max() > 0.0
@@ -672,8 +685,8 @@ def test_saturation_steps_match_dense_solve():
     ref = np.linalg.solve((D + dt * (E + H)).toarray(), D @ c_prev + dt * G)
     assert np.abs(fwd - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    bwd = sol.step_saturation_backward(cstar_next, D, E, H, S, R, W, Z, dt,
-                                       ordering=ws.step_ordering)
+    A = sol.costate_step_matrix(c, u, prob.wells, q[2], ws, prob.xi, dt)
+    bwd = march_one_step(prob, A, cstar_next, W, Z)
     ref = np.linalg.solve((D + dt * (-E + H + S + R)).toarray(),
                           D @ cstar_next + dt * (W - Z))
     assert np.abs(bwd - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -732,24 +745,35 @@ def test_two_grid_forward_matches_oracle():
     assert np.array_equal(traj.U, U)
 
 
-def test_two_grid_adjoint_matches_oracle():
+def delayed(fn, seconds=0.005):
+    """``fn`` that sleeps ``seconds`` before each call."""
+
+    @functools.wraps(fn)
+    def slow(*args, **kwargs):
+        time.sleep(seconds)
+        return fn(*args, **kwargs)
+
+    return slow
+
+
+def test_two_grid_adjoint_matches_oracle(monkeypatch):
     prob, q = two_grid_problem()
     mesh, wells, rc, ws = prob.mesh, prob.wells, prob.rc, prob.ws
     M, K = rc.m_steps, rc.substeps
     fine = rc.fine_times()
     traj = sol.run_forward(prob, q)
-    sol.run_adjoint(prob, traj)
     C, U = traj.C, traj.U
 
     Cstar = np.empty_like(C)
     Ustar = np.zeros_like(U)
+    Pstar = np.zeros_like(traj.P)
     Cstar[-1] = 0.0
     for m in range(M, -1, -1):
         saddle, _ = darcy_oracle(prob, C[m * K], q[m * K])
         Fstar = asm.assemble_darcy_costate_rhs(
             fes.P1DGField(mesh, C[m * K]), fes.P1DGField(mesh, Cstar[m * K]), ws
         )
-        Ustar[m] = saddle.solve(Fstar, np.zeros(mesh.num_triangles))[0]
+        Ustar[m], Pstar[m], _ = saddle.solve(Fstar, np.zeros(mesh.num_triangles))
         if m == 0:
             break
         # fine levels j = (m-1)K + k of the interval (m-1, m], latest first
@@ -765,17 +789,28 @@ def test_two_grid_adjoint_matches_oracle():
             cf = fes.P1DGField(mesh, C[j])
             uf, usf = fes.RT0Field(mesh, u), fes.RT0Field(mesh, us)
             D, E, H, _ = asm.assemble_saturation_state(cf, uf, wells, q[j], ws, prob.xi)
-            R, S, W, Z = asm.assemble_saturation_costate(
-                cf, uf, usf, wells, q[j], fine[j], ws
-            )
-            Cstar[j - 1] = sol.step_saturation_backward(
-                Cstar[j].ravel(), D, E, H, S, R, W, Z, rc.dt, rc.solver_tol,
-                ordering=ws.step_ordering,
+            R, S = asm.assemble_saturation_costate(cf, wells, q[j], ws)
+            W, Z = asm.assemble_costate_loads(cf, uf, usf, wells, fine[j], ws)
+            # D + dt (-E + H + S + R), summed in this order, on this thread
+            data = (H.data - E.data + S.data + R.data) * rc.dt + D.data
+            lhs = sp.csc_matrix((data, D.indices, D.indptr), D.shape)
+            Cstar[j - 1] = sol._StepLU(lhs, "costate step", ws.step_ordering).solve(
+                D @ Cstar[j].ravel() + rc.dt * (W - Z), rc.solver_tol
             ).reshape(C[j].shape)
-
     assert np.abs(Cstar[0]).max() > 0.0
-    assert np.array_equal(traj.Cstar, Cstar)
-    assert np.array_equal(traj.Ustar, Ustar)
+
+    # the march as it runs, then with its helper thread slowed down (each
+    # factorization waits) and with the main thread slowed down (each step
+    # matrix waits): the schedule changes, the bits do not
+    for slow_down in (None, (sol.spla, "splu"), (sol, "assemble_saturation_state")):
+        if slow_down is not None:
+            owner, name = slow_down
+            monkeypatch.setattr(owner, name, delayed(getattr(owner, name)))
+        sol.run_adjoint(prob, traj)
+        monkeypatch.undo()
+        assert np.array_equal(traj.Cstar, Cstar), slow_down
+        assert np.array_equal(traj.Ustar, Ustar), slow_down
+        assert np.array_equal(traj.Pstar, Pstar), slow_down
 
 
 def test_two_grid_splitting_is_second_order_in_coarse_step():
@@ -797,6 +832,42 @@ def test_two_grid_splitting_is_second_order_in_coarse_step():
         orders = np.log2(np.array(dist[1:]) / np.array(dist[:-1]))
         assert dist[0] > 0.0, field
         assert orders.min() >= 2.0, (field, dist, orders)
+
+
+class OwnedFactor:
+    """A factor that notes in ``record`` the threads that made and dropped it."""
+
+    def __init__(self, lu, record):
+        self._lu, self._record = lu, record
+        record["made"] = threading.get_ident()
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+    def __del__(self):
+        self._record["dropped"] = threading.get_ident()
+
+
+def failing_splu_at(call, size, records=None):
+    """An ``splu`` that fails on its ``call``-th factorization of a
+    (size, size) matrix.  With ``records``, each factor it makes of such a
+    matrix is an :class:`OwnedFactor` noting into a dict appended there."""
+    splu = sol.spla.splu
+    count = [0]
+
+    def fake(A, *args, **kwargs):
+        if A.shape != (size, size):
+            return splu(A, *args, **kwargs)
+        count[0] += 1
+        if count[0] == call:
+            raise RuntimeError("injected failure")
+        lu = splu(A, *args, **kwargs)
+        if records is None:
+            return lu
+        records.append({})
+        return OwnedFactor(lu, records[-1])
+
+    return fake
 
 
 def failing_solve_at(call):
@@ -823,26 +894,39 @@ def test_darcy_failures_name_their_coarse_step(monkeypatch):
     monkeypatch.setattr(sol.DarcySaddle, "solve", failing_solve_at(M + 1))
     with pytest.raises(SolverError, match=f"coarse step {M}: injected failure"):
         sol.run_forward(prob, q)
-    # the adjoint's first costate Darcy solve, at the final node
-    monkeypatch.setattr(sol.DarcySaddle, "solve", failing_solve_at(1))
+    # the adjoint's first costate Darcy solve, at the final node.  The
+    # factorization of step N - 1, queued before it, is made on the helper
+    # (the failure is held back until it has started), dropped there when
+    # the sweep raises, and the helper is joined
+    records = []
+    monkeypatch.setattr(sol.spla, "splu",
+                        failing_splu_at(None, 3 * prob.mesh.num_triangles, records))
+    monkeypatch.setattr(sol.DarcySaddle, "solve", delayed(failing_solve_at(1), 0.05))
+    threads = threading.active_count()
     with pytest.raises(SolverError, match=f"coarse step {M}: injected failure"):
         sol.run_adjoint(prob, traj)
+    assert threading.active_count() == threads
+    assert len(records) == 1
+    assert records[0].get("dropped") == records[0]["made"] != threading.get_ident()
 
 
-def failing_splu_at(call, size):
-    """An ``splu`` that fails on its ``call``-th factorization of a
-    (size, size) matrix."""
-    splu = sol.spla.splu
-    count = [0]
-
-    def fake(A, *args, **kwargs):
-        if A.shape == (size, size):
-            count[0] += 1
-            if count[0] == call:
-                raise RuntimeError("injected failure")
-        return splu(A, *args, **kwargs)
-
-    return fake
+def test_step_factors_are_dropped_on_the_thread_that_made_them(monkeypatch):
+    # scipy frees a SuperLU factor dropped on another thread than the one
+    # that made it never; the forward's factors live on this thread, the
+    # adjoint's on its helper, which is joined when the sweep returns
+    prob = make_problem(n=4, m_steps=2, n_steps=4, wtilde=2.0)
+    N = prob.rc.n_steps
+    q = np.full(N + 1, 0.5)
+    records = []
+    monkeypatch.setattr(sol.spla, "splu",
+                        failing_splu_at(None, 3 * prob.mesh.num_triangles, records))
+    threads = threading.active_count()
+    traj = sol.run_forward(prob, q)
+    sol.run_adjoint(prob, traj)
+    assert threading.active_count() == threads
+    main = threading.get_ident()
+    assert [r["made"] == main for r in records] == [True] * N + [False] * N
+    assert all(r.get("dropped") == r["made"] for r in records), records
 
 
 def test_step_failures_name_their_step_and_c_range(monkeypatch):
@@ -861,8 +945,74 @@ def test_step_failures_name_their_step_and_c_range(monkeypatch):
     monkeypatch.setattr(sol.spla, "splu", failing_splu_at(3, size))
     with pytest.raises(SolverError, match="^" + message("saturation step", 2, 2, traj.C[2])):
         sol.run_forward(prob, q)
-    # the adjoint's second costate step, n = 2, takes its coefficients at C^3
-    monkeypatch.setattr(sol.spla, "splu", failing_splu_at(2, size))
+    # the adjoint's second costate step, n = 2, takes its coefficients at C^3;
+    # step 3's factor was dropped on the helper, and the helper is joined
+    records = []
+    monkeypatch.setattr(sol.spla, "splu", failing_splu_at(2, size, records))
+    threads = threading.active_count()
     with pytest.raises(SolverError,
                        match="^" + message("costate saturation step", 2, 2, traj.C[3])):
         sol.run_adjoint(prob, traj)
+    assert threading.active_count() == threads
+    main = threading.get_ident()
+    assert len(records) == 1
+    assert all(r.get("dropped") == r["made"] != main for r in records), records
+
+
+def test_trajectory_is_freed_without_the_cycle_collector():
+    # a reference cycle through the sweeps would keep every trajectory until
+    # the cycle collector runs, which a benchmark loop never calls
+    prob = make_problem(n=4, m_steps=2, n_steps=4, wtilde=2.0)
+    q = np.full(prob.rc.n_steps + 1, 0.5)
+    gc.disable()
+    try:
+        traj = sol.run_adjoint(prob, sol.run_forward(prob, q))
+        ref = weakref.ref(traj)
+        del traj
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+# the names perfbench/spans.py traces that a forward + adjoint sweep calls,
+# where the sweeps look them up; its tracer keeps one span stack, so none
+# of them may run on the adjoint's helper thread
+TRACED = [
+    (sol, "assemble_darcy"),
+    (sol, "assemble_saturation_state"),
+    (sol, "assemble_saturation_costate"),
+    (sol, "assemble_darcy_costate_rhs"),
+    (sol.DarcySaddle, "__init__"),
+    (sol.DarcySaddle, "solve"),
+    (sol, "step_saturation_forward"),
+    (sol, "step_saturation_backward"),
+    (sol, "run_forward"),
+    (sol, "run_adjoint"),
+]
+
+
+def test_traced_layers_run_on_the_main_thread(monkeypatch):
+    prob = make_problem(n=4, m_steps=2, n_steps=4, wtilde=2.0)
+    N = prob.rc.n_steps
+    q = np.full(N + 1, 0.5)
+    calls = []
+
+    def recorded(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.get_ident(), threading.active_count()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name in TRACED:
+        monkeypatch.setattr(owner, name, recorded(name, vars(owner)[name]))
+    threads = threading.active_count()
+    sol.run_adjoint(prob, sol.run_forward(prob, q))
+    names = [name for name, _, _ in calls]
+    assert set(names) == {name for _, name in TRACED}
+    assert {ident for _, ident, _ in calls} == {threading.get_ident()}
+    # the adjoint's helper is the only thread a sweep starts
+    assert max(count for _, _, count in calls) == threads + 1
+    assert names.count("assemble_saturation_costate") == N
+    assert names.count("step_saturation_backward") == N
+    assert names.count("assemble_saturation_state") == 2 * N
