@@ -5,6 +5,8 @@
 #   OUT_DIR/adjoint/    `adjoint --save-every 8` (CSVs, status.json, VTK, stdout)
 #   OUT_DIR/matrices/   its `--dump-matrices` output (the seven .mtx files)
 #   OUT_DIR/operators/  `verify --suite operators` (CSV, status.json, stdout)
+#   OUT_DIR/state/      `verify --suite state`, the manufactured state sources
+#   OUT_DIR/costate/    `verify --suite costate`, the manufactured costate sources
 #
 # Run it in two checkouts and compare them with `diff -r OUT_A OUT_B`.
 #
@@ -33,3 +35,5 @@ run() {
 run optimize optimize
 run adjoint adjoint --save-every 8 --dump-matrices "$out/matrices"
 run operators verify --suite operators
+run state verify --suite state
+run costate verify --suite costate

@@ -397,10 +397,12 @@ class DarcyNullSpace:
     :class:`DomainError` names both numbers.
 
     ``pressure_solve(r)`` solves (B B^T) y = r, geometry only, through one
-    ``splu`` of B B^T with the first pressure pinned (y[0] = 0).
+    ``splu`` of B B^T with the first pressure pinned (y[0] = 0).  The saddles
+    read the ``mesh`` and ``B`` it is built from off it.
     """
 
     def __init__(self, mesh: PrimalMesh, B):
+        self.mesh, self.B = mesh, B
         ie = mesh.interior_edges
         n_v = mesh.num_vertices
         bd = mesh.edges[mesh.boundary_edge]
@@ -503,12 +505,12 @@ def _require_finite(values, what):
 
 def assemble_darcy(c_field: P1DGField, wells: WellModel, q: float,
                    ws: AssemblyWorkspace):
-    """Velocity matrix, divergence coupling, and well load for one time level.
+    """Velocity matrix and well load for one time level.
 
-    Returns (A, B, F): A is (n_int, n_int) with A[i, j] the pairing of
+    Returns (A, F): A is (n_int, n_int) with A[i, j] the pairing of
     alpha(C)/kappa Phi_j against gamma_h(Phi_i) summed over all diamond
-    cells; B is the (n_t, n_int) divergence coupling; F the element
-    integrals of (r0 - r1) q.
+    cells; F the element integrals of (r0 - r1) q.  The divergence
+    coupling B is geometry only: callers read the workspace's ``ws.B``.
     """
     _require_finite(c_field.values, "saturation coefficient")
     avals = ws.model.alpha(ws.p1_at_sub(c_field)) / ws.kappa_sub
@@ -521,7 +523,7 @@ def assemble_darcy(c_field: P1DGField, wells: WellModel, q: float,
     C = ws.diamond_matrix(ent)
     A = (ws.gamma_mat.T @ C).tocsr()
     F = well_source_vector(wells, q)
-    return A, ws.B, F
+    return A, F
 
 
 def well_source_vector(wells: WellModel, q: float):
@@ -570,12 +572,12 @@ def assemble_darcy_costate_rhs(c_field: P1DGField, cstar_field: P1DGField,
 def assemble_saturation_state(c_field: P1DGField, u_field: RT0Field,
                               wells: WellModel, q: float,
                               ws: AssemblyWorkspace, xi: float):
-    """Matrices of one saturation step: (D, E, H, G).
+    """Matrices of one saturation step: (E, H, G).
 
-    D is the porosity-weighted eta mass matrix (the workspace's cached
-    ``ws.D``, not a copy); E the convection matrix with
-    coefficient b(C) U; H the diffusion matrix T1+T2+T3+T4 with coefficient
-    kappa D(C) and penalty xi; G the injection source with f(C) r0 q.
+    E is the convection matrix with coefficient b(C) U; H the diffusion
+    matrix T1+T2+T3+T4 with coefficient kappa D(C) and penalty xi; G the
+    injection source with f(C) r0 q.  The mass matrix is the workspace's
+    ``ws.D``, shared by every step: callers never sum into it.
     """
     if xi <= 0.0:
         raise ConfigError("penalty xi must be > 0")
@@ -597,7 +599,7 @@ def assemble_saturation_state(c_field: P1DGField, u_field: RT0Field,
         if inj.size:
             gcell[rows][inj] = np.einsum("t,tcq,tcq->tc", r0[rows][inj] * q, w[inj],
                                          model.f(csub[inj]))
-    return ws.D, ws.dual_matrix(conv), _diffusion_matrix(c_field, ws, xi), ws.dual_load(gcell)
+    return ws.dual_matrix(conv), _diffusion_matrix(c_field, ws, xi), ws.dual_load(gcell)
 
 
 def _diffusion_matrix(c_field, ws, xi):

@@ -100,12 +100,12 @@ def _dump_matrices(problem, q0, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     c_field = P1DGField(problem.mesh, problem.c0_values)
-    A, B, F = assemble_darcy(c_field, problem.wells, q0, problem.ws)
+    A, F = assemble_darcy(c_field, problem.wells, q0, problem.ws)
     u0 = RT0Field.zero(problem.mesh)
-    D, E, H, G = assemble_saturation_state(
+    E, H, G = assemble_saturation_state(
         c_field, u0, problem.wells, q0, problem.ws, problem.xi
     )
-    for name, mat in (("A", A), ("B", B), ("D", D), ("E", E), ("H", H)):
+    for name, mat in (("A", A), ("B", problem.ws.B), ("D", problem.ws.D), ("E", E), ("H", H)):
         sio.mmwrite(str(out / f"{name}.mtx"), mat)
     for name, vec in (("F", F), ("G", G)):
         sio.mmwrite(str(out / f"{name}.mtx"), vec.reshape(-1, 1))

@@ -135,7 +135,11 @@ class RunSpec:
     def build_mesh(self) -> PrimalMesh:
         if self.mesh == "square":
             return square_mesh(self.n)
-        return read_mesh(self.nodes_file, self.elems_file)
+        try:
+            return read_mesh(self.nodes_file, self.elems_file)
+        except OSError as exc:
+            key = "nodes_file" if exc.filename == self.nodes_file else "elems_file"
+            raise ConfigError(f"{key} = {exc.filename}: cannot read it ({exc.strerror})") from exc
 
     def build_wells(self, mesh: PrimalMesh) -> WellModel:
         return build_wells(

@@ -173,6 +173,10 @@ class P0Field:
         if self.values.shape != (self.mesh.num_triangles,):
             raise PorousOptError("P0Field needs one value per triangle")
 
+    def eval_at(self, pts):
+        """Evaluate per element; pts (n_t, ..., 2) -> (n_t, ...)."""
+        return np.broadcast_to(self.values.reshape(-1, *([1] * (pts.ndim - 2))), pts.shape[:-1])
+
 
 @dataclass
 class P1DGField:

@@ -118,8 +118,8 @@ def build_primal(vertex_list, triangle_list) -> PrimalMesh:
     """Build a :class:`PrimalMesh` from raw vertex and triangle arrays.
 
     Triangles with clockwise orientation are silently reordered to
-    counterclockwise.  Raises :class:`MeshStructureError` for out-of-range
-    indices, duplicate or degenerate triangles, and
+    counterclockwise.  Raises :class:`MeshStructureError` for non-finite
+    coordinates, out-of-range indices, duplicate or degenerate triangles, and
     :class:`MeshConformityError` if an edge is shared by more than two
     triangles.
     """
@@ -127,6 +127,8 @@ def build_primal(vertex_list, triangle_list) -> PrimalMesh:
     triangles = np.ascontiguousarray(triangle_list, dtype=np.int64)
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise MeshStructureError("vertex array must have shape (n, 2)")
+    if not np.isfinite(vertices).all():
+        raise MeshStructureError("vertex coordinates must be finite")
     if triangles.ndim != 2 or triangles.shape[1] != 3:
         raise MeshStructureError("triangle array must have shape (n, 3)")
     n_v = vertices.shape[0]
@@ -416,28 +418,32 @@ def read_mesh(node_path, ele_path) -> PrimalMesh:
 def _read_table(path, width, dtype):
     rows = []
     count = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+    # bytes that are not UTF-8 read as U+FFFD, which fails to parse
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             parts = line.split()
-            if count is None:
-                count = int(parts[0])
-                declared = int(parts[1])
-                if declared != width:
+            where = f"{path}, line {lineno}"
+            try:
+                if count is None:
+                    count, declared = map(int, parts[:2])
+                    if declared != width:
+                        raise MeshStructureError(
+                            f"{where}: expected payload width {width}, got {declared}"
+                        )
+                    continue
+                if len(parts) != width + 1:
+                    raise MeshStructureError(f"{where}: malformed line {line!r}")
+                idx = int(parts[0])
+                if idx != len(rows):
                     raise MeshStructureError(
-                        f"{path}: expected payload width {width}, got {declared}"
+                        f"{where}: entity index {idx} out of order (expected {len(rows)})"
                     )
-                continue
-            if len(parts) != width + 1:
-                raise MeshStructureError(f"{path}: malformed line {line!r}")
-            idx = int(parts[0])
-            if idx != len(rows):
-                raise MeshStructureError(
-                    f"{path}: entity index {idx} out of order (expected {len(rows)})"
-                )
-            rows.append([dtype(x) for x in parts[1:]])
+                rows.append([dtype(x) for x in parts[1:]])
+            except ValueError:
+                raise MeshStructureError(f"{where}: malformed line {line!r}") from None
     if count is None or len(rows) != count:
         raise MeshStructureError(f"{path}: declared count does not match data")
     return np.asarray(rows)

@@ -9,7 +9,9 @@ The basis ``curl`` and one factor of B B^T with the first pressure pinned
 are geometry, built once per mesh at the first Darcy solve (the workspace's
 ``ws.null_space``, :class:`DarcyNullSpace`): B B^T lifts the mass load and
 gives the pressure, which is then shifted to zero area-weighted mean, and
-the residual is checked on the full unpinned system.
+the residual is checked on the full unpinned system.  A saddle reads the
+mesh and B off that null space; B and the mass matrix D are the workspace's
+(``ws.B``, ``ws.D``), and no assembly call returns or sweep writes into them.
 :meth:`DarcySaddle.solve` returns the velocity on every edge (zero on the
 boundary edges, the slip condition).  The stream-function system has one
 unknown per interior vertex, under a fifth of the saddle's, and needs no
@@ -103,9 +105,9 @@ class DarcySaddle:
     divergence-free subspace.
 
     ``null_space`` is the mesh's :class:`DarcyNullSpace` (the workspace's
-    ``null_space``, which the sweeps share; without one the saddle builds
-    it).  Its columns ``curl`` span the velocities with B u = 0, so the
-    saddle reduces to the stream-function system curl^T A curl, which
+    ``ws.null_space``, shared by every saddle of the mesh), which also holds
+    the mesh and B.  Its columns ``curl`` span the velocities with B u = 0,
+    so the saddle reduces to the stream-function system curl^T A curl, which
     ``lu`` factors with SuperLU's minimum degree on its A + A^T pattern and
     diagonal pivots preferred.  A solve lifts the mass load with
     u_p = B^T (B B^T)^{-1} r_p, adds curl psi for the psi that balances the
@@ -115,14 +117,10 @@ class DarcySaddle:
     pressure load with a nonzero sum still raises :class:`SolverError`.
     """
 
-    def __init__(self, A, B, mesh: PrimalMesh, tol=1e-10, null_space=None):
-        self.mesh = mesh
-        self.tol = tol
-        self.A = A
-        self.B = B
+    def __init__(self, A, null_space: DarcyNullSpace, tol=1e-10):
+        self.A, self.null_space, self.tol = A, null_space, tol
         self.n_int = A.shape[0]
-        self.null_space = DarcyNullSpace(mesh, B) if null_space is None else null_space
-        curl = self.null_space.curl
+        curl = null_space.curl
         try:
             self.lu = spla.splu((curl.T @ A @ curl).tocsc(), permc_spec="MMD_AT_PLUS_A",
                                 options=dict(SymmetricMode=True))
@@ -133,16 +131,17 @@ class DarcySaddle:
         """Null-space solve for the full residual ``r``, pressure at zero mean."""
         ns, n = self.null_space, self.n_int
         r_u, r_p = r[:n], r[n:]
-        u = self.B.T @ ns.pressure_solve(r_p)
+        u = ns.B.T @ ns.pressure_solve(r_p)
         u += ns.curl @ self.lu.solve(ns.curl.T @ (r_u - self.A @ u))
-        p = ns.pressure_solve(self.B @ (self.A @ u - r_u))
-        area = self.mesh.tri_area
+        p = ns.pressure_solve(ns.B @ (self.A @ u - r_u))
+        area = ns.mesh.tri_area
         p -= (area @ p) / area.sum()
         return np.concatenate([u, p])
 
     def _product(self, x):
+        B = self.null_space.B
         u, p = x[: self.n_int], x[self.n_int :]
-        return np.concatenate([self.A @ u - self.B.T @ p, self.B @ u])
+        return np.concatenate([self.A @ u - B.T @ p, B @ u])
 
     def solve(self, rhs_u, rhs_p):
         """Solve for ``(u, p, report)``.
@@ -155,8 +154,9 @@ class DarcySaddle:
         x, res, r = _refined_solve(self._correction, self._product, rhs, self.tol,
                                    "Darcy solve")
         mass_res = np.linalg.norm(r[self.n_int :]) / max(np.linalg.norm(rhs_p), 1.0)
-        u = np.zeros(self.mesh.num_edges)
-        u[~self.mesh.boundary_edge] = x[: self.n_int]
+        mesh = self.null_space.mesh
+        u = np.zeros(mesh.num_edges)
+        u[~mesh.boundary_edge] = x[: self.n_int]
         return u, x[self.n_int :], SaddleSolveReport(
             residual=float(res), mass_residual=float(mass_res)
         )
@@ -245,6 +245,13 @@ class _StepLU:
     faster at n = 64 and SuperLU's work arrays are smaller.  ``relax``
     stays at its default 10 (relax 6 raised the fill on
     ``data/unstructured_square`` from 19,068 to 19,950).
+
+    The workspace order with threshold pivoting cannot replace COLAMD: on
+    the n = 16, N = 2 costate step ``diag_pivot_thresh`` 0.1 and 0.01 fill
+    3.26x and 2.28x COLAMD's 116,700 (the coarse-dt test allows 2x), 0.01
+    and 0.001 raise its unrefined residual from 5e-12 to 8e-10 and 1.5e-9,
+    and on the 64 steps each of the config and ``data/unstructured_square``,
+    all diagonally dominant, every threshold gives the bitwise same factor.
     """
 
     def __init__(self, csc, what, ordering):
@@ -311,7 +318,7 @@ def costate_step_matrix(c_field, u_field, wells, q, ws, xi, dt):
     -E + H), and each operator is dropped once it is added, so no step holds
     more than three of them.  Returns H, which then holds the sum.
     """
-    D, E, H, _ = assemble_saturation_state(c_field, u_field, wells, q, ws, xi)
+    E, H, _ = assemble_saturation_state(c_field, u_field, wells, q, ws, xi)
     data = H.data
     data -= E.data
     del E
@@ -321,7 +328,7 @@ def costate_step_matrix(c_field, u_field, wells, q, ws, xi, dt):
     data += R.data
     del R
     data *= dt
-    data += D.data
+    data += ws.D.data
     return H
 
 
@@ -490,7 +497,7 @@ def _darcy_at(problem, c_values, q_node, t):
     """
     ws = problem.ws
     c_field = P1DGField(problem.mesh, c_values)
-    A, B, F = assemble_darcy(c_field, problem.wells, q_node, ws)
+    A, F = assemble_darcy(c_field, problem.wells, q_node, ws)
     src = problem.sources
     rhs_u = np.zeros(A.shape[0])
     if src.s_div is not None:
@@ -503,7 +510,7 @@ def _darcy_at(problem, c_values, q_node, t):
         raise CompatibilityError(
             f"incompatible Darcy source: sum(F) = {F.sum():.3e}"
         )
-    saddle = DarcySaddle(A, B, problem.mesh, problem.rc.solver_tol, ws.null_space)
+    saddle = DarcySaddle(A, ws.null_space, problem.rc.solver_tol)
     u, p, report = saddle.solve(rhs_u, F)
     return u, p, report, saddle
 
@@ -552,7 +559,7 @@ def run_forward(problem: Problem, q) -> Trajectory:
         for n in range(m * K, min(m + 1, M) * K):
             c_field = P1DGField(mesh, traj.C[n])
             u_field = RT0Field(mesh, state_velocity(traj.U, n, K))
-            D, E, H, G = assemble_saturation_state(
+            E, H, G = assemble_saturation_state(
                 c_field, u_field, problem.wells, q[n + 1], problem.ws, problem.xi,
             )
             if src.s_c is not None:
@@ -561,7 +568,7 @@ def run_forward(problem: Problem, q) -> Trajectory:
                 )
             # the step is named by its interval's end node, as in the adjoint
             cnew = step_saturation_forward(
-                traj.C[n].ravel(), D, E, H, G, rc.dt, rc.solver_tol,
+                traj.C[n].ravel(), problem.ws.D, E, H, G, rc.dt, rc.solver_tol,
                 _step_label("saturation step", m + 1, n, traj.C[n]),
                 ordering=problem.ws.step_ordering,
             )

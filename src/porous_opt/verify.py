@@ -12,10 +12,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mms
-from .assembly import assemble_darcy, assemble_darcy_costate_rhs
+from .assembly import (
+    AssemblyWorkspace,
+    _diffusion_matrix,
+    assemble_darcy,
+    assemble_darcy_costate_rhs,
+)
 from .control import optimize, time_weights
 from .errors import ConfigError
 from .fespaces import (
+    P0Field,
     P1DGField,
     RT0Field,
     _interior_jump_sq,
@@ -25,7 +31,7 @@ from .fespaces import (
     l2_inner,
     l2_norm,
 )
-from .mesh import PrimalMesh, square_mesh
+from .mesh import PrimalMesh, build_barycentric_dual, build_diamond_dual, square_mesh
 from .model import RunConfig, default_model, wells_from_tris
 from .quadrature import QuadratureRule
 from .solver import DarcySaddle, Problem, run_adjoint, run_forward
@@ -35,42 +41,28 @@ from .solver import DarcySaddle, Problem, run_adjoint, run_forward
 # error norms against smooth exact fields
 # ---------------------------------------------------------------------------
 
-def _tri_quad(mesh, quad):
+def _tri_quad(mesh):
     v = mesh.tri_vertices()
-    return quad.map_to_triangles(v[:, 0], v[:, 1], v[:, 2])
+    return QuadratureRule().map_to_triangles(v[:, 0], v[:, 1], v[:, 2])
 
 
-def l2_error_p1dg(mesh, values, exact_fun, quad=None):
-    quad = quad or QuadratureRule()
-    pts, w = _tri_quad(mesh, quad)
-    approx = P1DGField(mesh, values).eval_at(pts)
-    exact = np.asarray(exact_fun(pts.reshape(-1, 2))).reshape(w.shape)
-    return float(np.sqrt(np.einsum("tq,tq->", w, (approx - exact) ** 2)))
+def l2_error(discrete, exact_fun):
+    """L2 error of a P0, RT0 or P1DG field ``discrete`` against ``exact_fun``,
+    which maps (n, 2) points to the exact values there."""
+    pts, w = _tri_quad(discrete.mesh)
+    approx = discrete.eval_at(pts)
+    exact = np.asarray(exact_fun(pts.reshape(-1, 2))).reshape(approx.shape)
+    terms = "tq,tqe->" if approx.ndim == 3 else "tq,tq->"
+    return float(np.sqrt(np.einsum(terms, w, (approx - exact) ** 2)))
 
 
-def l2_error_rt0(mesh, values, exact_fun, quad=None):
-    quad = quad or QuadratureRule()
-    pts, w = _tri_quad(mesh, quad)
-    approx = RT0Field(mesh, values).eval_at(pts)
-    exact = np.asarray(exact_fun(pts.reshape(-1, 2))).reshape(pts.shape)
-    return float(np.sqrt(np.einsum("tq,tqe->", w, (approx - exact) ** 2)))
-
-
-def l2_error_p0(mesh, values, exact_fun, quad=None):
-    quad = quad or QuadratureRule()
-    pts, w = _tri_quad(mesh, quad)
-    exact = np.asarray(exact_fun(pts.reshape(-1, 2))).reshape(w.shape)
-    return float(np.sqrt(np.einsum("tq,tq->", w, (values[:, None] - exact) ** 2)))
-
-
-def broken_h1_error_p1dg(mesh, values, exact_grad_fun, quad=None):
+def broken_h1_error_p1dg(mesh, values, exact_grad_fun):
     """Broken H1 error against a continuous exact field.
 
     Element parts integrate |grad(c_h) - grad(c)|^2; the jump part is that
     of c_h alone (the exact field is continuous), over interior edges.
     """
-    quad = quad or QuadratureRule()
-    pts, w = _tri_quad(mesh, quad)
+    pts, w = _tri_quad(mesh)
     f = P1DGField(mesh, values)
     gh = f.gradients()  # (n_t, 2), constant per element
     ge = np.asarray(exact_grad_fun(pts.reshape(-1, 2))).reshape(pts.shape)
@@ -117,9 +109,6 @@ class OperatorReport:
 def operator_identity_suite(mesh: PrimalMesh, n_samples=100, seed=0,
                             label="mesh") -> OperatorReport:
     """Randomized check of the transfer-operator identities on one mesh."""
-    from .assembly import AssemblyWorkspace, _diffusion_matrix
-    from .mesh import build_barycentric_dual, build_diamond_dual
-
     rng = np.random.default_rng(seed)
     dd = build_diamond_dual(mesh)
     bd = build_barycentric_dual(mesh)
@@ -128,8 +117,6 @@ def operator_identity_suite(mesh: PrimalMesh, n_samples=100, seed=0,
     brel_max = 0.0
     eta_max = 0.0
     contraction = 0.0
-    from .fespaces import P0Field
-
     for _ in range(n_samples):
         vals = rng.normal(size=mesh.num_edges)
         vals[mesh.boundary_edge] = 0.0
@@ -153,9 +140,9 @@ def operator_identity_suite(mesh: PrimalMesh, n_samples=100, seed=0,
     cf = P1DGField(mesh, rng.uniform(0.2, 0.8, (mesh.num_triangles, 3)))
     csf = P1DGField(mesh, rng.normal(size=(mesh.num_triangles, 3)))
     wells = wells_from_tris(mesh, [0], [mesh.num_triangles - 1], T=1.0)
-    A, B, _ = assemble_darcy(cf, wells, 0.0, ws)
+    A, _ = assemble_darcy(cf, wells, 0.0, ws)
     Fstar = assemble_darcy_costate_rhs(cf, csf, ws)
-    saddle = DarcySaddle(A, B, mesh, null_space=ws.null_space)
+    saddle = DarcySaddle(A, ws.null_space)
     ustar, _, _ = saddle.solve(Fstar, np.zeros(mesh.num_triangles))
     div_max = float(np.abs(RT0Field(mesh, ustar).divergence().values).max())
 
@@ -240,9 +227,9 @@ def manufactured_state_study(ns=(4, 8, 16, 32), T=1.0, threshold=0.85) -> Conver
         report.levels.append({
             "h": 1.0 / n,
             "dt": prob.rc.dt,
-            "u": l2_error_rt0(mesh, traj.U[-1], lambda p: exact.u(p, T)),
-            "p": l2_error_p0(mesh, traj.P[-1], lambda p: exact.p(p, T)),
-            "c": l2_error_p1dg(mesh, traj.C[-1], lambda p: exact.c(p, T)),
+            "u": l2_error(RT0Field(mesh, traj.U[-1]), lambda p: exact.u(p, T)),
+            "p": l2_error(P0Field(mesh, traj.P[-1]), lambda p: exact.p(p, T)),
+            "c": l2_error(P1DGField(mesh, traj.C[-1]), lambda p: exact.c(p, T)),
             "c_h1": broken_h1_error_p1dg(mesh, traj.C[-1], lambda p: exact.grad_c(p, T)),
         })
     return report.finalize()
@@ -267,9 +254,9 @@ def manufactured_costate_study(ns=(4, 8, 16, 32), T=1.0, threshold=0.85) -> Conv
         report.levels.append({
             "h": 1.0 / n,
             "dt": prob.rc.dt,
-            "u*": l2_error_rt0(mesh, traj.Ustar[0], lambda p: costate.u(p, 0.0)),
-            "p*": l2_error_p0(mesh, traj.Pstar[0], lambda p: costate.p(p, 0.0)),
-            "c*": l2_error_p1dg(mesh, traj.Cstar[0], lambda p: costate.c(p, 0.0)),
+            "u*": l2_error(RT0Field(mesh, traj.Ustar[0]), lambda p: costate.u(p, 0.0)),
+            "p*": l2_error(P0Field(mesh, traj.Pstar[0]), lambda p: costate.p(p, 0.0)),
+            "c*": l2_error(P1DGField(mesh, traj.Cstar[0]), lambda p: costate.c(p, 0.0)),
             "c*_h1": broken_h1_error_p1dg(mesh, traj.Cstar[0], lambda p: costate.grad_c(p, 0.0)),
         })
     return report.finalize()

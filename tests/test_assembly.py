@@ -202,9 +202,9 @@ def test_velocity_matrix_scales_with_inverse_permeability():
     mesh = square_mesh(4)
     wells = wells_from_tris(mesh, [0, 1], [30, 31], T=1.0)
     c = random_saturation(mesh)
-    A1, _, _ = asm.assemble_darcy(c, wells, 0.5, _workspace(mesh))
+    A1, _ = asm.assemble_darcy(c, wells, 0.5, _workspace(mesh))
     ws2 = _workspace(mesh, default_model(kappa=lambda p: np.full(p.shape[0], 2.0)))
-    A2, _, _ = asm.assemble_darcy(c, wells, 0.5, ws2)
+    A2, _ = asm.assemble_darcy(c, wells, 0.5, ws2)
     assert np.array_equal(A2.toarray(), 0.5 * A1.toarray())
 
 
@@ -234,7 +234,7 @@ def test_divergence_matrix_entries(setup):
 def test_well_vector_support_and_balance(setup):
     mesh, dd, bd, model, ws, wells = setup
     c = random_saturation(mesh)
-    _, _, F = asm.assemble_darcy(c, wells, 0.7, ws)
+    _, F = asm.assemble_darcy(c, wells, 0.7, ws)
     support = np.flatnonzero(F)
     allowed = np.concatenate([wells.injection_tris, wells.production_tris])
     assert np.isin(support, allowed).all()
@@ -246,7 +246,7 @@ def test_velocity_matrix_is_gamma_pairing(setup):
     # through the field-level operators
     mesh, dd, bd, model, ws, wells = setup
     c = random_saturation(mesh)
-    A, _, _ = asm.assemble_darcy(c, wells, 0.0, ws)
+    A, _ = asm.assemble_darcy(c, wells, 0.0, ws)
     pr_edge, pr_tri, _ = _pairs(mesh)
     pr_pts, pr_w, pr_lam, pr_rt0 = _pair_tables(ws)
     kappa = model.kappa(pr_pts.reshape(-1, 2)).reshape(pr_w.shape)
@@ -330,7 +330,7 @@ def test_velocity_matrix_positive_definite_symmetric_part(setup):
     # must be positive definite for solvability
     mesh, dd, bd, model, ws, wells = setup
     c = fes.P1DGField.constant(mesh, 0.4)
-    A, _, _ = asm.assemble_darcy(c, wells, 0.0, ws)
+    A, _ = asm.assemble_darcy(c, wells, 0.0, ws)
     Ad = A.toarray()
     sym = 0.5 * (Ad + Ad.T)
     np.linalg.cholesky(sym)  # raises if not SPD
@@ -459,10 +459,10 @@ def test_saturation_operators_match_coo_assembly(mesh, monkeypatch):
     n_t = mesh.num_triangles
     wells = wells_from_tris(mesh, [0, 1], [n_t - 2, n_t - 1], T=1.0)
     c, u, us = random_saturation(mesh), random_velocity(mesh), random_velocity(mesh)
-    D, E, H, _ = asm.assemble_saturation_state(c, u, wells, 0.4, ws, 1.0)
+    E, H, _ = asm.assemble_saturation_state(c, u, wells, 0.4, ws, 1.0)
     R, S = asm.assemble_saturation_costate(c, wells, 0.4, ws)
     H2 = asm._diffusion_matrix(c, ws, 2.0)
-    ops = (D, E, H, R, S, H2)
+    ops = (ws.D, E, H, R, S, H2)
     assert len(built) == len(ops)
     assert all(out is op for (_, _, out), op in zip(built, ops))
 
@@ -670,10 +670,9 @@ def test_blocked_kernels_match_whole_mesh_oracle(table_ws, monkeypatch):
     monkeypatch.setattr(ws, "model", dataclasses.replace(model, **{
         f.name: counted(getattr(model, f.name))
         for f in dataclasses.fields(model) if callable(getattr(model, f.name))}))
-    D, E, H, G = asm.assemble_saturation_state(c, u, wells, q, ws, xi)
+    E, H, G = asm.assemble_saturation_state(c, u, wells, q, ws, xi)
     R, S = asm.assemble_saturation_costate(c, wells, q, ws)
     W, Z = asm.assemble_costate_loads(c, u, us, wells, t, ws)
-    assert D is ws.D
     got = dict(E=E.data, H=H.data, G=G, R=R.data, S=S.data, W=W, Z=Z)
     for name, arr in want.items():
         assert got[name].tobytes() == arr.tobytes(), name
@@ -684,7 +683,7 @@ def test_state_matrices_annihilate_constants(setup):
     mesh, dd, bd, model, ws, wells = setup
     c = random_saturation(mesh)
     u = random_velocity(mesh)
-    D, E, H, G = asm.assemble_saturation_state(c, u, wells, 0.4, ws, 1.0)
+    E, H, G = asm.assemble_saturation_state(c, u, wells, 0.4, ws, 1.0)
     ones = np.ones(3 * mesh.num_triangles)
     assert np.abs(E @ ones).max() < 1e-12
     assert np.abs(H @ ones).max() < 1e-12
@@ -744,8 +743,7 @@ def test_quadrature_order_insensitive_for_affine_data(setup):
     out = []
     for deg in (4, 5):
         ws = asm.AssemblyWorkspace(mesh, bd, model, QuadratureRule(tri_degree=deg))
-        D, E, H, G = asm.assemble_saturation_state(c, u, wells, 0.3, ws, 2.0)
-        out.append((D, E, H, G))
+        out.append((ws.D, *asm.assemble_saturation_state(c, u, wells, 0.3, ws, 2.0)))
     for a, b in zip(out[0], out[1]):
         if hasattr(a, "toarray"):
             diff = abs(a - b).max()

@@ -129,6 +129,29 @@ def test_resolve_and_run_reject_alike(bad, tmp_path):
     assert status["status"] == "error" and status["exit_code"] == 2
 
 
+@pytest.mark.parametrize("node, code, message", [
+    (None, 2, "nodes_file = "),
+    ("3\n0 0 0\n1 1 0\n2 0 1\n", 1, "m.node, line 1: "),
+    ("3 2\n0 0 0\n1 1 x\n2 0 1\n", 1, "m.node, line 3: "),
+], ids=["missing_file", "header_without_width", "non_numeric_coordinate"])
+def test_broken_mesh_file_is_a_named_error(tmp_path, capsys, node, code, message):
+    # a mesh file that cannot be read or parsed ends the run with an error
+    # naming the key or the file and line, and a status.json, not a traceback
+    if node is not None:
+        (tmp_path / "m.node").write_text(node)
+    (tmp_path / "m.ele").write_text("1 3\n0 0 1 2\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"mesh = files\nnodes_file = {tmp_path / 'm.node'}\n"
+                   f"elems_file = {tmp_path / 'm.ele'}\nT = 0.5\nm_steps = 2\nn_steps = 4\n")
+    out = tmp_path / "out"
+    assert main(["forward", "--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    status = json.loads((out / "status.json").read_text())
+    assert status["status"] == "error" and status["exit_code"] == code
+    assert message in status["error"]
+
+
 def test_forward_writes_outputs(small_cfg, tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["forward", "--config", str(small_cfg), "--out", str(out),
@@ -206,10 +229,10 @@ def test_dump_matrices(small_cfg, tmp_path):
     prob = parse_config(small_cfg).build_problem()
     c0 = P1DGField(prob.mesh, prob.c0_values)
     q0 = prob.q_initial()[0]
-    A, B, _ = assemble_darcy(c0, prob.wells, q0, prob.ws)
-    D, E, H, _ = assemble_saturation_state(c0, RT0Field.zero(prob.mesh), prob.wells,
-                                           q0, prob.ws, prob.xi)
-    for name, mat in (("A", A), ("B", B), ("D", D), ("E", E), ("H", H)):
+    A, _ = assemble_darcy(c0, prob.wells, q0, prob.ws)
+    E, H, _ = assemble_saturation_state(c0, RT0Field.zero(prob.mesh), prob.wells,
+                                        q0, prob.ws, prob.xi)
+    for name, mat in (("A", A), ("B", prob.ws.B), ("D", prob.ws.D), ("E", E), ("H", H)):
         back = sio.mmread(dump / f"{name}.mtx")
         assert back.nnz == mat.nnz
         assert np.array_equal(back.toarray(), mat.toarray())

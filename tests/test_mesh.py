@@ -65,6 +65,13 @@ def test_degenerate_triangle_rejected():
         build_primal([[0, 0], [1, 0], [2, 0]], [[0, 1, 2]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_coordinate_rejected(bad):
+    # a nan vertex slips past the degeneracy test (nan <= tol is False)
+    with pytest.raises(MeshStructureError, match="finite"):
+        build_primal([[0, 0], [1, 0], [0, bad]], [[0, 1, 2]])
+
+
 def test_duplicate_triangle_rejected():
     with pytest.raises(MeshStructureError):
         build_primal(SQUARE_VERTS, [[0, 1, 2], [2, 1, 0]])
@@ -253,3 +260,19 @@ def test_mesh_file_bad_width(tmp_path):
     (tmp_path / "bad.node").write_text("2 3\n0 0 0 0\n1 1 1 1\n")
     with pytest.raises(MeshStructureError):
         read_mesh(tmp_path / "bad.node", tmp_path / "bad.node")
+
+
+@pytest.mark.parametrize("node, ele, bad, line", [
+    ("3\n0 0 0\n1 1 0\n2 0 1\n", "1 3\n0 0 1 2\n", "m.node", 1),       # no width
+    ("3 2\n0 0 0\n1 1 x\n2 0 1\n", "1 3\n0 0 1 2\n", "m.node", 3),     # bad coordinate
+    ("3 2\n0 0 0\n1 1 0\n2 0 1\n", "1 3\n0 0 1 2.5\n", "m.ele", 2),    # bad vertex index
+    ("3 2\n0 0 0\n# c\n2 1 0\n1 0 1\n", "1 3\n0 0 1 2\n", "m.node", 4),  # out of order
+    (b"3 2\n0 0 0\n1 1 \xff\n2 0 1\n", "1 3\n0 0 1 2\n", "m.node", 3),  # not UTF-8
+], ids=["header_without_width", "non_numeric_coordinate", "non_integer_vertex",
+        "index_out_of_order", "not_utf8"])
+def test_malformed_mesh_file_names_file_and_line(tmp_path, node, ele, bad, line):
+    for name, text in (("m.node", node), ("m.ele", ele)):
+        data = text if isinstance(text, bytes) else text.encode()
+        (tmp_path / name).write_bytes(data)
+    with pytest.raises(MeshStructureError, match=rf"{bad}, line {line}: "):
+        read_mesh(tmp_path / "m.node", tmp_path / "m.ele")

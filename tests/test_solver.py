@@ -46,16 +46,16 @@ def assemble(setup_tuple, q):
 
 def test_zero_source_gives_zero_solution(setup):
     mesh, model, ws, wells = setup
-    A, B, F = assemble(setup, 0.0)
-    u, p, _ = sol.DarcySaddle(A, B, mesh).solve(np.zeros(A.shape[0]), F)
+    A, F = assemble(setup, 0.0)
+    u, p, _ = sol.DarcySaddle(A, ws.null_space).solve(np.zeros(A.shape[0]), F)
     assert np.abs(u).max() < 1e-12
     assert np.abs(p).max() < 1e-12
 
 
 def test_mass_equation_projection(setup):
     mesh, model, ws, wells = setup
-    A, B, F = assemble(setup, 0.8)
-    u, p, rep = sol.DarcySaddle(A, B, mesh).solve(np.zeros(A.shape[0]), F)
+    A, F = assemble(setup, 0.8)
+    u, p, rep = sol.DarcySaddle(A, ws.null_space).solve(np.zeros(A.shape[0]), F)
     # elementwise divergence equals the L2 projection of (r0 - r1) q
     div = fes.RT0Field(mesh, u).divergence().values
     target = F / mesh.tri_area
@@ -66,8 +66,8 @@ def test_mass_equation_projection(setup):
 
 def test_pressure_zero_mean(setup):
     mesh, model, ws, wells = setup
-    A, B, F = assemble(setup, 0.8)
-    _, p, _ = sol.DarcySaddle(A, B, mesh).solve(np.zeros(A.shape[0]), F)
+    A, F = assemble(setup, 0.8)
+    _, p, _ = sol.DarcySaddle(A, ws.null_space).solve(np.zeros(A.shape[0]), F)
     assert abs(p @ mesh.tri_area) <= 1e-10 * np.linalg.norm(p)
 
 
@@ -82,8 +82,8 @@ def test_incompatible_source_rejected():
 
 def test_costate_zero_load(setup):
     mesh, model, ws, wells = setup
-    A, B, _ = assemble(setup, 0.0)
-    ustar, pstar, _ = sol.DarcySaddle(A, B, mesh).solve(
+    A, _ = assemble(setup, 0.0)
+    ustar, pstar, _ = sol.DarcySaddle(A, ws.null_space).solve(
         np.zeros(len(mesh.interior_edges)), np.zeros(mesh.num_triangles)
     )
     assert np.abs(ustar).max() < 1e-12
@@ -92,20 +92,20 @@ def test_costate_zero_load(setup):
 
 def test_costate_divergence_free(setup):
     mesh, model, ws, wells = setup
-    A, B, _ = assemble(setup, 0.0)
+    A, _ = assemble(setup, 0.0)
     Fstar = RNG.normal(size=len(mesh.interior_edges))
-    ustar, _, _ = sol.DarcySaddle(A, B, mesh).solve(Fstar, np.zeros(mesh.num_triangles))
+    ustar, _, _ = sol.DarcySaddle(A, ws.null_space).solve(Fstar, np.zeros(mesh.num_triangles))
     assert np.abs(fes.RT0Field(mesh, ustar).divergence().values).max() <= 1e-10
 
 
 def test_factorization_reuse_identical_and_faster(setup):
     mesh, model, ws, wells = setup
-    A, B, _ = assemble(setup, 0.0)
+    A, _ = assemble(setup, 0.0)
     Fstar = RNG.normal(size=len(mesh.interior_edges))
     zeros = np.zeros(mesh.num_triangles)
 
     t0 = time.perf_counter()
-    saddle = sol.DarcySaddle(A, B, mesh)
+    saddle = sol.DarcySaddle(A, ws.null_space)
     u1, p1, _ = saddle.solve(Fstar, zeros)
     t_build = time.perf_counter() - t0
 
@@ -122,8 +122,8 @@ def test_incompatible_pressure_load_rejected_by_saddle(setup):
     # the pinned B B^T factor drops the first mass equation; the residual
     # check on the full system must still see a load that violates it
     mesh, model, ws, wells = setup
-    A, B, F = assemble(setup, 0.8)
-    saddle = sol.DarcySaddle(A, B, mesh)
+    A, F = assemble(setup, 0.8)
+    saddle = sol.DarcySaddle(A, ws.null_space)
     with pytest.raises(SolverError):
         saddle.solve(np.zeros(A.shape[0]), F + mesh.tri_area)
 
@@ -148,11 +148,11 @@ def test_pinned_solve_matches_dense_multiplier_system():
     ws = asm.AssemblyWorkspace(mesh, build_barycentric_dual(mesh), model, QuadratureRule())
     wells = wells_from_tris(mesh, [0, 1], [30, 31], T=1.0)
     c = fes.P1DGField.interpolate(mesh, lambda p: 0.2 + 0.6 * p[:, 0] * p[:, 1])
-    A, B, F = asm.assemble_darcy(c, wells, 0.8, ws)
+    A, F = asm.assemble_darcy(c, wells, 0.8, ws)
     rhs_u = RNG.normal(size=A.shape[0])
-    u, p, _ = sol.DarcySaddle(A, B, mesh).solve(rhs_u, F)
+    u, p, _ = sol.DarcySaddle(A, ws.null_space).solve(rhs_u, F)
 
-    u_ref, p_ref = dense_multiplier_solve(A, B, mesh, rhs_u, F)
+    u_ref, p_ref = dense_multiplier_solve(A, ws.B, mesh, rhs_u, F)
     assert np.abs(u[mesh.interior_edges] - u_ref).max() <= 1e-10 * np.abs(u_ref).max()
     assert np.abs(p - p_ref).max() <= 1e-10 * np.abs(p_ref).max()
 
@@ -161,10 +161,10 @@ def test_saddle_velocity_is_zero_on_boundary_edges(setup):
     # the solve returns one coefficient per edge: the slip condition on the
     # boundary edges, the solved unknowns in mesh order on the others
     mesh, model, ws, wells = setup
-    A, B, F = assemble(setup, 0.8)
+    A, F = assemble(setup, 0.8)
     rhs_u = RNG.normal(size=A.shape[0])
-    u, _, _ = sol.DarcySaddle(A, B, mesh).solve(rhs_u, F)
-    u_ref, _ = dense_multiplier_solve(A, B, mesh, rhs_u, F)
+    u, _, _ = sol.DarcySaddle(A, ws.null_space).solve(rhs_u, F)
+    u_ref, _ = dense_multiplier_solve(A, ws.B, mesh, rhs_u, F)
     assert u.shape == (mesh.num_edges,)
     assert mesh.boundary_edge.sum() == 32
     assert np.all(u[mesh.boundary_edge] == 0.0)
@@ -177,7 +177,7 @@ def test_saddle_factor_has_no_dense_row_or_column(setup, monkeypatch):
     # most two rings away (at most 19; measured 13), while a multiplier row
     # would hold all 49 interior vertices
     mesh, model, ws, wells = setup
-    A, B, _ = assemble(setup, 0.8)
+    A, _ = assemble(setup, 0.8)
     null_space = ws.null_space
     factored = []
     splu = sol.spla.splu
@@ -187,7 +187,7 @@ def test_saddle_factor_has_no_dense_row_or_column(setup, monkeypatch):
         return splu(K, *args, **kwargs)
 
     monkeypatch.setattr(sol.spla, "splu", capture)
-    sol.DarcySaddle(A, B, mesh, 1e-10, null_space)
+    sol.DarcySaddle(A, null_space)
     (K,) = factored
     K = K.tocsc()
     assert K.shape == (49, 49)
@@ -298,8 +298,9 @@ def test_step_factor_uses_the_workspace_order(config_problem, monkeypatch):
     c = fes.P1DGField(prob.mesh, prob.c0_values)
     q = prob.q_initial()
     u = sol._darcy_at(prob, prob.c0_values, q[0], 0.0)[0]
-    D, E, H, G = asm.assemble_saturation_state(c, fes.RT0Field(prob.mesh, u), prob.wells,
-                                               q[1], ws, prob.xi)
+    E, H, G = asm.assemble_saturation_state(c, fes.RT0Field(prob.mesh, u), prob.wells,
+                                            q[1], ws, prob.xi)
+    D = ws.D
     lhs = sp.csc_matrix((D.data + rc.dt * (E.data + H.data), D.indices, D.indptr), D.shape)
     assert np.array_equal(lhs.data[order.diag_slot], lhs.diagonal())
     assert sol._diagonal_dominates_columns(lhs, order.diag_slot)
@@ -388,10 +389,10 @@ def test_null_space_solve_matches_the_dense_multiplier_system(name):
     assert ws.null_space.curl.shape[1] == ws.n_int - mesh.num_triangles + 1
     wells = wells_from_tris(mesh, [0], [mesh.num_triangles - 1], T=1.0)
     c = fes.P1DGField.interpolate(mesh, lambda p: 0.2 + 0.6 * p[:, 0] * p[:, 1])
-    A, B, F = asm.assemble_darcy(c, wells, 0.8, ws)
+    A, F = asm.assemble_darcy(c, wells, 0.8, ws)
     rhs_u = RNG.normal(size=A.shape[0])
-    u, p, rep = sol.DarcySaddle(A, B, mesh, 1e-10, ws.null_space).solve(rhs_u, F)
-    u_ref, p_ref = dense_multiplier_solve(A, B, mesh, rhs_u, F)
+    u, p, rep = sol.DarcySaddle(A, ws.null_space).solve(rhs_u, F)
+    u_ref, p_ref = dense_multiplier_solve(A, ws.B, mesh, rhs_u, F)
     assert np.abs(u[mesh.interior_edges] - u_ref).max() <= 1e-12 * np.abs(u_ref).max()
     assert np.abs(p - p_ref).max() <= 1e-12 * np.abs(p_ref).max()
     assert rep.residual <= 1e-10
@@ -413,15 +414,14 @@ def test_stream_function_factor_pivots_on_the_diagonal(config_problem):
     # same matrix (measured 8,082 against 8,698 on the config and 1,766
     # against 2,290 on the unstructured mesh), and solved as the pinned
     # COLAMD saddle and the dense bordered system solve it; a round-off
-    # change of A leaves the fill as it is, and a saddle that builds its
-    # own null space agrees bitwise
+    # change of A leaves the fill as it is
     _, prob = config_problem
     mesh, ws = prob.mesh, prob.ws
+    B = ws.B
     c = fes.P1DGField(mesh, prob.c0_values)
-    A, B, F = asm.assemble_darcy(c, prob.wells, prob.q_initial()[0], ws)
+    A, F = asm.assemble_darcy(c, prob.wells, prob.q_initial()[0], ws)
     rhs_u = RNG.normal(size=A.shape[0])
-    saddle = sol.DarcySaddle(A, B, mesh, prob.rc.solver_tol, ws.null_space)
-    assert saddle.null_space is ws.null_space
+    saddle = sol.DarcySaddle(A, ws.null_space, prob.rc.solver_tol)
     assert np.array_equal(saddle.lu.perm_r, saddle.lu.perm_c)
     u, p, _ = saddle.solve(rhs_u, F)
 
@@ -442,14 +442,8 @@ def test_stream_function_factor_pivots_on_the_diagonal(config_problem):
     for _ in range(3):
         scaled = A.copy()
         scaled.data *= 1.0 + rng.choice([-2.2e-16, 2.2e-16], size=scaled.data.size)
-        assert sol.DarcySaddle(scaled, B, mesh, prob.rc.solver_tol,
-                               ws.null_space).lu.nnz == saddle.lu.nnz
-
-    own = sol.DarcySaddle(A, B, mesh, prob.rc.solver_tol)
-    assert own.null_space is not ws.null_space
-    u2, p2, _ = own.solve(rhs_u, F)
-    assert np.array_equal(u2, u)
-    assert np.array_equal(p2, p)
+        assert sol.DarcySaddle(scaled, ws.null_space,
+                               prob.rc.solver_tol).lu.nnz == saddle.lu.nnz
 
 
 def test_null_space_is_built_at_the_first_darcy_solve():
@@ -459,6 +453,22 @@ def test_null_space_is_built_at_the_first_darcy_solve():
     null_space = vars(prob.ws)["null_space"]
     assert len(traj.saddles) == prob.rc.m_steps + 1
     assert all(s.null_space is null_space for s in traj.saddles.values())
+
+
+def test_sweeps_never_write_into_the_workspace_operators():
+    # D, B and the curl basis are geometry every sweep of the mesh shares:
+    # a forward + adjoint sweep and a second forward leave their bits as is
+    prob = make_problem(n=4, m_steps=2, n_steps=4, wtilde=2.0)
+    ws = prob.ws
+    ops = (ws.D, ws.B, ws.null_space.curl)
+    before = [(m.data.tobytes(), m.indices.tobytes(), m.indptr.tobytes()) for m in ops]
+    q = np.full(prob.rc.n_steps + 1, 0.6)
+    traj = sol.run_adjoint(prob, sol.run_forward(prob, q))
+    assert np.abs(traj.Cstar).max() > 0.0
+    sol.run_forward(prob, q)
+    assert all(a is b for a, b in zip((ws.D, ws.B, ws.null_space.curl), ops))
+    after = [(m.data.tobytes(), m.indices.tobytes(), m.indptr.tobytes()) for m in ops]
+    assert after == before
 
 
 # ---------------------------------------------------------------------------
@@ -568,19 +578,19 @@ def test_single_grid_equivalence_when_steps_match():
     Us, Ps, Cs = [], [], [C.copy()]
     for i in range(rc.n_steps):
         cf = fes.P1DGField(mesh, C)
-        A, B, F = asm.assemble_darcy(cf, wells, q[i], ws)
-        u, p, _ = sol.DarcySaddle(A, B, mesh).solve(np.zeros(A.shape[0]), F)
+        A, F = asm.assemble_darcy(cf, wells, q[i], ws)
+        u, p, _ = sol.DarcySaddle(A, ws.null_space).solve(np.zeros(A.shape[0]), F)
         Us.append(u.copy())
         Ps.append(p.copy())
-        D, E, H, G = asm.assemble_saturation_state(
+        E, H, G = asm.assemble_saturation_state(
             cf, fes.RT0Field(mesh, u), wells, q[i + 1], ws, prob.xi
         )
-        C = sol.step_saturation_forward(C.ravel(), D, E, H, G, rc.dt,
+        C = sol.step_saturation_forward(C.ravel(), ws.D, E, H, G, rc.dt,
                                         ordering=ws.step_ordering).reshape(C.shape)
         Cs.append(C.copy())
     cf = fes.P1DGField(mesh, C)
-    A, B, F = asm.assemble_darcy(cf, wells, q[-1], ws)
-    u, _, _ = sol.DarcySaddle(A, B, mesh).solve(np.zeros(A.shape[0]), F)
+    A, F = asm.assemble_darcy(cf, wells, q[-1], ws)
+    u, _, _ = sol.DarcySaddle(A, ws.null_space).solve(np.zeros(A.shape[0]), F)
     Us.append(u.copy())
 
     assert np.allclose(traj.C, np.array(Cs), atol=1e-13)
@@ -673,8 +683,8 @@ def test_saturation_steps_match_dense_solve():
     c = fes.P1DGField(mesh, traj.C[2])
     u = fes.RT0Field(mesh, traj.U[1])
     us = fes.RT0Field(mesh, traj.Ustar[1])
-    D, E, H, G = asm.assemble_saturation_state(c, u, prob.wells,
-                                               q[2], ws, prob.xi)
+    E, H, G = asm.assemble_saturation_state(c, u, prob.wells, q[2], ws, prob.xi)
+    D = ws.D
     R, S = asm.assemble_saturation_costate(c, prob.wells, q[2], ws)
     W, Z = asm.assemble_costate_loads(c, u, us, prob.wells, 0.5, ws)
     c_prev = traj.C[1].ravel()
@@ -707,8 +717,8 @@ def two_grid_problem():
 
 def darcy_oracle(prob, C, q):
     cf = fes.P1DGField(prob.mesh, C)
-    A, B, F = asm.assemble_darcy(cf, prob.wells, q, prob.ws)
-    return sol.DarcySaddle(A, B, prob.mesh, prob.rc.solver_tol), F
+    A, F = asm.assemble_darcy(cf, prob.wells, q, prob.ws)
+    return sol.DarcySaddle(A, prob.ws.null_space, prob.rc.solver_tol), F
 
 
 def test_two_grid_forward_matches_oracle():
@@ -733,12 +743,12 @@ def test_two_grid_forward_matches_oracle():
             else:
                 s = k / K                     # through the two most recent nodes
                 u = (1.0 + s) * U[m] - s * U[m - 1]
-            D, E, H, G = asm.assemble_saturation_state(
+            E, H, G = asm.assemble_saturation_state(
                 fes.P1DGField(mesh, C[n]), fes.RT0Field(mesh, u), wells, q[n + 1],
                 ws, prob.xi,
             )
             C[n + 1] = sol.step_saturation_forward(
-                C[n].ravel(), D, E, H, G, rc.dt, rc.solver_tol, ordering=ws.step_ordering
+                C[n].ravel(), ws.D, E, H, G, rc.dt, rc.solver_tol, ordering=ws.step_ordering
             ).reshape(C[n].shape)
 
     assert np.array_equal(traj.C, C)
@@ -788,7 +798,8 @@ def test_two_grid_adjoint_matches_oracle(monkeypatch):
                 us = Ustar[M] if m == M else (1.0 + s) * Ustar[m] - s * Ustar[m + 1]
             cf = fes.P1DGField(mesh, C[j])
             uf, usf = fes.RT0Field(mesh, u), fes.RT0Field(mesh, us)
-            D, E, H, _ = asm.assemble_saturation_state(cf, uf, wells, q[j], ws, prob.xi)
+            E, H, _ = asm.assemble_saturation_state(cf, uf, wells, q[j], ws, prob.xi)
+            D = ws.D
             R, S = asm.assemble_saturation_costate(cf, wells, q[j], ws)
             W, Z = asm.assemble_costate_loads(cf, uf, usf, wells, fine[j], ws)
             # D + dt (-E + H + S + R), summed in this order, on this thread
