@@ -7,8 +7,13 @@
 #   OUT_DIR/operators/  `verify --suite operators` (CSV, status.json, stdout)
 #   OUT_DIR/state/      `verify --suite state`, the manufactured state sources
 #   OUT_DIR/costate/    `verify --suite costate`, the manufactured costate sources
+#   OUT_DIR/unstructured/{optimize,adjoint,matrices,operators}/
+#                       the first four again on the file mesh of
+#                       data/unstructured_square.cfg
 #
-# Run it in two checkouts and compare them with `diff -r OUT_A OUT_B`.
+# Run it in two checkouts and compare them with `diff -r OUT_A OUT_B`.  It
+# runs from the checkout root, which the file-mesh config's paths are
+# relative to, so both checkouts hash that config alike.
 #
 #   usage: scripts/compare_outputs.sh OUT_DIR
 set -eu
@@ -21,19 +26,27 @@ fi
 root=$(cd "$(dirname "$0")/.." && pwd)
 mkdir -p "$1"
 out=$(cd "$1" && pwd)
-cfg="$root/data/quarter_five_spot.cfg"
+cd "$root"
 PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}"
 export PYTHONPATH
 
 run() {
     dir="$out/$1"
-    shift
+    cfg="$2"
+    shift 2
     mkdir -p "$dir"
     python3 -m porous_opt.cli "$@" --config "$cfg" --out "$dir" > "$dir/stdout.txt"
 }
 
-run optimize optimize
-run adjoint adjoint --save-every 8 --dump-matrices "$out/matrices"
-run operators verify --suite operators
-run state verify --suite state
-run costate verify --suite costate
+square=data/quarter_five_spot.cfg
+run optimize "$square" optimize
+run adjoint "$square" adjoint --save-every 8 --dump-matrices "$out/matrices"
+run operators "$square" verify --suite operators
+run state "$square" verify --suite state
+run costate "$square" verify --suite costate
+
+files=data/unstructured_square.cfg
+run unstructured/optimize "$files" optimize
+run unstructured/adjoint "$files" adjoint --save-every 8 \
+    --dump-matrices "$out/unstructured/matrices"
+run unstructured/operators "$files" verify --suite operators

@@ -89,7 +89,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .errors import AssemblyError, ConfigError, DomainError
-from .fespaces import P1DGField, RT0Field, grad_lambda, p1_basis_at
+from .fespaces import P1DGField, RT0Field, eta_h, grad_lambda, p1_basis_at
 from .mesh import BarycentricDualMesh, PrimalMesh
 from .model import CoefficientModel, WellModel
 from .quadrature import QuadratureRule
@@ -712,8 +712,8 @@ def trilinear_form(psi: P1DGField, phi: P1DGField, z: P1DGField,
     mesh = bary.mesh
     grad_phi = phi.gradients()
     grad_z = z.gradients()
-    eta_z = z.edge_averages()
-    eta_phi = phi.edge_averages()
+    eta_z = eta_h(z)
+    eta_phi = eta_h(phi)
 
     def dcoef(tri, pts):
         c = np.einsum("qj,j->q", p1_basis_at(mesh, pts[None], [tri])[0], psi.values[tri])

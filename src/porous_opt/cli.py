@@ -63,7 +63,9 @@ def build_parser():
                              "helper thread whatever the value, and the outputs "
                              "are the same for every value")
     common.add_argument("--dump-matrices", type=str, default=None, metavar="DIR",
-                        help="dump first-step matrices in MatrixMarket format")
+                        help="dump the first step's matrices of the reported "
+                             "run in MatrixMarket format: A and F at (C0, q0), "
+                             "E, H and G at (C0, U0, q1), and the fixed B and D")
 
     parser = argparse.ArgumentParser(
         prog="porous-opt",
@@ -92,18 +94,19 @@ def _provenance(spec, mesh=None):
     return prov
 
 
-def _dump_matrices(problem, q0, out_dir):
+def _dump_matrices(problem, traj, out_dir):
+    """Write the first step's matrices of the swept trajectory ``traj``."""
     import scipy.io as sio
 
     from .assembly import assemble_darcy, assemble_saturation_state
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    c_field = P1DGField(problem.mesh, problem.c0_values)
-    A, F = assemble_darcy(c_field, problem.wells, q0, problem.ws)
-    u0 = RT0Field.zero(problem.mesh)
+    c_field = P1DGField(problem.mesh, traj.C[0])
+    A, F = assemble_darcy(c_field, problem.wells, traj.q[0], problem.ws)
     E, H, G = assemble_saturation_state(
-        c_field, u0, problem.wells, q0, problem.ws, problem.xi
+        c_field, RT0Field(problem.mesh, traj.U[0]), problem.wells, traj.q[1],
+        problem.ws, problem.xi,
     )
     for name, mat in (("A", A), ("B", problem.ws.B), ("D", problem.ws.D), ("E", E), ("H", H)):
         sio.mmwrite(str(out / f"{name}.mtx"), mat)
@@ -154,10 +157,9 @@ def cmd_forward(args, spec, adjoint=False):
     problem = spec.build_problem()
     out = Path(args.out)
     prov = _provenance(spec, problem.mesh)
+    traj = run_forward(problem, problem.q_initial())
     if args.dump_matrices:
-        _dump_matrices(problem, problem.q_initial()[0], args.dump_matrices)
-    q = problem.q_initial()
-    traj = run_forward(problem, q)
+        _dump_matrices(problem, traj, args.dump_matrices)
     extra = {}
     if adjoint:
         run_adjoint(problem, traj)
@@ -177,9 +179,9 @@ def cmd_optimize(args, spec):
     problem = spec.build_problem()
     out = Path(args.out)
     prov = _provenance(spec, problem.mesh)
-    if args.dump_matrices:
-        _dump_matrices(problem, problem.q_initial()[0], args.dump_matrices)
     result = optimize(problem)
+    if args.dump_matrices:
+        _dump_matrices(problem, result.trajectory, args.dump_matrices)
     write_csv(out / "history.csv", ("k", "J", "n_lower", "n_upper", "dq_norm"),
               [(h["k"], h["J"], h["n_lower"], h["n_upper"], h["dq_norm"])
                for h in result.history], prov)

@@ -5,19 +5,20 @@ class PorousOptError(Exception):
     """Base class for all package errors."""
 
 
-class MeshStructureError(PorousOptError):
-    """Raised for malformed mesh input: bad indices, duplicate or degenerate
-    triangles."""
-
-
-class MeshConformityError(PorousOptError):
-    """Raised when the triangulation is non-conforming (an edge shared by
-    more than two triangles)."""
-
-
 class ConfigError(PorousOptError):
     """Raised for invalid configuration: unknown keys, type mismatches,
     values outside their documented ranges."""
+
+
+class MeshStructureError(ConfigError):
+    """Raised for malformed mesh input: unparsable mesh-file lines, bad
+    indices, duplicate or degenerate triangles.  A mesh file comes from the
+    configuration, so this is a configuration error."""
+
+
+class MeshConformityError(ConfigError):
+    """Raised when the triangulation is non-conforming (an edge shared by
+    more than two triangles).  A configuration error, as above."""
 
 
 class DomainError(ConfigError):

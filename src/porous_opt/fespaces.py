@@ -8,23 +8,24 @@ Fields
 * :class:`P0Field` -- piecewise-constant pressure, one value per triangle.
 * :class:`P1DGField` -- discontinuous piecewise-linear saturation, three
   nodal values per triangle.
-* :class:`DiamondPWConstantField` / :class:`DualPWConstantField` -- constant
-  test data per diamond cell / barycentric dual cell.
 
 Transfer operators
 ------------------
-``gamma_h`` maps an RT0 field to a constant vector per diamond cell, the
-field value at the edge midpoint.  The normal component there is single
-valued; the tangential trace jumps between the two adjacent elements, and is
-combined as the *area-weighted average* of the two traces.  That choice
-keeps the midpoint normal value exact and makes the L2 contraction
+The test spaces are constants on dual cells, so each transfer returns a
+plain array read together with its dual mesh.
+
+``gamma_h`` maps an RT0 field to an (n_e, 2) array, one vector per diamond
+cell: the field value at the edge midpoint.  The normal component there is
+single valued; the tangential trace jumps between the two adjacent elements,
+and is combined as the *area-weighted average* of the two traces.  That
+choice keeps the midpoint normal value exact and makes the L2 contraction
 ``|gamma_h v| <= |v|`` hold sharply on every mesh: the element midpoint rule
 is exact for squared RT0 fields and Jensen's inequality does the rest.
 
-``eta_h`` maps a P1DG field to a constant per barycentric dual cell, the
-average of the element-local trace over the edge contained in the cell; for
-affine functions this is the trace at the edge midpoint, and the L2 norm is
-preserved exactly.
+``eta_h`` maps a P1DG field to an (n_t, 3) array, one value per barycentric
+dual cell indexed (triangle, local edge): the average of the element-local
+trace over the edge contained in the cell; for affine functions this is the
+trace at the edge midpoint, and the L2 norm is preserved exactly.
 """
 
 from dataclasses import dataclass
@@ -35,9 +36,6 @@ from .errors import PorousOptError
 from .mesh import BarycentricDualMesh, DiamondDualMesh, PrimalMesh
 
 P1_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-
-# vertex-to-edge incidence: local edge j joins local vertices j and j+1
-EDGE_VERTS = np.array([[0, 1], [1, 2], [2, 0]])
 
 
 def _check_same_mesh(a, b):
@@ -138,18 +136,6 @@ class RT0Field:
         mids = self.mesh.edge_midpoint[self.mesh.tri_edges]  # (n_t, 3, 2)
         return self.eval_at(mids)
 
-    def midpoint_values(self):
-        """Single-valued midpoint vectors, one per edge (area-weighted tangential)."""
-        per_elem = self.element_midpoint_values()  # (n_t, 3, 2)
-        mesh = self.mesh
-        acc = np.zeros((mesh.num_edges, 2))
-        wsum = np.zeros(mesh.num_edges)
-        w = np.repeat(mesh.tri_area[:, None], 3, axis=1).ravel()
-        idx = mesh.tri_edges.ravel()
-        np.add.at(acc, idx, per_elem.reshape(-1, 2) * w[:, None])
-        np.add.at(wsum, idx, w)
-        return acc / wsum[:, None]
-
     def divergence(self):
         """Element-wise constant divergence: signed edge fluxes over area."""
         mesh = self.mesh
@@ -211,71 +197,42 @@ class P1DGField:
         """Element gradients, shape (n_t, 2)."""
         return np.einsum("tj,tje->te", self.values, grad_lambda(self.mesh))
 
-    def edge_averages(self):
-        """Element-local trace averages over the three local edges, (n_t, 3)."""
-        return 0.5 * (self.values + self.values[:, [1, 2, 0]])
+
+def gamma_h(v: RT0Field) -> np.ndarray:
+    """Transfer an RT0 field to the diamond test space: its value at each edge
+    midpoint, area-weighted tangentially, shape (n_e, 2)."""
+    per_elem = v.element_midpoint_values()  # (n_t, 3, 2)
+    mesh = v.mesh
+    acc = np.zeros((mesh.num_edges, 2))
+    wsum = np.zeros(mesh.num_edges)
+    w = np.repeat(mesh.tri_area[:, None], 3, axis=1).ravel()
+    idx = mesh.tri_edges.ravel()
+    np.add.at(acc, idx, per_elem.reshape(-1, 2) * w[:, None])
+    np.add.at(wsum, idx, w)
+    return acc / wsum[:, None]
 
 
-@dataclass
-class DiamondPWConstantField:
-    """Constant vector per diamond cell (one per primal edge)."""
-
-    dual: DiamondDualMesh
-    values: np.ndarray  # (n_e, 2)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-
-    @property
-    def mesh(self):
-        return self.dual.mesh
+def eta_h(z: P1DGField) -> np.ndarray:
+    """Transfer a P1DG field to the barycentric dual test space: the
+    element-local trace average over each local edge, shape (n_t, 3)."""
+    return 0.5 * (z.values + z.values[:, [1, 2, 0]])
 
 
-@dataclass
-class DualPWConstantField:
-    """Constant scalar per barycentric dual cell, indexed (triangle, local edge)."""
-
-    dual: BarycentricDualMesh
-    values: np.ndarray  # (n_t, 3)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-
-    @property
-    def mesh(self):
-        return self.dual.mesh
-
-
-def gamma_h(v: RT0Field, dual: DiamondDualMesh) -> DiamondPWConstantField:
-    """Transfer an RT0 field to the diamond test space by midpoint evaluation."""
-    if dual.mesh is not v.mesh:
-        raise PorousOptError("field and diamond dual live on different meshes")
-    return DiamondPWConstantField(dual, v.midpoint_values())
-
-
-def eta_h(z: P1DGField, dual: BarycentricDualMesh) -> DualPWConstantField:
-    """Transfer a P1DG field to the dual test space by edge averaging."""
-    if dual.mesh is not z.mesh:
-        raise PorousOptError("field and barycentric dual live on different meshes")
-    return DualPWConstantField(dual, z.edge_averages())
-
-
-def b_form(gv: DiamondPWConstantField, w: P0Field) -> float:
+def b_form(gv: np.ndarray, w: P0Field, dual: DiamondDualMesh) -> float:
     """Pressure-velocity coupling on the diamond grid.
 
-    Evaluates the sum over diamond cells of the cell vector dotted with the
-    boundary integral of ``w`` times the unit normal, signed so that the
-    duality ``b_form(gamma_h(v), w) == -(div v, w)`` holds exactly for RT0
-    fields with vanishing boundary flux.
+    Evaluates the sum over the cells of ``dual`` of the cell vector ``gv``
+    dotted with the boundary integral of ``w`` times the unit normal, signed
+    so that the duality ``b_form(gamma_h(v), w, dual) == -(div v, w)`` holds
+    exactly for RT0 fields with vanishing boundary flux.
     """
-    if gv.mesh is not w.mesh:
-        raise PorousOptError("fields live on different meshes")
-    d = gv.dual
-    seg = w.values[d.seg_owner][:, None] * d.seg_normal * d.seg_length[:, None]
-    cell_flux = np.add.reduceat(seg, d.seg_ptr[:-1], axis=0)
+    if dual.mesh is not w.mesh:
+        raise PorousOptError("field and diamond dual live on different meshes")
+    seg = w.values[dual.seg_owner][:, None] * dual.seg_normal * dual.seg_length[:, None]
+    cell_flux = np.add.reduceat(seg, dual.seg_ptr[:-1], axis=0)
     # reduceat with equal consecutive offsets would inject spurious rows;
     # every diamond cell has >= 3 segments so offsets are strictly increasing
-    return float(np.einsum("ce,ce->", gv.values, cell_flux))
+    return float(np.einsum("ce,ce->", gv, cell_flux))
 
 
 def l2_inner(a, b) -> float:
@@ -303,36 +260,17 @@ def l2_norm(a) -> float:
     return float(np.sqrt(max(l2_inner(a, a), 0.0)))
 
 
-def mixed_inner_p1dg_dual(z: P1DGField, w: DualPWConstantField) -> float:
-    """Inner product (z, w) of a P1DG field against dual-cell constants."""
-    _check_same_mesh(z, w)
+def mixed_inner_p1dg_dual(z: P1DGField, w: np.ndarray,
+                          bary: BarycentricDualMesh) -> float:
+    """Inner product (z, w) of a P1DG field against constants ``w`` (n_t, 3)
+    on the cells of ``bary``."""
+    if bary.mesh is not z.mesh:
+        raise PorousOptError("field and barycentric dual live on different meshes")
     # integral of the affine z over cell (K, j): area/3 of K times the value
     # at the sub-triangle centroid (v_j + v_{j+1} + b_K)/3
     mean = z.values.mean(axis=1)
     centroid_vals = (z.values + z.values[:, [1, 2, 0]] + mean[:, None]) / 3.0
-    return float(np.einsum("tj,tj,tj->", w.dual.cell_area, centroid_vals, w.values))
-
-
-def edge_trace_values(z: P1DGField):
-    """Traces of z on each edge from both sides.
-
-    Returns an (n_e, 2, 2) array: axis 1 is the side (0 = lower adjacent
-    triangle, 1 = higher; NaN on the outer side of boundary edges), axis 2
-    holds the values at the two edge endpoints in stored edge order.
-    """
-    mesh = z.mesh
-    out = np.full((mesh.num_edges, 2, 2), np.nan)
-    tri = mesh.triangles
-    for j in range(3):
-        e = mesh.tri_edges[:, j]
-        side = np.where(mesh.tri_edge_sign[:, j] == 1, 0, 1)
-        va = tri[:, EDGE_VERTS[j, 0]]
-        local_first = va == mesh.edges[e, 0]
-        v_first = np.where(local_first, z.values[:, EDGE_VERTS[j, 0]], z.values[:, EDGE_VERTS[j, 1]])
-        v_second = np.where(local_first, z.values[:, EDGE_VERTS[j, 1]], z.values[:, EDGE_VERTS[j, 0]])
-        out[e, side, 0] = v_first
-        out[e, side, 1] = v_second
-    return out
+    return float(np.einsum("tj,tj,tj->", bary.cell_area, centroid_vals, w))
 
 
 def broken_h1_norm(z: P1DGField) -> float:
@@ -350,8 +288,13 @@ def broken_h1_norm(z: P1DGField) -> float:
 def _interior_jump_sq(z: P1DGField) -> float:
     """Jump part of the broken H1 norm squared: over the interior edges, the
     integral of the squared jump of z along the edge divided by h_e."""
-    traces = edge_trace_values(z)
-    interior = z.mesh.interior_edges
-    d = traces[interior, 0, :] - traces[interior, 1, :]
+    mesh = z.mesh
+    ie = mesh.interior_edges
+    k = mesh.edge_tris[ie]  # (n_i, 2): the two adjacent triangles
+    ends = mesh.edges[ie]
+    # local vertex of each side's triangle at each stored edge endpoint,
+    # shape (n_i, side, endpoint)
+    local = np.argmax(mesh.triangles[k][:, :, None, :] == ends[:, None, :, None], axis=3)
+    traces = np.take_along_axis(z.values[k], local, axis=2)
+    d = traces[:, 0, :] - traces[:, 1, :]
     return float(np.sum((d[:, 0] ** 2 + d[:, 0] * d[:, 1] + d[:, 1] ** 2) / 3.0))
-

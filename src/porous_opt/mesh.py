@@ -408,11 +408,16 @@ def read_mesh(node_path, ele_path) -> PrimalMesh:
     Grammar (both files): the first non-comment line holds the entity count
     and the payload width; every following line is ``index payload...`` with
     0-based indices.  Node payload: two coordinates.  Element payload: three
-    vertex indices.  Lines starting with ``#`` are comments.
+    vertex indices.  Lines starting with ``#`` are comments.  A line that
+    does not parse is named by file and line; a mesh that :func:`build_primal`
+    rejects is named by both files.
     """
     nodes = _read_table(node_path, 2, float)
     elems = _read_table(ele_path, 3, int)
-    return build_primal(nodes, elems.astype(np.int64))
+    try:
+        return build_primal(nodes, elems.astype(np.int64))
+    except (MeshStructureError, MeshConformityError) as exc:
+        raise type(exc)(f"mesh of {node_path} and {ele_path}: {exc}") from None
 
 
 def _read_table(path, width, dtype):

@@ -18,7 +18,7 @@ from .assembly import (
     assemble_darcy,
     assemble_darcy_costate_rhs,
 )
-from .control import optimize, time_weights
+from .control import gradient_without_penalty, objective, optimize, time_weights
 from .errors import ConfigError
 from .fespaces import (
     P0Field,
@@ -122,18 +122,18 @@ def operator_identity_suite(mesh: PrimalMesh, n_samples=100, seed=0,
         vals[mesh.boundary_edge] = 0.0
         v = RT0Field(mesh, vals)
         w = P0Field(mesh, rng.normal(size=mesh.num_triangles))
-        gv = gamma_h(v, dd)
-        lhs = b_form(gv, w)
+        gv = gamma_h(v)
+        lhs = b_form(gv, w, dd)
         rhs = -l2_inner(v.divergence(), w)
         brel_max = max(brel_max, abs(lhs - rhs) / max(abs(rhs), 1e-14))
 
         z = P1DGField(mesh, rng.normal(size=(mesh.num_triangles, 3)))
-        gz = eta_h(z, bd)
+        gz = eta_h(z)
         nz = l2_norm(z)
-        ngz = float(np.sqrt(np.einsum("tj,tj,tj->", bd.cell_area, gz.values, gz.values)))
+        ngz = float(np.sqrt(np.einsum("tj,tj,tj->", bd.cell_area, gz, gz)))
         eta_max = max(eta_max, abs(nz - ngz) / nz)
 
-        ngv = float(np.sqrt(np.einsum("c,ce,ce->", dd.cell_area, gv.values, gv.values)))
+        ngv = float(np.sqrt(np.einsum("c,ce,ce->", dd.cell_area, gv, gv)))
         contraction = max(contraction, ngv / l2_norm(v))
 
     # divergence-free costate velocity for a random costate load
@@ -185,9 +185,9 @@ class ConvergenceReport:
     threshold: float = 0.85
     passed: bool = False
 
-    def finalize(self, rate_keys=None):
+    def finalize(self):
         hs = [lv["h"] for lv in self.levels]
-        keys = rate_keys or [k for k in self.levels[0] if k not in ("h", "dt")]
+        keys = [k for k in self.levels[0] if k not in ("h", "dt")]
         self.rates = {k: fit_rate(hs, [lv[k] for lv in self.levels]) for k in keys}
         self.passed = all(r >= self.threshold for r in self.rates.values())
         return self
@@ -363,8 +363,6 @@ def gradient_check(problem: Problem, q, directions, steps) -> GradientReport:
     the discrete objective.  ``q`` must be strictly inside the box so J is
     differentiable along every direction.
     """
-    from .control import gradient_without_penalty, objective
-
     q = np.asarray(q, dtype=float)
     qhat = problem.wells.qhat
     margin = float(np.max(steps)) * float(np.max(np.abs(directions)))

@@ -258,7 +258,7 @@ def test_velocity_matrix_is_gamma_pairing(setup):
         for test in range(0, interior.size, 11):
             tv = np.zeros(mesh.num_edges)
             tv[interior[test]] = 1.0
-            gv = fes.gamma_h(fes.RT0Field(mesh, tv), dd).values
+            gv = fes.gamma_h(fes.RT0Field(mesh, tv))
             # integrate alpha phi_j . (gamma phi_i) over all diamond cells
             cv = np.einsum("nqj,nj->nq", pr_lam, c.values[pr_tri])
             avals = model.alpha(cv) / kappa
@@ -370,7 +370,6 @@ def test_costate_rhs_trivial_cases(setup):
 def test_costate_rhs_two_triangle_quadrature_oracle():
     # C = x, C* = 1, b(c) = 2c: the load is -(2x grad(x), gamma Phi_i)
     mesh = square_mesh(1)
-    dd = build_diamond_dual(mesh)
     bd = build_barycentric_dual(mesh)
     model = default_model()
     ws = asm.AssemblyWorkspace(mesh, bd, model, QuadratureRule())
@@ -384,7 +383,7 @@ def test_costate_rhs_two_triangle_quadrature_oracle():
     for idx, e in enumerate(interior):
         tv = np.zeros(mesh.num_edges)
         tv[e] = 1.0
-        gvals = fes.gamma_h(fes.RT0Field(mesh, tv), dd).values
+        gvals = fes.gamma_h(fes.RT0Field(mesh, tv))
         for cell in range(mesh.num_edges):
             for k in mesh.edge_tris[cell]:
                 if k < 0:
@@ -427,7 +426,7 @@ def test_eta_mass_matrix_properties(setup):
     z = random_saturation(mesh)
     w = random_saturation(mesh)
     lhs = z.values.ravel() @ (D @ w.values.ravel())
-    rhs = fes.mixed_inner_p1dg_dual(z, fes.eta_h(w, bd))
+    rhs = fes.mixed_inner_p1dg_dual(z, fes.eta_h(w), bd)
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 

@@ -129,26 +129,32 @@ def test_resolve_and_run_reject_alike(bad, tmp_path):
     assert status["status"] == "error" and status["exit_code"] == 2
 
 
-@pytest.mark.parametrize("node, code, message", [
-    (None, 2, "nodes_file = "),
-    ("3\n0 0 0\n1 1 0\n2 0 1\n", 1, "m.node, line 1: "),
-    ("3 2\n0 0 0\n1 1 x\n2 0 1\n", 1, "m.node, line 3: "),
-], ids=["missing_file", "header_without_width", "non_numeric_coordinate"])
-def test_broken_mesh_file_is_a_named_error(tmp_path, capsys, node, code, message):
-    # a mesh file that cannot be read or parsed ends the run with an error
-    # naming the key or the file and line, and a status.json, not a traceback
+@pytest.mark.parametrize("node, ele, message", [
+    (None, "1 3\n0 0 1 2\n", "nodes_file = "),
+    ("3\n0 0 0\n1 1 0\n2 0 1\n", "1 3\n0 0 1 2\n", "m.node, line 1: "),
+    ("3 2\n0 0 0\n1 1 x\n2 0 1\n", "1 3\n0 0 1 2\n", "m.node, line 3: "),
+    ("3 2\n0 0 0\n1 1 1\n2 2 2\n", "1 3\n0 0 1 2\n",
+     "m.ele: degenerate triangle(s) at indices [0]"),
+    ("5 2\n0 0 0\n1 1 0\n2 1 1\n3 0 1\n4 2 0\n", "3 3\n0 0 1 2\n1 0 2 3\n2 0 2 4\n",
+     "m.ele: edge (0, 2) shared by more than two triangles"),
+], ids=["missing_file", "header_without_width", "non_numeric_coordinate",
+        "degenerate_triangle", "edge_shared_by_three_triangles"])
+def test_broken_mesh_file_is_a_named_error(tmp_path, capsys, node, ele, message):
+    # a mesh file that cannot be read, parsed or triangulated ends the run
+    # with a configuration error naming the key or the file (and line), and
+    # a status.json, not a traceback
     if node is not None:
         (tmp_path / "m.node").write_text(node)
-    (tmp_path / "m.ele").write_text("1 3\n0 0 1 2\n")
+    (tmp_path / "m.ele").write_text(ele)
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"mesh = files\nnodes_file = {tmp_path / 'm.node'}\n"
                    f"elems_file = {tmp_path / 'm.ele'}\nT = 0.5\nm_steps = 2\nn_steps = 4\n")
     out = tmp_path / "out"
-    assert main(["forward", "--config", str(cfg), "--out", str(out)]) == code
+    assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert "configuration error" in err and message in err and "Traceback" not in err
     status = json.loads((out / "status.json").read_text())
-    assert status["status"] == "error" and status["exit_code"] == code
+    assert status["status"] == "error" and status["exit_code"] == 2
     assert message in status["error"]
 
 
@@ -219,19 +225,22 @@ def test_dump_matrices(small_cfg, tmp_path):
     for name in ("A", "B", "D", "E", "H", "F", "G"):
         assert (dump / f"{name}.mtx").exists()
 
-    # the files read back as the first-step matrices, every stored slot
-    # (explicit zeros of the saturation pattern included) listed
+    # the files read back as the first step's matrices, at the velocity U0 of
+    # the node-0 Darcy solve, every stored slot (explicit zeros of the
+    # saturation pattern included) listed
     import scipy.io as sio
 
     from porous_opt.assembly import assemble_darcy, assemble_saturation_state
     from porous_opt.fespaces import P1DGField, RT0Field
+    from porous_opt.solver import run_forward
 
     prob = parse_config(small_cfg).build_problem()
+    traj = run_forward(prob, prob.q_initial())
     c0 = P1DGField(prob.mesh, prob.c0_values)
-    q0 = prob.q_initial()[0]
-    A, _ = assemble_darcy(c0, prob.wells, q0, prob.ws)
-    E, H, _ = assemble_saturation_state(c0, RT0Field.zero(prob.mesh), prob.wells,
-                                        q0, prob.ws, prob.xi)
+    A, _ = assemble_darcy(c0, prob.wells, traj.q[0], prob.ws)
+    E, H, _ = assemble_saturation_state(c0, RT0Field(prob.mesh, traj.U[0]), prob.wells,
+                                        traj.q[1], prob.ws, prob.xi)
+    assert np.abs(E.toarray()).max() > 0.0
     for name, mat in (("A", A), ("B", prob.ws.B), ("D", prob.ws.D), ("E", E), ("H", H)):
         back = sio.mmread(dump / f"{name}.mtx")
         assert back.nnz == mat.nnz
