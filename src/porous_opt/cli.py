@@ -26,7 +26,7 @@ import numpy as np  # noqa: E402
 
 from .config import RunSpec, parse_config  # noqa: E402
 from .control import objective, objective_integrands, optimize  # noqa: E402
-from .errors import ConfigError, PorousOptError, SolverError  # noqa: E402
+from .errors import ConfigError, PorousOptError  # noqa: E402
 from .fespaces import P0Field, P1DGField, RT0Field  # noqa: E402
 from .io import (  # noqa: E402
     mesh_hash,
@@ -262,16 +262,14 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
-
     out = Path(args.out)
     status_path = None
     try:
         if args.command not in ("mesh-info", "config"):
             out.mkdir(parents=True, exist_ok=True)
             status_path = out / "status.json"
+        if args.threads < 1:
+            raise ConfigError("--threads must be >= 1")
         spec = RunSpec() if args.config is None else parse_config(args.config)
         handler = {
             "mesh-info": cmd_mesh_info,
@@ -291,7 +289,7 @@ def main(argv=None) -> int:
         if status_path is not None:
             write_status(status_path, "error", EXIT_CONFIG, error=str(exc))
         return EXIT_CONFIG
-    except (SolverError, PorousOptError) as exc:
+    except PorousOptError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         if status_path is not None:
             write_status(status_path, "error", EXIT_SOLVER, error=str(exc))

@@ -202,5 +202,10 @@ def parse_config_text(text: str) -> RunSpec:
 
 def parse_config(path) -> RunSpec:
     """Parse a configuration file into a :class:`RunSpec`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    try:
+        # bytes that are not UTF-8 read as U+FFFD, which fails to parse
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"config file {path}: cannot read it ({exc.strerror})") from exc
+    return parse_config_text(text)

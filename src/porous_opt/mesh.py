@@ -269,12 +269,15 @@ def build_diamond_dual(mesh: PrimalMesh) -> DiamondDualMesh:
 
     Edge e with endpoints (a, b) and adjacent triangles k0, k1 gives the
     cell (a, b_k0, b, b_k1), or (a, b, b_k0) on the boundary, where b_k is
-    the barycentre of triangle k.  Each cell is reversed where needed to be
-    counterclockwise.  A segment is owned by the triangle whose barycentre
-    is one of its endpoints: every segment of an interior cell has exactly
-    one, and every segment of a boundary cell belongs to k0.  Segment
-    normals are unit vectors pointing away from the cell's vertex mean.
-    All cells are built at once as a padded (n_e, 4, 2) array.
+    the barycentre of triangle k.  An interior cell is a simple polygon,
+    since b_k0 and b_k1 lie strictly on opposite sides of the edge, but it
+    need not be convex: on a distorted mesh it can be a dart.  Each cell is
+    reversed where needed to be counterclockwise, so the unit normal
+    ``_perp(end - start) / length`` of every segment points out of its cell.
+    A segment is owned by the triangle whose barycentre is one of its
+    endpoints: every segment of an interior cell has exactly one, and every
+    segment of a boundary cell belongs to k0.  All cells are built at once
+    as a padded (n_e, 4, 2) array.
     """
     n_e = mesh.num_edges
     k0, k1 = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
@@ -286,8 +289,7 @@ def build_diamond_dual(mesh: PrimalMesh) -> DiamondDualMesh:
     n_vert = np.where(interior, 4, 3)
 
     # vertex slots and, per slot, the triangle whose barycentre sits there
-    # (-1 at an edge endpoint); slot 3 of a boundary cell is padding at the
-    # origin, which adds nothing to the vertex sum
+    # (-1 at an edge endpoint); slot 3 of a boundary cell is padding
     i4 = interior[:, None]
     poly = np.where(
         i4[:, :, None],
@@ -315,13 +317,9 @@ def build_diamond_dual(mesh: PrimalMesh) -> DiamondDualMesh:
     poly, tag = poly[rows, perm], tag[rows, perm]
     cell_area = 0.5 * np.abs(twice_area)
 
-    p, q = poly, poly[rows, nxt]
-    t = q - p
+    t = poly[rows, nxt] - poly
     length = np.linalg.norm(t, axis=-1)
     normal = _perp(t) / np.where(valid, length, 1.0)[..., None]
-    centroid = poly.sum(axis=1) / n_vert[:, None]
-    inward = np.einsum("esi,esi->es", normal, 0.5 * (p + q) - centroid[:, None, :]) < 0.0
-    normal[inward] *= -1.0
     owner = np.maximum(tag, tag[rows, nxt])
     owner = np.where(owner < 0, k0[:, None], owner)
 
@@ -344,8 +342,9 @@ class BarycentricDualMesh:
 
     Cell (K, j) is the sub-triangle (v_j, v_{j+1}, b_K); it contains local
     edge j of triangle K, which links it to the P1DG edge-average transfer.
-    The two fan segments (v_{j+1}, b_K) and (b_K, v_j) carry outward unit
-    normals with respect to the cell.
+    The two fan segments (v_{j+1}, b_K) and (b_K, v_j) run counterclockwise
+    round the cell, because the triangles are counterclockwise, so their
+    unit normals ``_perp(end - start) / length`` point out of it.
     """
 
     mesh: PrimalMesh
@@ -363,34 +362,17 @@ class BarycentricDualMesh:
 def build_barycentric_dual(mesh: PrimalMesh) -> BarycentricDualMesh:
     """Construct the barycentric dual tessellation of ``mesh``."""
     pts = mesh.tri_vertices()           # (n_t, 3, 2)
-    bary = mesh.barycentre              # (n_t, 2)
-    n_t = mesh.num_triangles
+    bary = np.broadcast_to(mesh.barycentre[:, None, :], pts.shape)
 
     cell_area = np.repeat(mesh.tri_area[:, None] / 3.0, 3, axis=1)
 
-    seg_start = np.empty((n_t, 3, 2, 2))
-    seg_end = np.empty((n_t, 3, 2, 2))
-    for j in range(3):
-        vj = pts[:, j]
-        vj1 = pts[:, (j + 1) % 3]
-        # traversal v_{j+1} -> b_K -> v_j walks the interior boundary of
-        # cell (K, j) counterclockwise (triangles are CCW)
-        seg_start[:, j, 0] = vj1
-        seg_end[:, j, 0] = bary
-        seg_start[:, j, 1] = bary
-        seg_end[:, j, 1] = vj
-
+    # traversal v_{j+1} -> b_K -> v_j walks the interior boundary of
+    # cell (K, j) counterclockwise (triangles are CCW)
+    seg_start = np.stack([pts[:, [1, 2, 0]], bary], axis=2)
+    seg_end = np.stack([bary, pts], axis=2)
     tangent = seg_end - seg_start
     seg_length = np.linalg.norm(tangent, axis=-1)
     seg_normal = _perp(tangent) / seg_length[..., None]
-    # flip any normal pointing toward the cell centroid
-    cell_centroid = (pts + pts[:, [1, 2, 0]] + bary[:, None, :]) / 3.0
-    mid = 0.5 * (seg_start + seg_end)
-    inward = (
-        np.einsum("tjse,tjse->tjs", seg_normal, cell_centroid[:, :, None, :] - mid)
-        > 0.0
-    )
-    seg_normal[inward] *= -1.0
 
     return BarycentricDualMesh(
         mesh=mesh,

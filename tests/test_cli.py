@@ -129,6 +129,44 @@ def test_resolve_and_run_reject_alike(bad, tmp_path):
     assert status["status"] == "error" and status["exit_code"] == 2
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "config file "),
+    (b"n = 4\n\xff\xfe = 3\n", "unknown key '\ufffd\ufffd' (line 2)"),
+], ids=["missing_file", "not_utf8"])
+def test_unreadable_config_is_a_configuration_error(tmp_path, capsys, content, message):
+    cfg = tmp_path / "c.cfg"
+    if content is not None:
+        cfg.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+    status = json.loads((out / "status.json").read_text())
+    assert status["status"] == "error" and status["exit_code"] == 2
+
+
+def test_zero_threads_is_a_configuration_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["forward", "--threads", "0", "--out", str(out)]) == 2
+    assert "configuration error: --threads must be >= 1" in capsys.readouterr().err
+    status = json.loads((out / "status.json").read_text())
+    assert status["status"] == "error" and status["exit_code"] == 2
+
+
+TINY_CFG = "n = 4\nm_steps = 2\nn_steps = 4\n"
+
+
+def test_solver_failure_exits_1_with_status(tmp_path, capsys):
+    # no solve reaches a relative residual of 1e-300
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TINY_CFG + "solver_tol = 1e-300\n")
+    out = tmp_path / "out"
+    assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("solver error: Darcy solve at coarse step 0")
+    status = json.loads((out / "status.json").read_text())
+    assert status["status"] == "error" and status["exit_code"] == 1
+
+
 @pytest.mark.parametrize("node, ele, message", [
     (None, "1 3\n0 0 1 2\n", "nodes_file = "),
     ("3\n0 0 0\n1 1 0\n2 0 1\n", "1 3\n0 0 1 2\n", "m.node, line 1: "),
@@ -271,6 +309,19 @@ def test_verify_operators_cli(tmp_path):
                  "--out", str(out)])
     assert code == 0
     assert (out / "verify_operators.csv").exists()
+
+
+def test_verify_gradient_cli(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TINY_CFG)
+    out = tmp_path / "out"
+    code = main(["verify", "--suite", "gradient", "--config", str(cfg), "--out", str(out)])
+    status = json.loads((out / "status.json").read_text())
+    assert code == (0 if status["passed"] else 1)
+    lines = [line for line in (out / "verify_gradient.csv").read_text().splitlines()
+             if not line.startswith("#")]
+    assert lines[0] == "step,max_rel_mismatch"
+    assert len(lines) == 1 + 7
 
 
 def test_determinism_across_thread_flag(small_cfg, tmp_path):

@@ -196,7 +196,9 @@ def test_b_form_constant_pressure(grids):
 
 
 def test_b_form_duality_identity(grids, unstructured):
-    for mesh, dd, _ in (grids, unstructured):
+    # the dart mesh's interior diamond cell is non-convex
+    dart = build_primal([[0, 0], [1, 0], [5, 1], [5, -1]], [[0, 1, 2], [1, 0, 3]])
+    for mesh, dd, _ in (grids, unstructured, (dart, build_diamond_dual(dart), None)):
         for _ in range(50):
             v = random_velocity(mesh)
             w = fes.P0Field(mesh, RNG.normal(size=mesh.num_triangles))

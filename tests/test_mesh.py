@@ -88,7 +88,13 @@ def _oracle_meshes():
     return [
         read_mesh("data/unstructured_square.node", "data/unstructured_square.ele"),
         square_mesh(5),
+        # two thin triangles on the edge (0,0)-(1,0): its diamond cell is a
+        # dart, non-convex at (1, 0), whose vertex mean lies outside it
+        build_primal([[0, 0], [1, 0], [5, 1], [5, -1]], [[0, 1, 2], [1, 0, 3]]),
     ]
+
+
+_ORACLE_IDS = ["unstructured", "n5", "dart"]
 
 
 @pytest.mark.parametrize("diagonal", ["right", "left"])
@@ -106,7 +112,7 @@ def test_square_mesh_triangle_order(diagonal):
     assert np.array_equal(square_mesh(n, diagonal).triangles, tris)
 
 
-@pytest.mark.parametrize("mesh", _oracle_meshes(), ids=["unstructured", "n5"])
+@pytest.mark.parametrize("mesh", _oracle_meshes(), ids=_ORACLE_IDS)
 def test_edge_extraction_matches_first_appearance_loop(mesh):
     index, edges, edge_tris = {}, [], []
     tri_edges = np.empty_like(mesh.triangles)
@@ -180,7 +186,7 @@ def test_diamond_interior_area_identity():
         assert dd.cell_area[e] == pytest.approx(expect, rel=1e-12)
 
 
-@pytest.mark.parametrize("mesh", _oracle_meshes(), ids=["unstructured", "n5"])
+@pytest.mark.parametrize("mesh", _oracle_meshes(), ids=_ORACLE_IDS)
 def test_diamond_cells_against_geometry(mesh):
     dd = build_diamond_dual(mesh)
     assert dd.seg_ptr.size == mesh.num_edges + 1
@@ -195,9 +201,13 @@ def test_diamond_cells_against_geometry(mesh):
         mid = 0.5 * (poly + nxt)
         normal = dd.seg_normal[lo:hi]
         assert np.allclose(np.linalg.norm(normal, axis=1), 1.0, rtol=0, atol=1e-14)
-        assert (np.einsum("si,si->s", normal, mid - poly.mean(axis=0)) > 0.0).all()
         assert np.allclose(dd.seg_length[lo:hi], np.linalg.norm(nxt - poly, axis=1),
                            rtol=0, atol=1e-15)
+        # the cell is counterclockwise, so the tangent turned by -90 degrees
+        # points out of it, convex or not
+        t = nxt - poly
+        assert np.array_equal(normal, np.column_stack([t[:, 1], -t[:, 0]])
+                              / dd.seg_length[lo:hi, None])
         # each segment's midpoint lies in its owning triangle
         for s, k in enumerate(dd.seg_owner[lo:hi]):
             v = mesh.tri_vertices(k) - mid[s]
@@ -234,6 +244,22 @@ def test_barycentric_arbitrary_triangle():
     m = build_primal([[0, 0], [2, 0], [0, 4]], [[0, 1, 2]])
     bd = build_barycentric_dual(m)
     assert np.allclose(bd.cell_area, 4.0 / 3.0)
+
+
+@pytest.mark.parametrize("mesh", _oracle_meshes(), ids=_ORACLE_IDS)
+def test_fan_normals_turn_counterclockwise_tangents(mesh):
+    bd = build_barycentric_dual(mesh)
+    # the fan of sub-triangle (v_j, v_{j+1}, b_K) runs v_{j+1} -> b_K -> v_j
+    pts, b = mesh.tri_vertices(), mesh.barycentre
+    for j in range(3):
+        assert np.array_equal(bd.seg_start[:, j, 0], pts[:, (j + 1) % 3])
+        assert np.array_equal(bd.seg_end[:, j, 0], b)
+        assert np.array_equal(bd.seg_start[:, j, 1], b)
+        assert np.array_equal(bd.seg_end[:, j, 1], pts[:, j])
+    t = bd.seg_end - bd.seg_start
+    assert (t[:, :, 0, 0] * t[:, :, 1, 1] - t[:, :, 0, 1] * t[:, :, 1, 0] > 0.0).all()
+    turned = np.stack([t[..., 1], -t[..., 0]], axis=-1)
+    assert np.array_equal(bd.seg_normal, turned / bd.seg_length[..., None])
 
 
 def test_fan_closure():

@@ -970,6 +970,20 @@ def test_step_failures_name_their_step_and_c_range(monkeypatch):
     assert all(r.get("dropped") == r["made"] != main for r in records), records
 
 
+def test_step_residual_failure_names_the_step_and_its_norm():
+    prob = make_problem()
+    ws, q = prob.ws, prob.q_initial()
+    c = fes.P1DGField(prob.mesh, prob.c0_values)
+    u = sol._darcy_at(prob, prob.c0_values, q[0], 0.0)[0]
+    E, H, G = asm.assemble_saturation_state(c, fes.RT0Field(prob.mesh, u), prob.wells,
+                                            q[1], ws, prob.xi)
+    with pytest.raises(SolverError, match=r"^saturation step \(m=0, n=0\): residual "
+                                          r".* exceeds 1\.0e-300 \(1-norm ~ \d"):
+        sol.step_saturation_forward(prob.c0_values.ravel(), ws.D, E, H, G, prob.rc.dt,
+                                    tol=1e-300, what="saturation step (m=0, n=0)",
+                                    ordering=ws.step_ordering)
+
+
 def test_trajectory_is_freed_without_the_cycle_collector():
     # a reference cycle through the sweeps would keep every trajectory until
     # the cycle collector runs, which a benchmark loop never calls
