@@ -1,15 +1,17 @@
 """Command-line interface: mesh-info, forward, adjoint, optimize, verify,
 config.
 
-Exit codes: 0 success, 1 solver failure, 2 configuration error, 3 optimizer
-hit its iteration cap (results are still written).  Every run drops a
-machine-readable ``status.json`` into the output directory.  The log level
-comes from the ``POROUS_OPT_LOG`` environment variable.  BLAS runs on one
-thread unless ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
-``MKL_NUM_THREADS`` say otherwise: the per-step products of the assembly
-kernels are too small to gain from more, and OpenBLAS's thread start-up
-dominates them (at n = 64 the saturation state assembly took 63.5 ms per call
-on two threads against 33.0 ms on one, on a 2-core host).
+Exit codes: 0 success, 1 solver failure or a failed verification check,
+2 configuration error, 3 optimizer hit its iteration cap (results are still
+written).  Every run drops a machine-readable ``status.json`` into the output
+directory, with status "ok", "failed" (a check that did not pass), "warning"
+(the cap) or "error".  The log level comes from the ``POROUS_OPT_LOG``
+environment variable.  BLAS runs on one thread unless
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` say
+otherwise: the per-step products of the assembly kernels are too small to
+gain from more, and OpenBLAS's thread start-up dominates them (at n = 64 the
+saturation state assembly took 63.5 ms per call on two threads against
+33.0 ms on one, on a 2-core host).
 """
 
 import argparse
@@ -212,10 +214,12 @@ def cmd_verify(args, spec):
         report = ver.operator_identity_suite(mesh, label=f"{spec.mesh} mesh")
         rows = [(report.brel_max_rel, report.eta_norm_max_rel,
                  report.contraction_max_ratio, report.costate_div_max,
-                 report.penalty_min_eig, int(report.passed))]
+                 report.penalty_asymmetry, report.penalty_min_eig,
+                 int(report.passed))]
         write_csv(out / "verify_operators.csv",
                   ("brel_max_rel", "eta_norm_max_rel", "contraction_max_ratio",
-                   "costate_div_max", "penalty_min_eig", "passed"), rows, prov)
+                   "costate_div_max", "penalty_asymmetry", "penalty_min_eig",
+                   "passed"), rows, prov)
         print(report)
         return (EXIT_OK if report.passed else EXIT_SOLVER), {"passed": report.passed}
     if args.suite == "gradient":
@@ -281,8 +285,8 @@ def main(argv=None) -> int:
         }[args.command]
         code, extra = handler(args, spec)
         if status_path is not None:
-            write_status(status_path, "ok" if code == EXIT_OK else "warning",
-                         code, extra=extra)
+            status = {EXIT_OK: "ok", EXIT_SOLVER: "failed"}.get(code, "warning")
+            write_status(status_path, status, code, extra=extra)
         return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

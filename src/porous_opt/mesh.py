@@ -4,12 +4,12 @@ Three meshes drive the discretization:
 
 * the primal triangulation, carrying the Raviart-Thomas / P0 / P1DG
   degrees of freedom;
-* the diamond dual grid with one cell per primal edge (a quadrilateral
-  joining the edge endpoints to the barycentres of the adjacent triangles,
-  degenerating to a sub-triangle on the boundary), used to test the Darcy
-  equations;
 * the barycentric dual grid with three sub-triangles per primal element
-  (barycentre joined to the vertices), used to test the saturation equation.
+  (barycentre joined to the vertices), used to test the saturation equation;
+* the diamond dual grid with one cell per primal edge, the union of the
+  one or two barycentric sub-triangles that contain the edge (a
+  quadrilateral inside, a sub-triangle on the boundary), used to test the
+  Darcy equations.
 
 Degree-of-freedom ordering is the mesh construction order: triangles in
 input order, edges in order of first appearance while scanning triangles
@@ -244,11 +244,12 @@ def square_mesh(n, diagonal="right") -> PrimalMesh:
 class DiamondDualMesh:
     """Diamond dual grid: one cell per primal edge.
 
-    Interior cells are quadrilaterals joining the edge endpoints with the
-    barycentres of the two adjacent triangles; boundary cells are the
-    sub-triangle joining the edge endpoints to the single adjacent
-    barycentre.  Cell boundary segments are stored flat (CSR layout by
-    cell) with their owning primal triangle and outward unit normal.
+    Cell e is the union of the barycentric sub-cells (K, j) with
+    ``tri_edges[K, j] == e``: two on an interior edge, one on the boundary.
+    Its boundary segments are stored flat (CSR layout by cell) with their
+    owning primal triangle and outward unit normal.  A cell's run holds each
+    sub-cell's two fan segments in the sub-cell's counterclockwise order,
+    lower triangle first, and on the boundary then the edge itself.
     """
 
     mesh: PrimalMesh
@@ -267,72 +268,43 @@ class DiamondDualMesh:
 def build_diamond_dual(mesh: PrimalMesh) -> DiamondDualMesh:
     """Construct the diamond dual tessellation of ``mesh``.
 
-    Edge e with endpoints (a, b) and adjacent triangles k0, k1 gives the
+    Edge e with endpoints (a, b) and adjacent triangles k0 < k1 gives the
     cell (a, b_k0, b, b_k1), or (a, b, b_k0) on the boundary, where b_k is
-    the barycentre of triangle k.  An interior cell is a simple polygon,
-    since b_k0 and b_k1 lie strictly on opposite sides of the edge, but it
-    need not be convex: on a distorted mesh it can be a dart.  Each cell is
-    reversed where needed to be counterclockwise, so the unit normal
-    ``_perp(end - start) / length`` of every segment points out of its cell.
-    A segment is owned by the triangle whose barycentre is one of its
-    endpoints: every segment of an interior cell has exactly one, and every
-    segment of a boundary cell belongs to k0.  All cells are built at once
-    as a padded (n_e, 4, 2) array.
+    the barycentre of triangle k.  The fan segments v_{j+1} -> b_k -> v_j of
+    the sub-cells of e (:func:`build_barycentric_dual`), k0's then k1's,
+    walk the cell counterclockwise, convex or not (on a distorted mesh it
+    can be a dart), and a boundary cell closes with the edge v_j -> v_{j+1}.
+    So ``_perp(end - start) / length`` points out of the cell on every
+    segment.  Each segment is owned by its sub-cell's triangle, and a
+    cell's area is the sum of its sub-cells' areas.
     """
-    n_e = mesh.num_edges
-    k0, k1 = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
-    interior = k1 >= 0
-    a = mesh.vertices[mesh.edges[:, 0]]
-    b = mesh.vertices[mesh.edges[:, 1]]
-    g0 = mesh.barycentre[k0]
-    g1 = mesh.barycentre[k1]
-    n_vert = np.where(interior, 4, 3)
+    bary = build_barycentric_dual(mesh)
+    edge = mesh.tri_edges.ravel()            # the edge of sub-cell 3K + j
+    tri = np.arange(edge.size) // 3
+    bnd = mesh.boundary_edge[edge]
+    # fan segment i of the sub-cell in the lower (r = 0) or upper (r = 1)
+    # triangle of edge e goes to slot 2r + i of cell e; slot 2 of a boundary
+    # cell is the edge
+    r = mesh.tri_edge_sign.ravel() < 0
+    order = np.argsort(np.append((4 * edge + 2 * r)[:, None] + [0, 1], 4 * edge[bnd] + 2))
+    v = mesh.tri_vertices().reshape(-1, 2)[bnd]
+    t = bary.seg_start[:, :, 0].reshape(-1, 2)[bnd] - v   # v_{j+1} - v_j
+    length = np.linalg.norm(t, axis=1)
+    normal = np.concatenate([bary.seg_normal.reshape(-1, 2), _perp(t) / length[:, None]])
+    length = np.concatenate([bary.seg_length.ravel(), length])
+    start = np.concatenate([bary.seg_start.reshape(-1, 2), v])
+    owner = np.concatenate([np.repeat(tri, 2), tri[bnd]])
 
-    # vertex slots and, per slot, the triangle whose barycentre sits there
-    # (-1 at an edge endpoint); slot 3 of a boundary cell is padding
-    i4 = interior[:, None]
-    poly = np.where(
-        i4[:, :, None],
-        np.stack([a, g0, b, g1], axis=1),
-        np.stack([a, b, g0, np.zeros_like(a)], axis=1),
-    )
-    none = -np.ones_like(k0)
-    tag = np.where(
-        i4,
-        np.stack([none, k0, none, k1], axis=1),
-        np.stack([none, none, k0, none], axis=1),
-    )
-    slot = np.arange(4)
-    nxt = np.where(slot + 1 < n_vert[:, None], slot + 1, 0)
-    valid = slot < n_vert[:, None]
-
-    # shoelace about the first vertex, which keeps the products small; a
-    # clockwise cell has its vertex slots reversed
-    rows = np.arange(n_e)[:, None]
-    x = np.where(valid, poly[..., 0] - poly[:, :1, 0], 0.0)
-    y = np.where(valid, poly[..., 1] - poly[:, :1, 1], 0.0)
-    twice_area = (x * y[rows, nxt]).sum(axis=1) - (y * x[rows, nxt]).sum(axis=1)
-    rev = np.where(i4, [3, 2, 1, 0], [2, 1, 0, 3])
-    perm = np.where((twice_area < 0.0)[:, None], rev, slot)
-    poly, tag = poly[rows, perm], tag[rows, perm]
-    cell_area = 0.5 * np.abs(twice_area)
-
-    t = poly[rows, nxt] - poly
-    length = np.linalg.norm(t, axis=-1)
-    normal = _perp(t) / np.where(valid, length, 1.0)[..., None]
-    owner = np.maximum(tag, tag[rows, nxt])
-    owner = np.where(owner < 0, k0[:, None], owner)
-
-    seg_ptr = np.zeros(n_e + 1, dtype=np.int64)
-    np.cumsum(n_vert, out=seg_ptr[1:])
+    seg_ptr = np.zeros(mesh.num_edges + 1, dtype=np.int64)
+    np.cumsum(np.where(mesh.boundary_edge, 3, 4), out=seg_ptr[1:])
     return DiamondDualMesh(
         mesh=mesh,
-        cell_area=cell_area,
+        cell_area=np.bincount(edge, weights=bary.cell_area.ravel()),
         seg_ptr=seg_ptr,
-        seg_start=poly[valid],
-        seg_owner=owner[valid],
-        seg_normal=normal[valid],
-        seg_length=length[valid],
+        seg_start=start[order],
+        seg_owner=owner[order],
+        seg_normal=normal[order],
+        seg_length=length[order],
     )
 
 

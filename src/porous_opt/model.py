@@ -212,9 +212,12 @@ class WellModel:
     def w(self, t):
         """Terminal objective weight at time t.
 
-        Nonzero (= wtilde/epsilon) on the window (T - epsilon, T]; the open
-        left end makes the right-endpoint time quadrature of the window
-        integrate to exactly wtilde.
+        Nonzero (= wtilde/epsilon) on the window (T - epsilon, T].  When
+        epsilon is a whole number of fine steps, as the config's ``auto``
+        (2 dt) is, the open left end makes the right-endpoint time
+        quadrature of the window integrate to exactly wtilde; otherwise it
+        does not (the T / 10 default of :func:`build_wells` sums to 2.5
+        wtilde at T = 1 with 4 fine steps).
         """
         if t > self.T - self.epsilon + 1e-12 * max(self.T, 1.0) and t <= self.T + 1e-12:
             return self.wtilde / self.epsilon

@@ -308,7 +308,10 @@ def test_verify_operators_cli(tmp_path):
     code = main(["verify", "--suite", "operators", "--config", str(cfg),
                  "--out", str(out)])
     assert code == 0
-    assert (out / "verify_operators.csv").exists()
+    lines = [line for line in (out / "verify_operators.csv").read_text().splitlines()
+             if not line.startswith("#")]
+    assert lines[0] == ("brel_max_rel,eta_norm_max_rel,contraction_max_ratio,"
+                        "costate_div_max,penalty_asymmetry,penalty_min_eig,passed")
 
 
 def test_verify_gradient_cli(tmp_path):
@@ -318,6 +321,7 @@ def test_verify_gradient_cli(tmp_path):
     code = main(["verify", "--suite", "gradient", "--config", str(cfg), "--out", str(out)])
     status = json.loads((out / "status.json").read_text())
     assert code == (0 if status["passed"] else 1)
+    assert status["status"] == ("ok" if status["passed"] else "failed")
     lines = [line for line in (out / "verify_gradient.csv").read_text().splitlines()
              if not line.startswith("#")]
     assert lines[0] == "step,max_rel_mismatch"

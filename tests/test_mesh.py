@@ -12,6 +12,7 @@ from porous_opt.mesh import (
     square_mesh,
     write_mesh,
 )
+from test_verify import jittered_square
 
 SQUARE_VERTS = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 SQUARE_TRIS = [[0, 1, 2], [0, 2, 3]]
@@ -213,6 +214,36 @@ def test_diamond_cells_against_geometry(mesh):
             v = mesh.tri_vertices(k) - mid[s]
             cross = v[:, 0] * np.roll(v[:, 1], -1) - v[:, 1] * np.roll(v[:, 0], -1)
             assert (cross >= -1e-12 * cross.sum()).all()
+
+
+@pytest.mark.parametrize("mesh", _oracle_meshes() + [jittered_square()],
+                         ids=_ORACLE_IDS + ["jittered"])
+def test_diamond_cells_are_sub_cells_grouped_by_edge(mesh):
+    # cell e is the union of the barycentric sub-cells (K, j) with
+    # tri_edges[K, j] == e, closed on the boundary by the edge v_j -> v_{j+1}
+    dd, bd = build_diamond_dual(mesh), build_barycentric_dual(mesh)
+
+    def rows(start, normal, length, owner):
+        return sorted(r.tobytes() for r in np.column_stack([start, normal, length, owner]))
+
+    for e in range(mesh.num_edges):
+        K, j = np.nonzero(mesh.tri_edges == e)
+        start = bd.seg_start[K, j].reshape(-1, 2)
+        normal = bd.seg_normal[K, j].reshape(-1, 2)
+        length = bd.seg_length[K, j].ravel()
+        owner = np.repeat(K, 2)
+        assert mesh.boundary_edge[e] == (K.size == 1)
+        if mesh.boundary_edge[e]:
+            a, b = mesh.tri_vertices(K[0])[[j[0], (j[0] + 1) % 3]]
+            t = b - a
+            start = np.vstack([start, a])
+            normal = np.vstack([normal, np.array([t[1], -t[0]]) / mesh.edge_length[e]])
+            length = np.append(length, mesh.edge_length[e])
+            owner = np.append(owner, K)
+        lo, hi = dd.seg_ptr[e], dd.seg_ptr[e + 1]
+        assert rows(dd.seg_start[lo:hi], dd.seg_normal[lo:hi], dd.seg_length[lo:hi],
+                    dd.seg_owner[lo:hi]) == rows(start, normal, length, owner)
+        assert abs(dd.cell_area[e] - bd.cell_area[K, j].sum()) <= 1e-15 * dd.cell_area[e]
 
 
 def test_partition_of_unity_all_grids():
