@@ -7,8 +7,10 @@
 #   OUT_DIR/operators/  `verify --suite operators` (CSV, status.json, stdout)
 #   OUT_DIR/state/      `verify --suite state`, the manufactured state sources
 #   OUT_DIR/costate/    `verify --suite costate`, the manufactured costate sources
-#   OUT_DIR/unstructured/{optimize,adjoint,matrices,operators}/
-#                       the first four again on the file mesh of
+#   OUT_DIR/config/     `config --resolve` (every `auto` made explicit, after the
+#                       well checks a run makes)
+#   OUT_DIR/unstructured/{optimize,adjoint,matrices,operators,config}/
+#                       the first four and the last again on the file mesh of
 #                       data/unstructured_square.cfg
 #
 # Run it in two checkouts and compare them with `diff -r OUT_A OUT_B`.  It
@@ -44,9 +46,11 @@ run adjoint "$square" adjoint --save-every 8 --dump-matrices "$out/matrices"
 run operators "$square" verify --suite operators
 run state "$square" verify --suite state
 run costate "$square" verify --suite costate
+run config "$square" config --resolve
 
 files=data/unstructured_square.cfg
 run unstructured/optimize "$files" optimize
 run unstructured/adjoint "$files" adjoint --save-every 8 \
     --dump-matrices "$out/unstructured/matrices"
 run unstructured/operators "$files" verify --suite operators
+run unstructured/config "$files" config --resolve

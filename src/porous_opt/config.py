@@ -34,6 +34,10 @@ Key reference (defaults in parentheses; last column: who checks the key):
     epsilon       terminal window, auto = 2 dt  (auto)  model.check_well_data
     alpha0        water price               (1.0)       model.check_well_data
     qhat          control bound             (1.0)       model.check_well_data
+
+``epsilon = auto`` (2 dt, :attr:`RunSpec.well_epsilon`) is the only rule that
+picks a terminal window: the well constructors of :mod:`model` take epsilon
+as a required keyword.
 """
 
 from dataclasses import dataclass, field, fields as dc_fields, replace

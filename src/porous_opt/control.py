@@ -102,10 +102,9 @@ def gradient_without_penalty(traj: Trajectory, wells, model,
     return out
 
 
-def reduced_gradient_density(traj: Trajectory, wells, model,
-                             ws: AssemblyWorkspace) -> np.ndarray:
+def reduced_gradient_density(traj: Trajectory, wells, ws: AssemblyWorkspace) -> np.ndarray:
     """Nodewise reduced gradient g^n = g_wo^n + alpha0 q^n."""
-    return gradient_without_penalty(traj, wells, model, ws) + wells.alpha0 * traj.q
+    return gradient_without_penalty(traj, wells, ws.model, ws) + wells.alpha0 * traj.q
 
 
 def project_control(g_without_penalty, alpha0, qhat) -> np.ndarray:
@@ -234,7 +233,7 @@ def optimize(problem: Problem, q0=None) -> OptimizeResult:
 
     final = run_forward(problem, q)
     run_adjoint(problem, final)
-    g = reduced_gradient_density(final, wells, problem.model, problem.ws)
+    g = reduced_gradient_density(final, wells, problem.ws)
     residual = float(
         np.max(np.abs(q - np.clip(q - g, 0.0, wells.qhat)))
     )

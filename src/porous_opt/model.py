@@ -20,7 +20,8 @@ Wells are regularized Dirac sources: disjoint patches of triangles around
 the injection/production points, with densities 1/|patch| so each patch
 integrates to one.  The terminal objective weight is a box window in time,
 w(t) = wtilde/epsilon for t in the final window of width epsilon, whose
-time integral is exactly wtilde.
+time integral is exactly wtilde.  The well constructors take epsilon as a
+required keyword; the only ``auto`` window is the config's 2 dt.
 """
 
 from dataclasses import dataclass, field
@@ -216,8 +217,7 @@ class WellModel:
         epsilon is a whole number of fine steps, as the config's ``auto``
         (2 dt) is, the open left end makes the right-endpoint time
         quadrature of the window integrate to exactly wtilde; otherwise it
-        does not (the T / 10 default of :func:`build_wells` sums to 2.5
-        wtilde at T = 1 with 4 fine steps).
+        does not.
         """
         if t > self.T - self.epsilon + 1e-12 * max(self.T, 1.0) and t <= self.T + 1e-12:
             return self.wtilde / self.epsilon
@@ -239,33 +239,21 @@ def check_well_data(T, epsilon, alpha0, qhat, wtilde):
         raise ConfigError("epsilon must lie in (0, T]")
 
 
-def build_wells(
-    mesh: PrimalMesh,
-    x0,
-    x1,
-    target_sigma,
-    *,
-    T,
-    wtilde=1.0,
-    epsilon=None,
-    alpha0=1.0,
-    qhat=1.0,
-) -> WellModel:
+def build_wells(mesh: PrimalMesh, x0, x1, target_sigma, *, T, epsilon, wtilde=1.0,
+                alpha0=1.0, qhat=1.0) -> WellModel:
     """Construct well patches as the smallest barycentre-balls of triangles
     reaching ``target_sigma`` in area around each well point.
 
-    Raises :class:`DomainError` when a well point lies outside the mesh or
-    the two patches overlap.
+    Each patch goes to :func:`wells_from_tris` nearest triangle first.
+    Raises :class:`DomainError` when the well points coincide, one lies
+    outside the mesh, or the two patches overlap.
     """
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     if np.allclose(x0, x1):
         raise DomainError("injection and production wells coincide")
-    if epsilon is None:
-        epsilon = T / 10.0
 
     patches = []
-    sigmas = []
     for x in (x0, x1):
         if not _point_in_mesh(mesh, x):
             raise DomainError(f"well at {x.tolist()} lies outside the domain")
@@ -273,48 +261,35 @@ def build_wells(
         order = np.argsort(dist, kind="stable")
         acc = np.cumsum(mesh.tri_area[order])
         count = int(np.searchsorted(acc, target_sigma - 1e-14) + 1)
-        count = min(count, mesh.num_triangles)
-        patches.append(np.sort(order[:count]))
-        sigmas.append(float(acc[count - 1]))
+        patches.append(order[: min(count, mesh.num_triangles)])
 
-    return WellModel(
-        mesh=mesh,
-        injection_tris=patches[0],
-        production_tris=patches[1],
-        sigma0=sigmas[0],
-        sigma1=sigmas[1],
-        wtilde=wtilde,
-        epsilon=float(epsilon),
-        alpha0=alpha0,
-        qhat=qhat,
-        T=float(T),
-    )
+    return wells_from_tris(mesh, *patches, T=T, epsilon=epsilon, wtilde=wtilde,
+                           alpha0=alpha0, qhat=qhat)
 
 
-def wells_from_tris(mesh, injection_tris, production_tris, *, T, wtilde=1.0,
-                    epsilon=None, alpha0=1.0, qhat=1.0) -> WellModel:
+def wells_from_tris(mesh, injection_tris, production_tris, *, T, epsilon,
+                    wtilde=1.0, alpha0=1.0, qhat=1.0) -> WellModel:
     """Well patches from explicit triangle index sets.
 
-    Used by convergence studies that need the same geometric patch on every
-    refinement level.
+    Each patch area sigma is the sum of its triangles' areas in the order
+    given.  Raises :class:`DomainError` for an empty patch or an index that
+    repeats or lies outside [0, n_t).
     """
-    injection_tris = np.asarray(injection_tris, dtype=np.int64)
-    production_tris = np.asarray(production_tris, dtype=np.int64)
-    if injection_tris.size == 0 or production_tris.size == 0:
-        raise DomainError("well patches must be non-empty")
-    if epsilon is None:
-        epsilon = T / 10.0
+    n_t = mesh.num_triangles
+    inj, prod = (np.asarray(t, dtype=np.int64) for t in (injection_tris, production_tris))
+    for name, tris in (("injection", inj), ("production", prod)):
+        if tris.size == 0:
+            raise DomainError("well patches must be non-empty")
+        seen = set()
+        for i in tris.tolist():
+            if i in seen or not 0 <= i < n_t:
+                why = "repeats" if i in seen else f"lies outside [0, {n_t})"
+                raise DomainError(f"{name} patch: triangle index {i} {why}")
+            seen.add(i)
     return WellModel(
-        mesh=mesh,
-        injection_tris=np.sort(injection_tris),
-        production_tris=np.sort(production_tris),
-        sigma0=float(mesh.tri_area[injection_tris].sum()),
-        sigma1=float(mesh.tri_area[production_tris].sum()),
-        wtilde=wtilde,
-        epsilon=float(epsilon),
-        alpha0=alpha0,
-        qhat=qhat,
-        T=float(T),
+        mesh=mesh, injection_tris=np.sort(inj), production_tris=np.sort(prod),
+        sigma0=float(mesh.tri_area[inj].sum()), sigma1=float(mesh.tri_area[prod].sum()),
+        wtilde=wtilde, epsilon=float(epsilon), alpha0=alpha0, qhat=qhat, T=float(T),
     )
 
 

@@ -97,7 +97,6 @@ class SaddleSolveReport:
     """Diagnostics of one Darcy saddle solve."""
 
     residual: float
-    mass_residual: float
 
 
 class DarcySaddle:
@@ -151,15 +150,12 @@ class DarcySaddle:
         boundary edges; ``p`` has zero area-weighted mean.
         """
         rhs = np.concatenate([rhs_u, rhs_p])
-        x, res, r = _refined_solve(self._correction, self._product, rhs, self.tol,
-                                   "Darcy solve")
-        mass_res = np.linalg.norm(r[self.n_int :]) / max(np.linalg.norm(rhs_p), 1.0)
+        x, res = _refined_solve(self._correction, self._product, rhs, self.tol,
+                                "Darcy solve")
         mesh = self.null_space.mesh
         u = np.zeros(mesh.num_edges)
         u[~mesh.boundary_edge] = x[: self.n_int]
-        return u, x[self.n_int :], SaddleSolveReport(
-            residual=float(res), mass_residual=float(mass_res)
-        )
+        return u, x[self.n_int :], SaddleSolveReport(residual=float(res))
 
 
 def state_velocity(U, n, K):
@@ -193,8 +189,7 @@ def _refined_solve(solve, product, rhs, tol, what, detail=None):
     """``solve(rhs)`` followed by up to two passes of iterative refinement.
 
     ``solve`` applies a factorization of the matrix whose action is
-    ``product``.  Returns ``(x, relative residual, residual vector
-    rhs - product(x))``; raises
+    ``product``.  Returns ``(x, relative residual)``; raises
     :class:`SolverError` naming ``what``, the residual and ``tol`` (plus
     ``detail()``, when given) if the residual still exceeds ``tol``.
     """
@@ -214,7 +209,7 @@ def _refined_solve(solve, product, rhs, tol, what, detail=None):
     if not np.isfinite(res) or res > tol:
         note = detail() if detail is not None else ""
         raise SolverError(f"{what}: residual {res:.3e} exceeds {tol:.1e}{note}")
-    return x, res, r
+    return x, res
 
 
 def _diagonal_dominates_columns(csc, diag_slot):
@@ -442,7 +437,6 @@ class Trajectory:
     Cstar: Optional[np.ndarray] = None
     Ustar: Optional[np.ndarray] = None
     Pstar: Optional[np.ndarray] = None
-    darcy_reports: list = field(default_factory=list)
     costate_div_max: float = np.nan
     saddles: dict = field(default_factory=dict, repr=False)
 
@@ -491,7 +485,7 @@ class Problem:
 def _darcy_at(problem, c_values, q_node, t):
     """Assemble, factor and solve the state Darcy system at one coarse time.
 
-    Returns ``(u, p, report, saddle)``.  The pressure load (wells plus any
+    Returns ``(u, p, saddle)``.  The pressure load (wells plus any
     manufactured mass source) must satisfy the zero-sum compatibility of
     the pure-Neumann problem.
     """
@@ -511,8 +505,8 @@ def _darcy_at(problem, c_values, q_node, t):
             f"incompatible Darcy source: sum(F) = {F.sum():.3e}"
         )
     saddle = DarcySaddle(A, ws.null_space, problem.rc.solver_tol)
-    u, p, report = saddle.solve(rhs_u, F)
-    return u, p, report, saddle
+    u, p, _ = saddle.solve(rhs_u, F)
+    return u, p, saddle
 
 
 def run_forward(problem: Problem, q) -> Trajectory:
@@ -548,12 +542,11 @@ def run_forward(problem: Problem, q) -> Trajectory:
 
     for m in range(M + 1):
         try:
-            traj.U[m], traj.P[m], rep, saddle = _darcy_at(
+            traj.U[m], traj.P[m], saddle = _darcy_at(
                 problem, traj.C[m * K], q[m * K], coarse[m]
             )
         except SolverError as exc:
             raise SolverError(f"Darcy solve at coarse step {m}: {exc}") from exc
-        traj.darcy_reports.append(rep)
         traj.saddles[m] = saddle
 
         for n in range(m * K, min(m + 1, M) * K):

@@ -139,7 +139,7 @@ def operator_identity_suite(mesh: PrimalMesh, n_samples=100, seed=0,
     # divergence-free costate velocity for a random costate load
     cf = P1DGField(mesh, rng.uniform(0.2, 0.8, (mesh.num_triangles, 3)))
     csf = P1DGField(mesh, rng.normal(size=(mesh.num_triangles, 3)))
-    wells = wells_from_tris(mesh, [0], [mesh.num_triangles - 1], T=1.0)
+    wells = wells_from_tris(mesh, [0], [mesh.num_triangles - 1], T=1.0, epsilon=0.1)
     A, _ = assemble_darcy(cf, wells, 0.0, ws)
     Fstar = assemble_darcy_costate_rhs(cf, csf, ws)
     saddle = DarcySaddle(A, ws.null_space)
@@ -203,9 +203,10 @@ class ConvergenceReport:
         return "\n".join(lines)
 
 
-def _level_problem(n, T, model, sources, c0_fun, wtilde=0.0):
+def _level_problem(n, T, model, sources, c0_fun):
     mesh = square_mesh(n)
-    wells = wells_from_tris(mesh, [0], [mesh.num_triangles - 1], T=T, wtilde=wtilde)
+    wells = wells_from_tris(mesh, [0], [mesh.num_triangles - 1], T=T, epsilon=T / 10.0,
+                            wtilde=0.0)
     rc = RunConfig(T=T, m_steps=n, n_steps=n, c0=0.0)
     return Problem.build(mesh, model, wells, rc, sources=sources, c0=c0_fun)
 

@@ -24,7 +24,7 @@ def setup():
     bd = build_barycentric_dual(mesh)
     model = default_model()
     ws = asm.AssemblyWorkspace(mesh, bd, model, QuadratureRule())
-    wells = wells_from_tris(mesh, [0, 1], [30, 31], T=1.0)
+    wells = wells_from_tris(mesh, [0, 1], [30, 31], T=1.0, epsilon=0.1)
     return mesh, dd, bd, model, ws, wells
 
 
@@ -200,7 +200,7 @@ def test_mass_matrix_scales_with_porosity():
 
 def test_velocity_matrix_scales_with_inverse_permeability():
     mesh = square_mesh(4)
-    wells = wells_from_tris(mesh, [0, 1], [30, 31], T=1.0)
+    wells = wells_from_tris(mesh, [0, 1], [30, 31], T=1.0, epsilon=0.1)
     c = random_saturation(mesh)
     A1, _ = asm.assemble_darcy(c, wells, 0.5, _workspace(mesh))
     ws2 = _workspace(mesh, default_model(kappa=lambda p: np.full(p.shape[0], 2.0)))
@@ -456,7 +456,7 @@ def test_saturation_operators_match_coo_assembly(mesh, monkeypatch):
     monkeypatch.setattr(asm.AssemblyWorkspace, "sat_matrix", record)
     ws = _workspace(mesh)
     n_t = mesh.num_triangles
-    wells = wells_from_tris(mesh, [0, 1], [n_t - 2, n_t - 1], T=1.0)
+    wells = wells_from_tris(mesh, [0, 1], [n_t - 2, n_t - 1], T=1.0, epsilon=0.1)
     c, u, us = random_saturation(mesh), random_velocity(mesh), random_velocity(mesh)
     E, H, _ = asm.assemble_saturation_state(c, u, wells, 0.4, ws, 1.0)
     R, S = asm.assemble_saturation_costate(c, wells, 0.4, ws)
@@ -538,7 +538,7 @@ def test_precontracted_kernels_match_einsum_oracle(table_ws, monkeypatch):
     ws = table_ws
     mesh = ws.mesh
     n_t = mesh.num_triangles
-    wells = wells_from_tris(mesh, [0, 1], [n_t - 2, n_t - 1], T=1.0, wtilde=2.0)
+    wells = wells_from_tris(mesh, [0, 1], [n_t - 2, n_t - 1], T=1.0, epsilon=0.1, wtilde=2.0)
     c, u, us = random_saturation(mesh), random_velocity(mesh), random_velocity(mesh)
     q, t, xi = 0.4, 1.0, 1.7
     ref = _einsum_kernels(ws, c, u, us, wells, q, t, xi)
@@ -645,7 +645,8 @@ def test_blocked_kernels_match_whole_mesh_oracle(table_ws, monkeypatch):
     ws = table_ws
     mesh = ws.mesh
     n_t, _, nq = ws.sub_w.shape
-    wells = wells_from_tris(mesh, [0, 1, 9, 16], [12, n_t - 8, n_t - 1], T=1.0, wtilde=2.0)
+    wells = wells_from_tris(mesh, [0, 1, 9, 16], [12, n_t - 8, n_t - 1], T=1.0, epsilon=0.1,
+                            wtilde=2.0)
     c = random_saturation(mesh, -0.1, 1.1)
     u, us = random_velocity(mesh), random_velocity(mesh)
     q, t, xi = 0.4, 0.95, 1.7

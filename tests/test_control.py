@@ -155,7 +155,7 @@ def test_gradient_reduces_to_penalty_when_costates_vanish():
     q = RNG.uniform(0.1, 0.9, prob.rc.n_steps + 1)
     traj = sol.run_forward(prob, q)
     sol.run_adjoint(prob, traj)
-    g = ctl.reduced_gradient_density(traj, prob.wells, prob.model, prob.ws)
+    g = ctl.reduced_gradient_density(traj, prob.wells, prob.ws)
     assert np.allclose(g, 1.7 * q, atol=1e-12)
 
 
@@ -175,8 +175,6 @@ def test_gradient_refuses_a_second_model():
     other = default_model()
     with pytest.raises(ConfigError, match="workspace's model"):
         ctl.gradient_without_penalty(traj, prob.wells, other, prob.ws)
-    with pytest.raises(ConfigError, match="workspace's model"):
-        ctl.reduced_gradient_density(traj, prob.wells, other, prob.ws)
     g = ctl.gradient_without_penalty(traj, prob.wells, prob.ws.model, prob.ws)
     assert np.isfinite(g).all()
 
@@ -214,7 +212,7 @@ def test_variational_inequality_at_converged_control():
     result = ctl.optimize(prob)
     assert result.converged
     traj = result.trajectory
-    g = ctl.reduced_gradient_density(traj, prob.wells, prob.model, prob.ws)
+    g = ctl.reduced_gradient_density(traj, prob.wells, prob.ws)
     wts = ctl.time_weights(prob.rc.n_steps, prob.rc.dt)
     qhat = prob.wells.qhat
     for _ in range(100):

@@ -1,8 +1,12 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from porous_opt.config import parse_config
 from porous_opt.errors import ConfigError, DomainError
 from porous_opt.mesh import square_mesh
 from porous_opt.model import (
@@ -63,7 +67,7 @@ def test_bad_model_parameters():
 
 def test_single_element_patches():
     mesh = square_mesh(8)
-    w = wells_from_tris(mesh, [0], [mesh.num_triangles - 1], T=1.0)
+    w = wells_from_tris(mesh, [0], [mesh.num_triangles - 1], T=1.0, epsilon=0.1)
     assert w.sigma0 == pytest.approx(mesh.tri_area[0])
     r0 = w.r0_values()
     assert r0[0] == pytest.approx(1.0 / mesh.tri_area[0])
@@ -72,7 +76,7 @@ def test_single_element_patches():
 
 def test_sources_normalized_and_balanced():
     mesh = square_mesh(8)
-    w = build_wells(mesh, (0.1, 0.1), (0.9, 0.9), 0.02, T=1.0)
+    w = build_wells(mesh, (0.1, 0.1), (0.9, 0.9), 0.02, T=1.0, epsilon=0.1)
     area = mesh.tri_area
     assert w.r0_values() @ area == pytest.approx(1.0, abs=1e-12)
     assert w.r1_values() @ area == pytest.approx(1.0, abs=1e-12)
@@ -82,26 +86,26 @@ def test_sources_normalized_and_balanced():
 
 def test_quarter_five_spot_patches_disjoint():
     mesh = square_mesh(16)
-    w = build_wells(mesh, (0.1, 0.1), (0.9, 0.9), 0.02, T=1.0)
+    w = build_wells(mesh, (0.1, 0.1), (0.9, 0.9), 0.02, T=1.0, epsilon=0.1)
     assert np.intersect1d(w.injection_tris, w.production_tris).size == 0
 
 
 def test_overlapping_patches_rejected():
     mesh = square_mesh(4)
     with pytest.raises(DomainError):
-        build_wells(mesh, (0.45, 0.5), (0.55, 0.5), 0.3, T=1.0)
+        build_wells(mesh, (0.45, 0.5), (0.55, 0.5), 0.3, T=1.0, epsilon=0.1)
 
 
 def test_well_outside_domain_rejected():
     mesh = square_mesh(4)
     with pytest.raises(DomainError):
-        build_wells(mesh, (1.5, 0.5), (0.2, 0.2), 0.02, T=1.0)
+        build_wells(mesh, (1.5, 0.5), (0.2, 0.2), 0.02, T=1.0, epsilon=0.1)
 
 
 def test_coincident_wells_rejected():
     mesh = square_mesh(4)
     with pytest.raises(DomainError):
-        build_wells(mesh, (0.5, 0.5), (0.5, 0.5), 0.02, T=1.0)
+        build_wells(mesh, (0.5, 0.5), (0.5, 0.5), 0.02, T=1.0, epsilon=0.1)
 
 
 def test_terminal_weight_window():
@@ -120,11 +124,59 @@ def test_terminal_weight_window():
 def test_well_model_validation():
     mesh = square_mesh(2)
     with pytest.raises(ConfigError):
-        wells_from_tris(mesh, [0], [7], T=1.0, alpha0=0.0)
+        wells_from_tris(mesh, [0], [7], T=1.0, epsilon=0.1, alpha0=0.0)
     with pytest.raises(ConfigError):
         wells_from_tris(mesh, [0], [7], T=1.0, epsilon=2.0)
     with pytest.raises(DomainError):
-        wells_from_tris(mesh, [0, 1], [1, 2], T=1.0)
+        wells_from_tris(mesh, [0, 1], [1, 2], T=1.0, epsilon=0.1)
+
+
+@pytest.mark.parametrize("inj, prod, patch, index", [
+    ([0, 0], [31], "injection", 0),
+    ([-1], [31], "injection", -1),
+    ([0], [32], "production", 32),
+    ([0], [5, 31, 5], "production", 5),
+])
+def test_bad_patch_index_rejected(inj, prod, patch, index):
+    # square_mesh(4) has 32 triangles: a repeated index would count its area
+    # twice in sigma, a negative one would wrap round to the last triangle
+    mesh = square_mesh(4)
+    with pytest.raises(DomainError, match=rf"{patch} patch: triangle index {index} "):
+        wells_from_tris(mesh, inj, prod, T=1.0, epsilon=0.1)
+
+
+def _config_specs():
+    data = Path(__file__).resolve().parents[1] / "data"
+    square = parse_config(data / "quarter_five_spot.cfg")
+    files = replace(parse_config(data / "unstructured_square.cfg"),
+                    nodes_file=str(data / "unstructured_square.node"),
+                    elems_file=str(data / "unstructured_square.ele"))
+    return [square, replace(square, n=64), files]
+
+
+@pytest.mark.parametrize("spec", _config_specs(), ids=["n16", "n64", "unstructured"])
+def test_build_wells_is_wells_from_tris_on_its_patches(spec):
+    # each patch is the nearest-first prefix reaching sigma, and its area is
+    # the prefix sum at the last triangle taken, bit for bit
+    mesh = spec.build_mesh()
+    wells = spec.build_wells(mesh)
+    got = [(wells.injection_tris, wells.sigma0), (wells.production_tris, wells.sigma1)]
+    for x, (tris, sigma) in zip((spec.x0, spec.x1), got):
+        order = np.argsort(np.linalg.norm(mesh.barycentre - np.asarray(x), axis=1),
+                           kind="stable")
+        acc = np.cumsum(mesh.tri_area[order])
+        count = min(int(np.searchsorted(acc, spec.sigma - 1e-14) + 1), mesh.num_triangles)
+        assert np.array_equal(tris, np.sort(order[:count]))
+        assert sigma == acc[count - 1]
+    assert wells.epsilon == spec.well_epsilon == 2.0 * spec.rc.dt
+
+
+def test_well_constructors_require_epsilon():
+    mesh = square_mesh(4)
+    with pytest.raises(TypeError, match="epsilon"):
+        build_wells(mesh, (0.1, 0.1), (0.9, 0.9), 0.02, T=1.0)
+    with pytest.raises(TypeError, match="epsilon"):
+        wells_from_tris(mesh, [0], [31], T=1.0)
 
 
 # ---------------------------------------------------------------------------

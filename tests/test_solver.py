@@ -30,7 +30,7 @@ def setup():
     mesh = square_mesh(8)
     model = default_model()
     ws = asm.AssemblyWorkspace(mesh, build_barycentric_dual(mesh), model, QuadratureRule())
-    wells = wells_from_tris(mesh, [0, 1], [126, 127], T=1.0)
+    wells = wells_from_tris(mesh, [0, 1], [126, 127], T=1.0, epsilon=0.1)
     return mesh, model, ws, wells
 
 
@@ -60,7 +60,8 @@ def test_mass_equation_projection(setup):
     div = fes.RT0Field(mesh, u).divergence().values
     target = F / mesh.tri_area
     assert np.abs(div - target).max() < 1e-10
-    assert rep.mass_residual <= 1e-10
+    r = F - ws.B @ u[~mesh.boundary_edge]
+    assert np.linalg.norm(r) / max(np.linalg.norm(F), 1.0) <= 1e-10
     assert rep.residual <= 1e-10
 
 
@@ -146,7 +147,7 @@ def test_pinned_solve_matches_dense_multiplier_system():
     mesh = square_mesh(4)
     model = default_model()
     ws = asm.AssemblyWorkspace(mesh, build_barycentric_dual(mesh), model, QuadratureRule())
-    wells = wells_from_tris(mesh, [0, 1], [30, 31], T=1.0)
+    wells = wells_from_tris(mesh, [0, 1], [30, 31], T=1.0, epsilon=0.1)
     c = fes.P1DGField.interpolate(mesh, lambda p: 0.2 + 0.6 * p[:, 0] * p[:, 1])
     A, F = asm.assemble_darcy(c, wells, 0.8, ws)
     rhs_u = RNG.normal(size=A.shape[0])
@@ -387,7 +388,7 @@ def test_null_space_solve_matches_the_dense_multiplier_system(name):
     mesh = null_space_mesh(name)
     ws = workspace(mesh)
     assert ws.null_space.curl.shape[1] == ws.n_int - mesh.num_triangles + 1
-    wells = wells_from_tris(mesh, [0], [mesh.num_triangles - 1], T=1.0)
+    wells = wells_from_tris(mesh, [0], [mesh.num_triangles - 1], T=1.0, epsilon=0.1)
     c = fes.P1DGField.interpolate(mesh, lambda p: 0.2 + 0.6 * p[:, 0] * p[:, 1])
     A, F = asm.assemble_darcy(c, wells, 0.8, ws)
     rhs_u = RNG.normal(size=A.shape[0])
@@ -605,7 +606,7 @@ def test_time_self_convergence():
     exact = ExactFields.state()
     sources = state_sources(exact, model)
     mesh = square_mesh(8)
-    wells = wells_from_tris(mesh, [0], [mesh.num_triangles - 1], T=1.0, wtilde=0.0)
+    wells = wells_from_tris(mesh, [0], [mesh.num_triangles - 1], T=1.0, epsilon=0.1, wtilde=0.0)
 
     results = []
     for N in (4, 8, 16):

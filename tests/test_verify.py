@@ -41,7 +41,7 @@ def test_constant_fields_reproduced_exactly():
     model = default_model()
     for n in (4, 8):
         mesh = square_mesh(n)
-        wells = wells_from_tris(mesh, [0], [mesh.num_triangles - 1], T=1.0,
+        wells = wells_from_tris(mesh, [0], [mesh.num_triangles - 1], T=1.0, epsilon=0.1,
                                 wtilde=0.0)
         rc = RunConfig(T=1.0, m_steps=n, n_steps=n, c0=0.42)
         prob = Problem.build(mesh, model, wells, rc)
@@ -55,7 +55,7 @@ def test_zero_costate_study_case():
     # zero terminal data and zero sources give identically zero costates
     model = default_model()
     mesh = square_mesh(4)
-    wells = wells_from_tris(mesh, [0], [mesh.num_triangles - 1], T=1.0, wtilde=0.0)
+    wells = wells_from_tris(mesh, [0], [mesh.num_triangles - 1], T=1.0, epsilon=0.1, wtilde=0.0)
     rc = RunConfig(T=1.0, m_steps=4, n_steps=4, c0=0.3)
     prob = Problem.build(mesh, model, wells, rc)
     traj = run_forward(prob, np.zeros(5))
@@ -92,7 +92,7 @@ def test_convergence_report_formatting():
 def test_gradient_check_decoupled_exact():
     model = default_model()
     mesh = square_mesh(4)
-    wells = wells_from_tris(mesh, [0], [mesh.num_triangles - 1], T=1.0,
+    wells = wells_from_tris(mesh, [0], [mesh.num_triangles - 1], T=1.0, epsilon=0.1,
                             wtilde=0.0, alpha0=1.3)
     rc = RunConfig(T=1.0, m_steps=2, n_steps=4, c0=0.4)
     prob = Problem.build(mesh, model, wells, rc)
@@ -128,7 +128,7 @@ def test_undiluted_column_sees_a_state_gradient_fault(monkeypatch):
 def test_gradient_check_requires_interior_control():
     model = default_model()
     mesh = square_mesh(4)
-    wells = wells_from_tris(mesh, [0], [mesh.num_triangles - 1], T=1.0)
+    wells = wells_from_tris(mesh, [0], [mesh.num_triangles - 1], T=1.0, epsilon=0.1)
     rc = RunConfig(T=1.0, m_steps=2, n_steps=4)
     prob = Problem.build(mesh, model, wells, rc)
     q = np.zeros(5)  # on the boundary of the box
