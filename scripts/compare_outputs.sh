@@ -9,9 +9,10 @@
 #   OUT_DIR/costate/    `verify --suite costate`, the manufactured costate sources
 #   OUT_DIR/config/     `config --resolve` (every `auto` made explicit, after the
 #                       well checks a run makes)
-#   OUT_DIR/unstructured/{optimize,adjoint,matrices,operators,config}/
-#                       the first four and the last again on the file mesh of
-#                       data/unstructured_square.cfg
+#   OUT_DIR/mesh/       `mesh-info` (counts, area, h and quality ratio)
+#   OUT_DIR/unstructured/{optimize,adjoint,matrices,operators,config,mesh}/
+#                       the first four and the last two again on the file mesh
+#                       of data/unstructured_square.cfg
 #
 # Run it in two checkouts and compare them with `diff -r OUT_A OUT_B`.  It
 # runs from the checkout root, which the file-mesh config's paths are
@@ -47,6 +48,7 @@ run operators "$square" verify --suite operators
 run state "$square" verify --suite state
 run costate "$square" verify --suite costate
 run config "$square" config --resolve
+run mesh "$square" mesh-info
 
 files=data/unstructured_square.cfg
 run unstructured/optimize "$files" optimize
@@ -54,3 +56,4 @@ run unstructured/adjoint "$files" adjoint --save-every 8 \
     --dump-matrices "$out/unstructured/matrices"
 run unstructured/operators "$files" verify --suite operators
 run unstructured/config "$files" config --resolve
+run unstructured/mesh "$files" mesh-info

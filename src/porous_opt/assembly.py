@@ -385,8 +385,9 @@ class DarcyNullSpace:
 
     ``curl`` maps stream-function values at the vertices to interior-edge
     velocities: row e holds +1/|e| at the end b and -1/|e| at the end a of
-    edge e = (a, b) when its normal is the tangent b - a turned clockwise,
-    the opposite signs otherwise, so ``B @ curl == 0``.  The stream function
+    edge e = (a, b), a < b, when its lower triangle runs it from a to b (its
+    normal is then b - a turned clockwise), the opposite signs otherwise, so
+    ``B @ curl == 0``.  The stream function
     is 0 on the outer boundary loop (the loop of the leftmost vertex) and one
     unknown on each other loop, a hole, so the columns are the interior
     vertices followed by the holes; an interior edge whose two ends share a
@@ -427,9 +428,9 @@ class DarcyNullSpace:
                 f"joined through its edges")
 
         a, b = mesh.edges[ie, 0], mesh.edges[ie, 1]
-        t = mesh.vertices[b] - mesh.vertices[a]
-        n = mesh.edge_normal[ie]
-        sign = np.where(n[:, 0] * t[:, 1] - n[:, 1] * t[:, 0] > 0, 1.0, -1.0)
+        k0 = mesh.edge_tris[ie, 0]
+        start = mesh.triangles[k0, np.argmax(mesh.tri_edges[k0] == ie[:, None], axis=1)]
+        sign = np.where(start == a, 1.0, -1.0)
         vals = np.concatenate([sign, -sign]) / np.tile(mesh.edge_length[ie], 2)
         rows = np.tile(np.arange(ie.size), 2)
         cols = col[np.concatenate([b, a])]

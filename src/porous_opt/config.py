@@ -1,16 +1,18 @@
 """Run configuration files: a flat ``key = value`` grammar.
 
 Lines are ``key = value`` pairs; ``#`` starts a comment; blank lines are
-ignored.  Parsing only converts types: an unknown key, or a value that does
-not read as its key's type, is rejected with the key named.  ``auto`` is
-accepted where a default depends on other values (xi, epsilon, q_init).  An
-empty file is a valid configuration: every key has a default.
+ignored.  Parsing only converts types: an unknown key, a key given twice, or
+a value that does not read as its key's type (``inf`` and ``nan`` are not
+numbers here), is rejected with the key named.  ``auto`` is accepted where a
+default depends on other values (xi, epsilon, q_init).  An empty file is a
+valid configuration: every key has a default.
 
 Ranges are checked when a :class:`RunSpec` is constructed (parsed,
 ``replace``-d or resolved), each by the object that uses its keys; the well
 points need the mesh and are checked when the wells are built.
 
-Key reference (defaults in parentheses; last column: who checks the key):
+Key reference (defaults in parentheses; last column: who checks the key).
+A key may appear once; every number, coordinate included, must be finite:
 
     mesh          square | files            (square)    RunSpec
     n             square subdivisions       (16)        RunSpec
@@ -40,6 +42,7 @@ picks a terminal window: the well constructors of :mod:`model` take epsilon
 as a required keyword.
 """
 
+import math
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from typing import Optional
 
@@ -159,21 +162,28 @@ class RunSpec:
 _KEY_TYPES = {f.name: f.type for f in dc_fields(RunSpec) if f.init}
 
 
+def _finite(raw):
+    x = float(raw)
+    if not math.isfinite(x):
+        raise ValueError(raw)
+    return x
+
+
 def _auto_float(raw):
-    return None if raw == "auto" else float(raw)
+    return None if raw == "auto" else _finite(raw)
 
 
 def _point(raw):
     x, y = raw.split()
-    return (float(x), float(y))
+    return (_finite(x), _finite(y))
 
 
 # declared type of a key -> (converter raising ValueError, expected form)
 _READERS = {
     int: (int, "an integer"),
-    float: (float, "a number"),
-    Optional[float]: (_auto_float, "a number or auto"),
-    tuple: (_point, "two coordinates"),
+    float: (_finite, "a finite number"),
+    Optional[float]: (_auto_float, "a finite number or auto"),
+    tuple: (_point, "two finite coordinates"),
     str: (str, "a string"),
     Optional[str]: (str, "a path"),
 }
@@ -188,7 +198,7 @@ def _parse_value(key, raw):
 
 
 def parse_config_text(text: str) -> RunSpec:
-    values = {}
+    values, line_of = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -200,6 +210,9 @@ def parse_config_text(text: str) -> RunSpec:
         val = val.strip()
         if key not in _KEY_TYPES:
             raise ConfigError(f"unknown key {key!r} (line {lineno})")
+        if key in line_of:
+            raise ConfigError(f"key {key!r} given twice (lines {line_of[key]} and {lineno})")
+        line_of[key] = lineno
         values[key] = _parse_value(key, val)
     return RunSpec(**values)
 

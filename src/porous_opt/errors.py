@@ -18,7 +18,8 @@ class MeshStructureError(ConfigError):
 
 class MeshConformityError(ConfigError):
     """Raised when the triangulation is non-conforming (an edge shared by
-    more than two triangles).  A configuration error, as above."""
+    more than two triangles) or folded (the two triangles of an interior edge
+    lie on one side of it).  A configuration error, as above."""
 
 
 class DomainError(ConfigError):

@@ -14,10 +14,13 @@ Three meshes drive the discretization:
 Degree-of-freedom ordering is the mesh construction order: triangles in
 input order, edges in order of first appearance while scanning triangles
 (local edge j of triangle K joins vertices ``tri[K, j]`` and
-``tri[K, (j+1) % 3]``).  Edge normals are global and fixed at build time:
-each unit normal points out of the lower-indexed adjacent triangle, and
-outward on the boundary.  This makes every assembled matrix reproducible
-bit-for-bit for a given input file.
+``tri[K, (j+1) % 3]``).  Every orientation comes from the counterclockwise
+vertex order: the lower-indexed triangle of an edge runs it from v_j to
+v_{j+1}, and the edge's unit normal is that run turned clockwise, so it
+points out of that triangle (outward on the boundary).  The upper triangle
+runs the edge the other way; a mesh where it does not is folded and is
+rejected.  This makes every assembled matrix reproducible bit-for-bit for a
+given input file.
 """
 
 from dataclasses import dataclass
@@ -56,7 +59,8 @@ class PrimalMesh:
     edge_tris : (n_e, 2) int, adjacent triangles; ``edge_tris[e, 0]`` is the
         lower-indexed one and ``edge_tris[e, 1]`` is -1 on the boundary
     boundary_edge : (n_e,) bool
-    edge_normal : (n_e, 2) unit normal out of ``edge_tris[e, 0]``
+    edge_normal : (n_e, 2) unit normal out of ``edge_tris[e, 0]``: the edge
+        as that triangle runs it (counterclockwise), turned clockwise
     edge_midpoint : (n_e, 2)
     edge_length : (n_e,)
     tri_edges : (n_t, 3) global edge index of each local edge
@@ -118,10 +122,13 @@ def build_primal(vertex_list, triangle_list) -> PrimalMesh:
     """Build a :class:`PrimalMesh` from raw vertex and triangle arrays.
 
     Triangles with clockwise orientation are silently reordered to
-    counterclockwise.  Raises :class:`MeshStructureError` for non-finite
-    coordinates, out-of-range indices, duplicate or degenerate triangles, and
-    :class:`MeshConformityError` if an edge is shared by more than two
-    triangles.
+    counterclockwise; the signed area that finds them is the only
+    floating-point orientation test.  Raises :class:`MeshStructureError` for
+    non-finite coordinates, out-of-range indices, duplicate or degenerate
+    triangles, and :class:`MeshConformityError` if an edge is shared by more
+    than two triangles or the mesh is folded: an interior edge's two
+    triangles run it the same way, so both lie on one side of it (the error
+    names the number of such edges, one of them and its two triangles).
     """
     vertices = np.ascontiguousarray(vertex_list, dtype=float)
     triangles = np.ascontiguousarray(triangle_list, dtype=np.int64)
@@ -156,8 +163,8 @@ def build_primal(vertex_list, triangle_list) -> PrimalMesh:
     # edge extraction in deterministic first-appearance order: position
     # 3k + j of the scan holds local edge j of triangle k
     n_t = triangles.shape[0]
-    ends = np.stack([triangles, triangles[:, [1, 2, 0]]], axis=-1).reshape(-1, 2)
-    ends.sort(axis=1)
+    run = np.stack([triangles, triangles[:, [1, 2, 0]]], axis=-1).reshape(-1, 2)
+    ends = np.sort(run, axis=1)
     _, first, inverse, counts = np.unique(
         ends[:, 0] * n_v + ends[:, 1],
         return_index=True, return_inverse=True, return_counts=True,
@@ -176,20 +183,27 @@ def build_primal(vertex_list, triangle_list) -> PrimalMesh:
     edge_tris[:, 0] = first[order] // 3
     repeat = np.ones(scan_edge.size, dtype=bool)
     repeat[first] = False
-    edge_tris[scan_edge[repeat], 1] = np.flatnonzero(repeat) // 3
+    upper = np.flatnonzero(repeat)
+    edge_tris[scan_edge[upper], 1] = upper // 3
     boundary_edge = edge_tris[:, 1] == -1
+    # each edge as its lower triangle runs it, counterclockwise
+    lower_run = run[first[order]]
+    # the upper triangle of an unfolded edge runs it the other way
+    folded = upper[run[upper, 0] == lower_run[scan_edge[upper], 0]]
+    if folded.size:
+        e = scan_edge[folded[0]]
+        raise MeshConformityError(
+            f"{folded.size} folded edge(s): edge {tuple(edges[e].tolist())} has "
+            f"triangles {edge_tris[e, 0]} and {edge_tris[e, 1]} on the same side"
+        )
 
     area = np.abs(signed)
     barycentre = pts.mean(axis=1)
 
-    evec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
+    evec = vertices[lower_run[:, 1]] - vertices[lower_run[:, 0]]
     edge_length = np.linalg.norm(evec, axis=1)
     edge_midpoint = 0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])
     normal = _perp(evec) / edge_length[:, None]
-    # orient out of the lower-index adjacent triangle
-    away = edge_midpoint - barycentre[edge_tris[:, 0]]
-    wrong = np.einsum("ij,ij->i", normal, away) < 0.0
-    normal[wrong] *= -1.0
 
     tri_edge_sign = np.where(
         edge_tris[tri_edges, 0] == np.arange(n_t)[:, None], 1, -1
@@ -275,8 +289,10 @@ def build_diamond_dual(mesh: PrimalMesh) -> DiamondDualMesh:
     walk the cell counterclockwise, convex or not (on a distorted mesh it
     can be a dart), and a boundary cell closes with the edge v_j -> v_{j+1}.
     So ``_perp(end - start) / length`` points out of the cell on every
-    segment.  Each segment is owned by its sub-cell's triangle, and a
-    cell's area is the sum of its sub-cells' areas.
+    segment; on the closing edge that is ``mesh.edge_normal`` and its length
+    ``mesh.edge_length``, read off the primal mesh.  Each segment is owned by
+    its sub-cell's triangle, and a cell's area is the sum of its sub-cells'
+    areas.
     """
     bary = build_barycentric_dual(mesh)
     edge = mesh.tri_edges.ravel()            # the edge of sub-cell 3K + j
@@ -287,12 +303,10 @@ def build_diamond_dual(mesh: PrimalMesh) -> DiamondDualMesh:
     # cell is the edge
     r = mesh.tri_edge_sign.ravel() < 0
     order = np.argsort(np.append((4 * edge + 2 * r)[:, None] + [0, 1], 4 * edge[bnd] + 2))
-    v = mesh.tri_vertices().reshape(-1, 2)[bnd]
-    t = bary.seg_start[:, :, 0].reshape(-1, 2)[bnd] - v   # v_{j+1} - v_j
-    length = np.linalg.norm(t, axis=1)
-    normal = np.concatenate([bary.seg_normal.reshape(-1, 2), _perp(t) / length[:, None]])
-    length = np.concatenate([bary.seg_length.ravel(), length])
-    start = np.concatenate([bary.seg_start.reshape(-1, 2), v])
+    normal = np.concatenate([bary.seg_normal.reshape(-1, 2), mesh.edge_normal[edge[bnd]]])
+    length = np.concatenate([bary.seg_length.ravel(), mesh.edge_length[edge[bnd]]])
+    start = np.concatenate([bary.seg_start.reshape(-1, 2),
+                            mesh.tri_vertices().reshape(-1, 2)[bnd]])
     owner = np.concatenate([np.repeat(tri, 2), tri[bnd]])
 
     seg_ptr = np.zeros(mesh.num_edges + 1, dtype=np.int64)

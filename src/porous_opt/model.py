@@ -30,7 +30,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .mesh import PrimalMesh, _cross2
+from .fespaces import p1_basis_at
+from .mesh import PrimalMesh
 from .quadrature import QuadratureRule
 
 _GRID = np.linspace(0.0, 1.0, 1001)
@@ -294,13 +295,8 @@ def wells_from_tris(mesh, injection_tris, production_tris, *, T, epsilon,
 
 
 def _point_in_mesh(mesh, x, tol=1e-12):
-    pts = mesh.tri_vertices()
-    v0, v1, v2 = pts[:, 0], pts[:, 1], pts[:, 2]
-    d = _cross2(v1 - v0, v2 - v0)
-    l1 = _cross2(v1 - x, v2 - x) / d
-    l2 = _cross2(v2 - x, v0 - x) / d
-    l3 = 1.0 - l1 - l2
-    return bool(np.any(np.minimum(np.minimum(l1, l2), l3) >= -tol))
+    lam = p1_basis_at(mesh, np.broadcast_to(x, (mesh.num_triangles, 2)))
+    return bool(np.any(lam.min(axis=1) >= -tol))
 
 
 @dataclass(frozen=True)

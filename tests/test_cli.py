@@ -111,22 +111,46 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "xi" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", [
-    "tri_quad_degree = 3\n",        # no triangle rule of that degree
-    "x0 = 1.5 0.5\n",               # well outside the domain
-    "m_steps = 1\nn_steps = 1\n",   # auto epsilon = 2 dt exceeds T
-    "wtilde = nan\n",               # J would be nan
-    "wtilde = -1\n",                # flips the sign of the terminal term
+def _with(base, override):
+    """Config text ``base`` without the keys ``override`` sets, then ``override``."""
+    keys = {line.partition("=")[0].strip() for line in override.splitlines()}
+    kept = [line for line in base.splitlines() if line.partition("=")[0].strip() not in keys]
+    return "\n".join(kept) + "\n" + override
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("tri_quad_degree = 3\n", "triangle quadrature degree 3 unavailable"),
+    ("x0 = 1.5 0.5\n", "well at [1.5, 0.5] lies outside the domain"),
+    # auto epsilon = 2 dt exceeds T
+    ("m_steps = 1\nn_steps = 1\n", "epsilon must lie in (0, T]"),
+    # J would be nan
+    ("wtilde = nan\n", "wtilde: expected a finite number, got 'nan'"),
+    # flips the sign of the terminal term
+    ("wtilde = -1\n", "wtilde (oil price) must be finite and >= 0"),
+    # J = nan, and NaN in status.json
+    ("alpha0 = inf\n", "alpha0: expected a finite number, got 'inf'"),
+    # switches every residual check off
+    ("solver_tol = inf\n", "solver_tol: expected a finite number, got 'inf'"),
+    ("qhat = inf\n", "qhat: expected a finite number, got 'inf'"),
+    ("xi = inf\n", "xi: expected a finite number or auto, got 'inf'"),
+    ("T = inf\n", "T: expected a finite number, got 'inf'"),
+    ("delta_floor = inf\n", "delta_floor: expected a finite number, got 'inf'"),
+    ("epsilon = -inf\n", "epsilon: expected a finite number or auto, got '-inf'"),
+    ("x1 = 0.8 nan\n", "x1: expected two finite coordinates, got '0.8 nan'"),
+    ("n = 4\nT = 0.5\n\nn = 8\n", "key 'n' given twice (lines 9 and 12)"),
 ], ids=["quad_degree", "well_outside", "auto_epsilon", "wtilde_nan",
-        "wtilde_negative"])
-def test_resolve_and_run_reject_alike(bad, tmp_path):
+        "wtilde_negative", "alpha0_inf", "solver_tol_inf", "qhat_inf", "xi_inf",
+        "T_inf", "delta_floor_inf", "epsilon_minus_inf", "x1_nan", "repeated_key"])
+def test_resolve_and_run_reject_alike(bad, message, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(SMALL_CFG + bad)
+    cfg.write_text(_with(SMALL_CFG, bad))
     assert main(["config", "--resolve", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
     out = tmp_path / "out"
     assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 2
     status = json.loads((out / "status.json").read_text())
     assert status["status"] == "error" and status["exit_code"] == 2
+    assert message in status["error"]
 
 
 @pytest.mark.parametrize("content, message", [
@@ -175,8 +199,11 @@ def test_solver_failure_exits_1_with_status(tmp_path, capsys):
      "m.ele: degenerate triangle(s) at indices [0]"),
     ("5 2\n0 0 0\n1 1 0\n2 1 1\n3 0 1\n4 2 0\n", "3 3\n0 0 1 2\n1 0 2 3\n2 0 2 4\n",
      "m.ele: edge (0, 2) shared by more than two triangles"),
+    # both triangles run edge (0, 1) from 0 to 1, so both lie above it
+    ("4 2\n0 0 0\n1 1 0\n2 0 1\n3 0.5 0.2\n", "2 3\n0 0 1 2\n1 0 1 3\n",
+     "m.ele: 1 folded edge(s): edge (0, 1) has triangles 0 and 1 on the same side"),
 ], ids=["missing_file", "header_without_width", "non_numeric_coordinate",
-        "degenerate_triangle", "edge_shared_by_three_triangles"])
+        "degenerate_triangle", "edge_shared_by_three_triangles", "folded"])
 def test_broken_mesh_file_is_a_named_error(tmp_path, capsys, node, ele, message):
     # a mesh file that cannot be read, parsed or triangulated ends the run
     # with a configuration error naming the key or the file (and line), and
@@ -223,7 +250,7 @@ def test_adjoint_reports_divergence(small_cfg, tmp_path):
 
 def test_optimize_hitting_cap_exits_3_with_results(tmp_path):
     cfg = tmp_path / "cap.cfg"
-    cfg.write_text(SMALL_CFG + "kmax = 1\n")
+    cfg.write_text(_with(SMALL_CFG, "kmax = 1\n"))
     out = tmp_path / "out"
     code = main(["optimize", "--config", str(cfg), "--out", str(out)])
     assert code == 3

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from porous_opt.errors import MeshConformityError, MeshStructureError
 from porous_opt.mesh import (
+    _perp,
     build_barycentric_dual,
     build_diamond_dual,
     build_primal,
@@ -85,6 +86,27 @@ def test_nonconforming_rejected():
         build_primal(verts, tris)
 
 
+def _moved_centre():
+    # the centre of square_mesh(2) moved out past x = 1 turns two triangles
+    # over; reoriented, they overlap their neighbours across three edges
+    base = square_mesh(2)
+    verts = base.vertices.copy()
+    verts[4] = [1.2, 0.5]
+    return build_primal(verts, base.triangles)
+
+
+@pytest.mark.parametrize("build, count", [
+    (_moved_centre, 3),
+    (lambda: jittered_square(64, 0.45), 238),
+    (lambda: jittered_square(128, 0.3), 6),
+], ids=["moved_centre", "jittered_64_amp045", "jittered_128_amp03"])
+def test_folded_mesh_rejected(build, count):
+    with pytest.raises(MeshConformityError, match=rf"^{count} folded edge\(s\): edge "
+                                                  r"\(\d+, \d+\) has triangles \d+ and \d+ "
+                                                  r"on the same side$"):
+        build()
+
+
 def _oracle_meshes():
     return [
         read_mesh("data/unstructured_square.node", "data/unstructured_square.ele"),
@@ -133,17 +155,31 @@ def test_edge_extraction_matches_first_appearance_loop(mesh):
     assert np.array_equal(mesh.tri_edges, tri_edges)
 
 
-def test_normal_orientation_convention(two_tri):
-    # interior edge normal points out of the lower-indexed adjacent triangle
-    e = two_tri.interior_edges[0]
-    k_low = two_tri.edge_tris[e, 0]
-    away = two_tri.edge_midpoint[e] - two_tri.barycentre[k_low]
-    assert np.dot(two_tri.edge_normal[e], away) > 0
-    # and outward on the boundary
-    for eb in np.flatnonzero(two_tri.boundary_edge):
-        k = two_tri.edge_tris[eb, 0]
-        away = two_tri.edge_midpoint[eb] - two_tri.barycentre[k]
-        assert np.dot(two_tri.edge_normal[eb], away) > 0
+_ORIENTATION_MESHES = {
+    "two_tri": lambda: build_primal(SQUARE_VERTS, SQUARE_TRIS),
+    "n3": lambda: square_mesh(3),
+    "n5_left": lambda: square_mesh(5, "left"),
+    "unstructured": lambda: read_mesh("data/unstructured_square.node",
+                                      "data/unstructured_square.ele"),
+    "jittered": jittered_square,    # non-convex diamond cells
+}
+
+
+@pytest.mark.parametrize("build", _ORIENTATION_MESHES.values(), ids=_ORIENTATION_MESHES.keys())
+def test_normal_orientation_convention(build):
+    mesh = build()
+    # oracle: every normal points away from the barycentre of the
+    # lower-indexed adjacent triangle, so out of it (outward on the boundary)
+    k0 = mesh.edge_tris[:, 0]
+    away = mesh.edge_midpoint - mesh.barycentre[k0]
+    assert (np.einsum("ij,ij->i", mesh.edge_normal, away) > 0).all()
+    # and it is, bit for bit, the lower triangle's run v_j -> v_{j+1} turned
+    # clockwise over its length
+    e = np.arange(mesh.num_edges)
+    j = np.argmax(mesh.tri_edges[k0] == e[:, None], axis=1)
+    v = mesh.tri_vertices(k0)
+    run = v[e, (j + 1) % 3] - v[e, j]
+    assert mesh.edge_normal.tobytes() == (_perp(run) / mesh.edge_length[:, None]).tobytes()
 
 
 def test_interior_normal_sign_pairing():

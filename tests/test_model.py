@@ -11,6 +11,7 @@ from porous_opt.errors import ConfigError, DomainError
 from porous_opt.mesh import square_mesh
 from porous_opt.model import (
     RunConfig,
+    _point_in_mesh,
     build_wells,
     default_model,
     unit_model,
@@ -100,6 +101,19 @@ def test_well_outside_domain_rejected():
     mesh = square_mesh(4)
     with pytest.raises(DomainError):
         build_wells(mesh, (1.5, 0.5), (0.2, 0.2), 0.02, T=1.0, epsilon=0.1)
+
+
+@pytest.mark.parametrize("x, inside", [
+    ((0.0, 0.0), True),
+    ((1.0, 1.0), True),
+    ((0.375, 0.375), True),         # on the interior diagonal of cell (1, 1)
+    ((1 / 6, 1 / 12), True),        # centroid of (0, 0), (1/4, 0), (1/4, 1/4)
+    ((1.0 + 1e-9, 0.5), False),
+    ((-1e-3, 0.5), False),
+], ids=["corner_00", "corner_11", "on_interior_edge", "centroid", "right_of_x1",
+        "left_of_x0"])
+def test_point_in_mesh(x, inside):
+    assert _point_in_mesh(square_mesh(4), np.array(x)) is inside
 
 
 def test_coincident_wells_rejected():
