@@ -14,9 +14,11 @@
 #                       the first four and the last two again on the file mesh
 #                       of data/unstructured_square.cfg
 #
-# Run it in two checkouts and compare them with `diff -r OUT_A OUT_B`.  It
-# runs from the checkout root, which the file-mesh config's paths are
-# relative to, so both checkouts hash that config alike.
+# Run it in two checkouts and compare them with `diff -r OUT_A OUT_B`, or,
+# for a change that moves the outputs by round-off, with
+# `scripts/diff_outputs.py OUT_A OUT_B --rtol R`.  It runs from the
+# checkout root, which the file-mesh config's paths are relative to, so both
+# checkouts hash that config alike.
 #
 #   usage: scripts/compare_outputs.sh OUT_DIR
 set -eu

@@ -33,25 +33,38 @@ workspace's one elimination order (``ws.step_ordering``): SuperLU's minimum
 degree on A+A^T of the triangle adjacency graph, computed once per mesh at
 the first step and expanded to the three dofs of each triangle.  Its fill is
 below that of SuperLU's own minimum degree on each dof matrix on the
-benchmark meshes (70,080 against 71,142 at n = 16, 2,115,438 against
-2,148,630 at n = 64) and 2 % above it on ``data/unstructured_square``.
+benchmark meshes (64,104 against 71,142 at n = 16, 2,112,396 against
+2,148,630 at n = 64) and 0.7 % above it on ``data/unstructured_square``.
 Other step matrices are factored with COLAMD.
+
+Two consecutive step matrices of one coarse interval differ by O(dt), so
+the factor of one is a strong preconditioner for the next.  Each march
+(the forward's, the costate's) therefore solves its steps in pairs through
+one :class:`_StepSolver`: a step opening a pair is factored and solved
+directly, and its factor is kept for the next step of the same coarse
+interval, which is solved by Richardson passes with that factor and its own
+matrix's residual, to the same ``solver_tol``.  A step whose passes stall or
+run out is factored afresh and opens a new pair.  So a march factors about
+half its steps, the outputs move from those of a fresh factor per step by
+round-off (about 1e-10 relative), and the schedule depends only on the
+data: two runs stay bitwise equal.
 
 The costate saturation equation is linear in C*, and its step matrix
 D + dt (-E + H + S + R) is built from the forward trajectory and q alone.
-So the adjoint factors its steps on one helper thread (:class:`CostateMarch`,
-opened and joined inside :func:`run_adjoint`): the helper factors costate
-step n, then solves and refines it, while the main thread assembles step
-n - 1's matrix, step n's loads and the costate Darcy solves.  SuperLU
-releases the interpreter lock while it factors, so the two overlap on two
-cores.  Each factorization is queued behind the previous step's solve, so
-one step LU exists at a time, as in a serial march, and the outputs are
-bitwise those of one.  Every step LU is made and dropped on the thread that
-uses it: with scipy 1.17.1 a SuperLU factor made on one thread and freed on
-another is never freed (+19.5 MB of RSS per factor of 1.9 M ``lu.nnz``, and
-+342 MB per ``sweep-n64`` adjoint when the helper's factors were solved and
-dropped on the main thread).  Only private code runs on the helper; every
-public function of this module runs on the thread that calls it.
+So the adjoint runs its step solver on one helper thread
+(:class:`CostateMarch`, opened and joined inside :func:`run_adjoint`): the
+helper factors costate step n (unless the factor of step n + 1 serves it),
+then solves it, while the main thread assembles step n - 1's matrix, step
+n's loads and the costate Darcy solves.  SuperLU releases the interpreter
+lock while it factors, so the two overlap on two cores.  Each step is
+queued behind the previous step's solve, and a step solver drops the factor
+it holds before it makes another, so each thread holds at most one step LU.
+Every step LU is made, used and dropped on one thread: with scipy 1.17.1 a
+SuperLU factor made on one thread and freed on another is never freed
+(+19.5 MB of RSS per factor of 1.9 M ``lu.nnz``, and +342 MB per
+``sweep-n64`` adjoint when the helper's factors were solved and dropped on
+the main thread).  Only private code runs on the helper; every public
+function of this module runs on the thread that calls it.
 
 Each sweep is one loop over the coarse nodes m: a Darcy solve at node m,
 then the K = N/M fine steps to the next node.  A fine step finds its
@@ -66,6 +79,7 @@ have only one value to use and keep it constant.  Each sweep thus consumes
 only values it has already computed.
 """
 
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -90,6 +104,13 @@ from .fespaces import P1DGField, RT0Field
 # build_diamond_dual stays bound for perfbench, which traces it by this name
 from .mesh import PrimalMesh, build_barycentric_dual, build_diamond_dual  # noqa: F401
 from .model import CoefficientModel, RunConfig, WellModel
+
+log = logging.getLogger(__name__)
+
+# Richardson passes a held step factor may run for the next step before that
+# step is factored afresh; the config's reused steps took up to 9 passes at
+# n = 16 and 18 at n = 64
+REUSE_PASSES = 20
 
 
 @dataclass
@@ -185,28 +206,39 @@ def costate_velocity(Ustar, n, K):
     return (1.0 + s) * Ustar[m] - s * Ustar[m + 1]
 
 
-def _refined_solve(solve, product, rhs, tol, what, detail=None):
-    """``solve(rhs)`` followed by up to two passes of iterative refinement.
+def _refine(solve, product, rhs, tol, passes):
+    """Up to ``passes`` Richardson passes x += solve(rhs - product(x)) from x = 0.
 
     ``solve`` applies a factorization of the matrix whose action is
-    ``product``.  Returns ``(x, relative residual)``; raises
-    :class:`SolverError` naming ``what``, the residual and ``tol`` (plus
-    ``detail()``, when given) if the residual still exceeds ``tol``.
+    ``product``, or of a nearby one.  The passes stop once the residual
+    relative to ``rhs`` is at most ``tol``, or after a pass that fails to
+    halve it (the first pass starts from the relative residual 1).  Returns
+    ``(x, relative residual, passes run)``.
     """
     norm = np.linalg.norm(rhs)
     norm = norm if norm > 0 else 1.0
     x = solve(rhs)
     r = rhs - product(x)
-    res = np.linalg.norm(r) / norm
-    for _ in range(2):
-        # one or two passes of iterative refinement rescue mildly
-        # ill-conditioned systems without changing well-conditioned ones
-        if np.isfinite(res) and res <= tol:
-            break
+    res, last, done = np.linalg.norm(r) / norm, 1.0, 1
+    while done < passes and not res <= tol and res <= last / 2:
         x = x + solve(r)
         r = rhs - product(x)
-        res = np.linalg.norm(r) / norm
-    if not np.isfinite(res) or res > tol:
+        res, last, done = np.linalg.norm(r) / norm, res, done + 1
+    return x, res, done
+
+
+def _refined_solve(solve, product, rhs, tol, what, detail=None):
+    """``solve(rhs)`` followed by up to two passes of iterative refinement.
+
+    ``solve`` applies a factorization of the matrix whose action is
+    ``product``; one or two passes (:func:`_refine`) rescue mildly
+    ill-conditioned systems without changing well-conditioned ones.  Returns
+    ``(x, relative residual)``; raises :class:`SolverError` naming ``what``,
+    the residual and ``tol`` (plus ``detail()``, when given) if the residual
+    still exceeds ``tol``.
+    """
+    x, res, _ = _refine(solve, product, rhs, tol, 3)
+    if not res <= tol:
         note = detail() if detail is not None else ""
         raise SolverError(f"{what}: residual {res:.3e} exceeds {tol:.1e}{note}")
     return x, res
@@ -224,7 +256,7 @@ def _diagonal_dominates_columns(csc, diag_slot):
 
 
 class _StepLU:
-    """SuperLU factor of one saturation step matrix ``csc``, used for one solve.
+    """SuperLU factor of one saturation step matrix ``csc``.
 
     The saturation pattern is symmetric and holds every diagonal: minimum
     degree on A+A^T with diagonal pivots preferred gives 36-47 % less fill
@@ -237,9 +269,12 @@ class _StepLU:
     fill grew to 2-10x COLAMD's, so such matrices are factored with COLAMD
     and partial pivoting.  On the minimum-degree branch SuperLU works on
     panels of 3 columns, not its default 20: the factor is about 10 %
-    faster at n = 64 and SuperLU's work arrays are smaller.  ``relax``
-    stays at its default 10 (relax 6 raised the fill on
-    ``data/unstructured_square`` from 19,068 to 19,950).
+    faster at n = 64 and SuperLU's work arrays are smaller.  ``relax`` is 3,
+    not its default 10, so a relaxed supernode holds one triangle's three
+    dofs: the fill fell from 70,080 to 64,104 at n = 16, from 2,115,438 to
+    2,112,396 at n = 64 and from 19,068 to 18,816 on
+    ``data/unstructured_square``; the factor took 1.65 against 2.06 ms at
+    n = 16 and 72.0 against 73.1 ms at n = 64 (medians of 15 and 30).
 
     The workspace order with threshold pivoting cannot replace COLAMD: on
     the n = 16, N = 2 costate step ``diag_pivot_thresh`` 0.1 and 0.01 fill
@@ -255,7 +290,8 @@ class _StepLU:
             self.perm, self.inv = ordering.perm, ordering.inv
             factored = sp.csc_matrix((csc.data[ordering.gather], ordering.indices,
                                       ordering.indptr), csc.shape)
-            kwargs = dict(permc_spec="NATURAL", panel_size=3, options=dict(SymmetricMode=True))
+            kwargs = dict(permc_spec="NATURAL", panel_size=3, relax=3,
+                          options=dict(SymmetricMode=True))
         else:
             self.perm = self.inv = slice(None)
             factored, kwargs = csc, dict(permc_spec="COLAMD")
@@ -267,16 +303,21 @@ class _StepLU:
     def solve(self, rhs, tol):
         """x with ``csc @ x = rhs``, iteratively refined to ``tol``.
 
-        Drops the factor, also when the solve raises: the traceback of a
+        Drops the factor when the solve raises: the traceback of a
         :class:`SolverError` then keeps no factor alive."""
         try:
-            return _refined_solve(self._apply, self._product, rhs, tol, self.what,
+            return _refined_solve(self.apply, self._product, rhs, tol, self.what,
                                   self._one_norm)[0]
-        finally:
-            self.lu = None
+        except BaseException:
+            self.drop()
+            raise
 
-    def _apply(self, r):
+    def apply(self, r):
+        """The factor's solve of ``csc @ x = r``, unrefined."""
         return self.lu.solve(r[self.perm])[self.inv]
+
+    def drop(self):
+        self.lu = None
 
     def _product(self, x):
         return self.csc @ x
@@ -286,23 +327,101 @@ class _StepLU:
         return f" (1-norm ~ {est:.3e})"
 
 
+class _StepSolver:
+    """The saturation step solves of one march, all on the thread that calls it.
+
+    Two consecutive step matrices of one coarse interval differ by O(dt), so
+    the steps are solved in pairs.  :meth:`factor` takes a step's matrix and
+    factors it (:class:`_StepLU`), unless a factor is held; :meth:`solve`
+    then solves the step directly and, when :meth:`factor` was told to
+    ``keep``, holds the factor for the next step.  That next step is not
+    factored: Richardson passes (:func:`_refine`) apply the held factor to
+    the residual of the step's own matrix until it is at most ``tol``, and
+    the held factor is dropped.  If a pass fails to halve the residual, or
+    ``REUSE_PASSES`` passes do not reach ``tol``, the step is factored
+    afresh, is solved directly, and its factor opens a new pair.  The held
+    factor is dropped before another is made, so the solver holds at most
+    one factor; the caller drops what is left with :meth:`drop` on the same
+    thread.
+
+    ``steps``, ``fresh`` (factors made), ``reused``, ``fallbacks`` and
+    ``most_passes`` (over the reused steps) count the march for its log line.
+    """
+
+    def __init__(self):
+        self._held = None   # a factor kept for the next step
+        self._step = None   # (A, what, ordering, keep, fresh factor or None) of the step taken
+        self.steps = self.fresh = self.reused = self.fallbacks = self.most_passes = 0
+
+    @property
+    def taken(self):
+        """Whether :meth:`factor` took a step that :meth:`solve` has not solved."""
+        return self._step is not None
+
+    def factor(self, A, what, ordering, keep=False):
+        """Take the next step's matrix ``A``, named ``what`` in errors: factor it
+        in ``ordering`` now, unless the held factor is to serve it.  With
+        ``keep``, a factor made for this step is held for the next one."""
+        lu = self._fresh(A, what, ordering) if self._held is None else None
+        self._step = (A, what, ordering, keep, lu)
+
+    def solve(self, rhs, tol):
+        """The taken step's x with ``A @ x = rhs``, to the relative residual ``tol``."""
+        (A, what, ordering, keep, lu), self._step = self._step, None
+        held, self._held = self._held, None
+        self.steps += 1
+        if held is not None:
+            try:
+                x, res, passes = _refine(held.apply, A.dot, rhs, tol, REUSE_PASSES)
+            finally:
+                held.drop()
+            if res <= tol:
+                self.reused += 1
+                self.most_passes = max(self.most_passes, passes)
+                return x
+            self.fallbacks += 1
+            lu = self._fresh(A, what, ordering)
+        x = lu.solve(rhs, tol)
+        if keep:
+            self._held = lu
+        return x
+
+    def drop(self):
+        """Drop every factor this solver holds."""
+        self._held = self._step = None
+
+    def log_counts(self, march):
+        log.info("%s: %d steps, %d fresh factors, %d reused, %d fallbacks, most passes %d",
+                 march, self.steps, self.fresh, self.reused, self.fallbacks, self.most_passes)
+
+    def _fresh(self, A, what, ordering):
+        lu = _StepLU(A, what, ordering)
+        self.fresh += 1
+        return lu
+
+
 def _step_label(kind, m, n, c):
     """A step's name in errors, with the range of the C its coefficients use."""
     return f"{kind} (m={m}, n={n}, C in [{c.min():.3g}, {c.max():.3g}])"
 
 
 def step_saturation_forward(c_vec, D, E, H, G, dt, tol=1e-10, what="saturation step", *,
-                            ordering):
+                            ordering, steps=None, keep=False):
     """One backward-Euler step of the state saturation equation (D, E, H on one pattern).
 
     ``ordering`` is the pattern's :class:`SaturationOrdering`, the
-    workspace's ``step_ordering``."""
+    workspace's ``step_ordering``.  ``steps`` is the march's
+    :class:`_StepSolver`, and ``keep`` tells it that the next step belongs
+    to the same coarse interval; without ``steps`` the step is factored and
+    solved on its own."""
     # D + dt (E + H), formed in one array in that order
     data = np.add(E.data, H.data)
     data *= dt
     data += D.data
     lhs = sp.csc_matrix((data, D.indices, D.indptr), D.shape)
-    return _StepLU(lhs, what, ordering).solve(D @ c_vec + dt * G, tol)
+    steps = _StepSolver() if steps is None else steps
+    steps.factor(lhs, what, ordering, keep)
+    return steps.solve(D @ c_vec + dt * G, tol)
 
 
 def costate_step_matrix(c_field, u_field, wells, q, ws, xi, dt):
@@ -333,23 +452,26 @@ class CostateMarch:
     The costate equation is linear in C*, and each step matrix is built from
     the forward trajectory and q alone, so the main thread can assemble the
     next step while the helper factors this one.  Tasks run on the helper in
-    the order they are queued: :meth:`factor` queues the LU of the next step
-    matrix, :meth:`solve` the solve with it that writes row n of ``cstar``
-    from row n + 1 and drops the LU.  A factorization is queued once every
-    queued solve has finished, so one step LU exists at a time and one step
-    matrix at most waits for the helper.
+    the order they are queued: :meth:`factor` queues the hand-over of the
+    next step matrix to the helper's :class:`_StepSolver` ``steps``, which
+    factors it unless the factor it holds from the step before serves it;
+    :meth:`solve` queues the solve that writes row n of ``cstar`` from row
+    n + 1.  A step matrix is queued once every queued solve has finished, so
+    one step matrix at most waits for the helper, and the helper holds at
+    most one step LU.
 
-    Every LU is made and dropped on the helper: with scipy 1.17.1 a SuperLU
-    factor made on one thread and freed on another is never freed (see the
-    module docstring).  On exit, tasks not yet started are cancelled, any LU
-    left is dropped on the helper, and the thread is joined.
+    Every LU is made, used and dropped on the helper: with scipy 1.17.1 a
+    SuperLU factor made on one thread and freed on another is never freed
+    (see the module docstring).  On exit, tasks not yet started are
+    cancelled, any LU left is dropped on the helper, and the thread is
+    joined; ``steps`` then holds the march's counts.
     """
 
     def __init__(self, cstar, D, ordering, tol):
         self._cstar, self._D, self._ordering, self._tol = cstar, D, ordering, tol
         self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="costate-lu")
-        self._lu = None      # touched only on the helper
-        self._made = None    # the future of a factorization no solve follows yet
+        self.steps = _StepSolver()  # touched only on the helper while the march runs
+        self._made = None    # the future of a hand-over no solve follows yet
         self._queued = []    # futures of the queued tasks, oldest first
 
     def __enter__(self):
@@ -359,17 +481,18 @@ class CostateMarch:
         for future in [self._made, *self._queued]:
             if future is not None:
                 future.cancel()
-        self._pool.submit(self._drop)
+        self._pool.submit(self.steps.drop)
         self._pool.shutdown(wait=True)
 
-    def factor(self, A, what):
-        """Queue the factorization of step matrix ``A``, named ``what`` in errors,
-        once every queued solve has finished."""
+    def factor(self, A, what, keep=False):
+        """Queue step matrix ``A``, named ``what`` in errors, once every queued
+        solve has finished; with ``keep``, a factor made for it is held for
+        the next step."""
         self.wait()
-        self._made = self._pool.submit(self._factor, A, what)
+        self._made = self._pool.submit(self.steps.factor, A, what, self._ordering, keep)
 
     def solve(self, n, load):
-        """Queue the solve of C*^n from D C*^{n+1} + ``load`` with the last factor."""
+        """Queue the solve of C*^n from D C*^{n+1} + ``load`` with the last step matrix."""
         self._queued += [self._made, self._pool.submit(self._solve, n, load)]
         self._made = None
 
@@ -378,18 +501,11 @@ class CostateMarch:
         while self._queued:
             self._queued.pop(0).result()
 
-    def _factor(self, A, what):
-        self._lu = _StepLU(A, what, self._ordering)
-
     def _solve(self, n, load):
-        lu, self._lu = self._lu, None
-        if lu is None:  # the factorization raised; its future, read first, reports it
+        if not self.steps.taken:  # the factorization raised; its future, read first, reports it
             return
         rhs = self._D @ self._cstar[n + 1].ravel() + load
-        self._cstar[n] = lu.solve(rhs, self._tol).reshape(self._cstar[n].shape)
-
-    def _drop(self):
-        self._lu = None
+        self._cstar[n] = self.steps.solve(rhs, self._tol).reshape(self._cstar[n].shape)
 
 
 def step_saturation_backward(march, n, W, Z, dt):
@@ -539,6 +655,7 @@ def run_forward(problem: Problem, q) -> Trajectory:
     )
     traj.C[0] = problem.c0_values
     src = problem.sources
+    steps = _StepSolver()
 
     for m in range(M + 1):
         try:
@@ -563,21 +680,24 @@ def run_forward(problem: Problem, q) -> Trajectory:
             cnew = step_saturation_forward(
                 traj.C[n].ravel(), problem.ws.D, E, H, G, rc.dt, rc.solver_tol,
                 _step_label("saturation step", m + 1, n, traj.C[n]),
-                ordering=problem.ws.step_ordering,
+                ordering=problem.ws.step_ordering, steps=steps, keep=(n + 1) % K != 0,
             )
             traj.C[n + 1] = cnew.reshape(n_t, 3)
+    steps.log_counts("forward march")
     return traj
 
 
 def _factor_costate_step(march, problem, traj, n):
-    """Queue the factorization of costate step n on ``march``; its matrix is
-    built at (C^{n+1}, U(t_{n+1}), q^{n+1})."""
+    """Queue costate step n's matrix on ``march``; it is built at
+    (C^{n+1}, U(t_{n+1}), q^{n+1}).  Its factor serves step n - 1 too when
+    that step is in the same coarse interval (n not a multiple of K)."""
     mesh, K = problem.mesh, problem.rc.substeps
     A = costate_step_matrix(
         P1DGField(mesh, traj.C[n + 1]), RT0Field(mesh, state_velocity(traj.U, n + 1, K)),
         problem.wells, traj.q[n + 1], problem.ws, problem.xi, problem.rc.dt,
     )
-    march.factor(A, _step_label("costate saturation step", n // K + 1, n, traj.C[n + 1]))
+    march.factor(A, _step_label("costate saturation step", n // K + 1, n, traj.C[n + 1]),
+                 keep=n % K != 0)
 
 
 def run_adjoint(problem: Problem, traj: Trajectory) -> Trajectory:
@@ -593,9 +713,11 @@ def run_adjoint(problem: Problem, traj: Trajectory) -> Trajectory:
     (+342 MB of RSS per ``sweep-n64`` adjoint otherwise).  While the
     helper factors and solves costate step n, this thread assembles step
     n - 1's matrix, step n's loads and, at a coarse node, the costate Darcy
-    solve, which waits for C* at the node.  One step LU exists at a time, as
-    in a serial march, and the outputs are bitwise those of one: every
-    operation and its order are the same, only the thread differs.
+    solve, which waits for C* at the node.  The helper solves the steps in
+    pairs, as the forward does (:class:`_StepSolver`), and holds one step LU
+    at a time.  Which steps are factored depends only on the data, never on
+    the threads' timing, so the outputs are those of the same march run on
+    one thread, bit for bit.
     """
     rc = problem.rc
     mesh = problem.mesh
@@ -648,5 +770,6 @@ def run_adjoint(problem: Problem, traj: Trajectory) -> Trajectory:
                 if n > 0:
                     _factor_costate_step(march, problem, traj, n - 1)
 
+    march.steps.log_counts("costate march")
     traj.costate_div_max = div_max
     return traj

@@ -1,6 +1,8 @@
+import collections
 import dataclasses
 import functools
 import gc
+import logging
 import re
 import sys
 import threading
@@ -246,9 +248,10 @@ def config_problem(request):
 
 # Step-LU fill allowed against SuperLU's own MMD on the dof matrix.  Minimum
 # degree on the triangle graph breaks ties differently from minimum degree on
-# the dof graph: measured 70,080 against 71,142 on the config (and
-# 2,115,438 against 2,148,630 at n = 64), but 19,068 against 18,690 (+2.0 %)
-# on the unstructured mesh.
+# the dof graph: measured 64,104 against 71,142 on the config (and
+# 2,112,396 against 2,148,630 at n = 64), but 18,816 against 18,690 (+0.7 %)
+# on the unstructured mesh (with SuperLU's relax 3; 70,080, 2,115,438 and
+# 19,068 with its default 10).
 FILL_OVER_MMD = {"config-n16": 1.0, "unstructured": 1.03}
 
 
@@ -722,38 +725,68 @@ def darcy_oracle(prob, C, q):
     return sol.DarcySaddle(A, prob.ws.null_space, prob.rc.solver_tol), F
 
 
+def relative_difference(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+def step_residual(lhs, x, rhs):
+    return np.linalg.norm(rhs - lhs @ x) / np.linalg.norm(rhs)
+
+
 def test_two_grid_forward_matches_oracle():
+    # the oracle drives a step solver of its own on the sweep's schedule
+    # (each coarse interval's steps in pairs: a fresh factor, then Richardson
+    # passes with it) and must match bitwise; the march with a fresh factor
+    # per step stays within 1e-8 of it
     prob, q = two_grid_problem()
     mesh, wells, rc, ws = prob.mesh, prob.wells, prob.rc, prob.ws
     M, K = rc.m_steps, rc.substeps
     assert K == 4
     traj = sol.run_forward(prob, q)
 
-    C = np.empty_like(traj.C)
-    U = np.zeros_like(traj.U)
-    C[0] = prob.c0_values
-    for m in range(M + 1):
-        saddle, F = darcy_oracle(prob, C[m * K], q[m * K])
-        U[m] = saddle.solve(np.zeros(saddle.n_int), F)[0]
-        if m == M:
-            break
-        for k in range(K):
-            n = m * K + k
-            if m == 0 or k == 0:
-                u = U[m]                      # node value; constant first interval
-            else:
-                s = k / K                     # through the two most recent nodes
-                u = (1.0 + s) * U[m] - s * U[m - 1]
-            E, H, G = asm.assemble_saturation_state(
-                fes.P1DGField(mesh, C[n]), fes.RT0Field(mesh, u), wells, q[n + 1],
-                ws, prob.xi,
-            )
-            C[n + 1] = sol.step_saturation_forward(
-                C[n].ravel(), ws.D, E, H, G, rc.dt, rc.solver_tol, ordering=ws.step_ordering
-            ).reshape(C[n].shape)
+    def march(steps):
+        """C, U and each step's relative residual; without ``steps``, every
+        step is factored and solved on its own."""
+        C = np.empty_like(traj.C)
+        U = np.zeros_like(traj.U)
+        C[0] = prob.c0_values
+        residuals = []
+        for m in range(M + 1):
+            saddle, F = darcy_oracle(prob, C[m * K], q[m * K])
+            U[m] = saddle.solve(np.zeros(saddle.n_int), F)[0]
+            if m == M:
+                break
+            for k in range(K):
+                n = m * K + k
+                if m == 0 or k == 0:
+                    u = U[m]                      # node value; constant first interval
+                else:
+                    s = k / K                     # through the two most recent nodes
+                    u = (1.0 + s) * U[m] - s * U[m - 1]
+                E, H, G = asm.assemble_saturation_state(
+                    fes.P1DGField(mesh, C[n]), fes.RT0Field(mesh, u), wells, q[n + 1],
+                    ws, prob.xi,
+                )
+                pair = {} if steps is None else dict(steps=steps, keep=k < K - 1)
+                C[n + 1] = sol.step_saturation_forward(
+                    C[n].ravel(), ws.D, E, H, G, rc.dt, rc.solver_tol,
+                    ordering=ws.step_ordering, **pair
+                ).reshape(C[n].shape)
+                residuals.append(step_residual(ws.D + rc.dt * (E + H), C[n + 1].ravel(),
+                                               ws.D @ C[n].ravel() + rc.dt * G))
+        return C, U, residuals
 
+    steps = sol._StepSolver()
+    C, U, residuals = march(steps)
     assert np.array_equal(traj.C, C)
     assert np.array_equal(traj.U, U)
+    assert (steps.steps, steps.fresh, steps.reused) == (16, 8, 8)
+    assert max(residuals) <= rc.solver_tol
+
+    fresh_C, fresh_U, _ = march(None)
+    assert not np.array_equal(C, fresh_C)
+    assert relative_difference(C, fresh_C) <= 1e-8
+    assert relative_difference(U, fresh_U) <= 1e-8
 
 
 def delayed(fn, seconds=0.005):
@@ -768,6 +801,9 @@ def delayed(fn, seconds=0.005):
 
 
 def test_two_grid_adjoint_matches_oracle(monkeypatch):
+    # the oracle marches on this thread with a step solver of its own on the
+    # sweep's schedule and must match the helper's march bitwise; the march
+    # with a fresh factor per step stays within 1e-8 of it
     prob, q = two_grid_problem()
     mesh, wells, rc, ws = prob.mesh, prob.wells, prob.rc, prob.ws
     M, K = rc.m_steps, rc.substeps
@@ -775,41 +811,62 @@ def test_two_grid_adjoint_matches_oracle(monkeypatch):
     traj = sol.run_forward(prob, q)
     C, U = traj.C, traj.U
 
-    Cstar = np.empty_like(C)
-    Ustar = np.zeros_like(U)
-    Pstar = np.zeros_like(traj.P)
-    Cstar[-1] = 0.0
-    for m in range(M, -1, -1):
-        saddle, _ = darcy_oracle(prob, C[m * K], q[m * K])
-        Fstar = asm.assemble_darcy_costate_rhs(
-            fes.P1DGField(mesh, C[m * K]), fes.P1DGField(mesh, Cstar[m * K]), ws
-        )
-        Ustar[m], Pstar[m], _ = saddle.solve(Fstar, np.zeros(mesh.num_triangles))
-        if m == 0:
-            break
-        # fine levels j = (m-1)K + k of the interval (m-1, m], latest first
-        for k in range(K, 0, -1):
-            j = (m - 1) * K + k
-            if k == K:
-                u, us = U[m], Ustar[m]
-            else:
-                s = k / K                     # state: through nodes m-1 and m-2
-                u = U[0] if m == 1 else (1.0 + s) * U[m - 1] - s * U[m - 2]
-                s = (K - k) / K               # costate: through nodes m and m+1
-                us = Ustar[M] if m == M else (1.0 + s) * Ustar[m] - s * Ustar[m + 1]
-            cf = fes.P1DGField(mesh, C[j])
-            uf, usf = fes.RT0Field(mesh, u), fes.RT0Field(mesh, us)
-            E, H, _ = asm.assemble_saturation_state(cf, uf, wells, q[j], ws, prob.xi)
-            D = ws.D
-            R, S = asm.assemble_saturation_costate(cf, wells, q[j], ws)
-            W, Z = asm.assemble_costate_loads(cf, uf, usf, wells, fine[j], ws)
-            # D + dt (-E + H + S + R), summed in this order, on this thread
-            data = (H.data - E.data + S.data + R.data) * rc.dt + D.data
-            lhs = sp.csc_matrix((data, D.indices, D.indptr), D.shape)
-            Cstar[j - 1] = sol._StepLU(lhs, "costate step", ws.step_ordering).solve(
-                D @ Cstar[j].ravel() + rc.dt * (W - Z), rc.solver_tol
-            ).reshape(C[j].shape)
+    def march(steps):
+        """C*, U*, P* and each step's relative residual; without ``steps``,
+        every step is factored and solved on its own."""
+        Cstar = np.empty_like(C)
+        Ustar = np.zeros_like(U)
+        Pstar = np.zeros_like(traj.P)
+        Cstar[-1] = 0.0
+        residuals = []
+        for m in range(M, -1, -1):
+            saddle, _ = darcy_oracle(prob, C[m * K], q[m * K])
+            Fstar = asm.assemble_darcy_costate_rhs(
+                fes.P1DGField(mesh, C[m * K]), fes.P1DGField(mesh, Cstar[m * K]), ws
+            )
+            Ustar[m], Pstar[m], _ = saddle.solve(Fstar, np.zeros(mesh.num_triangles))
+            if m == 0:
+                break
+            # fine levels j = (m-1)K + k of the interval (m-1, m], latest first
+            for k in range(K, 0, -1):
+                j = (m - 1) * K + k
+                if k == K:
+                    u, us = U[m], Ustar[m]
+                else:
+                    s = k / K                     # state: through nodes m-1 and m-2
+                    u = U[0] if m == 1 else (1.0 + s) * U[m - 1] - s * U[m - 2]
+                    s = (K - k) / K               # costate: through nodes m and m+1
+                    us = Ustar[M] if m == M else (1.0 + s) * Ustar[m] - s * Ustar[m + 1]
+                cf = fes.P1DGField(mesh, C[j])
+                uf, usf = fes.RT0Field(mesh, u), fes.RT0Field(mesh, us)
+                E, H, _ = asm.assemble_saturation_state(cf, uf, wells, q[j], ws, prob.xi)
+                D = ws.D
+                R, S = asm.assemble_saturation_costate(cf, wells, q[j], ws)
+                W, Z = asm.assemble_costate_loads(cf, uf, usf, wells, fine[j], ws)
+                # D + dt (-E + H + S + R), summed in this order, on this thread
+                data = (H.data - E.data + S.data + R.data) * rc.dt + D.data
+                lhs = sp.csc_matrix((data, D.indices, D.indptr), D.shape)
+                rhs = D @ Cstar[j].ravel() + rc.dt * (W - Z)
+                if steps is None:
+                    x = sol._StepLU(lhs, "costate step", ws.step_ordering).solve(
+                        rhs, rc.solver_tol)
+                else:
+                    # step j - 1's factor serves step j - 2 of the same interval
+                    steps.factor(lhs, "costate step", ws.step_ordering, keep=k > 1)
+                    x = steps.solve(rhs, rc.solver_tol)
+                Cstar[j - 1] = x.reshape(C[j].shape)
+                residuals.append(step_residual(lhs, x, rhs))
+        return Cstar, Ustar, Pstar, residuals
+
+    steps = sol._StepSolver()
+    Cstar, Ustar, Pstar, residuals = march(steps)
     assert np.abs(Cstar[0]).max() > 0.0
+    assert (steps.steps, steps.fresh, steps.reused) == (16, 8, 8)
+    assert max(residuals) <= rc.solver_tol
+    fresh = march(None)
+    assert not np.array_equal(Cstar, fresh[0])
+    for ours, theirs in zip((Cstar, Ustar, Pstar), fresh):
+        assert relative_difference(ours, theirs) <= 1e-8
 
     # the march as it runs, then with its helper thread slowed down (each
     # factorization waits) and with the main thread slowed down (each step
@@ -983,6 +1040,145 @@ def test_step_residual_failure_names_the_step_and_its_norm():
         sol.step_saturation_forward(prob.c0_values.ravel(), ws.D, E, H, G, prob.rc.dt,
                                     tol=1e-300, what="saturation step (m=0, n=0)",
                                     ordering=ws.step_ordering)
+
+
+# ---------------------------------------------------------------------------
+# step pairs: a fresh factor serves the next step of its coarse interval
+# ---------------------------------------------------------------------------
+
+def forward_step_system(prob, traj, n):
+    """Forward step n's matrix on the workspace pattern, and its load."""
+    ws, rc = prob.ws, prob.rc
+    E, H, G = asm.assemble_saturation_state(
+        fes.P1DGField(prob.mesh, traj.C[n]),
+        fes.RT0Field(prob.mesh, sol.state_velocity(traj.U, n, rc.substeps)),
+        prob.wells, traj.q[n + 1], ws, prob.xi,
+    )
+    D = ws.D
+    lhs = sp.csc_matrix((D.data + rc.dt * (E.data + H.data), D.indices, D.indptr), D.shape)
+    return lhs, D @ traj.C[n].ravel() + rc.dt * G
+
+
+def test_reused_step_matches_a_direct_solve():
+    prob, q = two_grid_problem()
+    ws, tol = prob.ws, prob.rc.solver_tol
+    traj = sol.run_forward(prob, q)
+    first, second = (forward_step_system(prob, traj, n) for n in (5, 6))
+    steps = sol._StepSolver()
+    steps.factor(first[0], "step 5", ws.step_ordering, keep=True)
+    steps.solve(first[1], tol)
+    steps.factor(second[0], "step 6", ws.step_ordering)
+    x = steps.solve(second[1], tol)
+    assert (steps.steps, steps.fresh, steps.reused, steps.fallbacks) == (2, 1, 1, 0)
+    assert 2 <= steps.most_passes <= sol.REUSE_PASSES
+    assert step_residual(second[0], x, second[1]) <= tol
+    ref = np.linalg.solve(second[0].toarray(), second[1])
+    assert relative_difference(x, ref) <= 1e-9
+    # the pair is spent: the next step is factored afresh
+    steps.factor(second[0], "step 6 again", ws.step_ordering)
+    assert steps.fresh == 2
+
+
+def march_lines(caplog):
+    return [r.getMessage() for r in caplog.records if r.name == sol.log.name]
+
+
+def test_each_march_logs_its_step_counts(caplog):
+    prob, q = two_grid_problem()
+    caplog.set_level(logging.INFO, logger="porous_opt")
+    sol.run_adjoint(prob, sol.run_forward(prob, q))
+    lines = march_lines(caplog)
+    assert len(lines) == 2, lines
+    for line, march in zip(lines, ("forward", "costate")):
+        found = re.fullmatch(f"{march} march: 16 steps, 8 fresh factors, 8 reused, "
+                             r"0 fallbacks, most passes (\d+)", line)
+        assert found, line
+        assert 2 <= int(found[1]) <= sol.REUSE_PASSES
+
+
+def test_stalled_pairs_fall_back_to_the_fresh_march(monkeypatch, caplog):
+    # at this coarse dt every held factor stalls, so each step it was to
+    # serve is factored afresh and the sweeps are bitwise those that factor
+    # every step
+    prob = make_problem(n=4, m_steps=2, n_steps=4, wtilde=2.0)
+    q = np.full(prob.rc.n_steps + 1, 0.5)
+    caplog.set_level(logging.INFO, logger="porous_opt")
+    paired = sol.run_adjoint(prob, sol.run_forward(prob, q))
+    assert march_lines(caplog) == [
+        f"{march} march: 4 steps, 4 fresh factors, 0 reused, 2 fallbacks, most passes 0"
+        for march in ("forward", "costate")
+    ]
+    factor = sol._StepSolver.factor
+    monkeypatch.setattr(sol._StepSolver, "factor",
+                        lambda self, A, what, ordering, keep=False: factor(self, A, what, ordering))
+    fresh = sol.run_adjoint(prob, sol.run_forward(prob, q))
+    for name in ("C", "U", "P", "Cstar", "Ustar", "Pstar"):
+        assert np.array_equal(getattr(paired, name), getattr(fresh, name)), name
+
+
+def test_failing_fresh_factor_after_a_fallback_names_the_step_and_its_norm(monkeypatch):
+    # no pass reaches tol = 1e-300, so the held factor gives way to a fresh
+    # one, whose refined residual then fails with the step's name; both
+    # factors are dropped before the error reaches the caller
+    prob, q = two_grid_problem()
+    ws = prob.ws
+    traj = sol.run_forward(prob, q)
+    records = []
+    monkeypatch.setattr(sol.spla, "splu",
+                        failing_splu_at(None, 3 * prob.mesh.num_triangles, records))
+    steps = sol._StepSolver()
+    first, second = (forward_step_system(prob, traj, n) for n in (5, 6))
+    steps.factor(first[0], "step 5", ws.step_ordering, keep=True)
+    steps.solve(first[1], prob.rc.solver_tol)
+    steps.factor(second[0], "saturation step (m=2, n=6)", ws.step_ordering)
+    with pytest.raises(SolverError, match=r"^saturation step \(m=2, n=6\): residual "
+                                          r".* exceeds 1\.0e-300 \(1-norm ~ \d"):
+        steps.solve(second[1], 1e-300)
+    assert (steps.fresh, steps.reused, steps.fallbacks) == (2, 0, 1)
+    assert not steps.taken
+    main = threading.get_ident()
+    assert len(records) == 2
+    assert all(r.get("dropped") == r["made"] == main for r in records), records
+
+
+class CountedFactor(OwnedFactor):
+    """An :class:`OwnedFactor` that also counts the factors alive on each thread."""
+
+    def __init__(self, lu, record, live, peak):
+        super().__init__(lu, record)
+        self._live = live
+        thread = record["made"]
+        live[thread] += 1
+        peak[thread] = max(peak[thread], live[thread])
+
+    def __del__(self):
+        super().__del__()
+        self._live[self._record["made"]] -= 1
+
+
+def test_pairs_hold_one_factor_per_thread_and_drop_each_on_its_own(monkeypatch):
+    prob, q = two_grid_problem()
+    size = 3 * prob.mesh.num_triangles
+    splu = sol.spla.splu
+    records, live, peak = [], collections.Counter(), collections.Counter()
+
+    def counted(A, *args, **kwargs):
+        lu = splu(A, *args, **kwargs)
+        if A.shape != (size, size):
+            return lu
+        records.append({})
+        return CountedFactor(lu, records[-1], live, peak)
+
+    monkeypatch.setattr(sol.spla, "splu", counted)
+    threads = threading.active_count()
+    sol.run_adjoint(prob, sol.run_forward(prob, q))
+    assert threading.active_count() == threads
+    main = threading.get_ident()
+    # 16 steps per march, solved in pairs: 8 factors on this thread, 8 on the helper
+    assert [r["made"] == main for r in records] == [True] * 8 + [False] * 8
+    assert all(r.get("dropped") == r["made"] for r in records), records
+    assert set(peak.values()) == {1}
+    assert set(live.values()) == {0}
 
 
 def test_trajectory_is_freed_without_the_cycle_collector():
