@@ -13,6 +13,12 @@
 #   OUT_DIR/unstructured/{optimize,adjoint,matrices,operators,config,mesh}/
 #                       the first four and the last two again on the file mesh
 #                       of data/unstructured_square.cfg
+#   OUT_DIR/coarse/     `adjoint` at coarse dt on OUT_DIR/coarse.cfg (n = 16,
+#                       m_steps = 1, n_steps = 2, other keys default), with
+#                       the INFO log in log.txt: 3 of its 4 step factors take
+#                       the COLAMD branch, and each march's held factor
+#                       stalls, so the log reads "2 steps, 2 fresh factors,
+#                       0 reused, 1 fallbacks" for both marches
 #
 # Run it in two checkouts and compare them with `diff -r OUT_A OUT_B`, or,
 # for a change that moves the outputs by round-off, with
@@ -59,3 +65,8 @@ run unstructured/adjoint "$files" adjoint --save-every 8 \
 run unstructured/operators "$files" verify --suite operators
 run unstructured/config "$files" config --resolve
 run unstructured/mesh "$files" mesh-info
+
+printf 'n = 16\nm_steps = 1\nn_steps = 2\n' > "$out/coarse.cfg"
+mkdir -p "$out/coarse"
+POROUS_OPT_LOG=INFO python3 -m porous_opt.cli adjoint --config "$out/coarse.cfg" \
+    --out "$out/coarse" > "$out/coarse/stdout.txt" 2> "$out/coarse/log.txt"

@@ -103,7 +103,6 @@ def _dump_matrices(problem, traj, out_dir):
     from .assembly import assemble_darcy, assemble_saturation_state
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     c_field = P1DGField(problem.mesh, traj.C[0])
     A, F = assemble_darcy(c_field, problem.wells, traj.q[0], problem.ws)
     E, H, G = assemble_saturation_state(
@@ -115,6 +114,16 @@ def _dump_matrices(problem, traj, out_dir):
     for name, vec in (("F", F), ("G", G)):
         sio.mmwrite(str(out / f"{name}.mtx"), vec.reshape(-1, 1))
     log.info("matrix dumps written to %s", out)
+
+
+def _make_dir(option, path):
+    """Create the directory ``path`` that ``option`` names, or raise a
+    :class:`ConfigError` naming both."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{option} {path}: cannot create the directory "
+                          f"({exc.strerror})") from exc
 
 
 def _snapshot(problem, traj, out, prov, every):
@@ -270,10 +279,14 @@ def main(argv=None) -> int:
     status_path = None
     try:
         if args.command not in ("mesh-info", "config"):
-            out.mkdir(parents=True, exist_ok=True)
+            _make_dir("--out", out)
             status_path = out / "status.json"
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
+        if args.save_every < 0:
+            raise ConfigError("--save-every must be >= 0")
+        if args.dump_matrices and args.command in ("forward", "adjoint", "optimize"):
+            _make_dir("--dump-matrices", args.dump_matrices)  # before the run, not after it
         spec = RunSpec() if args.config is None else parse_config(args.config)
         handler = {
             "mesh-info": cmd_mesh_info,

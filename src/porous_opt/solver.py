@@ -39,15 +39,16 @@ Other step matrices are factored with COLAMD.
 
 Two consecutive step matrices of one coarse interval differ by O(dt), so
 the factor of one is a strong preconditioner for the next.  Each march
-(the forward's, the costate's) therefore solves its steps in pairs through
-one :class:`_StepSolver`: a step opening a pair is factored and solved
+(the forward's, the costate's) therefore builds one :class:`_StepSolver`,
+which owns the order, ``solver_tol`` and the march's one step factor, and
+solves its steps in pairs: a step opening a pair is factored and solved
 directly, and its factor is kept for the next step of the same coarse
 interval, which is solved by Richardson passes with that factor and its own
-matrix's residual, to the same ``solver_tol``.  A step whose passes stall or
-run out is factored afresh and opens a new pair.  So a march factors about
-half its steps, the outputs move from those of a fresh factor per step by
-round-off (about 1e-10 relative), and the schedule depends only on the
-data: two runs stay bitwise equal.
+matrix's residual.  A step whose passes stall or run out is factored afresh
+and opens a new pair.  So a march factors about half its steps, the outputs
+move from those of a fresh factor per step by round-off (about 1e-10
+relative), and the schedule depends only on the data: two runs stay
+bitwise equal.
 
 The costate saturation equation is linear in C*, and its step matrix
 D + dt (-E + H + S + R) is built from the forward trajectory and q alone.
@@ -255,102 +256,33 @@ def _diagonal_dominates_columns(csc, diag_slot):
     return bool(np.all(mag[diag_slot] >= colmax))
 
 
-class _StepLU:
-    """SuperLU factor of one saturation step matrix ``csc``.
-
-    The saturation pattern is symmetric and holds every diagonal: minimum
-    degree on A+A^T with diagonal pivots preferred gives 36-47 % less fill
-    than COLAMD (n = 16 to 64).  That order depends only on the pattern, so
-    ``ordering`` (the workspace's ``step_ordering``) holds it for the whole
-    mesh and the matrix is factored pre-permuted, in the natural order,
-    which skips SuperLU's own ordering pass at every step.  This holds only
-    while the diagonal pivots are the column maxima; at coarse dt the
-    convection term breaks this, SuperLU pivots off the diagonal and the
-    fill grew to 2-10x COLAMD's, so such matrices are factored with COLAMD
-    and partial pivoting.  On the minimum-degree branch SuperLU works on
-    panels of 3 columns, not its default 20: the factor is about 10 %
-    faster at n = 64 and SuperLU's work arrays are smaller.  ``relax`` is 3,
-    not its default 10, so a relaxed supernode holds one triangle's three
-    dofs: the fill fell from 70,080 to 64,104 at n = 16, from 2,115,438 to
-    2,112,396 at n = 64 and from 19,068 to 18,816 on
-    ``data/unstructured_square``; the factor took 1.65 against 2.06 ms at
-    n = 16 and 72.0 against 73.1 ms at n = 64 (medians of 15 and 30).
-
-    The workspace order with threshold pivoting cannot replace COLAMD: on
-    the n = 16, N = 2 costate step ``diag_pivot_thresh`` 0.1 and 0.01 fill
-    3.26x and 2.28x COLAMD's 116,700 (the coarse-dt test allows 2x), 0.01
-    and 0.001 raise its unrefined residual from 5e-12 to 8e-10 and 1.5e-9,
-    and on the 64 steps each of the config and ``data/unstructured_square``,
-    all diagonally dominant, every threshold gives the bitwise same factor.
-    """
-
-    def __init__(self, csc, what, ordering):
-        self.csc, self.what = csc, what
-        if _diagonal_dominates_columns(csc, ordering.diag_slot):
-            self.perm, self.inv = ordering.perm, ordering.inv
-            factored = sp.csc_matrix((csc.data[ordering.gather], ordering.indices,
-                                      ordering.indptr), csc.shape)
-            kwargs = dict(permc_spec="NATURAL", panel_size=3, relax=3,
-                          options=dict(SymmetricMode=True))
-        else:
-            self.perm = self.inv = slice(None)
-            factored, kwargs = csc, dict(permc_spec="COLAMD")
-        try:
-            self.lu = spla.splu(factored, **kwargs)
-        except RuntimeError as exc:
-            raise SolverError(f"{what}: factorization failed: {exc}") from exc
-
-    def solve(self, rhs, tol):
-        """x with ``csc @ x = rhs``, iteratively refined to ``tol``.
-
-        Drops the factor when the solve raises: the traceback of a
-        :class:`SolverError` then keeps no factor alive."""
-        try:
-            return _refined_solve(self.apply, self._product, rhs, tol, self.what,
-                                  self._one_norm)[0]
-        except BaseException:
-            self.drop()
-            raise
-
-    def apply(self, r):
-        """The factor's solve of ``csc @ x = r``, unrefined."""
-        return self.lu.solve(r[self.perm])[self.inv]
-
-    def drop(self):
-        self.lu = None
-
-    def _product(self, x):
-        return self.csc @ x
-
-    def _one_norm(self):
-        est = spla.onenormest(self.csc) if self.csc.shape[0] < 20000 else np.nan
-        return f" (1-norm ~ {est:.3e})"
-
-
 class _StepSolver:
     """The saturation step solves of one march, all on the thread that calls it.
 
-    Two consecutive step matrices of one coarse interval differ by O(dt), so
-    the steps are solved in pairs.  :meth:`factor` takes a step's matrix and
-    factors it (:class:`_StepLU`), unless a factor is held; :meth:`solve`
-    then solves the step directly and, when :meth:`factor` was told to
-    ``keep``, holds the factor for the next step.  That next step is not
-    factored: Richardson passes (:func:`_refine`) apply the held factor to
-    the residual of the step's own matrix until it is at most ``tol``, and
-    the held factor is dropped.  If a pass fails to halve the residual, or
-    ``REUSE_PASSES`` passes do not reach ``tol``, the step is factored
-    afresh, is solved directly, and its factor opens a new pair.  The held
-    factor is dropped before another is made, so the solver holds at most
-    one factor; the caller drops what is left with :meth:`drop` on the same
-    thread.
+    Each step is factored in ``ordering`` (the workspace's ``step_ordering``)
+    and solved to the relative residual ``tol``.  Two consecutive step
+    matrices of one coarse interval differ by O(dt), so the steps are solved
+    in pairs.  :meth:`factor` takes a step's matrix and factors it, unless a
+    factor is held; :meth:`solve` then solves the step directly and, when
+    :meth:`factor` was told to ``keep``, holds the factor for the next step.
+    That next step is not factored: Richardson passes (:func:`_refine`)
+    apply the held factor to the residual of the step's own matrix until it
+    is at most ``tol``, and the held factor is dropped.  If a pass fails to
+    halve the residual, or ``REUSE_PASSES`` passes do not reach ``tol``, the
+    step is factored afresh, is solved directly, and its factor opens a new
+    pair.  The one factor is ``_lu``: :meth:`solve` drops it before another
+    is made and before any error leaves it, so the solver holds at most one
+    step LU; the caller drops what is left with :meth:`drop` on its thread.
 
     ``steps``, ``fresh`` (factors made), ``reused``, ``fallbacks`` and
     ``most_passes`` (over the reused steps) count the march for its log line.
     """
 
-    def __init__(self):
-        self._held = None   # a factor kept for the next step
-        self._step = None   # (A, what, ordering, keep, fresh factor or None) of the step taken
+    def __init__(self, ordering, tol):
+        self._ordering, self._tol = ordering, tol
+        self._lu = None     # the factor: made for the taken step, or held from the step before
+        self._perm = self._inv = None  # the permutation _lu was made in
+        self._step = None   # (A, what, keep, whether _lu was made for it) of the step taken
         self.steps = self.fresh = self.reused = self.fallbacks = self.most_passes = 0
 
     @property
@@ -358,46 +290,99 @@ class _StepSolver:
         """Whether :meth:`factor` took a step that :meth:`solve` has not solved."""
         return self._step is not None
 
-    def factor(self, A, what, ordering, keep=False):
+    def factor(self, A, what, keep=False):
         """Take the next step's matrix ``A``, named ``what`` in errors: factor it
-        in ``ordering`` now, unless the held factor is to serve it.  With
-        ``keep``, a factor made for this step is held for the next one."""
-        lu = self._fresh(A, what, ordering) if self._held is None else None
-        self._step = (A, what, ordering, keep, lu)
+        now, unless the held factor is to serve it.  With ``keep``, a factor
+        made for this step is held for the next one."""
+        made = self._lu is None
+        if made:
+            self._factor(A, what)
+        self._step = (A, what, keep, made)
 
-    def solve(self, rhs, tol):
+    def solve(self, rhs):
         """The taken step's x with ``A @ x = rhs``, to the relative residual ``tol``."""
-        (A, what, ordering, keep, lu), self._step = self._step, None
-        held, self._held = self._held, None
+        (A, what, keep, made), self._step = self._step, None
         self.steps += 1
-        if held is not None:
-            try:
-                x, res, passes = _refine(held.apply, A.dot, rhs, tol, REUSE_PASSES)
-            finally:
-                held.drop()
-            if res <= tol:
-                self.reused += 1
-                self.most_passes = max(self.most_passes, passes)
-                return x
-            self.fallbacks += 1
-            lu = self._fresh(A, what, ordering)
-        x = lu.solve(rhs, tol)
-        if keep:
-            self._held = lu
+        held = None
+        try:
+            if not made:
+                x, res, passes = _refine(self._apply, A.dot, rhs, self._tol, REUSE_PASSES)
+                self._lu = None
+                if res <= self._tol:
+                    self.reused += 1
+                    self.most_passes = max(self.most_passes, passes)
+                    return x
+                self.fallbacks += 1
+                self._factor(A, what)
+            x = _refined_solve(self._apply, A.dot, rhs, self._tol, what,
+                               lambda: _one_norm(A))[0]
+            held = self._lu if keep else None
+        finally:
+            self._lu = held  # the factor outlives the step only when kept for the next
         return x
 
     def drop(self):
-        """Drop every factor this solver holds."""
-        self._held = self._step = None
+        """Drop the factor this solver holds and the step it took."""
+        self._lu = self._step = None
 
     def log_counts(self, march):
         log.info("%s: %d steps, %d fresh factors, %d reused, %d fallbacks, most passes %d",
                  march, self.steps, self.fresh, self.reused, self.fallbacks, self.most_passes)
 
-    def _fresh(self, A, what, ordering):
-        lu = _StepLU(A, what, ordering)
+    def _factor(self, A, what):
+        """Factor step matrix ``A`` (CSC on the saturation pattern) into ``_lu``.
+
+        The saturation pattern is symmetric and holds every diagonal: minimum
+        degree on A+A^T with diagonal pivots preferred gives 36-47 % less fill
+        than COLAMD (n = 16 to 64).  That order depends only on the pattern,
+        so ``ordering`` (the workspace's ``step_ordering``) holds it for the
+        whole mesh and the matrix is factored pre-permuted, in the natural
+        order, which skips SuperLU's own ordering pass at every step.  This
+        holds only while the diagonal pivots are the column maxima; at coarse
+        dt the convection term breaks this, SuperLU pivots off the diagonal
+        and the fill grew to 2-10x COLAMD's, so such matrices are factored
+        with COLAMD and partial pivoting.  On the minimum-degree branch
+        SuperLU works on panels of 3 columns, not its default 20: the factor
+        is about 10 % faster at n = 64 and SuperLU's work arrays are smaller.
+        ``relax`` is 3, not its default 10, so a relaxed supernode holds one
+        triangle's three dofs: the fill fell from 70,080 to 64,104 at n = 16,
+        from 2,115,438 to 2,112,396 at n = 64 and from 19,068 to 18,816 on
+        ``data/unstructured_square``; the factor took 1.65 against 2.06 ms at
+        n = 16 and 72.0 against 73.1 ms at n = 64 (medians of 15 and 30).
+
+        The workspace order with threshold pivoting cannot replace COLAMD: on
+        the n = 16, N = 2 costate step ``diag_pivot_thresh`` 0.1 and 0.01
+        fill 3.26x and 2.28x COLAMD's 116,700 (the coarse-dt test allows 2x),
+        0.01 and 0.001 raise its unrefined residual from 5e-12 to 8e-10 and
+        1.5e-9, and on the 64 steps each of the config and
+        ``data/unstructured_square``, all diagonally dominant, every
+        threshold gives the bitwise same factor.
+        """
+        order = self._ordering
+        if _diagonal_dominates_columns(A, order.diag_slot):
+            self._perm, self._inv = order.perm, order.inv
+            factored = sp.csc_matrix((A.data[order.gather], order.indices, order.indptr),
+                                     A.shape)
+            kwargs = dict(permc_spec="NATURAL", panel_size=3, relax=3,
+                          options=dict(SymmetricMode=True))
+        else:
+            self._perm = self._inv = slice(None)
+            factored, kwargs = A, dict(permc_spec="COLAMD")
+        try:
+            self._lu = spla.splu(factored, **kwargs)
+        except RuntimeError as exc:
+            raise SolverError(f"{what}: factorization failed: {exc}") from exc
         self.fresh += 1
-        return lu
+
+    def _apply(self, r):
+        """The factor's solve of ``A @ x = r``, unrefined."""
+        return self._lu.solve(r[self._perm])[self._inv]
+
+
+def _one_norm(A):
+    """A step matrix's estimated 1-norm, as its error messages give it."""
+    est = spla.onenormest(A) if A.shape[0] < 20000 else np.nan
+    return f" (1-norm ~ {est:.3e})"
 
 
 def _step_label(kind, m, n, c):
@@ -405,23 +390,18 @@ def _step_label(kind, m, n, c):
     return f"{kind} (m={m}, n={n}, C in [{c.min():.3g}, {c.max():.3g}])"
 
 
-def step_saturation_forward(c_vec, D, E, H, G, dt, tol=1e-10, what="saturation step", *,
-                            ordering, steps=None, keep=False):
+def step_saturation_forward(c_vec, D, E, H, G, dt, what, steps, keep=False):
     """One backward-Euler step of the state saturation equation (D, E, H on one pattern).
 
-    ``ordering`` is the pattern's :class:`SaturationOrdering`, the
-    workspace's ``step_ordering``.  ``steps`` is the march's
-    :class:`_StepSolver`, and ``keep`` tells it that the next step belongs
-    to the same coarse interval; without ``steps`` the step is factored and
-    solved on its own."""
+    ``steps`` is the march's :class:`_StepSolver`, ``what`` names the step
+    in its errors, and ``keep`` tells it that the next step belongs to the
+    same coarse interval."""
     # D + dt (E + H), formed in one array in that order
     data = np.add(E.data, H.data)
     data *= dt
     data += D.data
-    lhs = sp.csc_matrix((data, D.indices, D.indptr), D.shape)
-    steps = _StepSolver() if steps is None else steps
-    steps.factor(lhs, what, ordering, keep)
-    return steps.solve(D @ c_vec + dt * G, tol)
+    steps.factor(sp.csc_matrix((data, D.indices, D.indptr), D.shape), what, keep)
+    return steps.solve(D @ c_vec + dt * G)
 
 
 def costate_step_matrix(c_field, u_field, wells, q, ws, xi, dt):
@@ -453,8 +433,9 @@ class CostateMarch:
     the forward trajectory and q alone, so the main thread can assemble the
     next step while the helper factors this one.  Tasks run on the helper in
     the order they are queued: :meth:`factor` queues the hand-over of the
-    next step matrix to the helper's :class:`_StepSolver` ``steps``, which
-    factors it unless the factor it holds from the step before serves it;
+    next step matrix to ``steps``, the helper's :class:`_StepSolver` (built
+    with ``ordering`` and ``tol``), which factors it unless the factor it
+    holds from the step before serves it;
     :meth:`solve` queues the solve that writes row n of ``cstar`` from row
     n + 1.  A step matrix is queued once every queued solve has finished, so
     one step matrix at most waits for the helper, and the helper holds at
@@ -468,9 +449,9 @@ class CostateMarch:
     """
 
     def __init__(self, cstar, D, ordering, tol):
-        self._cstar, self._D, self._ordering, self._tol = cstar, D, ordering, tol
+        self._cstar, self._D = cstar, D
         self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="costate-lu")
-        self.steps = _StepSolver()  # touched only on the helper while the march runs
+        self.steps = _StepSolver(ordering, tol)  # touched only on the helper while it runs
         self._made = None    # the future of a hand-over no solve follows yet
         self._queued = []    # futures of the queued tasks, oldest first
 
@@ -489,7 +470,7 @@ class CostateMarch:
         solve has finished; with ``keep``, a factor made for it is held for
         the next step."""
         self.wait()
-        self._made = self._pool.submit(self.steps.factor, A, what, self._ordering, keep)
+        self._made = self._pool.submit(self.steps.factor, A, what, keep)
 
     def solve(self, n, load):
         """Queue the solve of C*^n from D C*^{n+1} + ``load`` with the last step matrix."""
@@ -505,7 +486,7 @@ class CostateMarch:
         if not self.steps.taken:  # the factorization raised; its future, read first, reports it
             return
         rhs = self._D @ self._cstar[n + 1].ravel() + load
-        self._cstar[n] = self.steps.solve(rhs, self._tol).reshape(self._cstar[n].shape)
+        self._cstar[n] = self.steps.solve(rhs).reshape(self._cstar[n].shape)
 
 
 def step_saturation_backward(march, n, W, Z, dt):
@@ -637,7 +618,7 @@ def run_forward(problem: Problem, q) -> Trajectory:
     if q.shape != (rc.n_steps + 1,):
         raise PorousOptError(f"control vector must have length {rc.n_steps + 1}")
     qhat = problem.wells.qhat
-    if q.min() < -1e-12 or q.max() > qhat * (1.0 + 1e-12):
+    if not (q.min() >= -1e-12 and q.max() <= qhat * (1.0 + 1e-12)):  # NaN fails too
         raise PorousOptError("control violates the box constraints [0, qhat]")
 
     fine = rc.fine_times()
@@ -655,7 +636,7 @@ def run_forward(problem: Problem, q) -> Trajectory:
     )
     traj.C[0] = problem.c0_values
     src = problem.sources
-    steps = _StepSolver()
+    steps = _StepSolver(problem.ws.step_ordering, rc.solver_tol)
 
     for m in range(M + 1):
         try:
@@ -677,12 +658,11 @@ def run_forward(problem: Problem, q) -> Trajectory:
                     lambda p: src.s_c(p, fine[n + 1]), problem.ws
                 )
             # the step is named by its interval's end node, as in the adjoint
-            cnew = step_saturation_forward(
-                traj.C[n].ravel(), problem.ws.D, E, H, G, rc.dt, rc.solver_tol,
-                _step_label("saturation step", m + 1, n, traj.C[n]),
-                ordering=problem.ws.step_ordering, steps=steps, keep=(n + 1) % K != 0,
-            )
-            traj.C[n + 1] = cnew.reshape(n_t, 3)
+            traj.C[n + 1] = step_saturation_forward(
+                traj.C[n].ravel(), problem.ws.D, E, H, G, rc.dt,
+                _step_label("saturation step", m + 1, n, traj.C[n]), steps,
+                keep=(n + 1) % K != 0,
+            ).reshape(n_t, 3)
     steps.log_counts("forward march")
     return traj
 

@@ -169,12 +169,28 @@ def test_unreadable_config_is_a_configuration_error(tmp_path, capsys, content, m
     assert status["status"] == "error" and status["exit_code"] == 2
 
 
-def test_zero_threads_is_a_configuration_error(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert main(["forward", "--threads", "0", "--out", str(out)]) == 2
-    assert "configuration error: --threads must be >= 1" in capsys.readouterr().err
-    status = json.loads((out / "status.json").read_text())
-    assert status["status"] == "error" and status["exit_code"] == 2
+@pytest.mark.parametrize("option, value, message", [
+    ("--threads", "0", "--threads must be >= 1"),
+    ("--save-every", "-1", "--save-every must be >= 0"),
+    ("--dump-matrices", "afile", "--dump-matrices {afile}: cannot create the directory"),
+    ("--out", "afile", "--out {afile}: cannot create the directory"),
+], ids=["zero_threads", "negative_save_every", "dump_matrices_is_a_file", "out_is_a_file"])
+def test_unusable_option_is_a_configuration_error(tmp_path, capsys, option, value, message):
+    # each is refused before the run starts; status.json goes into --out
+    # unless --out itself cannot be a directory
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    args = {"--out": str(tmp_path / "out"), option: value.replace("afile", str(afile))}
+    assert main(["forward", *(word for pair in args.items() for word in pair)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: " + message.format(afile=afile)), err
+    assert afile.read_text() == "kept\n"
+    if option != "--out":
+        out = tmp_path / "out"
+        assert not (out / "summary.csv").exists()
+        status = json.loads((out / "status.json").read_text())
+        assert status["status"] == "error" and status["exit_code"] == 2
+        assert message.split(" ")[0] in status["error"]
 
 
 TINY_CFG = "n = 4\nm_steps = 2\nn_steps = 4\n"

@@ -19,6 +19,7 @@ from porous_opt import assembly as asm
 from porous_opt import fespaces as fes
 from porous_opt import solver as sol
 from porous_opt.config import parse_config
+from porous_opt.control import optimize
 from porous_opt.errors import CompatibilityError, DomainError, PorousOptError, SolverError
 from porous_opt.mesh import build_barycentric_dual, build_primal, read_mesh, square_mesh
 from porous_opt.model import RunConfig, default_model, wells_from_tris
@@ -319,7 +320,8 @@ def test_step_factor_uses_the_workspace_order(config_problem, monkeypatch):
 
     monkeypatch.setattr(sol.spla, "splu", record)
     c_vec = prob.c0_values.ravel()
-    x = sol.step_saturation_forward(c_vec, D, E, H, G, rc.dt, rc.solver_tol, ordering=order)
+    x = sol.step_saturation_forward(c_vec, D, E, H, G, rc.dt, "saturation step",
+                                    sol._StepSolver(order, rc.solver_tol))
     monkeypatch.undo()
     (lu, spec), = factors
     assert spec == "NATURAL"
@@ -546,11 +548,16 @@ def test_constant_state_is_fixed_point():
     assert np.abs(traj.C - 0.37).max() < 1e-10
 
 
-def test_control_bounds_enforced():
+@pytest.mark.parametrize("value", [np.nan, np.inf, -0.1, 2.0],
+                         ids=["nan", "inf", "negative", "above_qhat"])
+def test_control_bounds_enforced(value):
+    # qhat = 1; a NaN control fails the box check, not a later solve
     prob = make_problem()
-    q = np.full(prob.rc.n_steps + 1, 2.0)  # above qhat = 1
-    with pytest.raises(PorousOptError):
+    q = np.full(prob.rc.n_steps + 1, value)
+    with pytest.raises(PorousOptError, match="box constraints"):
         sol.run_forward(prob, q)
+    with pytest.raises(PorousOptError, match="box constraints"):
+        optimize(prob, q0=q)
 
 
 def test_mass_balance_every_coarse_step():
@@ -589,8 +596,9 @@ def test_single_grid_equivalence_when_steps_match():
         E, H, G = asm.assemble_saturation_state(
             cf, fes.RT0Field(mesh, u), wells, q[i + 1], ws, prob.xi
         )
-        C = sol.step_saturation_forward(C.ravel(), ws.D, E, H, G, rc.dt,
-                                        ordering=ws.step_ordering).reshape(C.shape)
+        C = sol.step_saturation_forward(
+            C.ravel(), ws.D, E, H, G, rc.dt, "saturation step",
+            sol._StepSolver(ws.step_ordering, rc.solver_tol)).reshape(C.shape)
         Cs.append(C.copy())
     cf = fes.P1DGField(mesh, C)
     A, F = asm.assemble_darcy(cf, wells, q[-1], ws)
@@ -695,7 +703,8 @@ def test_saturation_steps_match_dense_solve():
     cstar_next = traj.Cstar[3].ravel()
     assert np.abs(cstar_next).max() > 0.0
 
-    fwd = sol.step_saturation_forward(c_prev, D, E, H, G, dt, ordering=ws.step_ordering)
+    fwd = sol.step_saturation_forward(c_prev, D, E, H, G, dt, "saturation step",
+                                      sol._StepSolver(ws.step_ordering, prob.rc.solver_tol))
     ref = np.linalg.solve((D + dt * (E + H)).toarray(), D @ c_prev + dt * G)
     assert np.abs(fwd - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -767,16 +776,18 @@ def test_two_grid_forward_matches_oracle():
                     fes.P1DGField(mesh, C[n]), fes.RT0Field(mesh, u), wells, q[n + 1],
                     ws, prob.xi,
                 )
-                pair = {} if steps is None else dict(steps=steps, keep=k < K - 1)
+                if steps is None:
+                    step = dict(steps=sol._StepSolver(ws.step_ordering, rc.solver_tol))
+                else:
+                    step = dict(steps=steps, keep=k < K - 1)
                 C[n + 1] = sol.step_saturation_forward(
-                    C[n].ravel(), ws.D, E, H, G, rc.dt, rc.solver_tol,
-                    ordering=ws.step_ordering, **pair
+                    C[n].ravel(), ws.D, E, H, G, rc.dt, "saturation step", **step
                 ).reshape(C[n].shape)
                 residuals.append(step_residual(ws.D + rc.dt * (E + H), C[n + 1].ravel(),
                                                ws.D @ C[n].ravel() + rc.dt * G))
         return C, U, residuals
 
-    steps = sol._StepSolver()
+    steps = sol._StepSolver(ws.step_ordering, rc.solver_tol)
     C, U, residuals = march(steps)
     assert np.array_equal(traj.C, C)
     assert np.array_equal(traj.U, U)
@@ -848,17 +859,18 @@ def test_two_grid_adjoint_matches_oracle(monkeypatch):
                 lhs = sp.csc_matrix((data, D.indices, D.indptr), D.shape)
                 rhs = D @ Cstar[j].ravel() + rc.dt * (W - Z)
                 if steps is None:
-                    x = sol._StepLU(lhs, "costate step", ws.step_ordering).solve(
-                        rhs, rc.solver_tol)
+                    own = sol._StepSolver(ws.step_ordering, rc.solver_tol)
+                    own.factor(lhs, "costate step")
+                    x = own.solve(rhs)
                 else:
                     # step j - 1's factor serves step j - 2 of the same interval
-                    steps.factor(lhs, "costate step", ws.step_ordering, keep=k > 1)
-                    x = steps.solve(rhs, rc.solver_tol)
+                    steps.factor(lhs, "costate step", keep=k > 1)
+                    x = steps.solve(rhs)
                 Cstar[j - 1] = x.reshape(C[j].shape)
                 residuals.append(step_residual(lhs, x, rhs))
         return Cstar, Ustar, Pstar, residuals
 
-    steps = sol._StepSolver()
+    steps = sol._StepSolver(ws.step_ordering, rc.solver_tol)
     Cstar, Ustar, Pstar, residuals = march(steps)
     assert np.abs(Cstar[0]).max() > 0.0
     assert (steps.steps, steps.fresh, steps.reused) == (16, 8, 8)
@@ -1028,6 +1040,25 @@ def test_step_failures_name_their_step_and_c_range(monkeypatch):
     assert all(r.get("dropped") == r["made"] != main for r in records), records
 
 
+def test_costate_step_residual_failure_on_the_helper_names_the_step(monkeypatch):
+    # no costate step reaches a relative residual of 1e-300 (the costate
+    # Darcy solves keep the forward's tolerance); the first step, n = 3,
+    # fails on the helper, its factor is dropped there, and the helper is joined
+    prob = make_problem(n=4, m_steps=2, n_steps=4, wtilde=2.0)
+    traj = sol.run_forward(prob, np.full(prob.rc.n_steps + 1, 0.5))
+    strict = dataclasses.replace(prob, rc=dataclasses.replace(prob.rc, solver_tol=1e-300))
+    records = []
+    monkeypatch.setattr(sol.spla, "splu",
+                        failing_splu_at(None, 3 * prob.mesh.num_triangles, records))
+    threads = threading.active_count()
+    with pytest.raises(SolverError, match=r"^costate saturation step \(m=2, n=3, C in .*\): "
+                                          r"residual .* exceeds 1\.0e-300 \(1-norm ~ \d"):
+        sol.run_adjoint(strict, traj)
+    assert threading.active_count() == threads
+    assert len(records) == 1
+    assert records[0].get("dropped") == records[0]["made"] != threading.get_ident()
+
+
 def test_step_residual_failure_names_the_step_and_its_norm():
     prob = make_problem()
     ws, q = prob.ws, prob.q_initial()
@@ -1038,8 +1069,8 @@ def test_step_residual_failure_names_the_step_and_its_norm():
     with pytest.raises(SolverError, match=r"^saturation step \(m=0, n=0\): residual "
                                           r".* exceeds 1\.0e-300 \(1-norm ~ \d"):
         sol.step_saturation_forward(prob.c0_values.ravel(), ws.D, E, H, G, prob.rc.dt,
-                                    tol=1e-300, what="saturation step (m=0, n=0)",
-                                    ordering=ws.step_ordering)
+                                    "saturation step (m=0, n=0)",
+                                    sol._StepSolver(ws.step_ordering, 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -1064,18 +1095,18 @@ def test_reused_step_matches_a_direct_solve():
     ws, tol = prob.ws, prob.rc.solver_tol
     traj = sol.run_forward(prob, q)
     first, second = (forward_step_system(prob, traj, n) for n in (5, 6))
-    steps = sol._StepSolver()
-    steps.factor(first[0], "step 5", ws.step_ordering, keep=True)
-    steps.solve(first[1], tol)
-    steps.factor(second[0], "step 6", ws.step_ordering)
-    x = steps.solve(second[1], tol)
+    steps = sol._StepSolver(ws.step_ordering, tol)
+    steps.factor(first[0], "step 5", keep=True)
+    steps.solve(first[1])
+    steps.factor(second[0], "step 6")
+    x = steps.solve(second[1])
     assert (steps.steps, steps.fresh, steps.reused, steps.fallbacks) == (2, 1, 1, 0)
     assert 2 <= steps.most_passes <= sol.REUSE_PASSES
     assert step_residual(second[0], x, second[1]) <= tol
     ref = np.linalg.solve(second[0].toarray(), second[1])
     assert relative_difference(x, ref) <= 1e-9
     # the pair is spent: the next step is factored afresh
-    steps.factor(second[0], "step 6 again", ws.step_ordering)
+    steps.factor(second[0], "step 6 again")
     assert steps.fresh == 2
 
 
@@ -1110,7 +1141,7 @@ def test_stalled_pairs_fall_back_to_the_fresh_march(monkeypatch, caplog):
     ]
     factor = sol._StepSolver.factor
     monkeypatch.setattr(sol._StepSolver, "factor",
-                        lambda self, A, what, ordering, keep=False: factor(self, A, what, ordering))
+                        lambda self, A, what, keep=False: factor(self, A, what))
     fresh = sol.run_adjoint(prob, sol.run_forward(prob, q))
     for name in ("C", "U", "P", "Cstar", "Ustar", "Pstar"):
         assert np.array_equal(getattr(paired, name), getattr(fresh, name)), name
@@ -1126,14 +1157,15 @@ def test_failing_fresh_factor_after_a_fallback_names_the_step_and_its_norm(monke
     records = []
     monkeypatch.setattr(sol.spla, "splu",
                         failing_splu_at(None, 3 * prob.mesh.num_triangles, records))
-    steps = sol._StepSolver()
+    steps = sol._StepSolver(ws.step_ordering, prob.rc.solver_tol)
     first, second = (forward_step_system(prob, traj, n) for n in (5, 6))
-    steps.factor(first[0], "step 5", ws.step_ordering, keep=True)
-    steps.solve(first[1], prob.rc.solver_tol)
-    steps.factor(second[0], "saturation step (m=2, n=6)", ws.step_ordering)
+    steps.factor(first[0], "step 5", keep=True)
+    steps.solve(first[1])
+    steps.factor(second[0], "saturation step (m=2, n=6)")
+    steps._tol = 1e-300  # the second step is solved to a tolerance no pass reaches
     with pytest.raises(SolverError, match=r"^saturation step \(m=2, n=6\): residual "
                                           r".* exceeds 1\.0e-300 \(1-norm ~ \d"):
-        steps.solve(second[1], 1e-300)
+        steps.solve(second[1])
     assert (steps.fresh, steps.reused, steps.fallbacks) == (2, 0, 1)
     assert not steps.taken
     main = threading.get_ident()
