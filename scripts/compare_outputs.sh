@@ -41,12 +41,21 @@ cd "$root"
 PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}"
 export PYTHONPATH
 
-run() {
+# show NAME CONFIG ARGS...: run the CLI on CONFIG, its stdout into NAME/stdout.txt
+show() {
     dir="$out/$1"
     cfg="$2"
     shift 2
     mkdir -p "$dir"
-    python3 -m porous_opt.cli "$@" --config "$cfg" --out "$dir" > "$dir/stdout.txt"
+    python3 -m porous_opt.cli "$@" --config "$cfg" > "$dir/stdout.txt"
+}
+
+# run NAME CONFIG ARGS...: the same for a command that also writes into --out NAME
+run() {
+    name="$1"
+    cfg="$2"
+    shift 2
+    show "$name" "$cfg" "$@" --out "$out/$name"
 }
 
 square=data/quarter_five_spot.cfg
@@ -55,16 +64,16 @@ run adjoint "$square" adjoint --save-every 8 --dump-matrices "$out/matrices"
 run operators "$square" verify --suite operators
 run state "$square" verify --suite state
 run costate "$square" verify --suite costate
-run config "$square" config --resolve
-run mesh "$square" mesh-info
+show config "$square" config --resolve
+show mesh "$square" mesh-info
 
 files=data/unstructured_square.cfg
 run unstructured/optimize "$files" optimize
 run unstructured/adjoint "$files" adjoint --save-every 8 \
     --dump-matrices "$out/unstructured/matrices"
 run unstructured/operators "$files" verify --suite operators
-run unstructured/config "$files" config --resolve
-run unstructured/mesh "$files" mesh-info
+show unstructured/config "$files" config --resolve
+show unstructured/mesh "$files" mesh-info
 
 printf 'n = 16\nm_steps = 1\nn_steps = 2\n' > "$out/coarse.cfg"
 mkdir -p "$out/coarse"

@@ -1,16 +1,26 @@
 """Command-line interface: mesh-info, forward, adjoint, optimize, verify,
 config.
 
+Each command takes only the options it reads, and refuses any other with
+exit 2:
+
+- ``mesh-info``: ``--config``;
+- ``config``: ``--config`` and one of ``--show-defaults`` (which takes no
+  ``--config``) and ``--resolve``;
+- ``verify``: ``--config``, ``--out`` and ``--suite``;
+- ``forward``, ``adjoint`` and ``optimize``: ``--config``, ``--out``,
+  ``--save-every``, ``--threads`` and ``--dump-matrices``.
+
 Exit codes: 0 success, 1 solver failure or a failed verification check,
 2 configuration error, 3 optimizer hit its iteration cap (results are still
-written).  Every run drops a machine-readable ``status.json`` into the output
-directory, with status "ok", "failed" (a check that did not pass), "warning"
-(the cap) or "error".  The log level comes from the ``POROUS_OPT_LOG``
-environment variable.  BLAS runs on one thread unless
-``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` say
-otherwise: the per-step products of the assembly kernels are too small to
-gain from more, and OpenBLAS's thread start-up dominates them (at n = 64 the
-saturation state assembly took 63.5 ms per call on two threads against
+written).  Every command that takes ``--out`` drops a machine-readable
+``status.json`` into that directory, with status "ok", "failed" (a check
+that did not pass), "warning" (the cap) or "error".  The log level comes
+from the ``POROUS_OPT_LOG`` environment variable.  BLAS runs on one thread
+unless ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``
+say otherwise: the per-step products of the assembly kernels are too small
+to gain from more, and OpenBLAS's thread start-up dominates them (at n = 64
+the saturation state assembly took 63.5 ms per call on two threads against
 33.0 ms on one, on a 2-core host).
 """
 
@@ -54,20 +64,22 @@ def _setup_logging():
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=str, default=None, help="run configuration file")
-    common.add_argument("--out", type=str, default="out", help="output directory")
-    common.add_argument("--save-every", type=int, default=0, metavar="K",
-                        help="write VTK snapshots every K saturation steps")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted and checked (>= 1), but sets no thread "
-                             "count: the adjoint factors its step matrices on one "
-                             "helper thread whatever the value, and the outputs "
-                             "are the same for every value")
-    common.add_argument("--dump-matrices", type=str, default=None, metavar="DIR",
-                        help="dump the first step's matrices of the reported "
-                             "run in MatrixMarket format: A and F at (C0, q0), "
-                             "E, H and G at (C0, U0, q1), and the fixed B and D")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", type=str, default=None, help="run configuration file")
+    output = argparse.ArgumentParser(add_help=False, parents=[config])
+    output.add_argument("--out", type=str, default="out", help="output directory")
+    run = argparse.ArgumentParser(add_help=False, parents=[output])
+    run.add_argument("--save-every", type=int, default=0, metavar="K",
+                     help="write VTK snapshots every K saturation steps")
+    run.add_argument("--threads", type=int, default=1,
+                     help="accepted and checked (>= 1), but sets no thread "
+                          "count: the adjoint factors its step matrices on one "
+                          "helper thread whatever the value, and the outputs "
+                          "are the same for every value")
+    run.add_argument("--dump-matrices", type=str, default=None, metavar="DIR",
+                     help="dump the first step's matrices of the reported "
+                          "run in MatrixMarket format: A and F at (C0, q0), "
+                          "E, H and G at (C0, U0, q1), and the fixed B and D")
 
     parser = argparse.ArgumentParser(
         prog="porous-opt",
@@ -75,17 +87,25 @@ def build_parser():
                     "for water-injection control in two-phase porous media flow.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("mesh-info", parents=[common], help="print mesh counts and quality")
-    sub.add_parser("forward", parents=[common], help="run the forward state sweep")
-    sub.add_parser("adjoint", parents=[common], help="run forward + adjoint sweeps")
-    sub.add_parser("optimize", parents=[common], help="run the active-set control iteration")
-    ver = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    sub.add_parser("mesh-info", parents=[config], help="print mesh counts and quality"
+                   ).set_defaults(handler=cmd_mesh_info)
+    sub.add_parser("forward", parents=[run], help="run the forward state sweep"
+                   ).set_defaults(handler=cmd_forward)
+    sub.add_parser("adjoint", parents=[run], help="run forward + adjoint sweeps"
+                   ).set_defaults(handler=lambda a, s: cmd_forward(a, s, adjoint=True))
+    sub.add_parser("optimize", parents=[run], help="run the active-set control iteration"
+                   ).set_defaults(handler=cmd_optimize)
+    ver = sub.add_parser("verify", parents=[output], help="run a verification suite")
     ver.add_argument("--suite", required=True,
                      choices=("operators", "state", "costate", "control", "gradient"))
-    cfg = sub.add_parser("config", parents=[common], help="inspect configuration")
+    ver.set_defaults(handler=cmd_verify)
+    cfg = sub.add_parser("config", parents=[config], help="inspect configuration")
     group = cfg.add_mutually_exclusive_group(required=True)
-    group.add_argument("--show-defaults", action="store_true")
-    group.add_argument("--resolve", action="store_true")
+    group.add_argument("--show-defaults", action="store_true",
+                       help="print the built-in defaults; takes no --config")
+    group.add_argument("--resolve", action="store_true",
+                       help="print the configuration with every auto value made explicit")
+    cfg.set_defaults(handler=cmd_config)
     return parser
 
 
@@ -275,28 +295,22 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = Path(args.out)
     status_path = None
     try:
-        if args.command not in ("mesh-info", "config"):
-            _make_dir("--out", out)
-            status_path = out / "status.json"
-        if args.threads < 1:
+        if "out" in args:
+            _make_dir("--out", args.out)
+            status_path = Path(args.out) / "status.json"
+        if "threads" in args and args.threads < 1:
             raise ConfigError("--threads must be >= 1")
-        if args.save_every < 0:
+        if "save_every" in args and args.save_every < 0:
             raise ConfigError("--save-every must be >= 0")
-        if args.dump_matrices and args.command in ("forward", "adjoint", "optimize"):
+        if "dump_matrices" in args and args.dump_matrices:
             _make_dir("--dump-matrices", args.dump_matrices)  # before the run, not after it
+        if "show_defaults" in args and args.show_defaults and args.config is not None:
+            raise ConfigError(f"--show-defaults prints the built-in defaults and takes "
+                              f"no --config (got {args.config})")
         spec = RunSpec() if args.config is None else parse_config(args.config)
-        handler = {
-            "mesh-info": cmd_mesh_info,
-            "forward": lambda a, s: cmd_forward(a, s, adjoint=False),
-            "adjoint": lambda a, s: cmd_forward(a, s, adjoint=True),
-            "optimize": cmd_optimize,
-            "verify": cmd_verify,
-            "config": cmd_config,
-        }[args.command]
-        code, extra = handler(args, spec)
+        code, extra = args.handler(args, spec)
         if status_path is not None:
             status = {EXIT_OK: "ok", EXIT_SOLVER: "failed"}.get(code, "warning")
             write_status(status_path, status, code, extra=extra)

@@ -41,13 +41,13 @@ Two consecutive step matrices of one coarse interval differ by O(dt), so
 the factor of one is a strong preconditioner for the next.  Each march
 (the forward's, the costate's) therefore builds one :class:`_StepSolver`,
 which owns the order, ``solver_tol`` and the march's one step factor, and
-solves its steps in pairs: a step opening a pair is factored and solved
-directly, and its factor is kept for the next step of the same coarse
-interval, which is solved by Richardson passes with that factor and its own
-matrix's residual.  A step whose passes stall or run out is factored afresh
-and opens a new pair.  So a march factors about half its steps, the outputs
-move from those of a fresh factor per step by round-off (about 1e-10
-relative), and the schedule depends only on the data: two runs stay
+solves its steps in pairs: a step opening a pair is factored, and its
+factor is kept for the next step of the same coarse interval.  Both steps
+are solved by the same Richardson passes with that factor and their own
+matrix's residual.  A reused step whose passes stall or run out is factored
+afresh and opens a new pair.  So a march factors about half its steps, the
+outputs move from those of a fresh factor per step by round-off (about
+1e-10 relative), and the schedule depends only on the data: two runs stay
 bitwise equal.
 
 The costate saturation equation is linear in C*, and its step matrix
@@ -108,9 +108,9 @@ from .model import CoefficientModel, RunConfig, WellModel
 
 log = logging.getLogger(__name__)
 
-# Richardson passes a held step factor may run for the next step before that
-# step is factored afresh; the config's reused steps took up to 9 passes at
-# n = 16 and 18 at n = 64
+# Richardson passes a step solve may run with its factor, fresh or held; a
+# step the held factor does not solve within them is factored afresh.  The
+# config's reused steps took up to 9 passes at n = 16 and 18 at n = 64
 REUSE_PASSES = 20
 
 
@@ -172,8 +172,10 @@ class DarcySaddle:
         boundary edges; ``p`` has zero area-weighted mean.
         """
         rhs = np.concatenate([rhs_u, rhs_p])
-        x, res = _refined_solve(self._correction, self._product, rhs, self.tol,
-                                "Darcy solve")
+        # one or two refinement passes rescue a mildly ill-conditioned system
+        x, res, _ = _refine(self._correction, self._product, rhs, self.tol, 3)
+        if not res <= self.tol:
+            raise SolverError(f"Darcy solve: residual {res:.3e} exceeds {self.tol:.1e}")
         mesh = self.null_space.mesh
         u = np.zeros(mesh.num_edges)
         u[~mesh.boundary_edge] = x[: self.n_int]
@@ -228,23 +230,6 @@ def _refine(solve, product, rhs, tol, passes):
     return x, res, done
 
 
-def _refined_solve(solve, product, rhs, tol, what, detail=None):
-    """``solve(rhs)`` followed by up to two passes of iterative refinement.
-
-    ``solve`` applies a factorization of the matrix whose action is
-    ``product``; one or two passes (:func:`_refine`) rescue mildly
-    ill-conditioned systems without changing well-conditioned ones.  Returns
-    ``(x, relative residual)``; raises :class:`SolverError` naming ``what``,
-    the residual and ``tol`` (plus ``detail()``, when given) if the residual
-    still exceeds ``tol``.
-    """
-    x, res, _ = _refine(solve, product, rhs, tol, 3)
-    if not res <= tol:
-        note = detail() if detail is not None else ""
-        raise SolverError(f"{what}: residual {res:.3e} exceeds {tol:.1e}{note}")
-    return x, res
-
-
 def _diagonal_dominates_columns(csc, diag_slot):
     """True when every column's largest entry in magnitude is its diagonal,
     stored at ``diag_slot`` of the data.
@@ -263,16 +248,18 @@ class _StepSolver:
     and solved to the relative residual ``tol``.  Two consecutive step
     matrices of one coarse interval differ by O(dt), so the steps are solved
     in pairs.  :meth:`factor` takes a step's matrix and factors it, unless a
-    factor is held; :meth:`solve` then solves the step directly and, when
-    :meth:`factor` was told to ``keep``, holds the factor for the next step.
-    That next step is not factored: Richardson passes (:func:`_refine`)
-    apply the held factor to the residual of the step's own matrix until it
-    is at most ``tol``, and the held factor is dropped.  If a pass fails to
-    halve the residual, or ``REUSE_PASSES`` passes do not reach ``tol``, the
-    step is factored afresh, is solved directly, and its factor opens a new
-    pair.  The one factor is ``_lu``: :meth:`solve` drops it before another
-    is made and before any error leaves it, so the solver holds at most one
-    step LU; the caller drops what is left with :meth:`drop` on its thread.
+    factor is held.  :meth:`solve` runs the same Richardson passes
+    (:func:`_refine`, at most ``REUSE_PASSES``) with either factor: each
+    pass applies it to the residual of the step's own matrix, until that
+    residual is at most ``tol``.  When :meth:`factor` was told to ``keep``,
+    a factor made for the step is held for the next step, which is not
+    factored, and is dropped after serving it.  If a pass with the held
+    factor fails to halve the residual, or the passes do not reach ``tol``,
+    the step is factored afresh, its passes run again, and its factor opens
+    a new pair.  The one factor is ``_lu``: :meth:`solve` drops it before
+    another is made and before any error leaves it, so the solver holds at
+    most one step LU; the caller drops what is left with :meth:`drop` on its
+    thread.
 
     ``steps``, ``fresh`` (factors made), ``reused``, ``fallbacks`` and
     ``most_passes`` (over the reused steps) count the march for its log line.
@@ -305,18 +292,22 @@ class _StepSolver:
         self.steps += 1
         held = None
         try:
-            if not made:
+            while True:
                 x, res, passes = _refine(self._apply, A.dot, rhs, self._tol, REUSE_PASSES)
-                self._lu = None
-                if res <= self._tol:
-                    self.reused += 1
-                    self.most_passes = max(self.most_passes, passes)
-                    return x
+                if made or res <= self._tol:
+                    break
+                self._lu = None  # the held factor stalled: this step is factored afresh
                 self.fallbacks += 1
                 self._factor(A, what)
-            x = _refined_solve(self._apply, A.dot, rhs, self._tol, what,
-                               lambda: _one_norm(A))[0]
-            held = self._lu if keep else None
+                made = True
+            if not res <= self._tol:
+                raise SolverError(f"{what}: residual {res:.3e} exceeds {self._tol:.1e}"
+                                  f"{_one_norm(A)}")
+            if made:
+                held = self._lu if keep else None
+            else:
+                self.reused += 1
+                self.most_passes = max(self.most_passes, passes)
         finally:
             self._lu = held  # the factor outlives the step only when kept for the next
         return x

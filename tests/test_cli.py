@@ -336,6 +336,19 @@ def test_config_show_defaults(capsys):
     assert "xi = auto" in text
 
 
+@pytest.mark.parametrize("exists", [True, False], ids=["readable", "missing"])
+def test_show_defaults_refuses_a_config(tmp_path, capsys, exists):
+    # the defaults are those of no file, whether or not the file can be read
+    cfg = tmp_path / "c.cfg"
+    if exists:
+        cfg.write_text(SMALL_CFG)
+    assert main(["config", "--show-defaults", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: --show-defaults ")
+    assert "--config" in captured.err
+
+
 def test_config_resolve(small_cfg, capsys):
     code = main(["config", "--resolve", "--config", str(small_cfg)])
     assert code == 0
@@ -380,6 +393,27 @@ def test_determinism_across_thread_flag(small_cfg, tmp_path):
                  "--threads", "4"]) == 0
     for name in ("summary.csv", "objective_terms.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# each command with the options it reads nothing from, and valid arguments
+# for the rest of its command line
+_BASE_ARGS = {"mesh-info": [], "config": ["--resolve"], "verify": ["--suite", "operators"]}
+_UNREAD = {"mesh-info": ("--out", "--save-every", "--threads", "--dump-matrices"),
+           "config": ("--out", "--save-every", "--threads", "--dump-matrices"),
+           "verify": ("--save-every", "--threads", "--dump-matrices")}
+_VALUES = {"--out": "made", "--save-every": "4", "--threads": "3", "--dump-matrices": "made"}
+
+
+@pytest.mark.parametrize("command, option", [(c, o) for c, opts in _UNREAD.items()
+                                             for o in opts])
+def test_command_refuses_an_option_it_does_not_read(tmp_path, monkeypatch, capsys,
+                                                    command, option):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_BASE_ARGS[command], option, _VALUES[option]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
