@@ -16,7 +16,9 @@
 #   OUT_DIR/coarse/     `adjoint` at coarse dt on OUT_DIR/coarse.cfg (n = 16,
 #                       m_steps = 1, n_steps = 2, other keys default), with
 #                       the INFO log in log.txt: 3 of its 4 step factors take
-#                       the COLAMD branch, and each march's held factor
+#                       the COLAMD branch in double; the fourth, of the first
+#                       forward step (n = 0), is the single-precision factor
+#                       in the workspace order.  Each march's held factor
 #                       stalls, so the log reads "2 steps, 2 fresh factors,
 #                       0 reused, 1 fallbacks" for both marches
 #

@@ -50,6 +50,20 @@ outputs move from those of a fresh factor per step by round-off (about
 1e-10 relative), and the schedule depends only on the data: two runs stay
 bitwise equal.
 
+Since every step is solved by passes against its own matrix's residual, a
+factor in the workspace order is made in single precision
+(mixed-precision iterative refinement; Carson and Higham, SIAM J. Sci.
+Comput. 40, 2018): the products, residuals and the ``solver_tol`` check
+stay in double.  The passes with a fresh factor run to
+round-off, so a fresh step is as accurate as a double factor makes it; the
+passes with a held factor stop at ``solver_tol``.  At n = 64 a step factor
+took 65.4 ms against 81.4 ms in double, with the same fill (2,112,396
+``lu.nnz``), and a pass 4.3 against 5.2 ms (medians of 7, BLAS on one
+thread, 2-core VM).  A fresh step takes 4 passes (round-off by the third,
+then the stall check) where the double factor took 1, and a reused step
+keeps its 6-18.  COLAMD factors (coarse dt, see :meth:`_StepSolver._factor`)
+stay in double.
+
 The costate saturation equation is linear in C*, and its step matrix
 D + dt (-E + H + S + R) is built from the forward trajectory and q alone.
 So the adjoint runs its step solver on one helper thread
@@ -109,8 +123,10 @@ from .model import CoefficientModel, RunConfig, WellModel
 log = logging.getLogger(__name__)
 
 # Richardson passes a step solve may run with its factor, fresh or held; a
-# step the held factor does not solve within them is factored afresh.  The
-# config's reused steps took up to 9 passes at n = 16 and 18 at n = 64
+# step the held factor does not solve within them is factored afresh.  With
+# a single-precision factor the config's reused steps took up to 9 passes at
+# n = 16 and 18 at n = 64 and 128 to ``solver_tol``, and its fresh steps 4 at
+# n = 16 and 64 and 5 at n = 128 to round-off
 REUSE_PASSES = 20
 
 
@@ -213,10 +229,12 @@ def _refine(solve, product, rhs, tol, passes):
     """Up to ``passes`` Richardson passes x += solve(rhs - product(x)) from x = 0.
 
     ``solve`` applies a factorization of the matrix whose action is
-    ``product``, or of a nearby one.  The passes stop once the residual
-    relative to ``rhs`` is at most ``tol``, or after a pass that fails to
-    halve it (the first pass starts from the relative residual 1).  Returns
-    ``(x, relative residual, passes run)``.
+    ``product``, or of a nearby one, possibly in single precision; ``x``,
+    the products and the residuals stay in double.  The passes stop once
+    the residual relative to ``rhs`` is at most ``tol``, or after a pass
+    that fails to halve it (the first pass starts from the relative residual
+    1), so with ``tol`` 0 they run to round-off.  Returns ``(x, relative
+    residual, passes run)``.
     """
     norm = np.linalg.norm(rhs)
     norm = norm if norm > 0 else 1.0
@@ -244,14 +262,18 @@ def _diagonal_dominates_columns(csc, diag_slot):
 class _StepSolver:
     """The saturation step solves of one march, all on the thread that calls it.
 
-    Each step is factored in ``ordering`` (the workspace's ``step_ordering``)
-    and solved to the relative residual ``tol``.  Two consecutive step
-    matrices of one coarse interval differ by O(dt), so the steps are solved
-    in pairs.  :meth:`factor` takes a step's matrix and factors it, unless a
+    Each step is factored in ``ordering`` (the workspace's ``step_ordering``),
+    in single precision, or with COLAMD in double (see :meth:`_factor`), and
+    solved to the relative residual ``tol``.  Two consecutive step matrices
+    of one coarse interval differ by O(dt), so the steps are solved in
+    pairs.  :meth:`factor` takes a step's matrix and factors it, unless a
     factor is held.  :meth:`solve` runs the same Richardson passes
     (:func:`_refine`, at most ``REUSE_PASSES``) with either factor: each
-    pass applies it to the residual of the step's own matrix, until that
-    residual is at most ``tol``.  When :meth:`factor` was told to ``keep``,
+    pass applies it to the residual of the step's own matrix, computed in
+    double.  With a fresh factor the passes run to round-off (tolerance 0:
+    they stop at the first pass that fails to halve the residual), with a
+    held one until the residual is at most ``tol``; either way the step
+    must end at most ``tol``.  When :meth:`factor` was told to ``keep``,
     a factor made for the step is held for the next step, which is not
     factored, and is dropped after serving it.  If a pass with the held
     factor fails to halve the residual, or the passes do not reach ``tol``,
@@ -261,16 +283,18 @@ class _StepSolver:
     most one step LU; the caller drops what is left with :meth:`drop` on its
     thread.
 
-    ``steps``, ``fresh`` (factors made), ``reused``, ``fallbacks`` and
+    ``steps``, ``fresh`` (factors made), ``reused``, ``fallbacks``,
+    ``most_fresh_passes`` (over the passes with a fresh factor) and
     ``most_passes`` (over the reused steps) count the march for its log line.
     """
 
     def __init__(self, ordering, tol):
         self._ordering, self._tol = ordering, tol
         self._lu = None     # the factor: made for the taken step, or held from the step before
-        self._perm = self._inv = None  # the permutation _lu was made in
+        self._perm = self._inv = self._dtype = None  # the permutation and precision of _lu
         self._step = None   # (A, what, keep, whether _lu was made for it) of the step taken
-        self.steps = self.fresh = self.reused = self.fallbacks = self.most_passes = 0
+        self.steps = self.fresh = self.reused = self.fallbacks = 0
+        self.most_fresh_passes = self.most_passes = 0
 
     @property
     def taken(self):
@@ -293,7 +317,9 @@ class _StepSolver:
         held = None
         try:
             while True:
-                x, res, passes = _refine(self._apply, A.dot, rhs, self._tol, REUSE_PASSES)
+                # a fresh factor's passes run to round-off, a held one's to tol
+                x, res, passes = _refine(self._apply, A.dot, rhs, 0.0 if made else self._tol,
+                                         REUSE_PASSES)
                 if made or res <= self._tol:
                     break
                 self._lu = None  # the held factor stalled: this step is factored afresh
@@ -305,6 +331,7 @@ class _StepSolver:
                                   f"{_one_norm(A)}")
             if made:
                 held = self._lu if keep else None
+                self.most_fresh_passes = max(self.most_fresh_passes, passes)
             else:
                 self.reused += 1
                 self.most_passes = max(self.most_passes, passes)
@@ -317,11 +344,19 @@ class _StepSolver:
         self._lu = self._step = None
 
     def log_counts(self, march):
-        log.info("%s: %d steps, %d fresh factors, %d reused, %d fallbacks, most passes %d",
-                 march, self.steps, self.fresh, self.reused, self.fallbacks, self.most_passes)
+        log.info("%s: %d steps, %d fresh factors, %d reused, %d fallbacks, "
+                 "most passes %d fresh, %d reused", march, self.steps, self.fresh,
+                 self.reused, self.fallbacks, self.most_fresh_passes, self.most_passes)
 
     def _factor(self, A, what):
         """Factor step matrix ``A`` (CSC on the saturation pattern) into ``_lu``.
+
+        In the workspace order the factor is single precision: SuperLU gets
+        the gathered data in float32, with the same order and fill, and the
+        passes of :meth:`solve` refine it in double.  Its LU holds half the
+        bytes per value, and it took 65.4 against 81.4 ms at n = 64 and
+        445-466 against 706-779 ms at n = 128 (medians over the factors of
+        a sweep).  A COLAMD factor stays in double.
 
         The saturation pattern is symmetric and holds every diagonal: minimum
         degree on A+A^T with diagonal pivots preferred gives 36-47 % less fill
@@ -352,13 +387,14 @@ class _StepSolver:
         order = self._ordering
         if _diagonal_dominates_columns(A, order.diag_slot):
             self._perm, self._inv = order.perm, order.inv
-            factored = sp.csc_matrix((A.data[order.gather], order.indices, order.indptr),
-                                     A.shape)
+            factored = sp.csc_matrix((A.data.astype(np.float32)[order.gather], order.indices,
+                                      order.indptr), A.shape)
             kwargs = dict(permc_spec="NATURAL", panel_size=3, relax=3,
                           options=dict(SymmetricMode=True))
         else:
             self._perm = self._inv = slice(None)
             factored, kwargs = A, dict(permc_spec="COLAMD")
+        self._dtype = factored.dtype
         try:
             self._lu = spla.splu(factored, **kwargs)
         except RuntimeError as exc:
@@ -366,14 +402,18 @@ class _StepSolver:
         self.fresh += 1
 
     def _apply(self, r):
-        """The factor's solve of ``A @ x = r``, unrefined."""
-        return self._lu.solve(r[self._perm])[self._inv]
+        """The factor's solve of ``A @ x = r``, unrefined, in double.
+
+        The permuted ``r`` is cast to the factor's precision and the
+        correction back to float64."""
+        x = self._lu.solve(r[self._perm].astype(self._dtype, copy=False))
+        return x.astype(np.float64, copy=False)[self._inv]
 
 
 def _one_norm(A):
-    """A step matrix's estimated 1-norm, as its error messages give it."""
-    est = spla.onenormest(A) if A.shape[0] < 20000 else np.nan
-    return f" (1-norm ~ {est:.3e})"
+    """A step matrix's 1-norm (its largest column sum of |A|), as its error
+    messages give it."""
+    return f" (1-norm ~ {spla.norm(A, 1):.3e})"
 
 
 def _step_label(kind, m, n, c):

@@ -219,15 +219,19 @@ def test_coarse_dt_saturation_fill_stays_near_colamd(monkeypatch):
     def record(K, *args, **kwargs):
         lu = splu(K, *args, **kwargs)
         if K.shape == (size, size):
-            fills.append((lu.nnz, splu(K, permc_spec="COLAMD").nnz))
+            fills.append((lu.nnz, splu(K, permc_spec="COLAMD").nnz, kwargs["permc_spec"],
+                          K.dtype))
         return lu
 
     monkeypatch.setattr(sol.spla, "splu", record)
     traj = sol.run_forward(prob, prob.q_initial())
     sol.run_adjoint(prob, traj)
     assert len(fills) == 4  # two forward steps, two costate steps
-    for nnz, colamd in fills:
+    for nnz, colamd, _, _ in fills:
         assert nnz <= 2 * colamd, fills
+    # the COLAMD factors are made in double, the workspace-order one in single
+    assert sorted((spec, dtype) for *_, spec, dtype in fills) == [
+        ("COLAMD", np.float64)] * 3 + [("NATURAL", np.float32)], fills
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +298,9 @@ def test_step_ordering_matches_the_pattern_oracle(config_problem):
 
 
 def test_step_factor_uses_the_workspace_order(config_problem, monkeypatch):
-    # a step matrix on the minimum-degree branch is factored pre-permuted:
-    # fill as SuperLU's own MMD on it (FILL_OVER_MMD), the same solution,
+    # a step matrix on the minimum-degree branch is factored pre-permuted
+    # and in single precision: fill as SuperLU's own MMD on it
+    # (FILL_OVER_MMD), the same solution as a double factor once refined,
     # and no reference to the factor survives the step
     name, prob = config_problem
     ws, rc = prob.ws, prob.rc
@@ -315,7 +320,7 @@ def test_step_factor_uses_the_workspace_order(config_problem, monkeypatch):
 
     def record(K, *args, **kwargs):
         lu = splu(K, *args, **kwargs)
-        factors.append((lu, kwargs["permc_spec"]))
+        factors.append((lu, kwargs["permc_spec"], K.dtype))
         return lu
 
     monkeypatch.setattr(sol.spla, "splu", record)
@@ -323,8 +328,9 @@ def test_step_factor_uses_the_workspace_order(config_problem, monkeypatch):
     x = sol.step_saturation_forward(c_vec, D, E, H, G, rc.dt, "saturation step",
                                     sol._StepSolver(order, rc.solver_tol))
     monkeypatch.undo()
-    (lu, spec), = factors
+    (lu, spec, dtype), = factors
     assert spec == "NATURAL"
+    assert dtype == np.float32
     del factors[:]
     # only ``lu`` (and getrefcount's argument) refer to the factor
     assert sys.getrefcount(lu) == 2
@@ -1073,6 +1079,15 @@ def test_step_residual_failure_names_the_step_and_its_norm():
                                     sol._StepSolver(ws.step_ordering, 1e-300))
 
 
+def test_step_error_gives_the_exact_norm_of_a_large_matrix():
+    # the 1-norm in a step's error message is the largest column sum of |A|
+    # at every size, an n = 64 step's 24,576 rows included
+    n = 24576
+    A = sp.diags([np.full(n - 1, -1.0), np.arange(1.0, n + 1), np.full(n - 1, 2.0)],
+                 [-1, 0, 1], format="csc")
+    assert sol._one_norm(A) == f" (1-norm ~ {n + 2:.3e})"
+
+
 # ---------------------------------------------------------------------------
 # step pairs: a fresh factor serves the next step of its coarse interval
 # ---------------------------------------------------------------------------
@@ -1122,9 +1137,11 @@ def test_each_march_logs_its_step_counts(caplog):
     assert len(lines) == 2, lines
     for line, march in zip(lines, ("forward", "costate")):
         found = re.fullmatch(f"{march} march: 16 steps, 8 fresh factors, 8 reused, "
-                             r"0 fallbacks, most passes (\d+)", line)
+                             r"0 fallbacks, most passes (\d+) fresh, (\d+) reused", line)
         assert found, line
+        # a single-precision factor needs at least two passes to reach round-off
         assert 2 <= int(found[1]) <= sol.REUSE_PASSES
+        assert 2 <= int(found[2]) <= sol.REUSE_PASSES
 
 
 def test_stalled_pairs_fall_back_to_the_fresh_march(monkeypatch, caplog):
@@ -1136,7 +1153,8 @@ def test_stalled_pairs_fall_back_to_the_fresh_march(monkeypatch, caplog):
     caplog.set_level(logging.INFO, logger="porous_opt")
     paired = sol.run_adjoint(prob, sol.run_forward(prob, q))
     assert march_lines(caplog) == [
-        f"{march} march: 4 steps, 4 fresh factors, 0 reused, 2 fallbacks, most passes 0"
+        f"{march} march: 4 steps, 4 fresh factors, 0 reused, 2 fallbacks, "
+        "most passes 4 fresh, 0 reused"
         for march in ("forward", "costate")
     ]
     factor = sol._StepSolver.factor
