@@ -4,14 +4,15 @@ The Darcy saddle systems (state and costate share the velocity matrix at a
 given coarse time) are solved in the divergence-free subspace (the
 null-space method): every velocity with B u = 0 is the curl of a stream
 function, so :class:`DarcySaddle` factors only the stream-function system
-curl^T A curl, in SuperLU's minimum degree with diagonal pivots preferred.
-The basis ``curl`` and one factor of B B^T with the first pressure pinned
-are geometry, built once per mesh at the first Darcy solve (the workspace's
-``ws.null_space``, :class:`DarcyNullSpace`): B B^T lifts the mass load and
-gives the pressure, which is then shifted to zero area-weighted mean, and
-the residual is checked on the full unpinned system.  A saddle reads the
-mesh and B off that null space; B and the mass matrix D are the workspace's
-(``ws.B``, ``ws.D``), and no assembly call returns or sweep writes into them.
+curl^T A curl, in single precision, in SuperLU's minimum degree with
+diagonal pivots preferred.  The basis ``curl`` and one factor of B B^T with
+the first pressure pinned, in double, are geometry, built once per mesh at
+the first Darcy solve (the workspace's ``ws.null_space``,
+:class:`DarcyNullSpace`): B B^T lifts the mass load and gives the pressure,
+which is then shifted to zero area-weighted mean, and the residual is
+checked on the full unpinned system.  A saddle reads the mesh and B off
+that null space; B and the mass matrix D are the workspace's (``ws.B``,
+``ws.D``), and no assembly call returns or sweep writes into them.
 :meth:`DarcySaddle.solve` returns the velocity on every edge (zero on the
 boundary edges, the slip condition).  The stream-function system has one
 unknown per interior vertex, under a fifth of the saddle's, and needs no
@@ -20,9 +21,10 @@ n = 64 and 3,058,628 at n = 128 on the config's first Darcy system, where
 the pinned full saddle in a geometric nested-dissection order fills 4.6 to
 6.7 times as much.
 
-The forward sweep caches one factorization per coarse time in
-``Trajectory.saddles``; the adjoint sweep solves the costate Darcy systems
-with them, so it needs the forward's trajectory.  The saturation equation is
+The forward sweep caches one saddle, and so one stream-function factor, per
+coarse time in ``Trajectory.saddles``; the adjoint sweep solves the costate
+Darcy systems with them, so it needs the forward's trajectory.  The
+saturation equation is
 advanced by backward Euler on the fine grid with coefficients lagged to the
 previous fine level, and the costate saturation is marched backward with
 the operator implicit on the earlier level and its coefficients lagged to
@@ -50,19 +52,27 @@ outputs move from those of a fresh factor per step by round-off (about
 1e-10 relative), and the schedule depends only on the data: two runs stay
 bitwise equal.
 
-Since every step is solved by passes against its own matrix's residual, a
-factor in the workspace order is made in single precision
-(mixed-precision iterative refinement; Carson and Higham, SIAM J. Sci.
-Comput. 40, 2018): the products, residuals and the ``solver_tol`` check
-stay in double.  The passes with a fresh factor run to
-round-off, so a fresh step is as accurate as a double factor makes it; the
-passes with a held factor stop at ``solver_tol``.  At n = 64 a step factor
-took 65.4 ms against 81.4 ms in double, with the same fill (2,112,396
-``lu.nnz``), and a pass 4.3 against 5.2 ms (medians of 7, BLAS on one
-thread, 2-core VM).  A fresh step takes 4 passes (round-off by the third,
-then the stall check) where the double factor took 1, and a reused step
-keeps its 6-18.  COLAMD factors (coarse dt, see :meth:`_StepSolver._factor`)
-stay in double.
+Every solve that runs passes against its own matrix's residual uses a
+single-precision factor (mixed-precision iterative refinement; Carson and
+Higham, SIAM J. Sci. Comput. 40, 2018; the scheme of LAPACK's ``dsgesv``):
+the stream-function factor of each Darcy saddle, and the step factor in
+the workspace order.  The B B^T pressure factor and the COLAMD step factors
+(coarse dt, see :meth:`_StepSolver._factor`) stay in double.  The products,
+residuals and the ``solver_tol`` check stay in double, and every solve runs
+the one Richardson loop :func:`_refine`, at most ``REUSE_PASSES`` passes
+under one stopping rule: the passes stop once the residual is at round-off
+(``dsgesv``'s backward-error test ||r|| <= sqrt(n) eps ||A|| ||x||), once a
+pass fails to halve it, or, with a held step factor only, once it is at
+most ``solver_tol``.  So a Darcy solve and a step with a fresh factor are
+as accurate as a double factor makes them, and a step with a held factor
+stops at ``solver_tol``.  At n = 64 a step factor took 65.4 ms against
+81.4 ms in double, with the same fill (2,112,396 ``lu.nnz``), and a pass 4.3
+against 5.2 ms (medians of 7, BLAS on one thread, 2-core VM); a
+stream-function factor took 31.5 against 33.8 ms (499,886 ``lu.nnz``) and
+at n = 256 0.93 against 1.64 s (17,351,154).  On the config at n = 16, 64
+and 128 a fresh step takes 3 passes where a double factor took 1, a reused
+step keeps its 6-18, and a Darcy solve takes 1-3 (1 on a zero load) where
+the double factor reached ``solver_tol`` in 1-2.
 
 The costate saturation equation is linear in C*, and its step matrix
 D + dt (-E + H + S + R) is built from the forward trajectory and q alone.
@@ -122,11 +132,12 @@ from .model import CoefficientModel, RunConfig, WellModel
 
 log = logging.getLogger(__name__)
 
-# Richardson passes a step solve may run with its factor, fresh or held; a
-# step the held factor does not solve within them is factored afresh.  With
-# a single-precision factor the config's reused steps took up to 9 passes at
-# n = 16 and 18 at n = 64 and 128 to ``solver_tol``, and its fresh steps 4 at
-# n = 16 and 64 and 5 at n = 128 to round-off
+# Richardson passes any refined solve may run (:func:`_refine`): a Darcy
+# solve, or a step solve with its factor, fresh or held; a step the held
+# factor does not solve within them is factored afresh.  With
+# single-precision factors the config's reused steps took up to 9 passes at
+# n = 16 and 18 at n = 64 and 128 to ``solver_tol``; its fresh steps and its
+# Darcy solves stop at round-off, by the backward-error test, in at most 3
 REUSE_PASSES = 20
 
 
@@ -135,6 +146,7 @@ class SaddleSolveReport:
     """Diagnostics of one Darcy saddle solve."""
 
     residual: float
+    passes: int  # refinement passes the solve ran
 
 
 class DarcySaddle:
@@ -145,31 +157,44 @@ class DarcySaddle:
     ``ws.null_space``, shared by every saddle of the mesh), which also holds
     the mesh and B.  Its columns ``curl`` span the velocities with B u = 0,
     so the saddle reduces to the stream-function system curl^T A curl, which
-    ``lu`` factors with SuperLU's minimum degree on its A + A^T pattern and
-    diagonal pivots preferred.  A solve lifts the mass load with
-    u_p = B^T (B B^T)^{-1} r_p, adds curl psi for the psi that balances the
-    momentum load, reads the pressure off B^T p = A u - r_u through the same
-    B B^T factor, and shifts it to zero area-weighted mean.  The residual
-    check and iterative refinement run on the full unpinned system, so a
-    pressure load with a nonzero sum still raises :class:`SolverError`.
+    ``lu`` factors in single precision with SuperLU's minimum degree on its
+    A + A^T pattern and diagonal pivots preferred.  A correction lifts the
+    mass load with u_p = B^T (B B^T)^{-1} r_p, adds curl psi for the psi that
+    balances the momentum load, reads the pressure off B^T p = A u - r_u
+    through the same B B^T factor, and shifts it to zero area-weighted mean.
+    Only psi is solved in single precision: the projected load is cast to
+    float32 and psi back to float64, and the B B^T factor stays double (in
+    single precision it saved about 1 MB at n = 64 and cost the solves a
+    pass).  A solve runs the Richardson passes of :func:`_refine` with these
+    corrections against the residual of the full unpinned system, in double,
+    to round-off, as a fresh step factor's passes run, and then checks that
+    residual against ``tol``, so a pressure load with a nonzero sum still
+    raises :class:`SolverError`.
     """
 
     def __init__(self, A, null_space: DarcyNullSpace, tol=1e-10):
         self.A, self.null_space, self.tol = A, null_space, tol
-        self.n_int = A.shape[0]
-        curl = null_space.curl
+        n = self.n_int = A.shape[0]
+        curl, B = null_space.curl, null_space.B
         try:
-            self.lu = spla.splu((curl.T @ A @ curl).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                options=dict(SymmetricMode=True))
+            self.lu = spla.splu((curl.T @ A @ curl).astype(np.float32).tocsc(),
+                                permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
         except RuntimeError as exc:  # pragma: no cover - singular input
             raise SolverError(f"Darcy saddle factorization failed: {exc}") from exc
+        # the unpinned saddle's 1-norm off the CSR data of A and B: a velocity
+        # column sums |A| and |B|, a pressure column a row of |B|
+        cols = np.bincount(A.indices, np.abs(A.data), n)
+        cols += np.bincount(B.indices, np.abs(B.data), n)
+        rows = np.asarray(abs(B).sum(axis=1))
+        self._norm = max(cols.max(initial=0.0), rows.max(initial=0.0))
 
     def _correction(self, r):
         """Null-space solve for the full residual ``r``, pressure at zero mean."""
         ns, n = self.null_space, self.n_int
         r_u, r_p = r[:n], r[n:]
         u = ns.B.T @ ns.pressure_solve(r_p)
-        u += ns.curl @ self.lu.solve(ns.curl.T @ (r_u - self.A @ u))
+        psi = self.lu.solve((ns.curl.T @ (r_u - self.A @ u)).astype(np.float32))
+        u += ns.curl @ psi.astype(np.float64)
         p = ns.pressure_solve(ns.B @ (self.A @ u - r_u))
         area = ns.mesh.tri_area
         p -= (area @ p) / area.sum()
@@ -188,14 +213,14 @@ class DarcySaddle:
         boundary edges; ``p`` has zero area-weighted mean.
         """
         rhs = np.concatenate([rhs_u, rhs_p])
-        # one or two refinement passes rescue a mildly ill-conditioned system
-        x, res, _ = _refine(self._correction, self._product, rhs, self.tol, 3)
+        # the factor is single precision: its passes run to round-off
+        x, res, passes = _refine(self._correction, self._product, rhs, 0.0, self._norm)
         if not res <= self.tol:
             raise SolverError(f"Darcy solve: residual {res:.3e} exceeds {self.tol:.1e}")
         mesh = self.null_space.mesh
         u = np.zeros(mesh.num_edges)
         u[~mesh.boundary_edge] = x[: self.n_int]
-        return u, x[self.n_int :], SaddleSolveReport(residual=float(res))
+        return u, x[self.n_int :], SaddleSolveReport(residual=float(res), passes=passes)
 
 
 def state_velocity(U, n, K):
@@ -225,26 +250,33 @@ def costate_velocity(Ustar, n, K):
     return (1.0 + s) * Ustar[m] - s * Ustar[m + 1]
 
 
-def _refine(solve, product, rhs, tol, passes):
-    """Up to ``passes`` Richardson passes x += solve(rhs - product(x)) from x = 0.
+def _refine(solve, product, rhs, tol, norm):
+    """Up to ``REUSE_PASSES`` Richardson passes x += solve(rhs - product(x))
+    from x = 0.
 
     ``solve`` applies a factorization of the matrix whose action is
     ``product``, or of a nearby one, possibly in single precision; ``x``,
-    the products and the residuals stay in double.  The passes stop once
-    the residual relative to ``rhs`` is at most ``tol``, or after a pass
-    that fails to halve it (the first pass starts from the relative residual
-    1), so with ``tol`` 0 they run to round-off.  Returns ``(x, relative
+    the products and the residuals stay in double.  The passes stop at the
+    first of three tests: the residual relative to ``rhs`` is at most
+    ``tol``; the residual is at round-off, ||r|| <= sqrt(n) eps ||A|| ||x||
+    in the 1-norm with ``norm`` = ||A|| (LAPACK's ``dsgesv`` stops its
+    refinement at this backward error); or a pass failed to halve the
+    residual (the first pass starts from the relative residual 1).  So with
+    ``tol`` 0 the passes run to round-off and stop there, and with ``norm``
+    0 only ``tol`` and the stall stop them.  Returns ``(x, relative
     residual, passes run)``.
     """
-    norm = np.linalg.norm(rhs)
-    norm = norm if norm > 0 else 1.0
+    scale = np.linalg.norm(rhs)
+    scale = scale if scale > 0 else 1.0
+    floor = np.sqrt(rhs.size) * np.finfo(np.float64).eps * norm
     x = solve(rhs)
     r = rhs - product(x)
-    res, last, done = np.linalg.norm(r) / norm, 1.0, 1
-    while done < passes and not res <= tol and res <= last / 2:
+    res, last, done = np.linalg.norm(r) / scale, 1.0, 1
+    while (done < REUSE_PASSES and not res <= tol and res <= last / 2
+           and np.abs(r).sum() > floor * np.abs(x).sum()):
         x = x + solve(r)
         r = rhs - product(x)
-        res, last, done = np.linalg.norm(r) / norm, res, done + 1
+        res, last, done = np.linalg.norm(r) / scale, res, done + 1
     return x, res, done
 
 
@@ -271,11 +303,11 @@ class _StepSolver:
     (:func:`_refine`, at most ``REUSE_PASSES``) with either factor: each
     pass applies it to the residual of the step's own matrix, computed in
     double.  With a fresh factor the passes run to round-off (tolerance 0:
-    they stop at the first pass that fails to halve the residual), with a
-    held one until the residual is at most ``tol``; either way the step
-    must end at most ``tol``.  When :meth:`factor` was told to ``keep``,
-    a factor made for the step is held for the next step, which is not
-    factored, and is dropped after serving it.  If a pass with the held
+    they stop at the backward-error test, or at a pass that fails to halve
+    the residual), with a held one until the residual is at most ``tol``;
+    either way the step must end at most ``tol``.  When :meth:`factor` was
+    told to ``keep``, a factor made for the step is held for the next step,
+    which is not factored, and is dropped after serving it.  If a pass with the held
     factor fails to halve the residual, or the passes do not reach ``tol``,
     the step is factored afresh, its passes run again, and its factor opens
     a new pair.  The one factor is ``_lu``: :meth:`solve` drops it before
@@ -292,6 +324,7 @@ class _StepSolver:
         self._ordering, self._tol = ordering, tol
         self._lu = None     # the factor: made for the taken step, or held from the step before
         self._perm = self._inv = self._dtype = None  # the permutation and precision of _lu
+        self._norm = None   # the 1-norm of the matrix _lu was made for
         self._step = None   # (A, what, keep, whether _lu was made for it) of the step taken
         self.steps = self.fresh = self.reused = self.fallbacks = 0
         self.most_fresh_passes = self.most_passes = 0
@@ -319,7 +352,7 @@ class _StepSolver:
             while True:
                 # a fresh factor's passes run to round-off, a held one's to tol
                 x, res, passes = _refine(self._apply, A.dot, rhs, 0.0 if made else self._tol,
-                                         REUSE_PASSES)
+                                         self._norm if made else 0.0)
                 if made or res <= self._tol:
                     break
                 self._lu = None  # the held factor stalled: this step is factored afresh
@@ -394,7 +427,7 @@ class _StepSolver:
         else:
             self._perm = self._inv = slice(None)
             factored, kwargs = A, dict(permc_spec="COLAMD")
-        self._dtype = factored.dtype
+        self._dtype, self._norm = factored.dtype, _norm_1(A)
         try:
             self._lu = spla.splu(factored, **kwargs)
         except RuntimeError as exc:
@@ -410,10 +443,16 @@ class _StepSolver:
         return x.astype(np.float64, copy=False)[self._inv]
 
 
+def _norm_1(csc):
+    """The 1-norm (the largest column sum of |a|) of the CSC matrix ``csc``,
+    off its data array without a copy of the matrix.  Every column must hold
+    an entry, as each column of the saturation pattern holds its diagonal."""
+    return float(np.add.reduceat(np.abs(csc.data), csc.indptr[:-1]).max())
+
+
 def _one_norm(A):
-    """A step matrix's 1-norm (its largest column sum of |A|), as its error
-    messages give it."""
-    return f" (1-norm ~ {spla.norm(A, 1):.3e})"
+    """A step matrix's 1-norm, as its error messages give it."""
+    return f" (1-norm ~ {_norm_1(A):.3e})"
 
 
 def _step_label(kind, m, n, c):
@@ -613,7 +652,7 @@ class Problem:
 def _darcy_at(problem, c_values, q_node, t):
     """Assemble, factor and solve the state Darcy system at one coarse time.
 
-    Returns ``(u, p, saddle)``.  The pressure load (wells plus any
+    Returns ``(u, p, report, saddle)``.  The pressure load (wells plus any
     manufactured mass source) must satisfy the zero-sum compatibility of
     the pure-Neumann problem.
     """
@@ -633,8 +672,12 @@ def _darcy_at(problem, c_values, q_node, t):
             f"incompatible Darcy source: sum(F) = {F.sum():.3e}"
         )
     saddle = DarcySaddle(A, ws.null_space, problem.rc.solver_tol)
-    u, p, _ = saddle.solve(rhs_u, F)
-    return u, p, saddle
+    u, p, report = saddle.solve(rhs_u, F)
+    return u, p, report, saddle
+
+
+def _log_darcy(sweep, factors, solves, passes):
+    log.info("%s Darcy: %d factors, %d solves, most passes %d", sweep, factors, solves, passes)
 
 
 def run_forward(problem: Problem, q) -> Trajectory:
@@ -668,15 +711,16 @@ def run_forward(problem: Problem, q) -> Trajectory:
     traj.C[0] = problem.c0_values
     src = problem.sources
     steps = _StepSolver(problem.ws.step_ordering, rc.solver_tol)
+    darcy_passes = 0
 
     for m in range(M + 1):
         try:
-            traj.U[m], traj.P[m], saddle = _darcy_at(
+            traj.U[m], traj.P[m], report, traj.saddles[m] = _darcy_at(
                 problem, traj.C[m * K], q[m * K], coarse[m]
             )
         except SolverError as exc:
             raise SolverError(f"Darcy solve at coarse step {m}: {exc}") from exc
-        traj.saddles[m] = saddle
+        darcy_passes = max(darcy_passes, report.passes)
 
         for n in range(m * K, min(m + 1, M) * K):
             c_field = P1DGField(mesh, traj.C[n])
@@ -695,6 +739,7 @@ def run_forward(problem: Problem, q) -> Trajectory:
                 keep=(n + 1) % K != 0,
             ).reshape(n_t, 3)
     steps.log_counts("forward march")
+    _log_darcy("forward", M + 1, M + 1, darcy_passes)
     return traj
 
 
@@ -743,7 +788,7 @@ def run_adjoint(problem: Problem, traj: Trajectory) -> Trajectory:
     traj.Ustar = np.zeros_like(traj.U)
     traj.Pstar = np.zeros_like(traj.P)
     traj.Cstar[rc.n_steps] = 0.0
-    div_max = 0.0
+    div_max, darcy_passes = 0.0, 0
 
     with CostateMarch(traj.Cstar, ws.D, ws.step_ordering, rc.solver_tol) as march:
         _factor_costate_step(march, problem, traj, rc.n_steps - 1)
@@ -757,11 +802,12 @@ def run_adjoint(problem: Problem, traj: Trajectory) -> Trajectory:
                     lambda p: src.s_u_star(p, coarse[m]), ws
                 )
             try:
-                traj.Ustar[m], traj.Pstar[m], _ = traj.saddles[m].solve(
+                traj.Ustar[m], traj.Pstar[m], report = traj.saddles[m].solve(
                     Fstar, np.zeros(n_t)
                 )
             except SolverError as exc:
                 raise SolverError(f"costate Darcy solve at coarse step {m}: {exc}") from exc
+            darcy_passes = max(darcy_passes, report.passes)
             div = RT0Field(mesh, traj.Ustar[m]).divergence().values
             div_max = max(div_max, float(np.abs(div).max()))
 
@@ -782,5 +828,6 @@ def run_adjoint(problem: Problem, traj: Trajectory) -> Trajectory:
                     _factor_costate_step(march, problem, traj, n - 1)
 
     march.steps.log_counts("costate march")
+    _log_darcy("costate", 0, rc.m_steps + 1, darcy_passes)
     traj.costate_div_max = div_max
     return traj

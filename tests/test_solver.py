@@ -458,6 +458,37 @@ def test_stream_function_factor_pivots_on_the_diagonal(config_problem):
                                prob.rc.solver_tol).lu.nnz == saddle.lu.nnz
 
 
+def test_stream_function_factor_is_single_precision(monkeypatch):
+    # SuperLU gets the stream-function system in float32 and the pinned
+    # B B^T of the mesh's null space in float64; the solve refines the
+    # single-precision factor in double to the dense system's solution
+    mesh = square_mesh(8)
+    ws = workspace(mesh)
+    wells = wells_from_tris(mesh, [0, 1], [126, 127], T=1.0, epsilon=0.1)
+    c = fes.P1DGField.interpolate(mesh, lambda p: 0.2 + 0.6 * p[:, 0] * p[:, 1])
+    A, F = asm.assemble_darcy(c, wells, 0.8, ws)
+    splu = sol.spla.splu
+    factored = []
+
+    def record(K, *args, **kwargs):
+        factored.append((K.shape[0], K.dtype))
+        return splu(K, *args, **kwargs)
+
+    monkeypatch.setattr(sol.spla, "splu", record)
+    assert "null_space" not in vars(ws)
+    saddle = sol.DarcySaddle(A, ws.null_space)
+    monkeypatch.undo()
+    n_col = ws.null_space.curl.shape[1]
+    assert len(factored) == 2
+    assert dict(factored) == {mesh.num_triangles - 1: np.float64, n_col: np.float32}
+    rhs_u = RNG.normal(size=A.shape[0])
+    u, p, rep = saddle.solve(rhs_u, F)
+    assert 2 <= rep.passes <= sol.REUSE_PASSES
+    u_ref, p_ref = dense_multiplier_solve(A, ws.B, mesh, rhs_u, F)
+    assert np.abs(u[mesh.interior_edges] - u_ref).max() <= 1e-12 * np.abs(u_ref).max()
+    assert np.abs(p - p_ref).max() <= 1e-12 * np.abs(p_ref).max()
+
+
 def test_null_space_is_built_at_the_first_darcy_solve():
     prob = make_problem(n=6, m_steps=3, n_steps=6)
     assert "null_space" not in vars(prob.ws)
@@ -1125,8 +1156,13 @@ def test_reused_step_matches_a_direct_solve():
     assert steps.fresh == 2
 
 
+def solver_lines(caplog, kind):
+    return [line for r in caplog.records if r.name == sol.log.name
+            if f" {kind}: " in (line := r.getMessage())]
+
+
 def march_lines(caplog):
-    return [r.getMessage() for r in caplog.records if r.name == sol.log.name]
+    return solver_lines(caplog, "march")
 
 
 def test_each_march_logs_its_step_counts(caplog):
@@ -1144,6 +1180,22 @@ def test_each_march_logs_its_step_counts(caplog):
         assert 2 <= int(found[2]) <= sol.REUSE_PASSES
 
 
+def test_each_sweep_logs_its_darcy_counts(caplog):
+    # the forward factors and solves one Darcy system per coarse node, the
+    # adjoint solves the costate systems with those factors
+    prob, q = two_grid_problem()
+    caplog.set_level(logging.INFO, logger="porous_opt")
+    sol.run_adjoint(prob, sol.run_forward(prob, q))
+    lines = solver_lines(caplog, "Darcy")
+    assert len(lines) == 2, lines
+    for line, sweep, factors in zip(lines, ("forward", "costate"), (5, 0)):
+        found = re.fullmatch(f"{sweep} Darcy: {factors} factors, 5 solves, "
+                             r"most passes (\d+)", line)
+        assert found, line
+        # a single-precision factor needs at least two passes to reach round-off
+        assert 2 <= int(found[1]) <= sol.REUSE_PASSES
+
+
 def test_stalled_pairs_fall_back_to_the_fresh_march(monkeypatch, caplog):
     # at this coarse dt every held factor stalls, so each step it was to
     # serve is factored afresh and the sweeps are bitwise those that factor
@@ -1154,7 +1206,7 @@ def test_stalled_pairs_fall_back_to_the_fresh_march(monkeypatch, caplog):
     paired = sol.run_adjoint(prob, sol.run_forward(prob, q))
     assert march_lines(caplog) == [
         f"{march} march: 4 steps, 4 fresh factors, 0 reused, 2 fallbacks, "
-        "most passes 4 fresh, 0 reused"
+        "most passes 3 fresh, 0 reused"
         for march in ("forward", "costate")
     ]
     factor = sol._StepSolver.factor
