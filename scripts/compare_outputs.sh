@@ -1,7 +1,10 @@
 #!/bin/sh
 # Write the outputs a refactor must keep byte for byte into OUT_DIR:
 #
-#   OUT_DIR/optimize/   quarter-five-spot `optimize` (CSVs, status.json, stdout)
+#   OUT_DIR/optimize/   quarter-five-spot `optimize` (CSVs, status.json, stdout,
+#                       and the INFO log in log.txt: each sweep's march and
+#                       Darcy lines, so a change to the pair schedule or the
+#                       pass counts shows up)
 #   OUT_DIR/adjoint/    `adjoint --save-every 8` (CSVs, status.json, VTK, stdout)
 #   OUT_DIR/matrices/   its `--dump-matrices` output (the seven .mtx files)
 #   OUT_DIR/operators/  `verify --suite operators` (CSV, status.json, stdout)
@@ -11,7 +14,8 @@
 #                       well checks a run makes)
 #   OUT_DIR/mesh/       `mesh-info` (counts, area, h and quality ratio)
 #   OUT_DIR/unstructured/{optimize,adjoint,matrices,operators,config,mesh}/
-#                       the first four and the last two again on the file mesh
+#                       the first four (optimize with its log.txt) and the
+#                       last two again on the file mesh
 #                       of data/unstructured_square.cfg
 #   OUT_DIR/coarse/     `adjoint` at coarse dt on OUT_DIR/coarse.cfg (n = 16,
 #                       m_steps = 1, n_steps = 2, other keys default), with
@@ -24,7 +28,8 @@
 #
 # Run it in two checkouts and compare them with `diff -r OUT_A OUT_B`, or,
 # for a change that moves the outputs by round-off, with
-# `scripts/diff_outputs.py OUT_A OUT_B --rtol R`.  It runs from the
+# `scripts/diff_outputs.py OUT_A OUT_B --rtol R --atol ABS` (its docstring
+# says why a round-off change needs ABS of about 1e-14).  It runs from the
 # checkout root, which the file-mesh config's paths are relative to, so both
 # checkouts hash that config alike.
 #
@@ -60,8 +65,14 @@ run() {
     show "$name" "$cfg" "$@" --out "$out/$name"
 }
 
+# logged NAME CONFIG ARGS...: `run`, with the INFO log in NAME/log.txt
+logged() {
+    mkdir -p "$out/$1"
+    (POROUS_OPT_LOG=INFO; export POROUS_OPT_LOG; run "$@") 2> "$out/$1/log.txt"
+}
+
 square=data/quarter_five_spot.cfg
-run optimize "$square" optimize
+logged optimize "$square" optimize
 run adjoint "$square" adjoint --save-every 8 --dump-matrices "$out/matrices"
 run operators "$square" verify --suite operators
 run state "$square" verify --suite state
@@ -70,7 +81,7 @@ show config "$square" config --resolve
 show mesh "$square" mesh-info
 
 files=data/unstructured_square.cfg
-run unstructured/optimize "$files" optimize
+logged unstructured/optimize "$files" optimize
 run unstructured/adjoint "$files" adjoint --save-every 8 \
     --dump-matrices "$out/unstructured/matrices"
 run unstructured/operators "$files" verify --suite operators

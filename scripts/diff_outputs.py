@@ -15,6 +15,18 @@ One line per file gives the largest relative difference (0 for identical
 files) and what did not match; the exit status is 1 if anything did not
 match, else 0.  Use it where a change moves the outputs by round-off, so
 that ``diff -r`` cannot be the check.
+
+Such a change needs ``--atol`` as well as ``--rtol``.  Some ``status.json``
+scalars are round-off of zero or of a residual, such as
+``costate_div_max`` (about 3e-17) and ``projected_gradient_residual``
+(about 3e-11).  Each is its own scale, so it moves by 1e-5 to 0.3 relative
+whenever the numerics move by round-off, and ``--rtol`` alone fails it.
+An ``--atol`` of about 1e-14 passes them, as in
+
+    scripts/diff_outputs.py OUT_PARENT OUT_CHANGE --rtol 1e-9 --atol 1e-14
+
+Integer counts in a log, such as a march's "most passes", have no
+round-off tolerance: a pass count that flips shows at any ``--rtol``.
 """
 
 import argparse

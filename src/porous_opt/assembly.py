@@ -35,15 +35,15 @@ sub-cells, and ``sub_lam`` and ``fan_lam`` are reference tables.  Every
 Darcy entry is indexed by its sub-cell (t, j), and diamond cell e collects
 the (at most two) sub-cells with ``tri_edges[t, j] == e``.  Only
 ``gamma_mat`` spells out its RT0 basis, from ``rt0_coef``.  The workspace also
-owns both test-space transfers: ``dual_matrix``/``dual_load`` apply eta_h to
-sub-cell integrals, and ``diamond_matrix`` scatters per-sub-cell entries to
-the diamond cells (``gamma_mat`` and the alpha-weighted basis integrals
-behind A).  It owns the
-symmetric CSC pattern all saturation matrices share
-(``sat_indptr``/``sat_indices``: triangle t's columns hold the rows of t and
-its interior-edge neighbours, ascending) and the slot maps
-``el_slot``/``edge_slot`` placing each element and interior-edge block entry
-in ``data``.  It also owns the geometry products the saturation kernels
+owns both test-space transfers: ``dual_matrix``/``step_matrix``/``dual_load``
+apply eta_h to sub-cell integrals, and ``diamond_matrix`` scatters
+per-sub-cell entries to the diamond cells (``gamma_mat`` and the
+alpha-weighted basis integrals behind A).  It owns the symmetric CSC pattern
+all saturation matrices share (``sat_indptr``/``sat_indices``: triangle t's
+columns hold the rows of t and its interior-edge neighbours, ascending), the
+slot maps ``el_slot``/``edge_slot`` placing each element and interior-edge
+block entry in ``data``, and the one scatter onto that pattern
+(``_scatter``).  It also owns the geometry products the saturation kernels
 contract at every step.  Phi_j . grad lambda_l at the sub-cell points is
 ``rt0_coef[t, j]`` times the reference table ``sub_rt0_grad[j, c, q, l]``,
 the same on every triangle, so E is one GEMM of the scaled edge coefficients
@@ -78,6 +78,16 @@ the default nq = 6, 108 KiB, which fits in L2 and stays below glibc's default
 mapped and faulted in afresh at every call, while a block's is reused from
 the heap.  Each row goes through the same operations as in a whole-mesh
 pass, so the operators keep their bits.
+
+The saturation matrix kernels return blocks, not matrices: E, R and S
+their sub-cell rows (n_t, 3, 3), H its rows and its interior-edge blocks
+(n_ie, 6, 6).  A step matrix is one operator sum, D + dt (E + H) forward and
+D + dt (-E + H + S + R) for the costate, so the sweeps add the blocks of its
+operators and ``ws.step_matrix`` scatters the sum once: the eta_h transfer of
+the rows is written by slot on top of the edge blocks, summed in edge order,
+then scaled by dt and added to D's data.  ``ws.dual_matrix`` scatters one
+operator on its own, with the same arithmetic, for the matrix dumps, the
+operator suite and the tests; no sweep calls it.
 """
 
 from dataclasses import dataclass
@@ -243,7 +253,7 @@ class AssemblyWorkspace:
 
         # porosity-weighted eta mass matrix D (field independent; shared by
         # every saturation step, so callers must not modify it in place)
-        self.D = self.sat_matrix(
+        self.D = self._scatter(
             self.phi_tri[:, None, None] * mesh.tri_area[:, None, None] * _D_LOCAL_UNIT
         )
 
@@ -301,10 +311,19 @@ class AssemblyWorkspace:
         vals = np.asarray(fun(self.sub_pts.reshape(-1, 2)), dtype=float)
         return vals.reshape(self.sub_w.shape + vals.shape[1:])
 
-    def dual_matrix(self, cell, edge_blocks=None):
-        """eta_h transfer of per-sub-cell rows (n_t, 3, 3), plus any edge blocks,
-        into a saturation matrix: test vertex v collects SEL[c, v] times row c."""
-        return self.sat_matrix(SEL.T @ cell, edge_blocks)
+    def dual_matrix(self, rows, edges=None):
+        """One saturation operator as CSC: the eta_h transfer of its per-sub-cell
+        rows (n_t, 3, 3), test vertex v collecting SEL[c, v] times row c, plus
+        any interior-edge blocks (n_ie, 6, 6)."""
+        return self._scatter(SEL.T @ rows, edges)
+
+    def step_matrix(self, dt, rows, edges):
+        """The step matrix D + dt (transfer of ``rows`` + ``edges``) as CSC on
+        D's pattern, in one scatter of the summed blocks of a step's operators."""
+        A = self._scatter(SEL.T @ rows, edges)
+        A.data *= dt
+        A.data += self.D.data
+        return A
 
     def dual_load(self, cell):
         """eta_h transfer of per-sub-cell integrals (n_t, 3) into a load."""
@@ -320,16 +339,16 @@ class AssemblyWorkspace:
             shape=(2 * self.mesh.num_edges, self.n_int),
         ).tocsr()
 
-    def sat_matrix(self, blocks, edge_blocks=None):
+    def _scatter(self, blocks, edges=None):
         """Saturation matrix of element blocks (n_t, 3, 3), written by slot,
         plus any interior-edge blocks (n_ie, 6, 6), summed in edge order."""
-        if edge_blocks is None:
+        if edges is None:
             data = np.zeros(self.sat_indptr[-1])
             data[self.el_slot] = blocks
         else:
             # bincount sums from +0.0, so adding the element blocks to its
             # sums rounds as adding the sums to the blocks would
-            data = np.bincount(self.edge_slot.ravel(), edge_blocks.ravel(), self.sat_indptr[-1])
+            data = np.bincount(self.edge_slot.ravel(), edges.ravel(), self.sat_indptr[-1])
             data[self.el_slot] += blocks
         n = 3 * len(blocks)
         return sp.csc_matrix((data, self.sat_indices, self.sat_indptr), shape=(n, n))
@@ -573,12 +592,14 @@ def assemble_darcy_costate_rhs(c_field: P1DGField, cstar_field: P1DGField,
 def assemble_saturation_state(c_field: P1DGField, u_field: RT0Field,
                               wells: WellModel, q: float,
                               ws: AssemblyWorkspace, xi: float):
-    """Matrices of one saturation step: (E, H, G).
+    """Blocks of one saturation step: (E, H, G).
 
-    E is the convection matrix with coefficient b(C) U; H the diffusion
-    matrix T1+T2+T3+T4 with coefficient kappa D(C) and penalty xi; G the
-    injection source with f(C) r0 q.  The mass matrix is the workspace's
-    ``ws.D``, shared by every step: callers never sum into it.
+    E is the convection matrix's sub-cell rows (n_t, 3, 3), with coefficient
+    b(C) U; H the diffusion matrix T1+T2+T3+T4 with coefficient kappa D(C)
+    and penalty xi, as (rows, edge blocks) (:func:`_diffusion_matrix`); G
+    the injection source with f(C) r0 q, a load.  ``ws.dual_matrix`` makes
+    an operator of the blocks and ``ws.step_matrix`` a step matrix on the
+    pattern of the mass matrix ``ws.D``.
     """
     if xi <= 0.0:
         raise ConfigError("penalty xi must be > 0")
@@ -600,10 +621,12 @@ def assemble_saturation_state(c_field: P1DGField, u_field: RT0Field,
         if inj.size:
             gcell[rows][inj] = np.einsum("t,tcq,tcq->tc", r0[rows][inj] * q, w[inj],
                                          model.f(csub[inj]))
-    return ws.dual_matrix(conv), _diffusion_matrix(c_field, ws, xi), ws.dual_load(gcell)
+    return conv, _diffusion_matrix(c_field, ws, xi), ws.dual_load(gcell)
 
 
 def _diffusion_matrix(c_field, ws, xi):
+    """H = T1 + T2 + T3 + T4 as (T1's sub-cell rows (n_t, 3, 3), the
+    interior-edge blocks (n_ie, 6, 6) of T2 + T3 + T4)."""
     model = ws.model
     n_t, _, nq = ws.sub_w.shape
     # T1: fan fluxes against the cell's eta average
@@ -628,12 +651,13 @@ def _diffusion_matrix(c_field, ws, xi):
         t4 = (xi / ws.ie_h[rows])[:, None, None] * ws.edge_penalty[rows]
         # T3 is T2 with the roles of trial and test swapped
         edges[rows] = t2 + np.swapaxes(t2, 1, 2) + t4
-    return ws.dual_matrix(t1, edges)
+    return t1, edges
 
 
 def assemble_saturation_costate(c_field: P1DGField, wells: WellModel, q: float,
                                 ws: AssemblyWorkspace):
-    """Costate-only matrices at one time level: (R, S).
+    """Sub-cell rows (n_t, 3, 3) of the costate-only matrices at one time
+    level: (R, S).
 
     R is the production-patch reaction matrix with weight r1 q b(C); S the
     cross-gradient matrix with kappa D'(C) grad(C).  Neither depends on a
@@ -658,7 +682,7 @@ def assemble_saturation_costate(c_field: P1DGField, wells: WellModel, q: float,
         cross = np.einsum("tcq,tcq->tc", w, ws.kappa_sub[rows] * model.diffusion_prime(csub))
         gradc_lam = (ws.gradlam[rows] @ ws.grad_p1(c_field, rows)[:, :, None])[:, :, 0]
         scell[rows] = cross[:, :, None] * gradc_lam[:, None, :]
-    return ws.dual_matrix(rcell), ws.dual_matrix(scell)
+    return rcell, scell
 
 
 def assemble_costate_loads(c_field: P1DGField, u_field: RT0Field, ustar_field: RT0Field,

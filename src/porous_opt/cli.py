@@ -122,14 +122,14 @@ def _dump_matrices(problem, traj, out_dir):
 
     from .assembly import assemble_darcy, assemble_saturation_state
 
-    out = Path(out_dir)
+    out, ws = Path(out_dir), problem.ws
     c_field = P1DGField(problem.mesh, traj.C[0])
-    A, F = assemble_darcy(c_field, problem.wells, traj.q[0], problem.ws)
+    A, F = assemble_darcy(c_field, problem.wells, traj.q[0], ws)
     E, H, G = assemble_saturation_state(
-        c_field, RT0Field(problem.mesh, traj.U[0]), problem.wells, traj.q[1],
-        problem.ws, problem.xi,
+        c_field, RT0Field(problem.mesh, traj.U[0]), problem.wells, traj.q[1], ws, problem.xi,
     )
-    for name, mat in (("A", A), ("B", problem.ws.B), ("D", problem.ws.D), ("E", E), ("H", H)):
+    for name, mat in (("A", A), ("B", ws.B), ("D", ws.D), ("E", ws.dual_matrix(E)),
+                      ("H", ws.dual_matrix(*H))):
         sio.mmwrite(str(out / f"{name}.mtx"), mat)
     for name, vec in (("F", F), ("G", G)):
         sio.mmwrite(str(out / f"{name}.mtx"), vec.reshape(-1, 1))

@@ -24,12 +24,15 @@ the pinned full saddle in a geometric nested-dissection order fills 4.6 to
 The forward sweep caches one saddle, and so one stream-function factor, per
 coarse time in ``Trajectory.saddles``; the adjoint sweep solves the costate
 Darcy systems with them, so it needs the forward's trajectory.  The
-saturation equation is
-advanced by backward Euler on the fine grid with coefficients lagged to the
-previous fine level, and the costate saturation is marched backward with
-the operator implicit on the earlier level and its coefficients lagged to
-the departure level.  Both step matrices are data on the workspace's
-symmetric CSC saturation pattern, which holds every diagonal.  While each
+saturation equation is advanced by backward Euler on the fine grid with
+coefficients lagged to the previous fine level, and the costate saturation
+is marched backward with the operator implicit on the earlier level and its
+coefficients lagged to the departure level.  Both step matrices are data on
+the workspace's symmetric CSC saturation pattern, which holds every
+diagonal, and each is built in one scatter of the summed blocks of its
+operators (``ws.step_matrix``): E + H in :func:`step_saturation_forward`,
+H - E + S + R in :func:`costate_step_matrix`.  No sweep builds an
+operator's matrix on its own.  While each
 column's diagonal is its largest entry, a step matrix is factored in the
 workspace's one elimination order (``ws.step_ordering``): SuperLU's minimum
 degree on A+A^T of the triangle adjacency graph, computed once per mesh at
@@ -460,40 +463,24 @@ def _step_label(kind, m, n, c):
     return f"{kind} (m={m}, n={n}, C in [{c.min():.3g}, {c.max():.3g}])"
 
 
-def step_saturation_forward(c_vec, D, E, H, G, dt, what, steps, keep=False):
-    """One backward-Euler step of the state saturation equation (D, E, H on one pattern).
+def step_saturation_forward(c_vec, ws, E, H, G, dt, what, steps, keep=False):
+    """One backward-Euler step of the state saturation equation, with the
+    blocks E, H and the load G of :func:`assemble_saturation_state`.
 
     ``steps`` is the march's :class:`_StepSolver`, ``what`` names the step
     in its errors, and ``keep`` tells it that the next step belongs to the
     same coarse interval."""
-    # D + dt (E + H), formed in one array in that order
-    data = np.add(E.data, H.data)
-    data *= dt
-    data += D.data
-    steps.factor(sp.csc_matrix((data, D.indices, D.indptr), D.shape), what, keep)
-    return steps.solve(D @ c_vec + dt * G)
+    rows, edges = H
+    steps.factor(ws.step_matrix(dt, E + rows, edges), what, keep)
+    return steps.solve(ws.D @ c_vec + dt * G)
 
 
 def costate_step_matrix(c_field, u_field, wells, q, ws, xi, dt):
-    """The costate step matrix D + dt (-E + H + S + R) at coefficients (C, U, q).
-
-    It is summed in H's freshly assembled ``data``, never in D (the
-    workspace's ``ws.D``), in the order -E + H + S + R (H - E rounds as
-    -E + H), and each operator is dropped once it is added, so no step holds
-    more than three of them.  Returns H, which then holds the sum.
-    """
-    E, H, _ = assemble_saturation_state(c_field, u_field, wells, q, ws, xi)
-    data = H.data
-    data -= E.data
-    del E
+    """The costate step matrix D + dt (-E + H + S + R) at coefficients (C, U, q),
+    in one scatter of the summed blocks."""
+    E, (H, edges), _ = assemble_saturation_state(c_field, u_field, wells, q, ws, xi)
     R, S = assemble_saturation_costate(c_field, wells, q, ws)
-    data += S.data
-    del S
-    data += R.data
-    del R
-    data *= dt
-    data += ws.D.data
-    return H
+    return ws.step_matrix(dt, H - E + S + R, edges)
 
 
 class CostateMarch:
@@ -734,7 +721,7 @@ def run_forward(problem: Problem, q) -> Trajectory:
                 )
             # the step is named by its interval's end node, as in the adjoint
             traj.C[n + 1] = step_saturation_forward(
-                traj.C[n].ravel(), problem.ws.D, E, H, G, rc.dt,
+                traj.C[n].ravel(), problem.ws, E, H, G, rc.dt,
                 _step_label("saturation step", m + 1, n, traj.C[n]), steps,
                 keep=(n + 1) % K != 0,
             ).reshape(n_t, 3)

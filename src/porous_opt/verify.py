@@ -148,7 +148,8 @@ def operator_identity_suite(mesh: PrimalMesh, n_samples=100, seed=0,
 
     # penalty part of the diffusion matrix: difference of two xi values
     psi = P1DGField(mesh, rng.uniform(0.0, 1.0, (mesh.num_triangles, 3)))
-    T4 = (_diffusion_matrix(psi, ws, 2.0) - _diffusion_matrix(psi, ws, 1.0)).toarray()
+    T4 = (ws.dual_matrix(*_diffusion_matrix(psi, ws, 2.0))
+          - ws.dual_matrix(*_diffusion_matrix(psi, ws, 1.0))).toarray()
     asym = float(np.abs(T4 - T4.T).max())
     min_eig = float(np.linalg.eigvalsh(0.5 * (T4 + T4.T)).min())
 

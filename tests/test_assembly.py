@@ -443,27 +443,29 @@ def test_eta_mass_matrix_against_quadrature(setup):
     read_mesh("data/unstructured_square.node", "data/unstructured_square.ele"),
 ], ids=["n4", "unstructured"])
 def test_saturation_operators_match_coo_assembly(mesh, monkeypatch):
-    # every saturation operator is the COO sum of the blocks it is built
-    # from, stored on the workspace's one shared pattern
+    # every saturation operator, and a step matrix, is the COO sum of the
+    # blocks of its one scatter, stored on the workspace's one shared pattern
     built = []
-    sat_matrix = asm.AssemblyWorkspace.sat_matrix
+    scatter = asm.AssemblyWorkspace._scatter
 
-    def record(self, blocks, edge_blocks=None):
-        out = sat_matrix(self, blocks, edge_blocks)
-        built.append((blocks, edge_blocks, out))
+    def record(self, blocks, edges=None):
+        out = scatter(self, blocks, edges)
+        built.append((blocks, edges, out))
         return out
 
-    monkeypatch.setattr(asm.AssemblyWorkspace, "sat_matrix", record)
+    monkeypatch.setattr(asm.AssemblyWorkspace, "_scatter", record)
     ws = _workspace(mesh)
     n_t = mesh.num_triangles
     wells = wells_from_tris(mesh, [0, 1], [n_t - 2, n_t - 1], T=1.0, epsilon=0.1)
     c, u, us = random_saturation(mesh), random_velocity(mesh), random_velocity(mesh)
     E, H, _ = asm.assemble_saturation_state(c, u, wells, 0.4, ws, 1.0)
     R, S = asm.assemble_saturation_costate(c, wells, 0.4, ws)
-    H2 = asm._diffusion_matrix(c, ws, 2.0)
-    ops = (ws.D, E, H, R, S, H2)
-    assert len(built) == len(ops)
-    assert all(out is op for (_, _, out), op in zip(built, ops))
+    ops = [ws.D, ws.dual_matrix(E), ws.dual_matrix(*H), ws.dual_matrix(R), ws.dual_matrix(S),
+           ws.dual_matrix(*asm._diffusion_matrix(c, ws, 2.0))]
+    dt = 0.3
+    step = ws.step_matrix(dt, H[0] - E + S + R, H[1])
+    assert len(built) == len(ops) + 1
+    assert all(out is op for (_, _, out), op in zip(built, ops + [step]))
 
     dofs = np.arange(3 * n_t).reshape(n_t, 3)
     edge_dofs = np.concatenate([dofs[ws.kL], dofs[ws.kR]], axis=1)
@@ -474,23 +476,25 @@ def test_saturation_operators_match_coo_assembly(mesh, monkeypatch):
         return sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
                              shape=(3 * n_t, 3 * n_t))
 
-    for blocks, edge_blocks, out in built:
+    for (blocks, edges, _), out in zip(built, ops + [step]):
         assert out.format == "csc"
         assert np.shares_memory(out.indptr, ws.sat_indptr)
         assert np.shares_memory(out.indices, ws.sat_indices)
         ref = coo(dofs, blocks)
-        if edge_blocks is None:
+        if edges is None:
             assert np.array_equal(out.toarray(), ref.toarray())
         else:
-            ref = (ref + coo(edge_dofs, edge_blocks)).toarray()
+            ref = (ref + coo(edge_dofs, edges)).toarray()
+            if out is step:
+                ref = ws.D.toarray() + dt * ref
             assert np.abs(out.toarray() - ref).max() <= 1e-15 * np.abs(ref).max()
 
     # T4 alone: the jump-product penalty integrals, weighted by 1 / h_e
     lam = np.concatenate([ws.edge_lamL, -ws.edge_lamR], axis=2)
     t4 = np.einsum("nq,nqr,nqc->nrc", ws.edge_w, lam, lam) / ws.ie_h[:, None, None]
     t4 = coo(edge_dofs, t4).toarray()
-    H2 = H2.toarray()
-    assert np.abs(H2 - H.toarray() - t4).max() <= 1e-15 * np.abs(H2).max()
+    H, H2 = ops[2].toarray(), ops[5].toarray()
+    assert np.abs(H2 - H - t4).max() <= 1e-15 * np.abs(H2).max()
 
 
 def _einsum_kernels(ws, c, u, us, wells, q, t, xi):
@@ -532,9 +536,9 @@ def _einsum_kernels(ws, c, u, us, wells, q, t, xi):
     return out
 
 
-def test_precontracted_kernels_match_einsum_oracle(table_ws, monkeypatch):
-    # each kernel, as handed to the eta_h transfer, against one einsum of
-    # the basis tables; the transfer itself against its einsum
+def test_precontracted_kernels_match_einsum_oracle(table_ws):
+    # each kernel's blocks and loads against one einsum of the basis tables;
+    # the eta_h transfer itself against its einsum
     ws = table_ws
     mesh = ws.mesh
     n_t = mesh.num_triangles
@@ -542,57 +546,33 @@ def test_precontracted_kernels_match_einsum_oracle(table_ws, monkeypatch):
     c, u, us = random_saturation(mesh), random_velocity(mesh), random_velocity(mesh)
     q, t, xi = 0.4, 1.0, 1.7
     ref = _einsum_kernels(ws, c, u, us, wells, q, t, xi)
+    for name in ("G", "W", "Z"):
+        ref[name] = ws.dual_load(ref[name])
 
-    seen = []
-    dual_matrix, dual_load = asm.AssemblyWorkspace.dual_matrix, asm.AssemblyWorkspace.dual_load
+    E, (T1, edges), G = asm.assemble_saturation_state(c, u, wells, q, ws, xi)
+    R, S = asm.assemble_saturation_costate(c, wells, q, ws)
+    W, Z = asm.assemble_costate_loads(c, u, us, wells, t, ws)
+    got = dict(E=E, T1=T1, edges=edges, G=G, R=R, S=S, W=W, Z=Z,
+               p1_at_sub=ws.p1_at_sub(c), rt0_at_sub=ws.rt0_at_sub(u))
 
-    def record_matrix(self, cell, edge_blocks=None):
-        seen.append(cell)
-        if edge_blocks is not None:
-            seen.append(edge_blocks)
-        return dual_matrix(self, cell, edge_blocks)
-
-    def record_load(self, cell):
-        seen.append(cell)
-        return dual_load(self, cell)
-
-    monkeypatch.setattr(asm.AssemblyWorkspace, "dual_matrix", record_matrix)
-    monkeypatch.setattr(asm.AssemblyWorkspace, "dual_load", record_load)
-    asm.assemble_saturation_state(c, u, wells, q, ws, xi)
-    asm.assemble_saturation_costate(c, wells, q, ws)
-    asm.assemble_costate_loads(c, u, us, wells, t, ws)
-    monkeypatch.undo()
-    got = dict(zip(["E", "T1", "edges", "G", "R", "S", "W", "Z"], seen))
-    got["p1_at_sub"] = ws.p1_at_sub(c)
-    got["rt0_at_sub"] = ws.rt0_at_sub(u)
-
-    assert len(seen) == 8
     assert np.abs(ref["R"]).max() > 0.0 and np.abs(ref["W"]).max() > 0.0
     for name, want in ref.items():
         assert got[name].shape == want.shape, name
         assert np.abs(got[name] - want).max() <= 1e-14 * np.abs(want).max(), name
 
     cell = RNG.normal(size=(n_t, 3, 3))
-    transferred = ws.sat_matrix(np.einsum("cv,tcl->tvl", asm.SEL, cell))
+    transferred = ws._scatter(np.einsum("cv,tcl->tvl", asm.SEL, cell))
     assert np.abs(ws.dual_matrix(cell).data - transferred.data).max() <= 1e-14 * np.abs(cell).max()
     load = np.einsum("cv,tc->tv", asm.SEL, cell[:, :, 0]).ravel()
     assert np.abs(ws.dual_load(cell[:, :, 0]) - load).max() <= 1e-14 * np.abs(cell).max()
 
 
 def _whole_mesh_operators(ws, c, u, us, wells, q, t, xi):
-    """E, H, G, R, S, W, Z as whole-mesh array expressions: the formulas of
-    the blocked kernels on every triangle and interior edge at once, with
-    each matrix's data written as zeros, then the element blocks by slot,
-    then the edge sums added."""
+    """The blocks of E, H (rows and edge blocks), R and S and the loads G, W,
+    Z as whole-mesh array expressions: the formulas of the blocked kernels on
+    every triangle and interior edge at once."""
     model = ws.model
     n_t, _, nq = ws.sub_w.shape
-
-    def sat_data(cell, edge_blocks=None):
-        data = np.zeros(ws.sat_indptr[-1])
-        data[ws.el_slot] = asm.SEL.T @ cell
-        if edge_blocks is not None:
-            data += np.bincount(ws.edge_slot.ravel(), edge_blocks.ravel(), data.size)
-        return data
 
     def at_ref(lam, values):
         return (values @ lam.reshape(-1, 3).T).reshape(len(values), *lam.shape[:-1])
@@ -606,7 +586,7 @@ def _whole_mesh_operators(ws, c, u, us, wells, q, t, xi):
 
     out = {}
     csub = at_ref(ws.sub_lam, c.values)
-    out["E"] = sat_data(np.einsum("tcq,tcql->tcl", ws.sub_w * model.b(csub), rt0_grad(u)))
+    out["E"] = np.einsum("tcq,tcql->tcl", ws.sub_w * model.b(csub), rt0_grad(u))
 
     dfan = ws.kappa_fan * model.diffusion(at_ref(ws.fan_lam, c.values))
     dint = np.einsum("tcsq,tcsq->tcs", ws.fan_w, dfan)
@@ -619,17 +599,18 @@ def _whole_mesh_operators(ws, c, u, us, wells, q, t, xi):
                                  dR[:, None] * ws.edge_ngradR], axis=1)
     t2 = -ws.avg_jump[:, :, None] * flux[:, None, :]
     t4 = (xi / ws.ie_h)[:, None, None] * ws.edge_penalty
-    out["H"] = sat_data(-nflux, t2 + np.swapaxes(t2, 1, 2) + t4)
+    out["H"] = -nflux
+    out["edges"] = t2 + np.swapaxes(t2, 1, 2) + t4
 
     gcell = np.einsum("t,tcq,tcq->tc", wells.r0_values() * q, ws.sub_w, model.f(csub))
     out["G"] = (gcell @ asm.SEL).ravel()
 
     r1qwb = (wells.r1_values() * q)[:, None, None] * ws.sub_w * model.b(csub)
-    out["R"] = sat_data((r1qwb[:, :, None, :] @ ws.sub_lam)[:, :, 0])
+    out["R"] = (r1qwb[:, :, None, :] @ ws.sub_lam)[:, :, 0]
     cross = np.einsum("tcq,tcq->tc", ws.sub_w, ws.kappa_sub * model.diffusion_prime(csub))
     gradc = (c.values[:, None, :] @ ws.gradlam)[:, 0]
     gradc_lam = (ws.gradlam @ gradc[:, :, None])[:, :, 0]
-    out["S"] = sat_data(cross[:, :, None] * gradc_lam[:, None, :])
+    out["S"] = cross[:, :, None] * gradc_lam[:, None, :]
     out["W"] = ((wells.w(t) * np.einsum("tcq,tcq->tc", ws.sub_w, csub)) @ asm.SEL).ravel()
     udot = (rt0_at_sub(u) * rt0_at_sub(us)).sum(axis=-1)
     ap = model.alpha_prime(csub) / ws.kappa_sub
@@ -670,10 +651,10 @@ def test_blocked_kernels_match_whole_mesh_oracle(table_ws, monkeypatch):
     monkeypatch.setattr(ws, "model", dataclasses.replace(model, **{
         f.name: counted(getattr(model, f.name))
         for f in dataclasses.fields(model) if callable(getattr(model, f.name))}))
-    E, H, G = asm.assemble_saturation_state(c, u, wells, q, ws, xi)
+    E, (H, edges), G = asm.assemble_saturation_state(c, u, wells, q, ws, xi)
     R, S = asm.assemble_saturation_costate(c, wells, q, ws)
     W, Z = asm.assemble_costate_loads(c, u, us, wells, t, ws)
-    got = dict(E=E.data, H=H.data, G=G, R=R.data, S=S.data, W=W, Z=Z)
+    got = dict(E=E, H=H, edges=edges, G=G, R=R, S=S, W=W, Z=Z)
     for name, arr in want.items():
         assert got[name].tobytes() == arr.tobytes(), name
     assert points and max(points) <= 7 * 3 * nq
@@ -685,15 +666,15 @@ def test_state_matrices_annihilate_constants(setup):
     u = random_velocity(mesh)
     E, H, G = asm.assemble_saturation_state(c, u, wells, 0.4, ws, 1.0)
     ones = np.ones(3 * mesh.num_triangles)
-    assert np.abs(E @ ones).max() < 1e-12
-    assert np.abs(H @ ones).max() < 1e-12
+    assert np.abs(ws.dual_matrix(E) @ ones).max() < 1e-12
+    assert np.abs(ws.dual_matrix(*H) @ ones).max() < 1e-12
 
 
 def test_penalty_block_symmetric_psd(setup):
     mesh, dd, bd, model, ws, wells = setup
     psi = random_saturation(mesh)
-    T4 = (asm._diffusion_matrix(psi, ws, 2.0)
-          - asm._diffusion_matrix(psi, ws, 1.0)).toarray()
+    T4 = (ws.dual_matrix(*asm._diffusion_matrix(psi, ws, 2.0))
+          - ws.dual_matrix(*asm._diffusion_matrix(psi, ws, 1.0))).toarray()
     assert np.abs(T4 - T4.T).max() < 1e-13
     assert np.linalg.eigvalsh(T4).min() > -1e-12
 
@@ -714,7 +695,7 @@ def test_trilinear_form_matches_matrix(setup):
         psi = random_saturation(mesh)
         phi = random_saturation(mesh, -1.0, 1.0)
         z = random_saturation(mesh, -1.0, 1.0)
-        H = asm._diffusion_matrix(psi, ws, xi)
+        H = ws.dual_matrix(*asm._diffusion_matrix(psi, ws, xi))
         mat = z.values.ravel() @ (H @ phi.values.ravel())
         direct = asm.trilinear_form(psi, phi, z, model, xi, bd, QuadratureRule())
         assert mat == pytest.approx(direct, rel=1e-12, abs=1e-13)
@@ -724,7 +705,7 @@ def test_diffusion_coercivity_sampled(setup):
     mesh, dd, bd, model, ws, wells = setup
     psi = fes.P1DGField.constant(mesh, 0.5)
     xi = 10.0 * model.d_high
-    H = asm._diffusion_matrix(psi, ws, xi)
+    H = ws.dual_matrix(*asm._diffusion_matrix(psi, ws, xi))
     c0 = np.inf
     for _ in range(100):
         z = RNG.normal(size=3 * mesh.num_triangles)
@@ -743,7 +724,8 @@ def test_quadrature_order_insensitive_for_affine_data(setup):
     out = []
     for deg in (4, 5):
         ws = asm.AssemblyWorkspace(mesh, bd, model, QuadratureRule(tri_degree=deg))
-        out.append((ws.D, *asm.assemble_saturation_state(c, u, wells, 0.3, ws, 2.0)))
+        E, H, G = asm.assemble_saturation_state(c, u, wells, 0.3, ws, 2.0)
+        out.append((ws.D, ws.dual_matrix(E), ws.dual_matrix(*H), G))
     for a, b in zip(out[0], out[1]):
         if hasattr(a, "toarray"):
             diff = abs(a - b).max()
@@ -775,7 +757,7 @@ def test_reaction_matrix_support(setup):
     mesh, dd, bd, model, ws, wells = setup
     c = random_saturation(mesh)
     R, _ = asm.assemble_saturation_costate(c, wells, 0.5, ws=ws)
-    R = R.tocoo()
+    R = ws.dual_matrix(R).tocoo()
     rows_tris = R.row // 3
     assert np.isin(rows_tris[np.abs(R.data) > 0], wells.production_tris).all()
 
@@ -795,14 +777,10 @@ def test_assembly_deterministic(setup):
     mesh, dd, bd, model, ws, wells = setup
     c = random_saturation(mesh)
     u = random_velocity(mesh)
-    first = asm.assemble_saturation_state(c, u, wells, 0.4, ws, 2.0)
-    second = asm.assemble_saturation_state(c, u, wells, 0.4, ws, 2.0)
-    for a, b in zip(first, second):
-        if hasattr(a, "toarray"):
-            assert (a != b).nnz == 0
-            assert np.array_equal(a.data, b.data)
-        else:
-            assert np.array_equal(a, b)
+    E1, (H1, e1), G1 = asm.assemble_saturation_state(c, u, wells, 0.4, ws, 2.0)
+    E2, (H2, e2), G2 = asm.assemble_saturation_state(c, u, wells, 0.4, ws, 2.0)
+    for a, b in ((E1, E2), (H1, H2), (e1, e2), (G1, G2)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_xi_must_be_positive(setup):

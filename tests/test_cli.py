@@ -321,6 +321,7 @@ def test_dump_matrices(small_cfg, tmp_path):
     A, _ = assemble_darcy(c0, prob.wells, traj.q[0], prob.ws)
     E, H, _ = assemble_saturation_state(c0, RT0Field(prob.mesh, traj.U[0]), prob.wells,
                                         traj.q[1], prob.ws, prob.xi)
+    E, H = prob.ws.dual_matrix(E), prob.ws.dual_matrix(*H)
     assert np.abs(E.toarray()).max() > 0.0
     for name, mat in (("A", A), ("B", prob.ws.B), ("D", prob.ws.D), ("E", E), ("H", H)):
         back = sio.mmread(dump / f"{name}.mtx")

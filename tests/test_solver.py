@@ -311,7 +311,7 @@ def test_step_factor_uses_the_workspace_order(config_problem, monkeypatch):
     E, H, G = asm.assemble_saturation_state(c, fes.RT0Field(prob.mesh, u), prob.wells,
                                             q[1], ws, prob.xi)
     D = ws.D
-    lhs = sp.csc_matrix((D.data + rc.dt * (E.data + H.data), D.indices, D.indptr), D.shape)
+    lhs = ws.step_matrix(rc.dt, E + H[0], H[1])
     assert np.array_equal(lhs.data[order.diag_slot], lhs.diagonal())
     assert sol._diagonal_dominates_columns(lhs, order.diag_slot)
 
@@ -325,7 +325,7 @@ def test_step_factor_uses_the_workspace_order(config_problem, monkeypatch):
 
     monkeypatch.setattr(sol.spla, "splu", record)
     c_vec = prob.c0_values.ravel()
-    x = sol.step_saturation_forward(c_vec, D, E, H, G, rc.dt, "saturation step",
+    x = sol.step_saturation_forward(c_vec, ws, E, H, G, rc.dt, "saturation step",
                                     sol._StepSolver(order, rc.solver_tol))
     monkeypatch.undo()
     (lu, spec, dtype), = factors
@@ -634,7 +634,7 @@ def test_single_grid_equivalence_when_steps_match():
             cf, fes.RT0Field(mesh, u), wells, q[i + 1], ws, prob.xi
         )
         C = sol.step_saturation_forward(
-            C.ravel(), ws.D, E, H, G, rc.dt, "saturation step",
+            C.ravel(), ws, E, H, G, rc.dt, "saturation step",
             sol._StepSolver(ws.step_ordering, rc.solver_tol)).reshape(C.shape)
         Cs.append(C.copy())
     cf = fes.P1DGField(mesh, C)
@@ -733,23 +733,73 @@ def test_saturation_steps_match_dense_solve():
     u = fes.RT0Field(mesh, traj.U[1])
     us = fes.RT0Field(mesh, traj.Ustar[1])
     E, H, G = asm.assemble_saturation_state(c, u, prob.wells, q[2], ws, prob.xi)
-    D = ws.D
     R, S = asm.assemble_saturation_costate(c, prob.wells, q[2], ws)
     W, Z = asm.assemble_costate_loads(c, u, us, prob.wells, 0.5, ws)
+    # the dense oracles sum the operators one by one
+    D = ws.D
+    Em, Hm, Rm, Sm = ws.dual_matrix(E), ws.dual_matrix(*H), ws.dual_matrix(R), ws.dual_matrix(S)
     c_prev = traj.C[1].ravel()
     cstar_next = traj.Cstar[3].ravel()
     assert np.abs(cstar_next).max() > 0.0
 
-    fwd = sol.step_saturation_forward(c_prev, D, E, H, G, dt, "saturation step",
+    fwd = sol.step_saturation_forward(c_prev, ws, E, H, G, dt, "saturation step",
                                       sol._StepSolver(ws.step_ordering, prob.rc.solver_tol))
-    ref = np.linalg.solve((D + dt * (E + H)).toarray(), D @ c_prev + dt * G)
+    ref = np.linalg.solve((D + dt * (Em + Hm)).toarray(), D @ c_prev + dt * G)
     assert np.abs(fwd - ref).max() <= 1e-12 * np.abs(ref).max()
 
     A = sol.costate_step_matrix(c, u, prob.wells, q[2], ws, prob.xi, dt)
     bwd = march_one_step(prob, A, cstar_next, W, Z)
-    ref = np.linalg.solve((D + dt * (-E + H + S + R)).toarray(),
+    ref = np.linalg.solve((D + dt * (-Em + Hm + Sm + Rm)).toarray(),
                           D @ cstar_next + dt * (W - Z))
     assert np.abs(bwd - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_step_matrices_match_the_operator_sums(config_problem):
+    # each step matrix is one scatter of its summed blocks on D's pattern;
+    # it matches the sum of the operators scattered one by one,
+    # D + dt (E + H) and D + dt (-E + H + S + R), to round-off
+    _, prob = config_problem
+    mesh, ws, dt = prob.mesh, prob.ws, prob.rc.dt
+    c = fes.P1DGField(mesh, RNG.uniform(0.1, 0.9, (mesh.num_triangles, 3)))
+    q = prob.q_initial()[1]
+    u = fes.RT0Field(mesh, sol._darcy_at(prob, c.values, q, 0.0)[0])
+    E, H, _ = asm.assemble_saturation_state(c, u, prob.wells, q, ws, prob.xi)
+    R, S = asm.assemble_saturation_costate(c, prob.wells, q, ws)
+    D = ws.D
+    Em, Hm, Rm, Sm = ws.dual_matrix(E), ws.dual_matrix(*H), ws.dual_matrix(R), ws.dual_matrix(S)
+    assert np.abs(Rm.data).max() > 0.0 and np.abs(Sm.data).max() > 0.0
+    summed = {"forward": D.data + dt * (Em.data + Hm.data),
+              "costate": D.data + dt * (-Em.data + Hm.data + Sm.data + Rm.data)}
+    built = {"forward": ws.step_matrix(dt, E + H[0], H[1]),
+             "costate": sol.costate_step_matrix(c, u, prob.wells, q, ws, prob.xi, dt)}
+    for kind, A in built.items():
+        assert A.format == "csc" and A.shape == D.shape, kind
+        assert np.shares_memory(A.indices, D.indices), kind
+        assert np.shares_memory(A.indptr, D.indptr), kind
+        want = summed[kind]
+        assert np.abs(A.data - want).max() <= 1e-15 * np.abs(want).max(), kind
+
+
+def test_a_sweep_scatters_one_matrix_per_step(monkeypatch):
+    # a forward + adjoint sweep scatters each of its 2N step matrices once,
+    # with every operator's blocks, and no operator on its own
+    prob = make_problem(n=4, m_steps=2, n_steps=4, wtilde=2.0)
+    N = prob.rc.n_steps
+    calls = collections.Counter()
+
+    def counted(name):
+        fn = getattr(asm.AssemblyWorkspace, name)
+
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("step_matrix", "dual_matrix", "_scatter"):
+        monkeypatch.setattr(asm.AssemblyWorkspace, name, counted(name))
+    sol.run_adjoint(prob, sol.run_forward(prob, np.full(N + 1, 0.5)))
+    assert calls == {"step_matrix": 2 * N, "_scatter": 2 * N}
 
 
 # ---------------------------------------------------------------------------
@@ -818,9 +868,10 @@ def test_two_grid_forward_matches_oracle():
                 else:
                     step = dict(steps=steps, keep=k < K - 1)
                 C[n + 1] = sol.step_saturation_forward(
-                    C[n].ravel(), ws.D, E, H, G, rc.dt, "saturation step", **step
+                    C[n].ravel(), ws, E, H, G, rc.dt, "saturation step", **step
                 ).reshape(C[n].shape)
-                residuals.append(step_residual(ws.D + rc.dt * (E + H), C[n + 1].ravel(),
+                residuals.append(step_residual(ws.step_matrix(rc.dt, E + H[0], H[1]),
+                                               C[n + 1].ravel(),
                                                ws.D @ C[n].ravel() + rc.dt * G))
         return C, U, residuals
 
@@ -887,14 +938,13 @@ def test_two_grid_adjoint_matches_oracle(monkeypatch):
                     us = Ustar[M] if m == M else (1.0 + s) * Ustar[m] - s * Ustar[m + 1]
                 cf = fes.P1DGField(mesh, C[j])
                 uf, usf = fes.RT0Field(mesh, u), fes.RT0Field(mesh, us)
-                E, H, _ = asm.assemble_saturation_state(cf, uf, wells, q[j], ws, prob.xi)
-                D = ws.D
+                E, (H, edges), _ = asm.assemble_saturation_state(cf, uf, wells, q[j], ws,
+                                                                 prob.xi)
                 R, S = asm.assemble_saturation_costate(cf, wells, q[j], ws)
                 W, Z = asm.assemble_costate_loads(cf, uf, usf, wells, fine[j], ws)
-                # D + dt (-E + H + S + R), summed in this order, on this thread
-                data = (H.data - E.data + S.data + R.data) * rc.dt + D.data
-                lhs = sp.csc_matrix((data, D.indices, D.indptr), D.shape)
-                rhs = D @ Cstar[j].ravel() + rc.dt * (W - Z)
+                # D + dt (-E + H + S + R), its blocks summed in this order, on this thread
+                lhs = ws.step_matrix(rc.dt, H - E + S + R, edges)
+                rhs = ws.D @ Cstar[j].ravel() + rc.dt * (W - Z)
                 if steps is None:
                     own = sol._StepSolver(ws.step_ordering, rc.solver_tol)
                     own.factor(lhs, "costate step")
@@ -1105,7 +1155,7 @@ def test_step_residual_failure_names_the_step_and_its_norm():
                                             q[1], ws, prob.xi)
     with pytest.raises(SolverError, match=r"^saturation step \(m=0, n=0\): residual "
                                           r".* exceeds 1\.0e-300 \(1-norm ~ \d"):
-        sol.step_saturation_forward(prob.c0_values.ravel(), ws.D, E, H, G, prob.rc.dt,
+        sol.step_saturation_forward(prob.c0_values.ravel(), ws, E, H, G, prob.rc.dt,
                                     "saturation step (m=0, n=0)",
                                     sol._StepSolver(ws.step_ordering, 1e-300))
 
@@ -1131,9 +1181,8 @@ def forward_step_system(prob, traj, n):
         fes.RT0Field(prob.mesh, sol.state_velocity(traj.U, n, rc.substeps)),
         prob.wells, traj.q[n + 1], ws, prob.xi,
     )
-    D = ws.D
-    lhs = sp.csc_matrix((D.data + rc.dt * (E.data + H.data), D.indices, D.indptr), D.shape)
-    return lhs, D @ traj.C[n].ravel() + rc.dt * G
+    lhs = ws.step_matrix(rc.dt, E + H[0], H[1])
+    return lhs, ws.D @ traj.C[n].ravel() + rc.dt * G
 
 
 def test_reused_step_matches_a_direct_solve():
